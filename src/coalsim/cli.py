@@ -12,15 +12,14 @@ import argparse
 import sys
 
 from .behaviour import (
-    behavioural_equivalence,
+    certified_equivalence,
     n_step_partition,
-    quotient_witness,
     t_bisim_up_to_difunctionality_check,
     t_bisimulation_check,
 )
 from .errors import CoalsimError
 from .formulas import parse_formula
-from .liftings import DEFAULT_LITERALS, resolve_signature
+from .liftings import DEFAULT_LITERALS, resolve_signature, separates
 from .modelio import (
     dump_json,
     load_coalgebra,
@@ -119,24 +118,26 @@ def _cmd_greatest(args, bi: bool) -> int:
             rel = greatest_n_bisimulation(c, d, sig, args.n)
         else:
             rel = n_simulation_chain(c, d, sig, args.n)[args.n]
+    elif not bi:
+        rel = greatest_simulation(c, d, sig)
+    elif separates(sig, c, d):
+        # Λ-bisimilarity is behavioural equivalence here: take the certified partition.
+        rel, _ = certified_equivalence(c, d, sig)
     else:
-        rel = greatest_bisimulation(c, d, sig) if bi else greatest_simulation(c, d, sig)
+        rel = greatest_bisimulation(c, d, sig)
     return _emit_relation(args, rel)
 
 
 def _cmd_nstep(args) -> int:
     c = load_coalgebra(args.left)
     d = load_coalgebra(args.right)
-    part = n_step_partition(c, d, args.n)
+    doc = n_step_partition(c, d, args.n).to_dict()
     if args.json:
-        doc = part.to_dict()
         doc["n"] = args.n
         sys.stdout.write(dump_json(doc))
     else:
-        for i, blk in enumerate(part.blocks):
-            left = [s for side, s in blk if side == "L"]
-            right = [s for side, s in blk if side == "R"]
-            print(f"block {i}: left={left} right={right}")
+        for i, blk in enumerate(doc["blocks"]):
+            print(f"block {i}: left={blk['left']} right={blk['right']}")
     return 0
 
 
@@ -144,9 +145,8 @@ def _cmd_behavioural(args) -> int:
     c = load_coalgebra(args.left)
     d = load_coalgebra(args.right)
     sig = _signature(args, c, d)
-    rel = behavioural_equivalence(c, d, sig)
+    rel, witness = certified_equivalence(c, d, sig)
     if args.witness:
-        witness = quotient_witness(rel, c, d)
         with open(args.witness, "w", encoding="utf-8") as handle:
             handle.write(dump_json(witness.to_dict()))
     return _emit_relation(args, rel)

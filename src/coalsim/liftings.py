@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-from .errors import BudgetError, KindMismatchError, ValidationError
+from .errors import BudgetError, KindMismatchError, NotSeparatingError, ValidationError
 from .values import (
     DISTRIBUTION,
     INF,
@@ -285,26 +285,33 @@ def auto_signature(*models: Coalgebra) -> LambdaSignature:
     return resolve_signature(DEFAULT_LITERALS[models[0].kind.name], models)
 
 
-def ensure_separating(sig: LambdaSignature, *models: Coalgebra) -> None:
-    """Reject signatures that cannot separate the values of these models."""
-    from .errors import NotSeparatingError
-
+def _separation_gap(sig: LambdaSignature, models) -> Optional[str]:
+    """Why the signature cannot separate the values of these models, or None."""
     if not sig.separating:
-        raise NotSeparatingError("signature is not declared separating")
+        return "signature is not declared separating"
     if sig.kind.name == MULTISET:
         have = max((m.index for m in sig.modalities), default=-1)
         need = graded_bound(models)
         if have < need:
-            raise NotSeparatingError(
-                f"graded grid 0..{have} cannot separate these models; weights reach {need}"
-            )
+            return f"graded grid 0..{have} cannot separate these models; weights reach {need}"
     if sig.kind.name == DISTRIBUTION:
         have = {m.bound for m in sig.modalities}
         missing = [p for p in prob_grid(models) if p not in have]
         if missing:
-            raise NotSeparatingError(
-                f"probability grid misses realized masses {[str(p) for p in missing]}"
-            )
+            return f"probability grid misses realized masses {[str(p) for p in missing]}"
+    return None
+
+
+def separates(sig: LambdaSignature, *models: Coalgebra) -> bool:
+    """Does the signature separate the values of these models?"""
+    return _separation_gap(sig, models) is None
+
+
+def ensure_separating(sig: LambdaSignature, *models: Coalgebra) -> None:
+    """Reject signatures that cannot separate the values of these models."""
+    gap = _separation_gap(sig, models)
+    if gap is not None:
+        raise NotSeparatingError(gap)
 
 
 def _joint_base(t: FunctorValue, u: FunctorValue) -> list:

@@ -18,6 +18,7 @@ from typing import Callable
 from .behaviour import (
     behavioural_equivalence,
     n_step_partition,
+    stabilized_partition,
     t_bisim_up_to_difunctionality_check,
     t_bisimulation_check,
 )
@@ -234,12 +235,23 @@ def _prop_n_bisim_n_step(trial, seed):
 
 
 def _prop_soundness_completeness(trial, seed):
+    """The pair fixpoint, the certified answer and the bare partition agree."""
     _, c, d = _models(seed + trial, KIND_POOL[trial % 4], max_states=5)
     sig = auto_signature(c, d)
     try:
-        behavioural_equivalence(c, d, sig)
+        answer = behavioural_equivalence(c, d, sig)
     except InternalCheckError as exc:
         return _instance_doc(c, d, failure=str(exc))
+    fixpoint = greatest_bisimulation(c, d, sig)
+    partition = stabilized_partition(c, d)[0].cross_relation()
+    if not fixpoint.pairs == answer.pairs == partition.pairs:
+        return _instance_doc(
+            c,
+            d,
+            fixpoint=relation_to_dict(fixpoint),
+            answer=relation_to_dict(answer),
+            partition=relation_to_dict(partition),
+        )
     return None
 
 

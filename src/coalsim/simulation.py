@@ -12,7 +12,12 @@ property suite).
 Greatest (bi)simulations are computed by synchronous pair removal from the
 full relation: each round re-examines every surviving pair against the
 previous round's relation and drops all failures at once, so the result does
-not depend on scan order.
+not depend on scan order.  The rounds cost up to |C|·|D| pair checks each, so
+for signatures that separate the models bisimilarity is decided instead by
+the certified partition of `coalsim.behaviour`, which makes only |C|+|D|
+pair checks through `is_bisimulation_at`.  `greatest_bisimulation` remains
+the route for signatures that do not separate the models and the independent
+oracle the property suite compares that partition against.
 """
 
 from __future__ import annotations
@@ -166,8 +171,16 @@ def _pair_ok_fast(x, y, c, d, sig, img) -> bool:
     raise KindMismatchError(f"unsupported value type {type(t).__name__}")
 
 
-def _fast_eligible(sig: LambdaSignature) -> bool:
-    return sig.kind.name in (KRIPKE, NEIGHBORHOOD) or sig.full_grid
+def _pair_check(sig: LambdaSignature):
+    """The per-kind characterization when it is exact for sig, else the generic check."""
+    if sig.kind.name in (KRIPKE, NEIGHBORHOOD) or sig.full_grid:
+        return _pair_ok_fast
+    return _pair_ok_generic
+
+
+def _check_depth(n: int) -> None:
+    if n < 0:
+        raise ValidationError(f"depth must be a natural number, got {n}")
 
 
 def is_simulation(
@@ -209,6 +222,24 @@ def is_bisimulation(
     return SimulationReport(forward.holds and back.holds, tuple(violations))
 
 
+def is_bisimulation_at(
+    s: Relation, pairs, c: Coalgebra, d: Coalgebra, sig: LambdaSignature
+) -> bool:
+    """One non-iterated check of the condition at the given pairs, both directions.
+
+    Images are taken under the whole of s (and its converse for the backward
+    direction), so this decides whether s is a bisimulation when `pairs`
+    covers s; callers that know more about s may pass fewer pairs.
+    """
+    _check_setup(s, c, d, sig)
+    ok = _pair_check(sig)
+    img = s.left_images()
+    cimg = s.converse().left_images()
+    return all(
+        ok(x, y, c, d, sig, img) and ok(y, x, d, c, sig, cimg) for x, y in pairs
+    )
+
+
 def _refine(c, d, pairs, condition):
     """Synchronously remove pairs failing `condition` until a fixpoint."""
     current = set(pairs)
@@ -229,7 +260,7 @@ def greatest_simulation(c: Coalgebra, d: Coalgebra, sig: LambdaSignature) -> Rel
     Simulations are closed under unions, so the largest one exists; iterated
     synchronous removal from the full relation converges to it.
     """
-    ok = _pair_ok_fast if _fast_eligible(sig) else _pair_ok_generic
+    ok = _pair_check(sig)
 
     def condition(p, img, _cimg):
         return ok(p[0], p[1], c, d, sig, img)
@@ -240,7 +271,7 @@ def greatest_simulation(c: Coalgebra, d: Coalgebra, sig: LambdaSignature) -> Rel
 
 def greatest_bisimulation(c: Coalgebra, d: Coalgebra, sig: LambdaSignature) -> Relation:
     """Largest relation that is a simulation in both directions."""
-    ok = _pair_ok_fast if _fast_eligible(sig) else _pair_ok_generic
+    ok = _pair_check(sig)
 
     def condition(p, img, cimg):
         x, y = p
@@ -261,7 +292,8 @@ def n_simulation_chain(
     the depth-k property.
     """
     _check_setup(full_relation(c.carrier, d.carrier), c, d, sig)
-    ok = _pair_ok_fast if _fast_eligible(sig) else _pair_ok_generic
+    _check_depth(n)
+    ok = _pair_check(sig)
     chain = [full_relation(c.carrier, d.carrier)]
     for _ in range(n):
         prev = chain[-1]
@@ -293,7 +325,8 @@ def n_bisimulation_chain(
     partition, so the synchronized chain is the stronger and correct notion.
     """
     _check_setup(full_relation(c.carrier, d.carrier), c, d, sig)
-    ok = _pair_ok_fast if _fast_eligible(sig) else _pair_ok_generic
+    _check_depth(n)
+    ok = _pair_check(sig)
     chain = [full_relation(c.carrier, d.carrier)]
     for _ in range(n):
         prev = chain[-1]

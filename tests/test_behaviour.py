@@ -3,12 +3,16 @@ from fractions import Fraction
 
 import pytest
 
+import coalsim.behaviour as behaviour
 from coalsim import (
     BudgetError,
     GeneratorConfig,
     InfiniteWeightError,
+    InternalCheckError,
     NotSeparatingError,
+    Partition,
     QuotientUndefined,
+    ValidationError,
     auto_signature,
     behavioural_equivalence,
     generate_coalgebra,
@@ -28,6 +32,7 @@ from coalsim import (
     values_equal,
     verify_coupling,
 )
+from coalsim.simulation import is_bisimulation_at
 from coalsim.transport import feasible_transport
 from coalsim.values import INF, relabel
 
@@ -291,3 +296,91 @@ def test_feasible_transport_exactness():
     assert feasible_transport({"a": 1}, {"c": 1}, set()) is None
     assert feasible_transport({"a": Fraction(1, 2)}, {"c": 1}, {("a", "c")}) is None
     assert feasible_transport({}, {}, set()) == {}
+
+
+def _merged(part, i, j):
+    """The partition with blocks i and j merged into one."""
+    rest = tuple(b for k, b in enumerate(part.blocks) if k not in (i, j))
+    return Partition(part.left, part.right, rest + (part.blocks[i] + part.blocks[j],))
+
+
+def _random_partition(rng, part):
+    members = [m for blk in part.blocks for m in blk]
+    k = rng.randint(1, 3)
+    groups = [[] for _ in range(k)]
+    for m in members:
+        groups[rng.randrange(k)].append(m)
+    return Partition(part.left, part.right, tuple(tuple(g) for g in groups if g))
+
+
+def test_spanning_pairs_decide_the_bisimulation_condition():
+    kinds = (kripke_kind(("p",)), multiset_model({"u": {}}).kind,
+             dist_model({"u": {"u": 1}}).kind, nbhd_model({"u": []}).kind)
+    for kind in kinds:
+        rng = random.Random(kind.name)
+        verdicts = []
+        for seed in range(12):
+            c = generate_coalgebra(GeneratorConfig(seed=seed, kind=kind, max_states=5))
+            d = generate_coalgebra(GeneratorConfig(seed=seed + 23, kind=kind, max_states=5))
+            sig = auto_signature(c, d)
+            part, _ = stabilized_partition(c, d)
+            candidates = [part, _random_partition(rng, part)]
+            if len(part.blocks) >= 2:
+                i, j = rng.sample(range(len(part.blocks)), 2)
+                candidates.append(_merged(part, i, j))
+            for k, cand in enumerate(candidates):
+                rel = cand.cross_relation()
+                assert len(cand.spanning_pairs()) <= len(c.carrier) + len(d.carrier)
+                spanning = is_bisimulation_at(rel, cand.spanning_pairs(), c, d, sig)
+                full = is_bisimulation(rel, c, d, sig).holds
+                assert spanning == full, (kind.name, seed, k)
+                assert full or k > 0
+                verdicts.append(full)
+        assert False in verdicts, kind.name  # corrupted partitions do get rejected
+
+
+def test_corrupted_partition_is_caught_by_the_certificate(monkeypatch):
+    c = kripke_model({"x": [], "x1": ["x1"]})
+    d = kripke_model({"y": ["y"]})
+    sig = auto_signature(c, d)
+    assert behavioural_equivalence(c, d, sig).pairs == {("x1", "y")}
+    true_stabilized = behaviour.stabilized_partition
+
+    def corrupted(c, d):
+        part, depth = true_stabilized(c, d)
+        i = next(k for k, blk in enumerate(part.blocks) if ("L", "x") in blk)
+        j = next(k for k, blk in enumerate(part.blocks) if ("R", "y") in blk)
+        return _merged(part, i, j), depth
+
+    monkeypatch.setattr(behaviour, "stabilized_partition", corrupted)
+    with pytest.raises(InternalCheckError, match="not a bisimulation"):
+        behavioural_equivalence(c, d, sig)
+
+
+def test_certified_equivalence_reuses_its_quotient_witness():
+    c = kripke_model({"x0": ["x1"], "x1": ["x0"]})
+    d = kripke_model({"y": ["y"]})
+    sig = auto_signature(c, d)
+    rel, witness = behaviour.certified_equivalence(c, d, sig)
+    assert rel.pairs == behavioural_equivalence(c, d, sig).pairs
+    assert witness.to_dict() == quotient_witness(rel, c, d).to_dict()
+
+
+def test_nstep_partition_rejects_negative_depth(chain3_vs_chain2):
+    with pytest.raises(ValidationError, match="depth"):
+        n_step_partition(*chain3_vs_chain2, -1)
+
+
+def test_partition_block_lookups_agree_with_block_of():
+    c = kripke_model({"x0": ["x1"], "x1": [], "x2": ["x2"]})
+    d = kripke_model({"y0": [], "y1": ["y1"]})
+    part, _ = stabilized_partition(c, d)
+    ids = part.block_of()
+    ids.clear()  # callers get their own copy
+    ids = part.block_of()
+    cross = part.cross_relation().pairs
+    for x in c.carrier:
+        for y in d.carrier:
+            same = ids[("L", x)] == ids[("R", y)]
+            assert part.same_block(x, y) == same
+            assert ((x, y) in cross) == same

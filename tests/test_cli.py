@@ -2,8 +2,20 @@ import json
 
 import pytest
 
+import coalsim.cli
+from coalsim import (
+    DISTRIBUTION_KIND,
+    MULTISET_KIND,
+    NEIGHBORHOOD_KIND,
+    GeneratorConfig,
+    generate_coalgebra,
+    greatest_bisimulation,
+    kripke_kind,
+    resolve_signature,
+)
 from coalsim.cli import cli_dispatch
-from coalsim.modelio import dump_json
+from coalsim.liftings import separates
+from coalsim.modelio import coalgebra_to_dict, dump_json
 
 
 def write(tmp_path, name, doc):
@@ -245,3 +257,80 @@ def test_cli_outputs_are_byte_stable(run, tmp_path, loop_model):
         first = run(*argv)
         second = run(*argv)
         assert first == second
+
+
+def _model_pair(tmp_path, kind, seed, **cfg):
+    models = []
+    for side, offset in (("c", 0), ("d", 31)):
+        m = generate_coalgebra(GeneratorConfig(seed=seed + offset, kind=kind, max_states=5, **cfg))
+        models.append((m, write(tmp_path, f"{side}{seed}.json", coalgebra_to_dict(m))))
+    return models
+
+
+SEPARATING = [
+    ("kripke:box,atoms", kripke_kind(("p", "q")), {}),
+    ("kripke:diamond,atoms", kripke_kind(("p", "q")), {}),
+    ("kripke:box,diamond,atoms", kripke_kind(("p", "q")), {}),
+    ("graded:auto", MULTISET_KIND, {"allow_infinite": True}),
+    ("prob:auto-grid", DISTRIBUTION_KIND, {}),
+    ("nbhd:box", NEIGHBORHOOD_KIND, {}),
+]
+
+
+@pytest.mark.parametrize("literal,kind,cfg", SEPARATING, ids=[e[0] for e in SEPARATING])
+def test_greatest_bisim_partition_route_matches_fixpoint_bytes(
+    run, tmp_path, monkeypatch, literal, kind, cfg
+):
+    argvs = []
+    for seed in range(6):
+        (c, cp), (d, dp) = _model_pair(tmp_path, kind, seed, **cfg)
+        assert separates(resolve_signature(literal, [c, d]), c, d)
+        argvs += [("greatest-bisim", cp, dp, "--sig", literal, *extra) for extra in ((), ("--json",))]
+    outputs = [run(*argv) for argv in argvs]
+    monkeypatch.setattr(coalsim.cli, "separates", lambda *args: False)
+    assert outputs == [run(*argv) for argv in argvs]
+    assert any(code == 0 for code, _, _ in outputs)
+
+
+@pytest.mark.parametrize(
+    "literal,kind,cfg",
+    [
+        ("kripke:diamond", kripke_kind(("p", "q")), {}),
+        ("graded:0..0", MULTISET_KIND, {"max_weight": 3}),
+    ],
+)
+def test_greatest_bisim_non_separating_signatures_use_the_fixpoint(
+    run, tmp_path, literal, kind, cfg
+):
+    checked = 0
+    for seed in range(6):
+        (c, cp), (d, dp) = _model_pair(tmp_path, kind, seed, **cfg)
+        sig = resolve_signature(literal, [c, d])
+        if separates(sig, c, d):
+            continue  # graded:0..0 separates models whose weights are all 0 or 1
+        expected = "".join(f"{x} {y}\n" for x, y in greatest_bisimulation(c, d, sig).sorted_pairs())
+        code, out, _ = run("greatest-bisim", cp, dp, "--sig", literal)
+        assert out == expected
+        assert code == (0 if expected else 1)
+        checked += 1
+    assert checked >= 3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("nstep", "--n", "-3"),
+        ("greatest-sim", "--n", "-1"),
+        ("greatest-bisim", "--n", "-1"),
+        ("check-sim", "REL", "--n", "-2"),
+        ("check-sim", "REL", "--bi", "--n", "-2"),
+    ],
+    ids=["nstep", "greatest-sim", "greatest-bisim", "check-sim", "check-sim-bi"],
+)
+def test_bounded_depth_commands_reject_negative_depth(run, tmp_path, loop_model, argv):
+    rel = write(tmp_path, "rel.json", {"pairs": [["x", "x"]]})
+    command, *rest = argv
+    rest = [rel if a == "REL" else a for a in rest]
+    code, out, err = run(command, loop_model, loop_model, *rest)
+    assert code == 2 and out == ""
+    assert "error:" in err and "depth" in err
