@@ -87,7 +87,6 @@ from .simulation import (
     greatest_bisimulation,
     greatest_n_bisimulation,
     greatest_simulation,
-    image,
     is_bisimulation,
     is_bisimulation_up_to_difunctionality,
     is_n_bisimulation,

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from typing import Optional
 
 from .errors import (
@@ -38,7 +39,7 @@ from .errors import (
     ValidationError,
 )
 from .liftings import LambdaSignature, ensure_separating
-from .relations import Relation, difunctional_closure, relation
+from .relations import Relation, difunctional_closure
 from .simulation import is_bisimulation_at
 from .transport import feasible_transport
 from .values import (
@@ -160,36 +161,42 @@ def _canonical_key(value: FunctorValue):
     return value
 
 
-def _refine_once(c, d, blocks) -> tuple:
-    ids = _block_ids(blocks)
-    left_map = {x: ids[(LEFT, x)] for x in c.carrier}
-    right_map = {y: ids[(RIGHT, y)] for y in d.carrier}
-
-    def key_of(member):
-        side, s = member
-        f = left_map if side == LEFT else right_map
-        return _canonical_key(relabel(_transition_of(member, c, d), f))
-
-    return _group_blocks(_tagged(c, d), key_of)
-
-
-def n_step_partition(c: Coalgebra, d: Coalgebra, n: int) -> Partition:
-    """Depth-n observational partition of the disjoint union of two models.
+def _refinements(c: Coalgebra, d: Coalgebra):
+    """Blocks of the disjoint union at depth 0, 1, 2, ...
 
     Depth 0 is a single block; each step groups states whose transition
     values agree after replacing every mentioned state by its previous-depth
-    block id.  Relabeled-value equality matches equality of depth-n
-    behaviours because all four functors preserve injections.
+    block id.
     """
     if c.kind != d.kind:
         raise KindMismatchError(
             f"cannot compare a {c.kind.name} model with a {d.kind.name} model"
         )
+    order = _tagged(c, d)
+    blocks = (tuple(order),)
+    while True:
+        yield blocks
+        ids = _block_ids(blocks)
+        left_map = {x: ids[(LEFT, x)] for x in c.carrier}
+        right_map = {y: ids[(RIGHT, y)] for y in d.carrier}
+
+        def key_of(member):
+            f = left_map if member[0] == LEFT else right_map
+            return _canonical_key(relabel(_transition_of(member, c, d), f))
+
+        blocks = _group_blocks(order, key_of)
+
+
+def n_step_partition(c: Coalgebra, d: Coalgebra, n: int) -> Partition:
+    """Depth-n observational partition of the disjoint union of two models.
+
+    Relabeled-value equality matches equality of depth-n behaviours because
+    all four functors preserve injections.
+    """
+    levels = _refinements(c, d)
     if n < 0:
         raise ValidationError(f"depth must be a natural number, got {n}")
-    blocks = (tuple(_tagged(c, d)),)
-    for _ in range(n):
-        blocks = _refine_once(c, d, blocks)
+    blocks = next(islice(levels, n, None))
     return Partition(tuple(c.carrier), tuple(d.carrier), blocks)
 
 
@@ -198,18 +205,13 @@ def stabilized_partition(c: Coalgebra, d: Coalgebra) -> tuple:
 
     Blocks only ever split, so at most carrier-size many rounds happen.
     """
-    if c.kind != d.kind:
-        raise KindMismatchError(
-            f"cannot compare a {c.kind.name} model with a {d.kind.name} model"
-        )
-    blocks = (tuple(_tagged(c, d)),)
-    depth = 0
-    for _ in range(len(c.carrier) + len(d.carrier) + 1):
-        refined = _refine_once(c, d, blocks)
-        if refined == blocks:
-            return Partition(tuple(c.carrier), tuple(d.carrier), blocks), depth
-        blocks = refined
-        depth += 1
+    levels = _refinements(c, d)
+    prev = next(levels)
+    rounds = islice(levels, len(c.carrier) + len(d.carrier) + 1)
+    for depth, blocks in enumerate(rounds):
+        if blocks == prev:
+            return Partition(tuple(c.carrier), tuple(d.carrier), prev), depth
+        prev = blocks
     raise InternalCheckError("partition failed to stabilize within the carrier bound")
 
 
@@ -250,23 +252,12 @@ def quotient_witness(s: Relation, c: Coalgebra, d: Coalgebra) -> QuotientWitness
         raise KindMismatchError(
             f"cannot compare a {c.kind.name} model with a {d.kind.name} model"
         )
-    order = _tagged(c, d)
-    parent = {m: m for m in order}
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    for x, y in s.pairs:
-        union((LEFT, x), (RIGHT, y))
-    blocks = _group_blocks(order, find)
+    # Blocks in the models' carrier order, whatever order s lists its carriers in.
+    joint = Relation(tuple(c.carrier), tuple(d.carrier), s.pairs)
+    blocks = tuple(
+        tuple((LEFT, x) for x in lefts) + tuple((RIGHT, y) for y in rights)
+        for lefts, rights in joint.components()
+    )
     ids = _block_ids(blocks)
     kappa_left = {x: ids[(LEFT, x)] for x in c.carrier}
     kappa_right = {y: ids[(RIGHT, y)] for y in d.carrier}
@@ -432,11 +423,16 @@ def _nbhd_coupling(x, y, c, d, pair_states) -> Optional[FunctorValue]:
     return None
 
 
-def _coupling_for_pairs(s_pairs, cell_pairs, c, d) -> Optional[Coupling]:
+def _coupling_check(s: Relation, cell_pairs, c, d) -> Optional[Coupling]:
+    """Coupling values for the pairs of s over the given cells, verified, or None."""
+    if c.kind != d.kind:
+        raise KindMismatchError(
+            f"cannot relate a {c.kind.name} model with a {d.kind.name} model"
+        )
     kind = c.kind.name
     cells = sorted(cell_pairs, key=_skey)
     out = []
-    for x, y in sorted(s_pairs, key=_skey):
+    for x, y in sorted(s.pairs, key=_skey):
         if kind == KRIPKE:
             v = _kripke_coupling(x, y, c, d, cells)
         elif kind in (MULTISET, DISTRIBUTION):
@@ -448,7 +444,10 @@ def _coupling_for_pairs(s_pairs, cell_pairs, c, d) -> Optional[Coupling]:
         if v is None:
             return None
         out.append(((x, y), v))
-    return Coupling(tuple(out))
+    coupling = Coupling(tuple(out))
+    if not verify_coupling(coupling, s, c, d):
+        raise InternalCheckError("constructed coupling fails its projection equations")
+    return coupling
 
 
 def t_bisimulation_check(
@@ -461,26 +460,11 @@ def t_bisimulation_check(
     exact transportation; neighborhood search is exhaustive within its
     budget and claims no completeness.
     """
-    if c.kind != d.kind:
-        raise KindMismatchError(
-            f"cannot relate a {c.kind.name} model with a {d.kind.name} model"
-        )
-    coupling = _coupling_for_pairs(s.pairs, s.pairs, c, d)
-    if coupling is not None and not verify_coupling(coupling, s, c, d):
-        raise InternalCheckError("constructed coupling fails its projection equations")
-    return coupling
+    return _coupling_check(s, s.pairs, c, d)
 
 
 def t_bisim_up_to_difunctionality_check(
     s: Relation, c: Coalgebra, d: Coalgebra
 ) -> Optional[Coupling]:
     """Coupling search with values over the difunctional closure of the relation."""
-    if c.kind != d.kind:
-        raise KindMismatchError(
-            f"cannot relate a {c.kind.name} model with a {d.kind.name} model"
-        )
-    closure = difunctional_closure(s)
-    coupling = _coupling_for_pairs(s.pairs, closure.pairs, c, d)
-    if coupling is not None and not verify_coupling(coupling, s, c, d):
-        raise InternalCheckError("constructed coupling fails its projection equations")
-    return coupling
+    return _coupling_check(s, difunctional_closure(s).pairs, c, d)

@@ -18,7 +18,7 @@ from .behaviour import (
     t_bisimulation_check,
 )
 from .errors import CoalsimError
-from .formulas import parse_formula
+from .formulas import evaluate, parse_formula
 from .liftings import DEFAULT_LITERALS, resolve_signature, separates
 from .modelio import (
     dump_json,
@@ -36,9 +36,9 @@ from .simulation import (
     is_bisimulation_up_to_difunctionality,
     is_n_bisimulation,
     is_n_simulation,
+    is_simulation,
     n_simulation_chain,
 )
-from .formulas import evaluate
 
 
 def _signature(args, *models):
@@ -101,11 +101,7 @@ def _cmd_check_sim(args) -> int:
         else:
             print("holds" if ok else "fails")
         return 0 if ok else 1
-    report = is_bisimulation(rel, c, d, sig) if args.bi else None
-    if report is None:
-        from .simulation import is_simulation
-
-        report = is_simulation(rel, c, d, sig)
+    report = is_bisimulation(rel, c, d, sig) if args.bi else is_simulation(rel, c, d, sig)
     return _emit_report(args, report)
 
 
@@ -298,10 +294,7 @@ def cli_dispatch(argv) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except CoalsimError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (CoalsimError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -8,7 +8,7 @@ for byte across runs and platforms.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ValidationError
@@ -99,13 +99,6 @@ def _random_value(rng, cfg, states):
             sets.append(_pick_subset(rng, states, size))
         return nbhd_value(antichain(sets))
     raise ValidationError(f"unknown kind {kind!r}")
-
-
-def generate_pair(cfg: GeneratorConfig) -> tuple:
-    """Two independent models of the same kind from one seed."""
-    left = generate_coalgebra(replace(cfg, seed=cfg.seed))
-    right = generate_coalgebra(replace(cfg, seed=(cfg.seed * 31 + 7) % 2**64))
-    return left, right
 
 
 def random_relation(rng: random.Random, c: Coalgebra, d: Coalgebra, density: float = 0.4) -> Relation:

@@ -36,6 +36,7 @@ from .values import (
     NbhdValue,
     _mass_table,
     _skey,
+    _subsets,
     base,
     measure,
     relabel,
@@ -44,9 +45,27 @@ from .values import (
 DEFAULT_MAX_BASE = 16
 
 
-def max_base_bound() -> int:
-    """Cap on exhaustive subset quantification; override with COALSIM_MAX_BASE."""
-    return int(os.environ.get("COALSIM_MAX_BASE", DEFAULT_MAX_BASE))
+def exhaustive_base(states, what: str) -> list:
+    """The states in `_skey` order, for exhaustive subset quantification.
+
+    This is the one gate on such quantification: more than COALSIM_MAX_BASE
+    states (default 16) raise BudgetError.  The variable must hold a natural
+    number; anything else raises ValidationError.
+    """
+    raw = os.environ.get("COALSIM_MAX_BASE", str(DEFAULT_MAX_BASE))
+    try:
+        bound = int(raw)
+    except ValueError:
+        bound = -1
+    if bound < 0:
+        raise ValidationError(f"COALSIM_MAX_BASE must be a natural number, got {raw!r}")
+    items = sorted(states, key=_skey)
+    if len(items) > bound:
+        raise BudgetError(
+            f"{what} has {len(items)} states, above the exhaustive bound {bound} "
+            f"(override with COALSIM_MAX_BASE)"
+        )
+    return items
 
 
 @dataclass(frozen=True)
@@ -314,22 +333,6 @@ def ensure_separating(sig: LambdaSignature, *models: Coalgebra) -> None:
         raise NotSeparatingError(gap)
 
 
-def _joint_base(t: FunctorValue, u: FunctorValue) -> list:
-    joint = sorted(base(t) | base(u), key=_skey)
-    bound = max_base_bound()
-    if len(joint) > bound:
-        raise BudgetError(
-            f"joint base has {len(joint)} states, above the exhaustive bound {bound} "
-            f"(override with COALSIM_MAX_BASE)"
-        )
-    return joint
-
-
-def _subsets_of(items: list):
-    for mask in range(1 << len(items)):
-        yield frozenset(items[i] for i in range(len(items)) if mask >> i & 1)
-
-
 def lambda_leq(
     t: FunctorValue, u: FunctorValue, sig: LambdaSignature, universe=None
 ) -> bool:
@@ -341,7 +344,7 @@ def lambda_leq(
     """
     if type(t) is not type(u):
         raise KindMismatchError(f"cannot order {type(t).__name__} against {type(u).__name__}")
-    joint = _joint_base(t, u)
+    joint = exhaustive_base(base(t) | base(u), "joint base")
     if universe is not None and not set(joint) <= set(universe):
         raise ValidationError("universe does not contain the values' bases")
     for m in sig.modalities:
@@ -349,7 +352,7 @@ def lambda_leq(
             if satisfies(t, m, frozenset()) and not satisfies(u, m, frozenset()):
                 return False
             continue
-        for a in _subsets_of(joint):
+        for a in _subsets(joint):
             if satisfies(t, m, a) and not satisfies(u, m, a):
                 return False
     return True
@@ -366,7 +369,7 @@ def distinguishing_pair(
     """
     if type(t) is not type(u):
         raise KindMismatchError(f"cannot compare {type(t).__name__} against {type(u).__name__}")
-    joint = _joint_base(t, u)
+    joint = exhaustive_base(base(t) | base(u), "joint base")
     if universe is not None and not set(joint) <= set(universe):
         raise ValidationError("universe does not contain the values' bases")
     for m in sig.modalities:
@@ -374,7 +377,7 @@ def distinguishing_pair(
             if satisfies(t, m, frozenset()) != satisfies(u, m, frozenset()):
                 return m, frozenset()
             continue
-        for a in _subsets_of(joint):
+        for a in _subsets(joint):
             if satisfies(t, m, a) != satisfies(u, m, a):
                 return m, a
     return None

@@ -49,6 +49,25 @@ _PLAIN_KINDS = {
 }
 
 
+def _states(raw, where: str) -> list:
+    """A JSON list of state labels; a label is a string or a non-bool integer."""
+    if not isinstance(raw, list):
+        raise ValidationError(f"{where} must be a list of states, got {raw!r}")
+    for s in raw:
+        _check_state(s, where)
+    return raw
+
+
+def _check_state(s, where: str) -> None:
+    if not isinstance(s, (str, int)) or isinstance(s, bool):
+        raise ValidationError(f"{where}: state {s!r} is not a string or an integer")
+
+
+def _carrier_key(s):
+    # Integers before strings, each in natural order; mixed carriers sort too.
+    return (isinstance(s, str), s)
+
+
 def _parse_weight(raw, state):
     if raw == "inf":
         return INF
@@ -72,7 +91,7 @@ def value_from_json(kind_name: str, raw) -> FunctorValue:
     if kind_name == KRIPKE:
         if not isinstance(raw, dict) or set(raw) - {"props", "succ"}:
             raise ValidationError(f"kripke value needs props/succ, got {raw!r}")
-        return kripke_value(raw.get("props", []), raw.get("succ", []))
+        return kripke_value(raw.get("props", []), _states(raw.get("succ", []), "succ"))
     if kind_name == MULTISET:
         if not isinstance(raw, dict):
             raise ValidationError(f"multiset value must be a weight map, got {raw!r}")
@@ -84,7 +103,9 @@ def value_from_json(kind_name: str, raw) -> FunctorValue:
     if kind_name == NEIGHBORHOOD:
         if not isinstance(raw, dict) or set(raw) != {"minimals"}:
             raise ValidationError(f"neighborhood value needs minimals, got {raw!r}")
-        return nbhd_value(raw["minimals"])
+        if not isinstance(raw["minimals"], list):
+            raise ValidationError(f"minimals must be a list of state lists, got {raw!r}")
+        return nbhd_value(_states(m, "minimal set") for m in raw["minimals"])
     raise ValidationError(f"unknown functor {kind_name!r}")
 
 
@@ -128,7 +149,7 @@ def coalgebra_from_dict(doc: dict) -> Coalgebra:
         kind = _PLAIN_KINDS[name]
     else:
         raise ValidationError(f"unknown functor {name!r}")
-    states = doc["states"]
+    states = _states(doc["states"], "states")
     transition = doc["transition"]
     if not isinstance(transition, dict):
         raise ValidationError("transition must map states to values")
@@ -171,13 +192,18 @@ def coalgebra_to_dict(c: Coalgebra) -> dict:
     return doc
 
 
-def load_coalgebra(path: str) -> Coalgebra:
+def _read_json(path: str):
     with open(path, encoding="utf-8") as handle:
         try:
-            doc = json.load(handle)
+            return json.load(handle)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"{path}: not valid JSON: {exc}") from exc
-    return coalgebra_from_dict(doc)
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{path}: not UTF-8 text: {exc}") from exc
+
+
+def load_coalgebra(path: str) -> Coalgebra:
+    return coalgebra_from_dict(_read_json(path))
 
 
 def relation_from_dict(doc: dict, c: Coalgebra = None, d: Coalgebra = None) -> Relation:
@@ -187,21 +213,18 @@ def relation_from_dict(doc: dict, c: Coalgebra = None, d: Coalgebra = None) -> R
     for raw in doc["pairs"]:
         if not isinstance(raw, (list, tuple)) or len(raw) != 2:
             raise ValidationError(f"relation pair must be a two-element list, got {raw!r}")
+        _check_state(raw[0], "relation pair")
+        _check_state(raw[1], "relation pair")
         pairs.append((raw[0], raw[1]))
     if c is not None and d is not None:
         return relation(c.carrier, d.carrier, pairs)
-    left = sorted({p[0] for p in pairs})
-    right = sorted({p[1] for p in pairs})
+    left = sorted({p[0] for p in pairs}, key=_carrier_key)
+    right = sorted({p[1] for p in pairs}, key=_carrier_key)
     return relation(left, right, pairs)
 
 
 def load_relation(path: str, c: Coalgebra = None, d: Coalgebra = None) -> Relation:
-    with open(path, encoding="utf-8") as handle:
-        try:
-            doc = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: not valid JSON: {exc}") from exc
-    return relation_from_dict(doc, c, d)
+    return relation_from_dict(_read_json(path), c, d)
 
 
 def relation_to_dict(s: Relation) -> dict:

@@ -19,10 +19,6 @@ class Relation:
         a = set(states)
         return frozenset(y for x, y in self.pairs if x in a)
 
-    def preimage(self, states) -> frozenset:
-        b = set(states)
-        return frozenset(x for x, y in self.pairs if y in b)
-
     def converse(self) -> "Relation":
         return Relation(self.right, self.left, frozenset((y, x) for x, y in self.pairs))
 
@@ -44,14 +40,32 @@ class Relation:
         return Relation(self.left, self.right, self.pairs | other.pairs)
 
     def is_difunctional(self) -> bool:
-        return all(
-            (x, w) in self.pairs
-            for x, y in self.pairs
-            for z, y2 in self.pairs
-            if y2 == y
-            for z2, w in self.pairs
-            if z2 == z
-        )
+        """x S y, z S y and z S w imply x S w; equivalently, S equals its closure."""
+        return difunctional_closure(self).pairs == self.pairs
+
+    def components(self) -> list:
+        """Connected components of the bipartite graph of the relation.
+
+        Each component is (left states, right states), both in carrier order.
+        Components are listed by first member, left carrier before right
+        carrier; a state in no pair is a component of its own.
+        """
+        parent = {}
+
+        def find(a):
+            while parent.get(a, a) != a:
+                parent[a] = parent.get(parent[a], parent[a])
+                a = parent[a]
+            return a
+
+        for x, y in self.pairs:
+            rx, ry = find((0, x)), find((1, y))
+            if rx != ry:
+                parent[rx] = ry
+        groups = {}
+        for node in [(0, x) for x in self.left] + [(1, y) for y in self.right]:
+            groups.setdefault(find(node), ([], []))[node[0]].append(node[1])
+        return [(tuple(lefts), tuple(rights)) for lefts, rights in groups.values()]
 
     def sorted_pairs(self) -> list:
         li = {s: i for i, s in enumerate(self.left)}
@@ -93,23 +107,10 @@ def identity_relation(carrier: Iterable) -> Relation:
 def difunctional_closure(s: Relation) -> Relation:
     """Least difunctional relation containing s.
 
-    Iterates adding every pair reachable through a zig-zag x S y, z S y,
-    z S w until nothing changes; equivalently the relation induced by the
-    connected components of the bipartite graph of s.
+    It relates every left state to every right state of its connected
+    component in the bipartite graph of s.
     """
-    pairs = set(s.pairs)
-    while True:
-        by_right = {}
-        by_left = {}
-        for x, y in pairs:
-            by_right.setdefault(y, set()).add(x)
-            by_left.setdefault(x, set()).add(y)
-        added = set()
-        for x, y in pairs:
-            for z in by_right[y]:
-                for w in by_left[z]:
-                    if (x, w) not in pairs:
-                        added.add((x, w))
-        if not added:
-            return Relation(s.left, s.right, frozenset(pairs))
-        pairs |= added
+    pairs = frozenset(
+        (x, y) for lefts, rights in s.components() for x in lefts for y in rights
+    )
+    return Relation(s.left, s.right, pairs)

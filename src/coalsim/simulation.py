@@ -9,13 +9,13 @@ because satisfaction only sees the base and all modalities are monotone (the
 brute-force oracle in `coalsim.oracles` re-checks this on every run of the
 property suite).
 
-Greatest (bi)simulations are computed by synchronous pair removal from the
-full relation: each round re-examines every surviving pair against the
-previous round's relation and drops all failures at once, so the result does
-not depend on scan order.  The rounds cost up to |C|·|D| pair checks each, so
-for signatures that separate the models bisimilarity is decided instead by
-the certified partition of `coalsim.behaviour`, which makes only |C|+|D|
-pair checks through `is_bisimulation_at`.  `greatest_bisimulation` remains
+Greatest (bi)simulations and their bounded-depth versions are levels of one
+descending chain of relations (`_levels`): each level re-examines every
+surviving pair against the previous level and drops all failures at once, so
+the result does not depend on scan order.  The levels cost up to |C|·|D|
+pair checks each, so for signatures that separate the models bisimilarity is
+decided instead by the certified partition of `coalsim.behaviour`, which
+makes only |C|+|D| pair checks through `is_bisimulation_at`.  `greatest_bisimulation` remains
 the route for signatures that do not separate the models and the independent
 oracle the property suite compares that partition against.
 """
@@ -23,8 +23,10 @@ oracle the property suite compares that partition against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from .errors import BudgetError, KindMismatchError, ValidationError
-from .liftings import LambdaSignature, Modality, max_base_bound, satisfies
+from itertools import islice
+
+from .errors import KindMismatchError, ValidationError
+from .liftings import LambdaSignature, Modality, exhaustive_base, satisfies
 from .relations import Relation, difunctional_closure, full_relation
 from .values import (
     KRIPKE,
@@ -35,6 +37,7 @@ from .values import (
     MultisetValue,
     NbhdValue,
     _skey,
+    _subsets,
     base,
     measure,
 )
@@ -69,11 +72,6 @@ class SimulationReport:
         return {"holds": self.holds, "violations": [v.to_dict() for v in self.violations]}
 
 
-def image(s: Relation, states) -> frozenset:
-    """Relational image of a state set."""
-    return s.image(states)
-
-
 def _check_setup(s: Relation, c: Coalgebra, d: Coalgebra, sig: LambdaSignature):
     if c.kind != d.kind:
         raise KindMismatchError(
@@ -87,28 +85,12 @@ def _check_setup(s: Relation, c: Coalgebra, d: Coalgebra, sig: LambdaSignature):
         raise ValidationError("relation carriers do not match the models")
 
 
-def _sorted_base(t) -> list:
-    items = sorted(base(t), key=_skey)
-    bound = max_base_bound()
-    if len(items) > bound:
-        raise BudgetError(
-            f"value base has {len(items)} states, above the exhaustive bound {bound} "
-            f"(override with COALSIM_MAX_BASE)"
-        )
-    return items
-
-
-def _subsets_of(items: list):
-    for mask in range(1 << len(items)):
-        yield frozenset(items[i] for i in range(len(items)) if mask >> i & 1)
-
-
 def _pair_violations(x, y, c, d, sig, img, cap):
     """Violations of the one-pair simulation condition, image taken under img."""
     t = c.transition[x]
     u = d.transition[y]
     out = []
-    items = _sorted_base(t)
+    items = exhaustive_base(base(t), "value base")
     for m in sig.modalities:
         if m.nullary:
             if satisfies(t, m, frozenset()) and not satisfies(u, m, frozenset()):
@@ -116,7 +98,7 @@ def _pair_violations(x, y, c, d, sig, img, cap):
                 if len(out) >= cap:
                     return out
             continue
-        for a in _subsets_of(items):
+        for a in _subsets(items):
             if satisfies(t, m, a):
                 sa = frozenset().union(*(img[z] for z in a)) if a else frozenset()
                 if not satisfies(u, m, sa):
@@ -157,7 +139,7 @@ def _pair_ok_fast(x, y, c, d, sig, img) -> bool:
     if isinstance(t, (MultisetValue, DistValue)):
         if not sig.modalities:
             return True
-        for a in _subsets_of(_sorted_base(t)):
+        for a in _subsets(exhaustive_base(base(t), "value base")):
             sa = frozenset().union(*(img[z] for z in a)) if a else frozenset()
             if measure(u, sa) < measure(t, a):
                 return False
@@ -183,19 +165,33 @@ def _check_depth(n: int) -> None:
         raise ValidationError(f"depth must be a natural number, got {n}")
 
 
+def _violations(s: Relation, c, d, sig, witness: Relation, direction: str) -> list:
+    """Violations at the pairs of s in carrier order, images under witness; capped."""
+    img = witness.left_images()
+    out = []
+    for x, y in s.sorted_pairs():
+        room = VIOLATION_CAP - len(out)
+        if room <= 0:
+            break
+        for m, a in _pair_violations(x, y, c, d, sig, img, cap=room):
+            out.append(Violation(direction, x, y, m, tuple(a)))
+    return out
+
+
 def is_simulation(
     s: Relation, c: Coalgebra, d: Coalgebra, sig: LambdaSignature
 ) -> SimulationReport:
     """Check the simulation condition for every pair; collect violations in order."""
     _check_setup(s, c, d, sig)
-    img = s.left_images()
-    violations = []
-    for x, y in s.sorted_pairs():
-        room = VIOLATION_CAP - len(violations)
-        if room <= 0:
-            break
-        for m, a in _pair_violations(x, y, c, d, sig, img, cap=room):
-            violations.append(Violation("forward", x, y, m, tuple(a)))
+    violations = _violations(s, c, d, sig, s, "forward")
+    return SimulationReport(not violations, tuple(violations))
+
+
+def _bisimulation_report(s, c, d, sig, witness: Relation) -> SimulationReport:
+    """Both directions at the pairs of s, images under witness and its converse."""
+    _check_setup(s, c, d, sig)
+    violations = _violations(s, c, d, sig, witness, "forward")
+    violations += _violations(s.converse(), d, c, sig, witness.converse(), "backward")
     return SimulationReport(not violations, tuple(violations))
 
 
@@ -212,14 +208,7 @@ def is_bisimulation(
     s: Relation, c: Coalgebra, d: Coalgebra, sig: LambdaSignature
 ) -> SimulationReport:
     """Simulation condition for the relation and its converse, reports merged."""
-    forward = is_simulation(s, c, d, sig)
-    back = is_simulation(s.converse(), d, c, sig)
-    violations = list(forward.violations)
-    for v in back.violations:
-        if len(violations) >= 2 * VIOLATION_CAP:
-            break
-        violations.append(Violation("backward", v.left, v.right, v.modality, v.witness))
-    return SimulationReport(forward.holds and back.holds, tuple(violations))
+    return _bisimulation_report(s, c, d, sig, s)
 
 
 def is_bisimulation_at(
@@ -240,45 +229,61 @@ def is_bisimulation_at(
     )
 
 
-def _refine(c, d, pairs, condition):
-    """Synchronously remove pairs failing `condition` until a fixpoint."""
-    current = set(pairs)
+def _levels(c: Coalgebra, d: Coalgebra, sig: LambdaSignature, both: bool):
+    """The descending chain of relations behind every greatest (bi)simulation.
+
+    Level 0 is the full relation; level k+1 keeps the pairs of level k that
+    meet the condition with images taken under level k, in one direction or,
+    when `both`, in both.  Level k is the greatest depth-k (bi)simulation,
+    and the first level that repeats is the greatest (bi)simulation.  Both
+    directions take images under the same level: the witness of a
+    depth-(k+1) bisimulation must itself be a depth-k bisimulation, and
+    independent witness chains would accept relations that do not refine the
+    bounded-depth partition.  Pairs stay in carrier order, so the checks run
+    in the same order on every run.
+    """
+    rel = full_relation(c.carrier, d.carrier)
+    _check_setup(rel, c, d, sig)
+    ok = _pair_check(sig)
+    pairs = [(x, y) for x in rel.left for y in rel.right]
     while True:
-        rel = Relation(tuple(c.carrier), tuple(d.carrier), frozenset(current))
+        yield rel
         img = rel.left_images()
-        conv = rel.converse()
-        cimg = conv.left_images()
-        removed = [p for p in sorted(current, key=_skey) if not condition(p, img, cimg)]
-        if not removed:
+        cimg = rel.converse().left_images() if both else None
+        pairs = [
+            (x, y)
+            for x, y in pairs
+            if ok(x, y, c, d, sig, img) and (not both or ok(y, x, d, c, sig, cimg))
+        ]
+        rel = Relation(rel.left, rel.right, frozenset(pairs))
+
+
+def _first_repeat(levels) -> Relation:
+    prev = next(levels)
+    for rel in levels:
+        if len(rel) == len(prev):
             return rel
-        current.difference_update(removed)
+        prev = rel
+
+
+def _chain(c, d, sig, n: int, both: bool) -> list:
+    """Levels 0..n of the descending chain."""
+    _check_depth(n)
+    return list(islice(_levels(c, d, sig, both), n + 1))
 
 
 def greatest_simulation(c: Coalgebra, d: Coalgebra, sig: LambdaSignature) -> Relation:
     """Largest relation whose every pair meets the simulation condition.
 
-    Simulations are closed under unions, so the largest one exists; iterated
-    synchronous removal from the full relation converges to it.
+    Simulations are closed under unions, so the largest one exists; the
+    descending chain from the full relation reaches it.
     """
-    ok = _pair_check(sig)
-
-    def condition(p, img, _cimg):
-        return ok(p[0], p[1], c, d, sig, img)
-
-    _check_setup(full_relation(c.carrier, d.carrier), c, d, sig)
-    return _refine(c, d, full_relation(c.carrier, d.carrier).pairs, condition)
+    return _first_repeat(_levels(c, d, sig, both=False))
 
 
 def greatest_bisimulation(c: Coalgebra, d: Coalgebra, sig: LambdaSignature) -> Relation:
     """Largest relation that is a simulation in both directions."""
-    ok = _pair_check(sig)
-
-    def condition(p, img, cimg):
-        x, y = p
-        return ok(x, y, c, d, sig, img) and ok(y, x, d, c, sig, cimg)
-
-    _check_setup(full_relation(c.carrier, d.carrier), c, d, sig)
-    return _refine(c, d, full_relation(c.carrier, d.carrier).pairs, condition)
+    return _first_repeat(_levels(c, d, sig, both=True))
 
 
 def n_simulation_chain(
@@ -286,23 +291,10 @@ def n_simulation_chain(
 ) -> list:
     """Greatest depth-k simulations for k = 0..n, as a descending chain.
 
-    Level 0 is the full relation; level k+1 keeps the pairs of level k whose
-    condition holds with images taken under level k.  Every depth-k
-    simulation is contained in level k, so membership in the chain decides
-    the depth-k property.
+    Every depth-k simulation is contained in level k, so membership in the
+    chain decides the depth-k property.
     """
-    _check_setup(full_relation(c.carrier, d.carrier), c, d, sig)
-    _check_depth(n)
-    ok = _pair_check(sig)
-    chain = [full_relation(c.carrier, d.carrier)]
-    for _ in range(n):
-        prev = chain[-1]
-        img = prev.left_images()
-        keep = frozenset(
-            (x, y) for x, y in prev.pairs if ok(x, y, c, d, sig, img)
-        )
-        chain.append(Relation(prev.left, prev.right, keep))
-    return chain
+    return _chain(c, d, sig, n, both=False)
 
 
 def is_n_simulation(
@@ -313,39 +305,11 @@ def is_n_simulation(
     return s.pairs <= n_simulation_chain(c, d, sig, n)[n].pairs
 
 
-def n_bisimulation_chain(
-    c: Coalgebra, d: Coalgebra, sig: LambdaSignature, n: int
-) -> list:
-    """Greatest depth-k bisimulations for k = 0..n, as a descending chain.
-
-    Both directions of level k+1 take images under the same level-k relation:
-    the witness of a depth-(k+1) bisimulation must itself be a depth-k
-    bisimulation.  Running the two directions against independent witness
-    chains would accept relations that do not refine the bounded-depth
-    partition, so the synchronized chain is the stronger and correct notion.
-    """
-    _check_setup(full_relation(c.carrier, d.carrier), c, d, sig)
-    _check_depth(n)
-    ok = _pair_check(sig)
-    chain = [full_relation(c.carrier, d.carrier)]
-    for _ in range(n):
-        prev = chain[-1]
-        img = prev.left_images()
-        cimg = prev.converse().left_images()
-        keep = frozenset(
-            (x, y)
-            for x, y in prev.pairs
-            if ok(x, y, c, d, sig, img) and ok(y, x, d, c, sig, cimg)
-        )
-        chain.append(Relation(prev.left, prev.right, keep))
-    return chain
-
-
 def greatest_n_bisimulation(
     c: Coalgebra, d: Coalgebra, sig: LambdaSignature, n: int
 ) -> Relation:
     """Largest relation witnessed by a synchronized chain of depth-k bisimulations."""
-    return n_bisimulation_chain(c, d, sig, n)[n]
+    return _chain(c, d, sig, n, both=True)[n]
 
 
 def is_n_bisimulation(
@@ -363,24 +327,4 @@ def is_bisimulation_up_to_difunctionality(
     Holds exactly when the difunctional closure of the relation is a
     bisimulation, but only the pairs of the relation itself are examined.
     """
-    _check_setup(s, c, d, sig)
-    closure = difunctional_closure(s)
-    img = closure.left_images()
-    cimg = closure.converse().left_images()
-    violations = []
-    for x, y in s.sorted_pairs():
-        room = VIOLATION_CAP - len(violations)
-        if room <= 0:
-            break
-        for m, a in _pair_violations(x, y, c, d, sig, img, cap=room):
-            violations.append(Violation("forward", x, y, m, tuple(a)))
-    back = s.converse()
-    back_violations = []
-    for y, x in back.sorted_pairs():
-        room = VIOLATION_CAP - len(back_violations)
-        if room <= 0:
-            break
-        for m, a in _pair_violations(y, x, d, c, sig, cimg, cap=room):
-            back_violations.append(Violation("backward", y, x, m, tuple(a)))
-    violations.extend(back_violations)
-    return SimulationReport(not violations, tuple(violations))
+    return _bisimulation_report(s, c, d, sig, difunctional_closure(s))

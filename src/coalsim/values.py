@@ -157,9 +157,6 @@ class Coalgebra:
     carrier: tuple
     transition: Mapping
 
-    def index(self, state) -> int:
-        return self.carrier.index(state)
-
 
 def coalgebra(kind: FunctorKind, carrier: Iterable, transition: Mapping) -> Coalgebra:
     c = Coalgebra(kind, tuple(carrier), dict(transition))
@@ -337,6 +334,11 @@ class EnumerationBudget:
 
 
 def _subsets(items: list) -> Iterator[frozenset]:
+    """Every subset of a list, in the order of a binary counter over its positions.
+
+    The one subset enumerator of the package (the oracles keep their own);
+    its order fixes the order in which violations and witnesses are reported.
+    """
     for mask in range(1 << len(items)):
         yield frozenset(items[i] for i in range(len(items)) if mask >> i & 1)
 

@@ -23,6 +23,38 @@ def all_subsets(items):
     ]
 
 
+def difunctional_closure_oracle(s):
+    """Least difunctional relation containing s, by iterating zig-zags x S y, z S y, z S w."""
+    pairs = set(s.pairs)
+    while True:
+        by_right = {}
+        by_left = {}
+        for x, y in pairs:
+            by_right.setdefault(y, set()).add(x)
+            by_left.setdefault(x, set()).add(y)
+        added = set()
+        for x, y in pairs:
+            for z in by_right[y]:
+                for w in by_left[z]:
+                    if (x, w) not in pairs:
+                        added.add((x, w))
+        if not added:
+            return Relation(s.left, s.right, frozenset(pairs))
+        pairs |= added
+
+
+def is_difunctional_oracle(s):
+    """The definition: x S y, z S y and z S w imply x S w."""
+    return all(
+        (x, w) in s.pairs
+        for x, y in s.pairs
+        for z, y2 in s.pairs
+        if y2 == y
+        for z2, w in s.pairs
+        if z2 == z
+    )
+
+
 def all_relations(left, right):
     pool = [(x, y) for x in left for y in right]
     for mask in range(1 << len(pool)):

@@ -243,6 +243,62 @@ def test_validation_error_exit_two(run, tmp_path):
     assert code == 2 and "mass sum" in err
 
 
+def _kripke_doc(states, succ=()):
+    transition = {s: {"props": [], "succ": list(succ)} for s in ("a", "b")}
+    return {"functor": "kripke", "states": states, "transition": transition}
+
+
+BAD_FILES = {
+    "rel": {"pairs": [["x", "x"]]},
+    "states_string": _kripke_doc("ab"),
+    "state_list": _kripke_doc([["a"], "b"]),
+    "state_bool": _kripke_doc([True, "b"]),
+    "succ_list": _kripke_doc(["a", "b"], succ=[["a"]]),
+    "pair_list": {"pairs": [[["x"], "x"]]},
+}
+
+BAD_INPUTS = [
+    ("max-base-not-integer", {"COALSIM_MAX_BASE": "abc"},
+     ("check-sim", "{loop}", "{loop}", "{rel}"), "COALSIM_MAX_BASE must be"),
+    ("max-base-negative", {"COALSIM_MAX_BASE": "-3"},
+     ("check-sim", "{loop}", "{loop}", "{rel}", "--bi"), "COALSIM_MAX_BASE must be"),
+    ("not-utf8", {}, ("eval", "{latin1}", "a", "true"), "not UTF-8"),
+    ("model-is-directory", {}, ("eval", "{dir}", "a", "true"), "Is a directory"),
+    ("witness-is-directory", {}, ("behavioural", "{loop}", "{loop}", "--witness", "{dir}"),
+     "Is a directory"),
+    ("states-not-a-list", {}, ("eval", "{states_string}", "a", "true"), "list of states"),
+    ("state-is-a-list", {}, ("eval", "{state_list}", "b", "true"), "not a string or an integer"),
+    ("state-is-a-bool", {}, ("eval", "{state_bool}", "b", "true"), "not a string or an integer"),
+    ("successor-is-a-list", {}, ("eval", "{succ_list}", "a", "true"),
+     "not a string or an integer"),
+    ("pair-entry-is-a-list", {}, ("closure", "{pair_list}"), "not a string or an integer"),
+    ("pair-entry-is-a-list-with-models", {}, ("check-sim", "{loop}", "{loop}", "{pair_list}"),
+     "not a string or an integer"),
+    ("negative-trials", {}, ("randtest", "stability", "--trials", "-1"), "trial count"),
+]
+
+
+@pytest.mark.parametrize(
+    "env,argv,expect", [case[1:] for case in BAD_INPUTS], ids=[case[0] for case in BAD_INPUTS]
+)
+def test_bad_input_exit_two(run, tmp_path, monkeypatch, loop_model, env, argv, expect):
+    paths = {name: write(tmp_path, f"{name}.json", doc) for name, doc in BAD_FILES.items()}
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes('{"functor": "kripke", "states": ["\u00e9"]}'.encode("latin-1"))
+    paths.update(loop=loop_model, latin1=str(latin1), dir=str(tmp_path))
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    code, out, err = run(*(arg.format(**paths) for arg in argv))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and expect in err
+
+
+def test_closure_sorts_mixed_int_and_str_states(run, tmp_path):
+    rel = write(tmp_path, "mixed.json", {"pairs": [[1, "a"], ["b", 2]]})
+    code, out, _ = run("closure", rel)
+    assert code == 0 and out == "1 a\nb 2\n"
+
+
 def test_usage_error_exit_two(run):
     code, _, _ = run("frobnicate")
     assert code == 2

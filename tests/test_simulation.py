@@ -14,7 +14,6 @@ from coalsim import (
     greatest_n_bisimulation,
     greatest_simulation,
     identity_relation,
-    image,
     is_bisimulation,
     is_bisimulation_up_to_difunctionality,
     is_n_bisimulation,
@@ -33,6 +32,8 @@ from coalsim.errors import ValidationError
 from conftest import dist_model, kripke_model, multiset_model, nbhd_model
 from oracle_helpers import (
     all_relations,
+    difunctional_closure_oracle,
+    is_difunctional_oracle,
     kripke_bisimilarity_partition,
     n_simulation_sets,
     union_of_all_simulations,
@@ -41,10 +42,10 @@ from oracle_helpers import (
 
 def test_image_basics():
     s = relation(["a"], ["b", "c"], [])
-    assert image(s, {"a"}) == frozenset()
+    assert s.image({"a"}) == frozenset()
     s2 = relation(["a"], ["b", "c"], [("a", "b"), ("a", "c")])
-    assert image(s2, {"a"}) == {"b", "c"}
-    assert image(relation(["a"], ["b"], [("a", "b")]), {"a"}) == {"b"}
+    assert s2.image({"a"}) == {"b", "c"}
+    assert relation(["a"], ["b"], [("a", "b")]).image({"a"}) == {"b"}
 
 
 def test_relation_validation():
@@ -63,6 +64,24 @@ def test_difunctional_closure_zigzag():
     assert difunctional_closure(empty).pairs == frozenset()
     assert closed.is_difunctional()
     assert not s.is_difunctional()
+
+
+def test_difunctional_closure_matches_zigzag_oracle():
+    rng = random.Random(20)
+    checked = 0
+    for trial in range(300):
+        left = [f"x{i}" for i in range(rng.randint(1, 6))]
+        # Every other block of trials reuses the left labels on the right.
+        right = [f"{'yx'[trial // 4 % 2]}{i}" for i in range(rng.randint(1, 6))]
+        density = (0.0, 0.1, 0.25, 0.5)[trial % 4]
+        pairs = [(x, y) for x in left for y in right if rng.random() < density]
+        s = relation(left, right, pairs)
+        closed = difunctional_closure(s)
+        assert closed == difunctional_closure_oracle(s)
+        assert s.is_difunctional() == is_difunctional_oracle(s)
+        assert closed.is_difunctional() and is_difunctional_oracle(closed)
+        checked += not pairs
+    assert checked > 0
 
 
 def test_is_simulation_isomorphism_graph():
