@@ -54,7 +54,6 @@ from .values import (
     FunctorValue,
     KripkeValue,
     MultisetValue,
-    NbhdValue,
     _skey,
     base,
     dist_value,
@@ -153,20 +152,13 @@ def _group_blocks(order, key_of) -> tuple:
     return tuple(tuple(b) for b in out)
 
 
-def _canonical_key(value: FunctorValue):
-    if isinstance(value, NbhdValue):
-        from .values import antichain
-
-        return ("nbhd", antichain(value.minimals))
-    return value
-
-
 def _refinements(c: Coalgebra, d: Coalgebra):
     """Blocks of the disjoint union at depth 0, 1, 2, ...
 
     Depth 0 is a single block; each step groups states whose transition
     values agree after replacing every mentioned state by its previous-depth
-    block id.
+    block id.  `relabel` returns neighborhood values in antichain form, so
+    the relabeled values themselves are canonical keys.
     """
     if c.kind != d.kind:
         raise KindMismatchError(
@@ -182,7 +174,7 @@ def _refinements(c: Coalgebra, d: Coalgebra):
 
         def key_of(member):
             f = left_map if member[0] == LEFT else right_map
-            return _canonical_key(relabel(_transition_of(member, c, d), f))
+            return relabel(_transition_of(member, c, d), f)
 
         blocks = _group_blocks(order, key_of)
 

@@ -11,6 +11,11 @@ algorithmic quantifiers iterate over, plus a declared separation flag.  For
 graded and probabilistic kinds the finite list is a grid; grids produced by
 `auto_signature` cover every threshold distinguishable on the given models,
 which is recorded in `full_grid`.
+
+This is the one module that knows the one-step (lifting) condition behind
+simulations, bisimulations and the pointwise order (see
+`lifting_violations`); `lifting_check` picks its per-pair test, and
+`lambda_leq` and `distinguishing_pair` quantify it with S the identity.
 """
 
 from __future__ import annotations
@@ -18,6 +23,9 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from itertools import islice
+from math import lcm
 from typing import Mapping, Optional, Sequence
 
 from .errors import BudgetError, KindMismatchError, NotSeparatingError, ValidationError
@@ -34,7 +42,6 @@ from .values import (
     KripkeValue,
     MultisetValue,
     NbhdValue,
-    _mass_table,
     _skey,
     _subsets,
     base,
@@ -211,11 +218,21 @@ def graded_bound(models: Sequence[Coalgebra]) -> int:
 
 
 def prob_grid(models: Sequence[Coalgebra]) -> tuple:
-    """All subset masses realized by any distribution of the models, sorted."""
+    """All subset masses realized by any distribution of the models, sorted.
+
+    Each value's distinct subset masses are collected entry by entry, as
+    integer multiples of the common denominator of its masses, so the cost
+    is bounded by support size times grid size, not by 2^support.
+    """
     grid = {Fraction(0), Fraction(1)}
     for c in models:
         for t in c.transition.values():
-            grid.update(_mass_table(t).values())
+            den = lcm(*(q.denominator for _, q in t.entries))
+            sums = {0}
+            for _, q in t.entries:
+                w = q.numerator * (den // q.denominator)
+                sums |= {s + w for s in sums}
+            grid.update(Fraction(s, den) for s in sums)
     return tuple(sorted(grid))
 
 
@@ -333,54 +350,138 @@ def ensure_separating(sig: LambdaSignature, *models: Coalgebra) -> None:
         raise NotSeparatingError(gap)
 
 
-def lambda_leq(
-    t: FunctorValue, u: FunctorValue, sig: LambdaSignature, universe=None
-) -> bool:
+def _image(a, img) -> frozenset:
+    """S[A]: the union of the images img[z] of the states z in A."""
+    return frozenset().union(*map(img.__getitem__, a))
+
+
+def _failures(sig: LambdaSignature, states, what: str, fails):
+    """The observations (modality, set A) of sig at which `fails` holds, in order.
+
+    The one quantification over observations: a nullary modality observes
+    only the empty set, any other each subset of `states` (gated by
+    `exhaustive_base`), streamed per modality, in `_subsets` order.
+    """
+    items = exhaustive_base(states, what)
+    for m in sig.modalities:
+        for a in (frozenset(),) if m.nullary else _subsets(items):
+            if fails(m, a):
+                yield m, a
+
+
+def _misses(t, u, img, sig):
+    """Where the lifting condition fails: t satisfies m at A, u not at S[A]."""
+    return _failures(
+        sig,
+        base(t),
+        "value base",
+        lambda m, a: satisfies(t, m, a) and not satisfies(u, m, _image(a, img)),
+    )
+
+
+def lifting_violations(
+    t: FunctorValue, u: FunctorValue, img, sig: LambdaSignature, cap: int
+) -> list:
+    """The first `cap` failures of the lifting condition at one related pair.
+
+    The condition for a relation S and values t, u of a related pair: for
+    every modality m of the signature and every observed set A, if t
+    satisfies m at A then u satisfies m at S[A], where `img` maps each state
+    to its image under S.  A ranges over the subsets of t's base only; that
+    is equivalent to ranging over all subsets of the carrier because
+    satisfaction only sees the base and all modalities are monotone (the
+    brute-force oracle in `coalsim.oracles` re-checks this on every run of
+    the property suite).  Returns (modality, A) pairs.
+    """
+    return list(islice(_misses(t, u, img, sig), cap))
+
+
+def _pair_ok_generic(sig, t, u, img) -> bool:
+    return next(_misses(t, u, img, sig), None) is None
+
+
+def _pair_ok_fast(sig, t, u, img) -> bool:
+    """Per-kind characterization of the lifting condition at one pair.
+
+    Exact for Kripke and neighborhood signatures.  For multiset and
+    distribution kinds it decides the condition for the full family of
+    thresholds, which coincides with the signature's verdict whenever the
+    grid covers both models (always true for resolved auto grids).
+    """
+    if isinstance(t, KripkeValue):
+        for m in sig.modalities:
+            if m.op == "atom":
+                if m.name in t.props and m.name not in u.props:
+                    return False
+            elif m.op == "diamond":
+                for xp in t.succ:
+                    if not img[xp] & u.succ:
+                        return False
+            elif m.op == "box":
+                for yp in u.succ:
+                    if not any(yp in img[xp] for xp in t.succ):
+                        return False
+        return True
+    if isinstance(t, (MultisetValue, DistValue)):
+        if not sig.modalities:
+            return True
+        for a in _subsets(exhaustive_base(base(t), "value base")):
+            if measure(u, _image(a, img)) < measure(t, a):
+                return False
+        return True
+    if isinstance(t, NbhdValue):
+        for m in t.minimals:
+            if not u.contains(_image(m, img)):
+                return False
+        return True
+    raise KindMismatchError(f"unsupported value type {type(t).__name__}")
+
+
+def lifting_check(sig: LambdaSignature):
+    """The lifting condition at one pair for sig, as a predicate ok(t, u, img).
+
+    The per-kind characterization where it is exact for sig (Kripke and
+    neighborhood signatures, and grids that cover the models), otherwise
+    the generic search of `lifting_violations`.
+    """
+    exact = sig.kind.name in (KRIPKE, NEIGHBORHOOD) or sig.full_grid
+    return partial(_pair_ok_fast if exact else _pair_ok_generic, sig)
+
+
+def lambda_leq(t: FunctorValue, u: FunctorValue, sig: LambdaSignature) -> bool:
     """Pointwise ordering of values: everything t satisfies, u satisfies.
 
-    Quantification runs over subsets of the joint base of the two values,
-    which is equivalent to quantifying over any larger universe because
-    satisfaction only sees the base and all modalities are monotone.
+    This is the lifting condition with S the identity.  Quantification runs
+    over subsets of the joint base of the two values, which is equivalent to
+    quantifying over any larger set because satisfaction only sees the base
+    and all modalities are monotone.
     """
     if type(t) is not type(u):
         raise KindMismatchError(f"cannot order {type(t).__name__} against {type(u).__name__}")
-    joint = exhaustive_base(base(t) | base(u), "joint base")
-    if universe is not None and not set(joint) <= set(universe):
-        raise ValidationError("universe does not contain the values' bases")
-    for m in sig.modalities:
-        if m.nullary:
-            if satisfies(t, m, frozenset()) and not satisfies(u, m, frozenset()):
-                return False
-            continue
-        for a in _subsets(joint):
-            if satisfies(t, m, a) and not satisfies(u, m, a):
-                return False
-    return True
+    misses = _failures(
+        sig,
+        base(t) | base(u),
+        "joint base",
+        lambda m, a: satisfies(t, m, a) and not satisfies(u, m, a),
+    )
+    return next(misses, None) is None
 
 
-def distinguishing_pair(
-    t: FunctorValue, u: FunctorValue, sig: LambdaSignature, universe=None
-):
+def distinguishing_pair(t: FunctorValue, u: FunctorValue, sig: LambdaSignature):
     """A (modality, state set) satisfied by exactly one of the two values.
 
-    Returns None when no subset of the universe distinguishes them; for a
-    separating signature over a universe containing both bases this certifies
-    the values are equal.
+    Returns None when no subset of the joint base distinguishes them; for a
+    separating signature this certifies the values are equal.
     """
     if type(t) is not type(u):
         raise KindMismatchError(f"cannot compare {type(t).__name__} against {type(u).__name__}")
-    joint = exhaustive_base(base(t) | base(u), "joint base")
-    if universe is not None and not set(joint) <= set(universe):
-        raise ValidationError("universe does not contain the values' bases")
-    for m in sig.modalities:
-        if m.nullary:
-            if satisfies(t, m, frozenset()) != satisfies(u, m, frozenset()):
-                return m, frozenset()
-            continue
-        for a in _subsets(joint):
-            if satisfies(t, m, a) != satisfies(u, m, a):
-                return m, a
-    return None
+    differs = _failures(
+        sig,
+        base(t) | base(u),
+        "joint base",
+        lambda m, a: satisfies(t, m, a) != satisfies(u, m, a),
+    )
+    return next(differs, None)
 
 
 def is_lambda_homomorphism(

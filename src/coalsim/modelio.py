@@ -63,6 +63,13 @@ def _check_state(s, where: str) -> None:
         raise ValidationError(f"{where}: state {s!r} is not a string or an integer")
 
 
+def _strings(raw, where: str) -> list:
+    """A JSON list of strings: the atoms of a vocabulary or a state's props."""
+    if not isinstance(raw, list) or not all(isinstance(p, str) for p in raw):
+        raise ValidationError(f"{where} must be a list of strings, got {raw!r}")
+    return raw
+
+
 def _carrier_key(s):
     # Integers before strings, each in natural order; mixed carriers sort too.
     return (isinstance(s, str), s)
@@ -91,7 +98,8 @@ def value_from_json(kind_name: str, raw) -> FunctorValue:
     if kind_name == KRIPKE:
         if not isinstance(raw, dict) or set(raw) - {"props", "succ"}:
             raise ValidationError(f"kripke value needs props/succ, got {raw!r}")
-        return kripke_value(raw.get("props", []), _states(raw.get("succ", []), "succ"))
+        props = _strings(raw.get("props", []), "props")
+        return kripke_value(props, _states(raw.get("succ", []), "succ"))
     if kind_name == MULTISET:
         if not isinstance(raw, dict):
             raise ValidationError(f"multiset value must be a weight map, got {raw!r}")
@@ -142,7 +150,7 @@ def coalgebra_from_dict(doc: dict) -> Coalgebra:
             raise ValidationError(f"model document misses the {field!r} field")
     name = doc["functor"]
     if name == KRIPKE:
-        kind = kripke_kind(doc.get("atoms", []))
+        kind = kripke_kind(_strings(doc.get("atoms", []), "atoms"))
     elif name in _PLAIN_KINDS:
         if "atoms" in doc:
             raise ValidationError(f"functor {name!r} takes no atom vocabulary")

@@ -1,8 +1,9 @@
 """Randomized theorem checks, runnable by name.
 
 Each property executes a cross-module claim on seeded random instances and
-reports counterexamples; the claims and their identifiers are listed in
-`theorem_matrix.json` next to this module.  Trial seeds are derived as
+reports counterexamples.  The claims and their identifiers are written once,
+in `theorem_matrix.json` next to this module; the registry `PROPERTIES`
+pairs each entry with its runner.  Trial seeds are derived as
 `seed + trial_index`, so runs are reproducible and trials are independent.
 """
 
@@ -557,119 +558,52 @@ class PropertySpec:
     asserting: bool = True
 
 
-PROPERTIES = {
-    spec.name: spec
-    for spec in (
-        PropertySpec(
-            "oracle-agreement",
-            "The base-restricted simulation check agrees with full-subset brute force.",
-            _prop_oracle_agreement,
-        ),
-        PropertySpec(
-            "fast-path",
-            "Per-kind simulation characterizations agree with the generic engine.",
-            _prop_fast_path,
-        ),
-        PropertySpec(
-            "preservation",
-            "States related by a simulation preserve all positive formulas.",
-            _prop_preservation,
-        ),
-        PropertySpec(
-            "rank-preservation",
-            "Depth-n simulations preserve positive formulas of rank at most n.",
-            _prop_rank_preservation,
-        ),
-        PropertySpec(
-            "n-bisim-n-step",
-            "The greatest depth-n bisimulation equals the depth-n partition "
-            "restricted to cross pairs, for separating signatures.",
-            _prop_n_bisim_n_step,
-        ),
-        PropertySpec(
-            "soundness-completeness",
-            "Greatest bisimulation, stabilized partition, and quotient witness "
-            "agree on behavioural equivalence.",
-            _prop_soundness_completeness,
-        ),
-        PropertySpec(
-            "prop-difunctional",
-            "A relation is a bisimulation up to difunctionality exactly when its "
-            "difunctional closure is a bisimulation.",
-            _prop_prop_difunctional,
-        ),
-        PropertySpec(
-            "t-implies-lambda",
-            "Every relation with a coupling witness passes the relational "
-            "bisimulation check (plain and up-to variants).",
-            _prop_t_implies_lambda,
-        ),
-        PropertySpec(
-            "t-bisim",
-            "On weak-pullback-preserving kinds with separating signatures, "
-            "difunctional bisimulations admit couplings and up-to bisimulations "
-            "admit up-to couplings.",
-            _prop_t_bisim,
-        ),
-        PropertySpec(
-            "functor-laws",
-            "Relabeling satisfies identity and composition laws, and satisfaction "
-            "is natural with respect to relabeling.",
-            _prop_functor_laws,
-        ),
-        PropertySpec(
-            "stability",
-            "Simulations are closed under union and composition, and equality is "
-            "a simulation.",
-            _prop_stability,
-        ),
-        PropertySpec(
-            "monotony",
-            "Enlarging the observed set never falsifies a satisfied modality.",
-            _prop_monotony,
-        ),
-        PropertySpec(
-            "preorder",
-            "The pointwise value ordering is reflexive and transitive.",
-            _prop_preorder,
-        ),
-        PropertySpec(
-            "separation",
-            "Under a separating signature, distinct values over a common carrier "
-            "admit a distinguishing observation, and equal values admit none.",
-            _prop_separation,
-        ),
-        PropertySpec(
-            "hom-agreement",
-            "The pointwise-ordering and graph-simulation characterizations of "
-            "homomorphisms agree.",
-            _prop_hom_agreement,
-        ),
-        PropertySpec(
-            "base-guarantee",
-            "Satisfaction of any modality depends only on the observed set's "
-            "intersection with the value's base.",
-            _prop_base_guarantee,
-        ),
-        PropertySpec(
-            "injectivity",
-            "Injective relabeling preserves distinctness of values.",
-            _prop_injectivity,
-        ),
-        PropertySpec(
-            "nstep-is-n-bisim",
-            "Depth-n partitions are depth-n bisimulations in both directions.",
-            _prop_nstep_is_n_bisim,
-        ),
-        PropertySpec(
-            "open-problem-search",
-            "Search for non-difunctional bisimulations without couplings on "
-            "weak-pullback-preserving kinds; reports findings, never fails.",
-            _prop_open_problem_search,
-            asserting=False,
-        ),
-    )
+_RUNNERS = {
+    "oracle-agreement": _prop_oracle_agreement,
+    "fast-path": _prop_fast_path,
+    "preservation": _prop_preservation,
+    "rank-preservation": _prop_rank_preservation,
+    "n-bisim-n-step": _prop_n_bisim_n_step,
+    "soundness-completeness": _prop_soundness_completeness,
+    "prop-difunctional": _prop_prop_difunctional,
+    "t-implies-lambda": _prop_t_implies_lambda,
+    "t-bisim": _prop_t_bisim,
+    "functor-laws": _prop_functor_laws,
+    "stability": _prop_stability,
+    "monotony": _prop_monotony,
+    "preorder": _prop_preorder,
+    "separation": _prop_separation,
+    "hom-agreement": _prop_hom_agreement,
+    "base-guarantee": _prop_base_guarantee,
+    "injectivity": _prop_injectivity,
+    "nstep-is-n-bisim": _prop_nstep_is_n_bisim,
+    "open-problem-search": _prop_open_problem_search,
 }
+
+
+def theorem_matrix() -> list:
+    """The shipped property-to-claim manifest, in registry order."""
+    with resources.files(__package__).joinpath("theorem_matrix.json").open(
+        "r", encoding="utf-8"
+    ) as handle:
+        return json.load(handle)
+
+
+def _registry() -> dict:
+    """One spec per manifest entry: its claim, with the runner of the same name."""
+    manifest = theorem_matrix()
+    if {entry["property"] for entry in manifest} != set(_RUNNERS):
+        raise InternalCheckError("theorem matrix is out of sync with the registry")
+    specs = {}
+    for entry in manifest:
+        name = entry["property"]
+        # The one search: it reports what it finds and never fails.
+        asserting = name != "open-problem-search"
+        specs[name] = PropertySpec(name, entry["claim"], _RUNNERS[name], asserting)
+    return specs
+
+
+PROPERTIES = _registry()
 
 
 def run_property_suite(name: str, trials: int, seed: int) -> PropertyRunReport:
@@ -689,15 +623,3 @@ def run_property_suite(name: str, trials: int, seed: int) -> PropertyRunReport:
             if spec.asserting and len(counterexamples) >= 5:
                 break
     return PropertyRunReport(name, trials, counterexamples, asserting=spec.asserting)
-
-
-def theorem_matrix() -> list:
-    """The shipped property-to-claim manifest, cross-checked against the registry."""
-    with resources.files(__package__).joinpath("theorem_matrix.json").open(
-        "r", encoding="utf-8"
-    ) as handle:
-        manifest = json.load(handle)
-    listed = {entry["property"] for entry in manifest}
-    if listed != set(PROPERTIES):
-        raise InternalCheckError("theorem matrix is out of sync with the registry")
-    return manifest

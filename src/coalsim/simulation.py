@@ -1,13 +1,10 @@
 """Deciding simulations and bisimulations between two finite models.
 
-The defining condition for a relation S and a related pair (x, y) is: for
-every modality of the signature and every observed set A, if the value of x
-satisfies the modality at A then the value of y satisfies it at the image
-S[A].  Quantification over A is restricted to subsets of the base of x's
-value; this is equivalent to quantifying over all subsets of the carrier
-because satisfaction only sees the base and all modalities are monotone (the
-brute-force oracle in `coalsim.oracles` re-checks this on every run of the
-property suite).
+A relation S is a simulation when every related pair (x, y) meets the
+lifting condition of `coalsim.liftings` with images under S: checked one pair
+at a time by `lifting_check`, or with its failures listed by
+`lifting_violations`.  This module only builds relations, chains and
+reports on top of that condition.
 
 Greatest (bi)simulations and their bounded-depth versions are levels of one
 descending chain of relations (`_levels`): each level re-examines every
@@ -26,21 +23,9 @@ from dataclasses import dataclass
 from itertools import islice
 
 from .errors import KindMismatchError, ValidationError
-from .liftings import LambdaSignature, Modality, exhaustive_base, satisfies
+from .liftings import LambdaSignature, Modality, lifting_check, lifting_violations
 from .relations import Relation, difunctional_closure, full_relation
-from .values import (
-    KRIPKE,
-    NEIGHBORHOOD,
-    Coalgebra,
-    DistValue,
-    KripkeValue,
-    MultisetValue,
-    NbhdValue,
-    _skey,
-    _subsets,
-    base,
-    measure,
-)
+from .values import Coalgebra, _skey
 
 VIOLATION_CAP = 100
 
@@ -85,81 +70,6 @@ def _check_setup(s: Relation, c: Coalgebra, d: Coalgebra, sig: LambdaSignature):
         raise ValidationError("relation carriers do not match the models")
 
 
-def _pair_violations(x, y, c, d, sig, img, cap):
-    """Violations of the one-pair simulation condition, image taken under img."""
-    t = c.transition[x]
-    u = d.transition[y]
-    out = []
-    items = exhaustive_base(base(t), "value base")
-    for m in sig.modalities:
-        if m.nullary:
-            if satisfies(t, m, frozenset()) and not satisfies(u, m, frozenset()):
-                out.append((m, frozenset()))
-                if len(out) >= cap:
-                    return out
-            continue
-        for a in _subsets(items):
-            if satisfies(t, m, a):
-                sa = frozenset().union(*(img[z] for z in a)) if a else frozenset()
-                if not satisfies(u, m, sa):
-                    out.append((m, a))
-                    if len(out) >= cap:
-                        return out
-    return out
-
-
-def _pair_ok_generic(x, y, c, d, sig, img) -> bool:
-    return not _pair_violations(x, y, c, d, sig, img, cap=1)
-
-
-def _pair_ok_fast(x, y, c, d, sig, img) -> bool:
-    """Per-kind characterization of the one-pair condition.
-
-    Exact for Kripke and neighborhood signatures.  For multiset and
-    distribution kinds it decides the condition for the full family of
-    thresholds, which coincides with the signature's verdict whenever the
-    grid covers both models (always true for resolved auto grids).
-    """
-    t = c.transition[x]
-    u = d.transition[y]
-    if isinstance(t, KripkeValue):
-        for m in sig.modalities:
-            if m.op == "atom":
-                if m.name in t.props and m.name not in u.props:
-                    return False
-            elif m.op == "diamond":
-                for xp in t.succ:
-                    if not img[xp] & u.succ:
-                        return False
-            elif m.op == "box":
-                for yp in u.succ:
-                    if not any(yp in img[xp] for xp in t.succ):
-                        return False
-        return True
-    if isinstance(t, (MultisetValue, DistValue)):
-        if not sig.modalities:
-            return True
-        for a in _subsets(exhaustive_base(base(t), "value base")):
-            sa = frozenset().union(*(img[z] for z in a)) if a else frozenset()
-            if measure(u, sa) < measure(t, a):
-                return False
-        return True
-    if isinstance(t, NbhdValue):
-        for m in t.minimals:
-            sm = frozenset().union(*(img[z] for z in m)) if m else frozenset()
-            if not u.contains(sm):
-                return False
-        return True
-    raise KindMismatchError(f"unsupported value type {type(t).__name__}")
-
-
-def _pair_check(sig: LambdaSignature):
-    """The per-kind characterization when it is exact for sig, else the generic check."""
-    if sig.kind.name in (KRIPKE, NEIGHBORHOOD) or sig.full_grid:
-        return _pair_ok_fast
-    return _pair_ok_generic
-
-
 def _check_depth(n: int) -> None:
     if n < 0:
         raise ValidationError(f"depth must be a natural number, got {n}")
@@ -173,7 +83,7 @@ def _violations(s: Relation, c, d, sig, witness: Relation, direction: str) -> li
         room = VIOLATION_CAP - len(out)
         if room <= 0:
             break
-        for m, a in _pair_violations(x, y, c, d, sig, img, cap=room):
+        for m, a in lifting_violations(c.transition[x], d.transition[y], img, sig, room):
             out.append(Violation(direction, x, y, m, tuple(a)))
     return out
 
@@ -198,10 +108,11 @@ def _bisimulation_report(s, c, d, sig, witness: Relation) -> SimulationReport:
 def simulation_fast_path_holds(
     s: Relation, c: Coalgebra, d: Coalgebra, sig: LambdaSignature
 ) -> bool:
-    """Verdict of the per-kind characterization; must agree with is_simulation."""
+    """Verdict of `lifting_check` at every pair; must agree with is_simulation."""
     _check_setup(s, c, d, sig)
+    ok = lifting_check(sig)
     img = s.left_images()
-    return all(_pair_ok_fast(x, y, c, d, sig, img) for x, y in s.sorted_pairs())
+    return all(ok(c.transition[x], d.transition[y], img) for x, y in s.sorted_pairs())
 
 
 def is_bisimulation(
@@ -221,12 +132,11 @@ def is_bisimulation_at(
     covers s; callers that know more about s may pass fewer pairs.
     """
     _check_setup(s, c, d, sig)
-    ok = _pair_check(sig)
+    ok = lifting_check(sig)
     img = s.left_images()
     cimg = s.converse().left_images()
-    return all(
-        ok(x, y, c, d, sig, img) and ok(y, x, d, c, sig, cimg) for x, y in pairs
-    )
+    ct, dt = c.transition, d.transition
+    return all(ok(ct[x], dt[y], img) and ok(dt[y], ct[x], cimg) for x, y in pairs)
 
 
 def _levels(c: Coalgebra, d: Coalgebra, sig: LambdaSignature, both: bool):
@@ -244,7 +154,8 @@ def _levels(c: Coalgebra, d: Coalgebra, sig: LambdaSignature, both: bool):
     """
     rel = full_relation(c.carrier, d.carrier)
     _check_setup(rel, c, d, sig)
-    ok = _pair_check(sig)
+    ok = lifting_check(sig)
+    ct, dt = c.transition, d.transition
     pairs = [(x, y) for x in rel.left for y in rel.right]
     while True:
         yield rel
@@ -253,7 +164,7 @@ def _levels(c: Coalgebra, d: Coalgebra, sig: LambdaSignature, both: bool):
         pairs = [
             (x, y)
             for x, y in pairs
-            if ok(x, y, c, d, sig, img) and (not both or ok(y, x, d, c, sig, cimg))
+            if ok(ct[x], dt[y], img) and (not both or ok(dt[y], ct[x], cimg))
         ]
         rel = Relation(rel.left, rel.right, frozenset(pairs))
 

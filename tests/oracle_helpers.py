@@ -196,3 +196,76 @@ def nbhd_relabel_oracle(t, f, labels):
         if any(m <= preimage for m in t.minimals):
             out.append(b)
     return out
+
+
+def _subsets_in_counter_order(items):
+    """Every subset of a list, in the order of a binary counter over its positions."""
+    for mask in range(1 << len(items)):
+        yield frozenset(items[i] for i in range(len(items)) if mask >> i & 1)
+
+
+def pair_violations_reference(t, u, img, sig, cap):
+    """The per-pair violation search as first written, one loop per modality."""
+    from coalsim.values import base
+
+    out = []
+    items = sorted(base(t), key=repr)
+    for m in sig.modalities:
+        if m.nullary:
+            if satisfies(t, m, frozenset()) and not satisfies(u, m, frozenset()):
+                out.append((m, frozenset()))
+                if len(out) >= cap:
+                    return out
+            continue
+        for a in _subsets_in_counter_order(items):
+            if satisfies(t, m, a):
+                sa = frozenset().union(*(img[z] for z in a)) if a else frozenset()
+                if not satisfies(u, m, sa):
+                    out.append((m, a))
+                    if len(out) >= cap:
+                        return out
+    return out
+
+
+def lambda_leq_reference(t, u, sig):
+    """The pointwise order as first written: every observation of t holds of u."""
+    from coalsim.values import base
+
+    joint = sorted(base(t) | base(u), key=repr)
+    for m in sig.modalities:
+        if m.nullary:
+            if satisfies(t, m, frozenset()) and not satisfies(u, m, frozenset()):
+                return False
+            continue
+        for a in _subsets_in_counter_order(joint):
+            if satisfies(t, m, a) and not satisfies(u, m, a):
+                return False
+    return True
+
+
+def distinguishing_pair_reference(t, u, sig):
+    """The first observation, in scan order, on which t and u disagree; or None."""
+    from coalsim.values import base
+
+    joint = sorted(base(t) | base(u), key=repr)
+    for m in sig.modalities:
+        if m.nullary:
+            if satisfies(t, m, frozenset()) != satisfies(u, m, frozenset()):
+                return m, frozenset()
+            continue
+        for a in _subsets_in_counter_order(joint):
+            if satisfies(t, m, a) != satisfies(u, m, a):
+                return m, a
+    return None
+
+
+def prob_grid_reference(models):
+    """Every subset mass of every distribution of the models, plus 0 and 1, sorted."""
+    from fractions import Fraction
+
+    grid = {Fraction(0), Fraction(1)}
+    for c in models:
+        for t in c.transition.values():
+            for a in all_subsets(range(len(t.entries))):
+                grid.add(sum((t.entries[i][1] for i in a), Fraction(0)))
+    return tuple(sorted(grid))

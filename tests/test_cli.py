@@ -255,6 +255,12 @@ BAD_FILES = {
     "state_bool": _kripke_doc([True, "b"]),
     "succ_list": _kripke_doc(["a", "b"], succ=[["a"]]),
     "pair_list": {"pairs": [[["x"], "x"]]},
+    "props_list": {"functor": "kripke", "atoms": ["p"], "states": ["a"],
+                   "transition": {"a": {"props": [["p"]], "succ": []}}},
+    "atoms_list": {"functor": "kripke", "atoms": [["p"]], "states": ["a"],
+                   "transition": {"a": {"props": [], "succ": []}}},
+    "atoms_string": {"functor": "kripke", "atoms": "pq", "states": ["a"],
+                     "transition": {"a": {"props": [], "succ": []}}},
 }
 
 BAD_INPUTS = [
@@ -275,6 +281,9 @@ BAD_INPUTS = [
     ("pair-entry-is-a-list-with-models", {}, ("check-sim", "{loop}", "{loop}", "{pair_list}"),
      "not a string or an integer"),
     ("negative-trials", {}, ("randtest", "stability", "--trials", "-1"), "trial count"),
+    ("prop-is-a-list", {}, ("eval", "{props_list}", "a", "true"), "list of strings"),
+    ("atom-is-a-list", {}, ("eval", "{atoms_list}", "a", "true"), "list of strings"),
+    ("atoms-is-a-string", {}, ("eval", "{atoms_string}", "a", "true"), "list of strings"),
 ]
 
 
