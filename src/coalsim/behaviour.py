@@ -298,7 +298,8 @@ def certified_equivalence(
         (x₀, y₀) and (y₀, x) the same way.
     (b) The quotient construction on R succeeds.
 
-    Returns (R, QuotientWitness).
+    Returns (R, QuotientWitness).  A signature that does not separate the
+    models raises NotSeparatingError before any other work.
     """
     ensure_separating(sig, c, d)
     part, _ = stabilized_partition(c, d)

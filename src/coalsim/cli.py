@@ -17,9 +17,9 @@ from .behaviour import (
     t_bisim_up_to_difunctionality_check,
     t_bisimulation_check,
 )
-from .errors import CoalsimError
+from .errors import CoalsimError, NotSeparatingError
 from .formulas import evaluate, parse_formula
-from .liftings import DEFAULT_LITERALS, resolve_signature, separates
+from .liftings import DEFAULT_LITERALS, resolve_signature
 from .modelio import (
     dump_json,
     load_coalgebra,
@@ -116,11 +116,14 @@ def _cmd_greatest(args, bi: bool) -> int:
             rel = n_simulation_chain(c, d, sig, args.n)[args.n]
     elif not bi:
         rel = greatest_simulation(c, d, sig)
-    elif separates(sig, c, d):
-        # Λ-bisimilarity is behavioural equivalence here: take the certified partition.
-        rel, _ = certified_equivalence(c, d, sig)
     else:
-        rel = greatest_bisimulation(c, d, sig)
+        # For a signature that separates the models, Λ-bisimilarity is
+        # behavioural equivalence: take the certified partition, which
+        # decides separation first and raises before any other work if not.
+        try:
+            rel, _ = certified_equivalence(c, d, sig)
+        except NotSeparatingError:
+            rel = greatest_bisimulation(c, d, sig)
     return _emit_relation(args, rel)
 
 

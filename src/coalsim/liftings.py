@@ -29,6 +29,7 @@ from math import lcm
 from typing import Mapping, Optional, Sequence
 
 from .errors import BudgetError, KindMismatchError, NotSeparatingError, ValidationError
+from .transport import ship
 from .values import (
     DISTRIBUTION,
     INF,
@@ -52,13 +53,8 @@ from .values import (
 DEFAULT_MAX_BASE = 16
 
 
-def exhaustive_base(states, what: str) -> list:
-    """The states in `_skey` order, for exhaustive subset quantification.
-
-    This is the one gate on such quantification: more than COALSIM_MAX_BASE
-    states (default 16) raise BudgetError.  The variable must hold a natural
-    number; anything else raises ValidationError.
-    """
+def _max_base() -> int:
+    """COALSIM_MAX_BASE (default 16); anything but a natural number raises ValidationError."""
     raw = os.environ.get("COALSIM_MAX_BASE", str(DEFAULT_MAX_BASE))
     try:
         bound = int(raw)
@@ -66,6 +62,16 @@ def exhaustive_base(states, what: str) -> list:
         bound = -1
     if bound < 0:
         raise ValidationError(f"COALSIM_MAX_BASE must be a natural number, got {raw!r}")
+    return bound
+
+
+def exhaustive_base(states, what: str) -> list:
+    """The states in `_skey` order, for exhaustive subset quantification.
+
+    This is the one gate on such quantification: more than COALSIM_MAX_BASE
+    states (default 16) raise BudgetError.
+    """
+    bound = _max_base()
     items = sorted(states, key=_skey)
     if len(items) > bound:
         raise BudgetError(
@@ -338,11 +344,6 @@ def _separation_gap(sig: LambdaSignature, models) -> Optional[str]:
     return None
 
 
-def separates(sig: LambdaSignature, *models: Coalgebra) -> bool:
-    """Does the signature separate the values of these models?"""
-    return _separation_gap(sig, models) is None
-
-
 def ensure_separating(sig: LambdaSignature, *models: Coalgebra) -> None:
     """Reject signatures that cannot separate the values of these models."""
     gap = _separation_gap(sig, models)
@@ -400,13 +401,50 @@ def _pair_ok_generic(sig, t, u, img) -> bool:
     return next(_misses(t, u, img, sig), None) is None
 
 
+def _routable(t, u, img) -> bool:
+    """u(S[A]) >= t(A) for every A ⊆ base(t), decided by one max flow."""
+    unbounded = frozenset(y for y, w in u.entries if w == INF)
+    supply = {}
+    for x, w in t.entries:
+        if img[x] & unbounded:
+            continue
+        if w == INF:
+            return False
+        supply[x] = w
+    if not supply:
+        return True
+    room = {y: w for y, w in u.entries if w != INF}
+    den = lcm(*(w.denominator for w in supply.values()), *(w.denominator for w in room.values()))
+    arcs = [(x, y) for x in supply for y in img[x] if y in room]
+    return ship(
+        {x: int(w * den) for x, w in supply.items()},
+        {y: int(w * den) for y, w in room.items()},
+        arcs,
+    ) is not None
+
+
 def _pair_ok_fast(sig, t, u, img) -> bool:
     """Per-kind characterization of the lifting condition at one pair.
 
     Exact for Kripke and neighborhood signatures.  For multiset and
     distribution kinds it decides the condition for the full family of
-    thresholds, which coincides with the signature's verdict whenever the
-    grid covers both models (always true for resolved auto grids).
+    thresholds, u(S[A]) >= t(A) for every A ⊆ base(t), which coincides with
+    the signature's verdict whenever the grid covers both models (always
+    true for resolved auto grids).  That family is decided without
+    enumerating subsets (`_routable`):
+
+    - A source x of infinite weight needs u(S[{x}]) infinite, so an
+      infinite sink in its image; when it has none the condition fails at
+      A = {x}.
+    - A source whose image reaches an infinite sink satisfies every A that
+      contains it, since then u(S[A]) is infinite; drop it.
+    - The remaining sources have finite weight and images among u's finite
+      sinks only.  Scaled by the common denominator, the condition on all
+      their subsets A is Gale's supply-demand condition: by max-flow
+      min-cut, it holds exactly when the flow from the sources (supplies
+      t(x)) along S into the sinks (capacities u(y)) ships all of t's
+      remaining weight.  For distributions this is the Jonsson-Larsen
+      simulation check by max-flow.
     """
     if isinstance(t, KripkeValue):
         for m in sig.modalities:
@@ -423,12 +461,7 @@ def _pair_ok_fast(sig, t, u, img) -> bool:
                         return False
         return True
     if isinstance(t, (MultisetValue, DistValue)):
-        if not sig.modalities:
-            return True
-        for a in _subsets(exhaustive_base(base(t), "value base")):
-            if measure(u, _image(a, img)) < measure(t, a):
-                return False
-        return True
+        return not sig.modalities or _routable(t, u, img)
     if isinstance(t, NbhdValue):
         for m in t.minimals:
             if not u.contains(_image(m, img)):
@@ -437,15 +470,25 @@ def _pair_ok_fast(sig, t, u, img) -> bool:
     raise KindMismatchError(f"unsupported value type {type(t).__name__}")
 
 
+def per_kind_exact(sig: LambdaSignature) -> bool:
+    """Is the per-kind characterization exact for sig?
+
+    It is for Kripke and neighborhood signatures, and for grids that cover
+    the models.
+    """
+    return sig.kind.name in (KRIPKE, NEIGHBORHOOD) or sig.full_grid
+
+
 def lifting_check(sig: LambdaSignature):
     """The lifting condition at one pair for sig, as a predicate ok(t, u, img).
 
-    The per-kind characterization where it is exact for sig (Kripke and
-    neighborhood signatures, and grids that cover the models), otherwise
-    the generic search of `lifting_violations`.
+    The per-kind characterization where it is exact for sig, otherwise the
+    generic search of `lifting_violations`.  COALSIM_MAX_BASE is validated
+    here, once, whether or not the returned check ever reaches
+    `exhaustive_base`.
     """
-    exact = sig.kind.name in (KRIPKE, NEIGHBORHOOD) or sig.full_grid
-    return partial(_pair_ok_fast if exact else _pair_ok_generic, sig)
+    _max_base()
+    return partial(_pair_ok_fast if per_kind_exact(sig) else _pair_ok_generic, sig)
 
 
 def lambda_leq(t: FunctorValue, u: FunctorValue, sig: LambdaSignature) -> bool:

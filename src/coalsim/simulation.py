@@ -23,7 +23,13 @@ from dataclasses import dataclass
 from itertools import islice
 
 from .errors import KindMismatchError, ValidationError
-from .liftings import LambdaSignature, Modality, lifting_check, lifting_violations
+from .liftings import (
+    LambdaSignature,
+    Modality,
+    lifting_check,
+    lifting_violations,
+    per_kind_exact,
+)
 from .relations import Relation, difunctional_closure, full_relation
 from .values import Coalgebra, _skey
 
@@ -76,14 +82,26 @@ def _check_depth(n: int) -> None:
 
 
 def _violations(s: Relation, c, d, sig, witness: Relation, direction: str) -> list:
-    """Violations at the pairs of s in carrier order, images under witness; capped."""
+    """Violations at the pairs of s in carrier order, images under witness; capped.
+
+    Where the per-kind check is exact for sig, each pair is screened by
+    `lifting_check` and the violations are listed only at pairs that fail
+    it, so the list is the same as listing at every pair.  Elsewhere the
+    screen would be the generic search itself, so every pair is listed
+    directly.
+    """
+    ok = lifting_check(sig)
+    screen = per_kind_exact(sig)
     img = witness.left_images()
     out = []
     for x, y in s.sorted_pairs():
         room = VIOLATION_CAP - len(out)
         if room <= 0:
             break
-        for m, a in lifting_violations(c.transition[x], d.transition[y], img, sig, room):
+        t, u = c.transition[x], d.transition[y]
+        if screen and ok(t, u, img):
+            continue
+        for m, a in lifting_violations(t, u, img, sig, room):
             out.append(Violation(direction, x, y, m, tuple(a)))
     return out
 

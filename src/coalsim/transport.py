@@ -1,9 +1,15 @@
-"""Exact transportation feasibility via integer maximum flow.
+"""Exact integer maximum flow, for couplings and for one-step pair checks.
 
-Row and column marginals are exact rationals (or naturals); denominators are
-cleared with their least common multiple and the resulting integer problem is
-solved with breadth-first augmenting paths.  Instances here are tiny (a
-handful of sources and sinks), so simplicity beats asymptotics.
+It serves two callers.  `feasible_transport` fills a table with given row
+and column marginals (the couplings behind t-bisimulations): marginals are
+exact rationals (or naturals), denominators are cleared with their least
+common multiple, and the integer problem is solved by breadth-first
+augmenting paths.  `ship` routes integer supplies into sinks of bounded
+room along allowed arcs; `feasible_transport` reads its table off that
+flow, and `coalsim.liftings` decides the weighted lifting condition at one
+pair by whether all of the supply ships.
+Instances here are tiny (a handful of sources and sinks), so simplicity
+beats asymptotics.
 """
 
 from __future__ import annotations
@@ -25,14 +31,15 @@ def _max_flow(n: int, capacity: dict, source: int, sink: int) -> dict:
         residual.setdefault((b, a), 0)
         adj[a].add(b)
         adj[b].add(a)
+    order = {i: sorted(nbrs) for i, nbrs in adj.items()}
     flow = {edge: 0 for edge in capacity}
     while True:
         parent = {source: None}
         queue = deque([source])
         while queue and sink not in parent:
             node = queue.popleft()
-            for nxt in sorted(adj[node]):
-                if nxt not in parent and residual.get((node, nxt), 0) > 0:
+            for nxt in order[node]:
+                if nxt not in parent and residual[(node, nxt)] > 0:
                     parent[nxt] = node
                     queue.append(nxt)
         if sink not in parent:
@@ -50,6 +57,30 @@ def _max_flow(n: int, capacity: dict, source: int, sink: int) -> dict:
                 flow[e] += push
             else:
                 flow[(e[1], e[0])] -= push
+
+
+def ship(supply: Mapping, room: Mapping, arcs) -> Optional[dict]:
+    """Ship every source's whole supply into the sinks along the arcs, or None.
+
+    `supply` maps sources to natural amounts, `room` maps sinks to natural
+    capacities, and `arcs` lists the allowed (source, sink) pairs, of
+    unbounded capacity, with both ends among those keys.  Sources and sinks
+    are separate nodes even when their labels coincide, numbered in the
+    order of the mappings.  Returns {arc: amount} from one maximum flow.
+    """
+    total = sum(supply.values())
+    src_id = {k: 1 + i for i, k in enumerate(supply)}
+    dst_id = {k: 1 + len(supply) + i for i, k in enumerate(room)}
+    n = 2 + len(supply) + len(room)
+    source, sink = 0, n - 1
+    capacity = {(source, src_id[k]): v for k, v in supply.items()}
+    capacity.update(((dst_id[k], sink), v) for k, v in room.items())
+    edges = {(src_id[a], dst_id[b]): (a, b) for a, b in arcs}
+    capacity.update((e, total) for e in edges)
+    flow = _max_flow(n, capacity, source, sink)
+    if sum(flow[(source, i)] for i in src_id.values()) != total:
+        return None
+    return {arc: flow[e] for e, arc in edges.items()}
 
 
 def feasible_transport(
@@ -70,37 +101,15 @@ def feasible_transport(
         *[v.denominator for v in cols.values()],
         1,
     )
-    row_keys = sorted(rows, key=_skey)
-    col_keys = sorted(cols, key=_skey)
-    row_id = {k: 1 + i for i, k in enumerate(row_keys)}
-    col_id = {k: 1 + len(row_keys) + i for i, k in enumerate(col_keys)}
-    n = 2 + len(row_keys) + len(col_keys)
-    source, sink = 0, n - 1
-    capacity = {}
-    total = 0
-    for k in row_keys:
-        amount = int(rows[k] * denom)
-        capacity[(source, row_id[k])] = amount
-        total += amount
-    for k in col_keys:
-        capacity[(col_id[k], sink)] = int(cols[k] * denom)
-    usable = False
-    for r, c in sorted(cells, key=_skey):
-        if r in row_id and c in col_id:
-            capacity[(row_id[r], col_id[c])] = total
-            usable = True
-    if total == 0:
-        return {}
-    if not usable:
+    supply = {k: int(rows[k] * denom) for k in sorted(rows, key=_skey)}
+    room = {k: int(cols[k] * denom) for k in sorted(cols, key=_skey)}
+    arcs = [(r, c) for r, c in sorted(cells, key=_skey) if r in supply and c in room]
+    shipped = ship(supply, room, arcs)
+    if shipped is None:
         return None
-    flow = _max_flow(n, capacity, source, sink)
-    shipped = sum(flow[(source, row_id[k])] for k in row_keys)
-    if shipped != total:
-        return None
-    out = {}
-    for r in row_keys:
-        for c in col_keys:
-            edge = (row_id[r], col_id[c])
-            if flow.get(edge, 0):
-                out[(r, c)] = Fraction(flow[edge], denom)
-    return out
+    return {
+        (r, c): Fraction(shipped[(r, c)], denom)
+        for r in supply
+        for c in room
+        if shipped.get((r, c))
+    }

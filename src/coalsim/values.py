@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Iterator, Mapping
 
 from .errors import BudgetError, KindMismatchError, ValidationError
@@ -298,26 +297,12 @@ def values_equal(t: FunctorValue, u: FunctorValue) -> bool:
     return t == u
 
 
-@lru_cache(maxsize=None)
-def _mass_table(value) -> dict:
-    """All subset sums over the support of a weighted value, keyed by frozenset."""
-    table = {frozenset(): Fraction(0) if isinstance(value, DistValue) else 0}
-    for s, w in value.entries:
-        for key, acc in list(table.items()):
-            if w == INF or acc == INF:
-                table[key | {s}] = INF
-            else:
-                table[key | {s}] = acc + w
-    return table
-
-
 def measure(t: MultisetValue | DistValue, states) -> "int | float | Fraction":
     """Total weight or mass a value assigns to a set of states."""
-    supp = base(t)
-    key = frozenset(states) & supp
-    if len(t.entries) <= 16:
-        return _mass_table(t)[key]
-    total = Fraction(0) if isinstance(t, DistValue) else 0
+    key = frozenset(states)
+    if isinstance(t, DistValue):
+        return sum((q for s, q in t.entries if s in key), Fraction(0))
+    total = 0
     for s, w in t.entries:
         if s in key:
             total = INF if (w == INF or total == INF) else total + w

@@ -8,13 +8,14 @@ from coalsim import (
     MULTISET_KIND,
     NEIGHBORHOOD_KIND,
     GeneratorConfig,
+    NotSeparatingError,
     generate_coalgebra,
     greatest_bisimulation,
     kripke_kind,
     resolve_signature,
 )
 from coalsim.cli import cli_dispatch
-from coalsim.liftings import separates
+from coalsim.liftings import _separation_gap, prob_grid
 from coalsim.modelio import coalgebra_to_dict, dump_json
 
 
@@ -261,6 +262,8 @@ BAD_FILES = {
                    "transition": {"a": {"props": [], "succ": []}}},
     "atoms_string": {"functor": "kripke", "atoms": "pq", "states": ["a"],
                      "transition": {"a": {"props": [], "succ": []}}},
+    "multiset": {"functor": "multiset", "states": ["a", "b"],
+                 "transition": {"a": {"b": 2}, "b": {"a": 1, "b": "inf"}}},
 }
 
 BAD_INPUTS = [
@@ -268,6 +271,10 @@ BAD_INPUTS = [
      ("check-sim", "{loop}", "{loop}", "{rel}"), "COALSIM_MAX_BASE must be"),
     ("max-base-negative", {"COALSIM_MAX_BASE": "-3"},
      ("check-sim", "{loop}", "{loop}", "{rel}", "--bi"), "COALSIM_MAX_BASE must be"),
+    ("max-base-not-integer-greatest-sim-kripke", {"COALSIM_MAX_BASE": "abc"},
+     ("greatest-sim", "{loop}", "{loop}"), "COALSIM_MAX_BASE must be"),
+    ("max-base-not-integer-greatest-sim-multiset", {"COALSIM_MAX_BASE": "abc"},
+     ("greatest-sim", "{multiset}", "{multiset}"), "COALSIM_MAX_BASE must be"),
     ("not-utf8", {}, ("eval", "{latin1}", "a", "true"), "not UTF-8"),
     ("model-is-directory", {}, ("eval", "{dir}", "a", "true"), "Is a directory"),
     ("witness-is-directory", {}, ("behavioural", "{loop}", "{loop}", "--witness", "{dir}"),
@@ -300,6 +307,22 @@ def test_bad_input_exit_two(run, tmp_path, monkeypatch, loop_model, env, argv, e
     code, out, err = run(*(arg.format(**paths) for arg in argv))
     assert code == 2 and out == ""
     assert err.startswith("error: ") and expect in err
+
+
+@pytest.mark.parametrize("command", ["greatest-bisim", "behavioural"])
+def test_distribution_call_decides_separation_once(run, tmp_path, monkeypatch, command):
+    (_, cp), (_, dp) = _model_pair(tmp_path, DISTRIBUTION_KIND, 3)
+    calls = []
+
+    def counted(models):
+        calls.append(len(models))
+        return prob_grid(models)
+
+    monkeypatch.setattr(coalsim.liftings, "prob_grid", counted)
+    code, out, _ = run(command, cp, dp)
+    assert code == 0 and out
+    # One grid to resolve prob:auto-grid, one to decide separation.
+    assert len(calls) == 2
 
 
 def test_closure_sorts_mixed_int_and_str_states(run, tmp_path):
@@ -342,6 +365,10 @@ SEPARATING = [
 ]
 
 
+def _not_separating(*args):
+    raise NotSeparatingError("forced onto the fixpoint route")
+
+
 @pytest.mark.parametrize("literal,kind,cfg", SEPARATING, ids=[e[0] for e in SEPARATING])
 def test_greatest_bisim_partition_route_matches_fixpoint_bytes(
     run, tmp_path, monkeypatch, literal, kind, cfg
@@ -349,10 +376,10 @@ def test_greatest_bisim_partition_route_matches_fixpoint_bytes(
     argvs = []
     for seed in range(6):
         (c, cp), (d, dp) = _model_pair(tmp_path, kind, seed, **cfg)
-        assert separates(resolve_signature(literal, [c, d]), c, d)
+        assert _separation_gap(resolve_signature(literal, [c, d]), (c, d)) is None
         argvs += [("greatest-bisim", cp, dp, "--sig", literal, *extra) for extra in ((), ("--json",))]
     outputs = [run(*argv) for argv in argvs]
-    monkeypatch.setattr(coalsim.cli, "separates", lambda *args: False)
+    monkeypatch.setattr(coalsim.cli, "certified_equivalence", _not_separating)
     assert outputs == [run(*argv) for argv in argvs]
     assert any(code == 0 for code, _, _ in outputs)
 
@@ -371,7 +398,7 @@ def test_greatest_bisim_non_separating_signatures_use_the_fixpoint(
     for seed in range(6):
         (c, cp), (d, dp) = _model_pair(tmp_path, kind, seed, **cfg)
         sig = resolve_signature(literal, [c, d])
-        if separates(sig, c, d):
+        if _separation_gap(sig, (c, d)) is None:
             continue  # graded:0..0 separates models whose weights are all 0 or 1
         expected = "".join(f"{x} {y}\n" for x, y in greatest_bisimulation(c, d, sig).sorted_pairs())
         code, out, _ = run("greatest-bisim", cp, dp, "--sig", literal)

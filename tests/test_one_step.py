@@ -4,19 +4,41 @@ import random
 import time
 from fractions import Fraction
 
+import pytest
+
+import coalsim.liftings
+import coalsim.simulation
 from coalsim import (
     DISTRIBUTION_KIND,
+    INF,
     MULTISET_KIND,
     NEIGHBORHOOD_KIND,
     GeneratorConfig,
+    LambdaSignature,
+    auto_signature,
+    behavioural_equivalence,
+    difunctional_closure,
+    dist_value,
     distinguishing_pair,
     generate_coalgebra,
+    greatest_simulation,
+    is_bisimulation,
+    is_bisimulation_up_to_difunctionality,
+    is_simulation,
     kripke_kind,
     lambda_leq,
+    multiset_value,
     random_relation,
     resolve_signature,
 )
-from coalsim.liftings import lifting_check, lifting_violations, prob_grid
+from coalsim.liftings import (
+    at_least,
+    diamond_gt,
+    lifting_check,
+    lifting_violations,
+    per_kind_exact,
+    prob_grid,
+)
 
 from conftest import dist_model
 from oracle_helpers import (
@@ -24,6 +46,7 @@ from oracle_helpers import (
     lambda_leq_reference,
     pair_violations_reference,
     prob_grid_reference,
+    weighted_pair_reference,
 )
 
 KRIPKE_PQ = kripke_kind(("p", "q"))
@@ -100,3 +123,114 @@ def test_prob_grid_wide_support_small_denominator_is_fast():
     elapsed = time.perf_counter() - start
     assert [m.bound for m in sig.modalities] == [Fraction(k, 50) for k in range(51)]
     assert elapsed < 1.0, f"prob:auto-grid took {elapsed:.2f}s on a 40-state support"
+
+
+def _weighted_cases(trials):
+    """Random weighted pairs (t, u, img, sig) on one label set for both sides.
+
+    Multisets (even trials) have supports 0..8 with infinite weights on
+    either side; distributions (odd trials) supports 1..8.  Images are
+    random subsets of all labels, so they may miss u's support.  Every
+    fifth signature has no modalities; the others claim a covering grid.
+    """
+    rng = random.Random(17)
+    labels = [f"s{i}" for i in range(10)]
+    for trial in range(trials):
+        dist = trial % 2 == 1
+
+        def value():
+            support = rng.sample(labels, rng.randint(1 if dist else 0, 8))
+            if dist:
+                raw = [rng.randint(1, 6) for _ in support]
+                return dist_value({s: Fraction(r, sum(raw)) for s, r in zip(support, raw)})
+            return multiset_value(
+                {s: INF if rng.random() < 0.15 else rng.randint(1, 4) for s in support}
+            )
+
+        t, u = value(), value()
+        p = rng.choice((0.2, 0.5, 0.8, 0.95))
+        img = {x: frozenset(y for y in labels if rng.random() < p) for x in labels}
+        kind, mod = (DISTRIBUTION_KIND, at_least("1/2")) if dist else (MULTISET_KIND, diamond_gt(0))
+        mods = () if trial % 5 == 0 else (mod,)
+        yield t, u, img, LambdaSignature(kind, mods, separating=bool(mods))
+
+
+def test_weighted_check_matches_subset_reference():
+    verdicts = {True: 0, False: 0}
+    infinite = empty = 0
+    for t, u, img, sig in _weighted_cases(3000):
+        ok = lifting_check(sig)(t, u, img)
+        assert ok == weighted_pair_reference(t, u, img, sig), (t, u, img, sig)
+        verdicts[ok] += 1
+        infinite += any(w == INF for _, w in t.entries + u.entries)
+        empty += not t.entries or not u.entries
+    assert min(verdicts.values()) > 300
+    assert infinite > 300 and empty > 50
+
+
+def test_weighted_check_enumerates_no_subsets(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("the weighted pair check enumerated subsets")
+
+    for name in ("_subsets", "measure", "exhaustive_base"):
+        monkeypatch.setattr(coalsim.liftings, name, forbidden)
+    for t, u, img, sig in _weighted_cases(400):
+        lifting_check(sig)(t, u, img)
+
+
+def _reference_report(s, c, d, sig, witness, direction, cap):
+    img = witness.left_images()
+    out = []
+    for x, y in s.sorted_pairs():
+        if len(out) >= cap:
+            break
+        found = pair_violations_reference(
+            c.transition[x], d.transition[y], img, sig, cap - len(out)
+        )
+        out += [(direction, x, y, m, frozenset(a)) for m, a in found]
+    return out
+
+
+def _listed(report):
+    return [(v.direction, v.left, v.right, v.modality, frozenset(v.witness))
+            for v in report.violations]
+
+
+@pytest.mark.parametrize("cap", [100, 2])
+def test_screened_reports_match_reference(monkeypatch, cap):
+    def searched_twice(*args):
+        raise AssertionError("a report screened a pair with the generic search")
+
+    # Where no per-kind check is exact the screen would be the listing's own
+    # search, so reports list those pairs directly.
+    monkeypatch.setattr(coalsim.liftings, "_pair_ok_generic", searched_twice)
+    monkeypatch.setattr(coalsim.simulation, "VIOLATION_CAP", cap)
+    rng = random.Random(23)
+    failing = partial_grids = 0
+    for _, c, d, sig in _seeded_cases(120):
+        partial_grids += not per_kind_exact(sig)
+        s = random_relation(rng, c, d)
+        forward = _reference_report(s, c, d, sig, s, "forward", cap)
+        report = is_simulation(s, c, d, sig)
+        assert _listed(report) == forward and report.holds == (not forward)
+        for check, witness in (
+            (is_bisimulation, s),
+            (is_bisimulation_up_to_difunctionality, difunctional_closure(s)),
+        ):
+            expected = _reference_report(s, c, d, sig, witness, "forward", cap)
+            expected += _reference_report(
+                s.converse(), d, c, sig, witness.converse(), "backward", cap
+            )
+            report = check(s, c, d, sig)
+            assert _listed(report) == expected and report.holds == (not expected)
+        failing += bool(forward)
+    assert failing > 100 and partial_grids > 10
+
+
+def test_wide_support_distribution_needs_no_budget():
+    support = [f"s{i}" for i in range(24)]
+    model = dist_model({"x": {s: Fraction(1, 24) for s in support}, **{s: {s: 1} for s in support}})
+    sig = auto_signature(model, model)
+    pairs = {(x, y) for x in model.carrier for y in model.carrier}
+    assert behavioural_equivalence(model, model, sig).pairs == pairs
+    assert greatest_simulation(model, model, sig).pairs == pairs
