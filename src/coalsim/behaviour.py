@@ -17,10 +17,11 @@ both of these routes.
 
 Coupling search decides the span-style notion of bisimulation: a relation is
 witnessed by giving, for every related pair, a single transition value over
-the pairs whose two projections recover the related states' values.  Kripke
-couplings have a canonical largest candidate; weighted kinds reduce to exact
-transportation feasibility; neighborhood couplings are found by bounded
-exhaustive search (the neighborhood functor admits no completeness claim).
+the pairs whose two projections recover the related states' values.  For
+all four kinds the decision is exact and polynomial: Kripke and
+neighborhood couplings have one canonical candidate that exists exactly when
+some coupling does (see `_canonical_coupling`), and weighted kinds reduce to
+exact transportation feasibility.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from itertools import islice
 from typing import Optional
 
 from .errors import (
-    BudgetError,
     InfiniteWeightError,
     InternalCheckError,
     KindMismatchError,
@@ -50,22 +50,20 @@ from .values import (
     NEIGHBORHOOD,
     Coalgebra,
     DistValue,
-    EnumerationBudget,
     FunctorValue,
     KripkeValue,
     MultisetValue,
+    NbhdValue,
     _skey,
+    antichain,
     base,
     dist_value,
-    enumerate_values,
     multiset_value,
     relabel,
     values_equal,
 )
 
 LEFT, RIGHT = "L", "R"
-
-NBHD_COUPLING_CAP = 5
 
 
 def _sides(blk) -> tuple:
@@ -96,9 +94,6 @@ class Partition:
     @cached_property
     def _ids(self) -> dict:
         return _block_ids(self.blocks)
-
-    def block_of(self) -> dict:
-        return dict(self._ids)
 
     def same_block(self, x, y) -> bool:
         return self._ids[(LEFT, x)] == self._ids[(RIGHT, y)]
@@ -368,18 +363,38 @@ def verify_coupling(
     return True
 
 
-def _kripke_coupling(x, y, c, d, cells) -> Optional[FunctorValue]:
-    t, u = c.transition[x], d.transition[y]
-    if t.props != u.props:
-        return None
-    chosen = frozenset(
-        (a, b) for a, b in cells if a in t.succ and b in u.succ
-    )
-    if frozenset(a for a, _ in chosen) != t.succ:
-        return None
-    if frozenset(b for _, b in chosen) != u.succ:
-        return None
-    return KripkeValue(t.props, chosen)
+def _canonical_coupling(t, u, cells, p1, p2) -> Optional[FunctorValue]:
+    """The one Kripke or neighborhood coupling candidate of t and u over the cells.
+
+    Returned exactly when relabelling it along the projections p1 and p2
+    gives back t and u; then it is a coupling, and otherwise none exists.
+
+    Kripke: the candidate R ∩ (succ t × succ u), R the cells, is the largest
+    set of cells inside both successor sets; every coupling is a subset of
+    it, and projections only shrink when cells are dropped.
+
+    Neighborhood: the candidate is the antichain of R ∩ (X×D) for X ∈ min t
+    and R ∩ (C×Y) for Y ∈ min u.  `relabel` pushes a family forward by
+    taking images of its minimal sets, so its first projection is generated
+    by the sets X ∩ dom R and R⁻¹[Y]; that is t exactly when every X ∈ min t
+    lies within dom R and every R⁻¹[Y] is in t.  Symmetrically the second
+    projection is u exactly when every Y ∈ min u lies within ran R and every
+    R[X] is in u.  Those conditions hold whenever any coupling W exists:
+    for X ∈ min t some Z ∈ W has π₁[Z] = X, so X ⊆ dom R, and π₂[Z] ⊆ R[X]
+    with π₂[Z] ∈ u, so R[X] ∈ u; the argument for u is the same.
+    """
+    if isinstance(t, KripkeValue):
+        v = KripkeValue(
+            t.props, frozenset(q for q in cells if q[0] in t.succ and q[1] in u.succ)
+        )
+    else:
+        v = NbhdValue(antichain(
+            [[q for q in cells if q[0] in m] for m in t.minimals]
+            + [[q for q in cells if q[1] in m] for m in u.minimals]
+        ))
+    if values_equal(relabel(v, p1), t) and values_equal(relabel(v, p2), u):
+        return v
+    return None
 
 
 def _weighted_coupling(x, y, c, d, cells) -> Optional[FunctorValue]:
@@ -400,22 +415,6 @@ def _weighted_coupling(x, y, c, d, cells) -> Optional[FunctorValue]:
     return multiset_value({cell: int(q) for cell, q in plan.items()})
 
 
-def _nbhd_coupling(x, y, c, d, pair_states) -> Optional[FunctorValue]:
-    if len(pair_states) > NBHD_COUPLING_CAP:
-        raise BudgetError(
-            f"neighborhood coupling search over {len(pair_states)} pairs exceeds "
-            f"the cap of {NBHD_COUPLING_CAP}"
-        )
-    t, u = c.transition[x], d.transition[y]
-    p1 = {q: q[0] for q in pair_states}
-    p2 = {q: q[1] for q in pair_states}
-    budget = EnumerationBudget(max_neighborhood_states=NBHD_COUPLING_CAP)
-    for v in enumerate_values(c.kind, sorted(pair_states, key=_skey), budget):
-        if values_equal(relabel(v, p1), t) and values_equal(relabel(v, p2), u):
-            return v
-    return None
-
-
 def _coupling_check(s: Relation, cell_pairs, c, d) -> Optional[Coupling]:
     """Coupling values for the pairs of s over the given cells, verified, or None."""
     if c.kind != d.kind:
@@ -424,14 +423,14 @@ def _coupling_check(s: Relation, cell_pairs, c, d) -> Optional[Coupling]:
         )
     kind = c.kind.name
     cells = sorted(cell_pairs, key=_skey)
+    p1 = {q: q[0] for q in cells}
+    p2 = {q: q[1] for q in cells}
     out = []
     for x, y in sorted(s.pairs, key=_skey):
-        if kind == KRIPKE:
-            v = _kripke_coupling(x, y, c, d, cells)
+        if kind in (KRIPKE, NEIGHBORHOOD):
+            v = _canonical_coupling(c.transition[x], d.transition[y], cells, p1, p2)
         elif kind in (MULTISET, DISTRIBUTION):
             v = _weighted_coupling(x, y, c, d, cells)
-        elif kind == NEIGHBORHOOD:
-            v = _nbhd_coupling(x, y, c, d, cells)
         else:
             raise KindMismatchError(f"unknown kind {kind!r}")
         if v is None:
@@ -448,10 +447,13 @@ def t_bisimulation_check(
 ) -> Optional[Coupling]:
     """Find per-pair coupling values over the relation itself, or None.
 
-    Kripke uses the largest candidate (its projections can only shrink by
-    dropping pairs, so if the largest fails, all do); weighted kinds use
-    exact transportation; neighborhood search is exhaustive within its
-    budget and claims no completeness.
+    Exact for every kind: Kripke and neighborhood pairs take their one
+    canonical candidate, which is a coupling whenever any is (see
+    `_canonical_coupling`); weighted kinds use exact transportation.  A
+    neighborhood pair has a coupling exactly when every minimal set of its
+    left value lies within dom S with its S-image in the right value, and
+    every minimal set of the right value lies within ran S with its
+    S-preimage in the left value.
     """
     return _coupling_check(s, s.pairs, c, d)
 

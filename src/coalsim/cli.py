@@ -9,6 +9,7 @@ every command to a single machine-readable JSON document.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .behaviour import (
@@ -198,7 +199,9 @@ def _cmd_randtest(args) -> int:
     return 0 if report.passed else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and reused by every call."""
     parser = argparse.ArgumentParser(
         prog="coalsim",
         description="Decide simulations, bisimulations, and behavioural "

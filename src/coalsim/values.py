@@ -68,26 +68,12 @@ class MultisetValue:
 
     entries: tuple
 
-    @property
-    def weights(self) -> dict:
-        return dict(self.entries)
-
-    def weight(self, state):
-        for s, w in self.entries:
-            if s == state:
-                return w
-        return 0
-
 
 @dataclass(frozen=True)
 class DistValue:
     """Finite-support probability mass map; entries are (state, Fraction) sorted."""
 
     entries: tuple
-
-    @property
-    def mass(self) -> dict:
-        return dict(self.entries)
 
 
 @dataclass(frozen=True)
@@ -315,7 +301,11 @@ class EnumerationBudget:
 
     max_weight: int = 2
     denominators: tuple = (1, 2, 3, 4)
-    max_neighborhood_states: int = 5
+
+
+# Largest state set whose neighborhood values `enumerate_values` lists:
+# 7,581 antichains over 5 states, 7,828,354 over 6.
+MAX_NEIGHBORHOOD_STATES = 5
 
 
 def _subsets(items: list) -> Iterator[frozenset]:
@@ -363,10 +353,10 @@ def enumerate_values(
                     seen.add(v)
                     yield v
     elif kind.name == NEIGHBORHOOD:
-        if len(states) > budget.max_neighborhood_states:
+        if len(states) > MAX_NEIGHBORHOOD_STATES:
             raise BudgetError(
                 f"neighborhood enumeration over {len(states)} states exceeds the "
-                f"cap of {budget.max_neighborhood_states}"
+                f"cap of {MAX_NEIGHBORHOOD_STATES}"
             )
         subsets = list(_subsets(states))
 

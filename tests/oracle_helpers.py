@@ -282,3 +282,19 @@ def weighted_pair_reference(t, u, img, sig):
         if measure(u, sa) < measure(t, a):
             return False
     return True
+
+
+def nbhd_coupling_reference(t, u, cells):
+    """The neighborhood coupling search as first written: every antichain over the cells.
+
+    Returns the first value, in enumeration order, whose two projections give
+    t and u; None when there is none.  More than five cells raise BudgetError.
+    """
+    from coalsim import NEIGHBORHOOD_KIND, enumerate_values, relabel, values_equal
+
+    p1 = {q: q[0] for q in cells}
+    p2 = {q: q[1] for q in cells}
+    for v in enumerate_values(NEIGHBORHOOD_KIND, sorted(cells, key=repr)):
+        if values_equal(relabel(v, p1), t) and values_equal(relabel(v, p2), u):
+            return v
+    return None

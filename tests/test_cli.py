@@ -65,6 +65,16 @@ def test_eval_json_mode(run, loop_model):
     assert json.loads(out) == {"state": "x", "holds": True}
 
 
+def test_repeated_calls_reuse_one_parser_without_carrying_state(run, loop_model):
+    calls = [("eval", loop_model, "x", "<> p", "--json"), ("eval", loop_model, "x", "~p")]
+    first = [run(*argv)[:2] for argv in calls]
+    code, out, err = run("eval", loop_model, "--no-such-flag")
+    assert code == 2 and out == "" and "usage:" in err
+    again = [run(*argv)[:2] for argv in calls]
+    assert first == again == [(0, '{"holds": true, "state": "x"}\n'), (1, "false\n")]
+    assert coalsim.cli.build_parser() is coalsim.cli.build_parser()
+
+
 def test_eval_bad_formula_exit_two(run, loop_model):
     code, _, err = run("eval", loop_model, "x", "p &")
     assert code == 2 and "error:" in err

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from coalsim import (
+    BudgetError,
     DISTRIBUTION_KIND,
     INF,
     MULTISET_KIND,
@@ -79,7 +80,7 @@ def test_relabel_dist_pushforward():
 def test_relabel_multiset_infinity_absorbs():
     t = multiset_value({"a": 2, "b": INF})
     out = relabel(t, {"a": "c", "b": "c"})
-    assert out.weight("c") == INF
+    assert dict(out.entries)["c"] == INF
 
 
 def test_relabel_nbhd_collapse():
@@ -136,6 +137,12 @@ def test_enumerate_nbhd_counts_are_dedekind_numbers():
     assert len(list(enumerate_values(NEIGHBORHOOD_KIND, []))) == 2
     assert len(list(enumerate_values(NEIGHBORHOOD_KIND, ["a", "b"]))) == 6
     assert len(list(enumerate_values(NEIGHBORHOOD_KIND, ["a", "b", "c"]))) == 20
+
+
+def test_enumerate_nbhd_refuses_more_than_five_states():
+    states = [f"s{i}" for i in range(6)]
+    with pytest.raises(BudgetError, match="6 states exceeds the cap of 5"):
+        next(enumerate_values(NEIGHBORHOOD_KIND, states))
 
 
 def test_enumerate_multiset_cap():
