@@ -363,11 +363,22 @@ def verify_coupling(
     return True
 
 
-def _canonical_coupling(t, u, cells, p1, p2) -> Optional[FunctorValue]:
+def _cell_index(cells) -> tuple:
+    """The cells indexed by their left states and by their right states."""
+    by_left, by_right = {}, {}
+    for q in cells:
+        by_left.setdefault(q[0], []).append(q)
+        by_right.setdefault(q[1], []).append(q)
+    return by_left, by_right
+
+
+def _canonical_coupling(t, u, by_left, by_right, p1, p2) -> Optional[FunctorValue]:
     """The one Kripke or neighborhood coupling candidate of t and u over the cells.
 
-    Returned exactly when relabelling it along the projections p1 and p2
-    gives back t and u; then it is a coupling, and otherwise none exists.
+    `by_left` and `by_right` index the cells by their left and right states.
+    The candidate is returned exactly when relabelling it along the
+    projections p1 and p2 gives back t and u; then it is a coupling, and
+    otherwise none exists.
 
     Kripke: the candidate R ∩ (succ t × succ u), R the cells, is the largest
     set of cells inside both successor sets; every coupling is a subset of
@@ -384,13 +395,13 @@ def _canonical_coupling(t, u, cells, p1, p2) -> Optional[FunctorValue]:
     with π₂[Z] ∈ u, so R[X] ∈ u; the argument for u is the same.
     """
     if isinstance(t, KripkeValue):
-        v = KripkeValue(
-            t.props, frozenset(q for q in cells if q[0] in t.succ and q[1] in u.succ)
-        )
+        v = KripkeValue(t.props, frozenset(
+            q for x in t.succ for q in by_left.get(x, ()) if q[1] in u.succ
+        ))
     else:
         v = NbhdValue(antichain(
-            [[q for q in cells if q[0] in m] for m in t.minimals]
-            + [[q for q in cells if q[1] in m] for m in u.minimals]
+            [[q for x in m for q in by_left.get(x, ())] for m in t.minimals]
+            + [[q for y in m for q in by_right.get(y, ())] for m in u.minimals]
         ))
     if values_equal(relabel(v, p1), t) and values_equal(relabel(v, p2), u):
         return v
@@ -425,10 +436,13 @@ def _coupling_check(s: Relation, cell_pairs, c, d) -> Optional[Coupling]:
     cells = sorted(cell_pairs, key=_skey)
     p1 = {q: q[0] for q in cells}
     p2 = {q: q[1] for q in cells}
+    by_left, by_right = _cell_index(cells)
     out = []
     for x, y in sorted(s.pairs, key=_skey):
         if kind in (KRIPKE, NEIGHBORHOOD):
-            v = _canonical_coupling(c.transition[x], d.transition[y], cells, p1, p2)
+            v = _canonical_coupling(
+                c.transition[x], d.transition[y], by_left, by_right, p1, p2
+            )
         elif kind in (MULTISET, DISTRIBUTION):
             v = _weighted_coupling(x, y, c, d, cells)
         else:

@@ -415,7 +415,7 @@ def _routable(t, u, img) -> bool:
         return True
     room = {y: w for y, w in u.entries if w != INF}
     den = lcm(*(w.denominator for w in supply.values()), *(w.denominator for w in room.values()))
-    arcs = [(x, y) for x in supply for y in img[x] if y in room]
+    arcs = [(x, y) for x in supply for y in room if y in img[x]]
     return ship(
         {x: int(w * den) for x, w in supply.items()},
         {y: int(w * den) for y, w in room.items()},

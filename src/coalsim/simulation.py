@@ -6,19 +6,26 @@ at a time by `lifting_check`, or with its failures listed by
 `lifting_violations`.  This module only builds relations, chains and
 reports on top of that condition.
 
-Greatest (bi)simulations and their bounded-depth versions are levels of one
-descending chain of relations (`_levels`): each level re-examines every
-surviving pair against the previous level and drops all failures at once, so
-the result does not depend on scan order.  The levels cost up to |C|·|D|
-pair checks each, so for signatures that separate the models bisimilarity is
-decided instead by the certified partition of `coalsim.behaviour`, which
-makes only |C|+|D| pair checks through `is_bisimulation_at`.  `greatest_bisimulation` remains
-the route for signatures that do not separate the models and the independent
+Greatest and bounded-depth answers alike start from level 1: the pairs
+whose values, pushed along `!` to the one-point carrier (T1), meet the
+condition under the full relation, decided once per distinct pair of pushed
+values (`_level_one`).
+The bounded-depth answers are the levels of one descending chain from there
+(`_levels`): each level re-examines every surviving pair against the previous
+level and drops all failures at once.  The greatest (bi)simulation is the
+chain's limit, but it is reached by a worklist instead (`_greatest`): a pair
+is re-examined only after a pair among its values' bases has been dropped,
+in the manner of Henzinger, Henzinger and Kopke's simulation algorithm.  For
+signatures that separate the models, bisimilarity is decided instead by the
+certified partition of `coalsim.behaviour`, which makes only |C|+|D| pair
+checks through `is_bisimulation_at`.  `greatest_bisimulation` remains the
+route for signatures that do not separate the models and the independent
 oracle the property suite compares that partition against.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from itertools import islice
 
@@ -31,7 +38,7 @@ from .liftings import (
     per_kind_exact,
 )
 from .relations import Relation, difunctional_closure, full_relation
-from .values import Coalgebra, _skey
+from .values import Coalgebra, _skey, base, relabel
 
 VIOLATION_CAP = 100
 
@@ -63,7 +70,7 @@ class SimulationReport:
         return {"holds": self.holds, "violations": [v.to_dict() for v in self.violations]}
 
 
-def _check_setup(s: Relation, c: Coalgebra, d: Coalgebra, sig: LambdaSignature):
+def _check_kinds(c: Coalgebra, d: Coalgebra, sig: LambdaSignature):
     if c.kind != d.kind:
         raise KindMismatchError(
             f"cannot relate a {c.kind.name} model with a {d.kind.name} model"
@@ -72,6 +79,10 @@ def _check_setup(s: Relation, c: Coalgebra, d: Coalgebra, sig: LambdaSignature):
         raise KindMismatchError(
             f"signature kind {sig.kind.name} does not match the models"
         )
+
+
+def _check_setup(s: Relation, c: Coalgebra, d: Coalgebra, sig: LambdaSignature):
+    _check_kinds(c, d, sig)
     if tuple(s.left) != tuple(c.carrier) or tuple(s.right) != tuple(d.carrier):
         raise ValidationError("relation carriers do not match the models")
 
@@ -157,25 +168,60 @@ def is_bisimulation_at(
     return all(ok(ct[x], dt[y], img) and ok(dt[y], ct[x], cimg) for x, y in pairs)
 
 
-def _levels(c: Coalgebra, d: Coalgebra, sig: LambdaSignature, both: bool):
-    """The descending chain of relations behind every greatest (bi)simulation.
+def _level_one(c: Coalgebra, d: Coalgebra, sig: LambdaSignature, both: bool) -> dict:
+    """Level 1 of the chain as images: each left state to its right states.
 
-    Level 0 is the full relation; level k+1 keeps the pairs of level k that
-    meet the condition with images taken under level k, in one direction or,
-    when `both`, in both.  Level k is the greatest depth-k (bi)simulation,
-    and the first level that repeats is the greatest (bi)simulation.  Both
-    directions take images under the same level: the witness of a
-    depth-(k+1) bisimulation must itself be a depth-k bisimulation, and
-    independent witness chains would accept relations that do not refine the
-    bounded-depth partition.  Pairs stay in carrier order, so the checks run
-    in the same order on every run.
+    Level 1 keeps (x, y) when the condition holds under the full relation.
+    The carriers are not empty, so that relation maps every non-empty set
+    onto all of D; by naturality and monotonicity of the liftings, the
+    condition under it equals the condition on the values pushed along
+    `!: X → 1`, with the one point related to itself.  So it is decided once
+    per distinct pair of pushed values, not once per pair of states.
+    """
+    ok = lifting_check(sig)
+    point = {0: frozenset((0,))}
+
+    def classes(m: Coalgebra) -> dict:
+        out = {}
+        for s in m.carrier:
+            t = m.transition[s]
+            out.setdefault(relabel(t, dict.fromkeys(base(t), 0)), []).append(s)
+        return out
+
+    rights = classes(d)
+    img = {}
+    for t, xs in classes(c).items():
+        ys = frozenset(
+            y
+            for u, group in rights.items()
+            if ok(t, u, point) and (not both or ok(u, t, point))
+            for y in group
+        )
+        img.update(dict.fromkeys(xs, ys))
+    return img
+
+
+def _levels(c: Coalgebra, d: Coalgebra, sig: LambdaSignature, both: bool):
+    """The descending chain of relations behind the bounded-depth answers.
+
+    Level 0 is the full relation and level 1 comes from `_level_one`; level
+    k+1 keeps the pairs of level k that meet the condition with images taken
+    under level k, in one direction or, when `both`, in both.  Level k is the
+    greatest depth-k (bi)simulation.  Both directions take images under the
+    same level: the witness of a depth-(k+1) bisimulation must itself be a
+    depth-k bisimulation, and independent witness chains would accept
+    relations that do not refine the bounded-depth partition.  Pairs stay in
+    carrier order, so the checks run in the same order on every run.
     """
     rel = full_relation(c.carrier, d.carrier)
     _check_setup(rel, c, d, sig)
+    yield rel
     ok = lifting_check(sig)
     ct, dt = c.transition, d.transition
-    pairs = [(x, y) for x in rel.left for y in rel.right]
+    first = _level_one(c, d, sig, both)
+    pairs = [(x, y) for x in rel.left for y in rel.right if y in first[x]]
     while True:
+        rel = Relation(rel.left, rel.right, frozenset(pairs))
         yield rel
         img = rel.left_images()
         cimg = rel.converse().left_images() if both else None
@@ -184,15 +230,69 @@ def _levels(c: Coalgebra, d: Coalgebra, sig: LambdaSignature, both: bool):
             for x, y in pairs
             if ok(ct[x], dt[y], img) and (not both or ok(dt[y], ct[x], cimg))
         ]
-        rel = Relation(rel.left, rel.right, frozenset(pairs))
 
 
-def _first_repeat(levels) -> Relation:
-    prev = next(levels)
-    for rel in levels:
-        if len(rel) == len(prev):
-            return rel
-        prev = rel
+def _predecessors(m: Coalgebra) -> dict:
+    """Each state to the states whose values have it in their base, in carrier order."""
+    pred = {s: [] for s in m.carrier}
+    for s in m.carrier:
+        for z in base(m.transition[s]):
+            pred[z].append(s)
+    return pred
+
+
+def _greatest(c: Coalgebra, d: Coalgebra, sig: LambdaSignature, both: bool) -> Relation:
+    """The greatest (bi)simulation: the limit of `_levels`, reached by a worklist.
+
+    The verdict at (x, y) reads only the part of the relation inside
+    base(t_x) × base(u_y), and the condition is monotone in the relation.
+    So after level 1, a pair needs a new check only once a pair there has
+    been dropped; pairs that fail it are dropped at once, and the images
+    shrink in place.  Dropping failures in any order reaches the same
+    greatest fixpoint, which contains every (bi)simulation.  Each drop of
+    (x', y') queues the surviving pairs in pred(x') × pred(y'), so pairs are
+    checked in an order fixed by the carriers.
+    """
+    _check_kinds(c, d, sig)
+    ok = lifting_check(sig)
+    ct, dt = c.transition, d.transition
+    img = {x: set(ys) for x, ys in _level_one(c, d, sig, both).items()}
+    cimg = {y: set() for y in d.carrier}
+    if both:
+        for x, ys in img.items():
+            for y in ys:
+                cimg[y].add(x)
+    pred_c, pred_d = _predecessors(c), _predecessors(d)
+    queue, queued = deque(), set()
+
+    def dropped(x2, y2):
+        for x in pred_c[x2]:
+            row = img[x]
+            for y in pred_d[y2]:
+                if y in row and (x, y) not in queued:
+                    queued.add((x, y))
+                    queue.append((x, y))
+
+    observed = [y for y in d.carrier if pred_d[y]]
+    for x2 in c.carrier:
+        if pred_c[x2]:
+            for y2 in observed:
+                if y2 not in img[x2]:
+                    dropped(x2, y2)
+    while queue:
+        pair = queue.popleft()
+        queued.discard(pair)
+        x, y = pair
+        if ok(ct[x], dt[y], img) and (not both or ok(dt[y], ct[x], cimg)):
+            continue
+        img[x].discard(y)
+        cimg[y].discard(x)
+        dropped(x, y)
+    return Relation(
+        tuple(c.carrier),
+        tuple(d.carrier),
+        frozenset((x, y) for x in c.carrier for y in img[x]),
+    )
 
 
 def _chain(c, d, sig, n: int, both: bool) -> list:
@@ -205,14 +305,14 @@ def greatest_simulation(c: Coalgebra, d: Coalgebra, sig: LambdaSignature) -> Rel
     """Largest relation whose every pair meets the simulation condition.
 
     Simulations are closed under unions, so the largest one exists; the
-    descending chain from the full relation reaches it.
+    worklist of `_greatest` reaches it.
     """
-    return _first_repeat(_levels(c, d, sig, both=False))
+    return _greatest(c, d, sig, both=False)
 
 
 def greatest_bisimulation(c: Coalgebra, d: Coalgebra, sig: LambdaSignature) -> Relation:
     """Largest relation that is a simulation in both directions."""
-    return _first_repeat(_levels(c, d, sig, both=True))
+    return _greatest(c, d, sig, both=True)
 
 
 def n_simulation_chain(

@@ -250,10 +250,9 @@ def relabel(t: FunctorValue, f: Mapping) -> FunctorValue:
     whose members are exactly the sets with preimage in the original; its
     antichain is the minimized family of images of the original minimals.
     """
-    mentioned = base(t)
-    missing = [s for s in sorted(mentioned, key=_skey) if s not in f]
+    missing = [s for s in base(t) if s not in f]
     if missing:
-        raise ValidationError(f"relabel map is not defined on {missing}")
+        raise ValidationError(f"relabel map is not defined on {sorted(missing, key=_skey)}")
     if isinstance(t, KripkeValue):
         return KripkeValue(t.props, frozenset(f[s] for s in t.succ))
     if isinstance(t, MultisetValue):

@@ -10,10 +10,12 @@ from itertools import combinations
 
 from coalsim import (
     Relation,
+    full_relation,
     is_simulation,
     relation,
     satisfies,
 )
+from coalsim.liftings import lifting_check
 
 
 def all_subsets(items):
@@ -111,6 +113,37 @@ def union_of_all_simulations(c, d, sig):
         if is_simulation(s, c, d, sig).holds:
             pairs |= s.pairs
     return relation(c.carrier, d.carrier, pairs)
+
+
+def levels_reference(c, d, sig, both):
+    """The descending chain as first written, from the full relation.
+
+    Every round, level 1 included, re-examines each surviving pair with
+    images under the previous level, in one direction or, when `both`, in
+    both, and drops all failures at once.
+    """
+    ok = lifting_check(sig)
+    rel = full_relation(c.carrier, d.carrier)
+    while True:
+        yield rel
+        img = rel.left_images()
+        cimg = rel.converse().left_images()
+        rel = Relation(rel.left, rel.right, frozenset(
+            (x, y)
+            for x, y in rel.pairs
+            if ok(c.transition[x], d.transition[y], img)
+            and (not both or ok(d.transition[y], c.transition[x], cimg))
+        ))
+
+
+def greatest_fixpoint_reference(c, d, sig, both):
+    """The first level of `levels_reference` that repeats: the greatest (bi)simulation."""
+    levels = levels_reference(c, d, sig, both)
+    prev = next(levels)
+    for rel in levels:
+        if len(rel) == len(prev):
+            return rel
+        prev = rel
 
 
 def n_simulation_sets(c, d, sig, n):

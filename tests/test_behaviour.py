@@ -240,10 +240,11 @@ def test_canonical_nbhd_coupling_agrees_with_the_reference_search():
         cells = sorted(s.pairs, key=repr)
         p1 = {q: q[0] for q in cells}
         p2 = {q: q[1] for q in cells}
+        by_left, by_right = behaviour._cell_index(cells)
         coupled = True
         for x, y in cells:
             t, u = c.transition[x], d.transition[y]
-            found = behaviour._canonical_coupling(t, u, cells, p1, p2) is not None
+            found = behaviour._canonical_coupling(t, u, by_left, by_right, p1, p2) is not None
             assert found == (nbhd_coupling_reference(t, u, cells) is not None), (c, d, s)
             verdicts.add(found)
             coupled = coupled and found

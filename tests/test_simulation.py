@@ -1,4 +1,5 @@
 import random
+from itertools import islice
 
 import pytest
 
@@ -27,14 +28,18 @@ from coalsim import (
     resolve_signature,
     simulation_fast_path_holds,
 )
+from coalsim import simulation
 from coalsim.errors import ValidationError
+from coalsim.simulation import _level_one
 
 from conftest import dist_model, kripke_model, multiset_model, nbhd_model
 from oracle_helpers import (
     all_relations,
     difunctional_closure_oracle,
+    greatest_fixpoint_reference,
     is_difunctional_oracle,
     kripke_bisimilarity_partition,
+    levels_reference,
     n_simulation_sets,
     union_of_all_simulations,
 )
@@ -348,3 +353,88 @@ def test_violation_reports_are_capped_but_verdict_exact():
     report = is_simulation(full_relation(c.carrier, d.carrier), c, d, sig)
     assert not report.holds
     assert len(report.violations) == 100
+
+
+def _fixpoint_instances():
+    """Seeded pairs of all four kinds, each with the signatures it is decided under."""
+    kinds = [
+        kripke_kind(("p",)),
+        multiset_model({"u": {}}).kind,
+        dist_model({"u": {"u": 1}}).kind,
+        nbhd_model({"u": []}).kind,
+    ]
+    literals = {
+        "kripke": ["kripke:box", "kripke:diamond", "kripke:atoms", "kripke:diamond,atoms"],
+        "multiset": ["graded:0..0", "graded:0..1"],
+    }
+    for seed in range(40):
+        kind = kinds[seed % 4]
+        infinite = kind.name == "multiset" and seed % 8 == 1
+        c = generate_coalgebra(
+            GeneratorConfig(seed=seed, kind=kind, max_states=6, allow_infinite=infinite)
+        )
+        d = generate_coalgebra(
+            GeneratorConfig(seed=seed + 57, kind=kind, max_states=6, allow_infinite=infinite)
+        )
+        yield c, d, auto_signature(c, d)
+        for literal in literals.get(kind.name, ()):
+            yield c, d, resolve_signature(literal, [c, d])
+
+
+def test_greatest_answers_equal_the_levels_reference():
+    """The worklist reaches the limit of the round-by-round chain from the full relation."""
+    shrank = 0
+    for c, d, sig in _fixpoint_instances():
+        for both, greatest in ((False, greatest_simulation), (True, greatest_bisimulation)):
+            expected = greatest_fixpoint_reference(c, d, sig, both)
+            assert greatest(c, d, sig) == expected, (c, d, sig, both)
+            shrank += len(expected) < len(c.carrier) * len(d.carrier)
+    assert shrank > 100
+
+
+def test_level_one_on_the_point_equals_the_reference_first_round():
+    shrank = 0
+    for c, d, sig in _fixpoint_instances():
+        first = {
+            both: list(islice(levels_reference(c, d, sig, both), 2))[1]
+            for both in (False, True)
+        }
+        for both, rel in first.items():
+            assert _level_one(c, d, sig, both) == rel.left_images(), (c, d, sig, both)
+            shrank += len(rel) < len(c.carrier) * len(d.carrier)
+        assert n_simulation_chain(c, d, sig, 1)[1] == first[False]
+        assert greatest_n_bisimulation(c, d, sig, 1) == first[True]
+    assert shrank > 100
+
+
+def test_path_greatest_simulation_makes_quadratically_many_pair_checks(monkeypatch):
+    """A 200+200 path: the round-by-round chain made 2,706,600 pair checks here."""
+    n = 200
+
+    def path(prefix):
+        states = [f"{prefix}{i}" for i in range(n)]
+        return kripke_model({s: states[i + 1 : i + 2] for i, s in enumerate(states)})
+
+    c, d = path("x"), path("y")
+    checks = 0
+    real = simulation.lifting_check
+
+    def counted(sig):
+        ok = real(sig)
+
+        def check(t, u, img):
+            nonlocal checks
+            checks += 1
+            return ok(t, u, img)
+
+        return check
+
+    monkeypatch.setattr(simulation, "lifting_check", counted)
+    for literal, expected in (
+        ("kripke:box,diamond", {(f"x{i}", f"y{i}") for i in range(n)}),
+        ("kripke:diamond", {(f"x{i}", f"y{j}") for i in range(n) for j in range(i + 1)}),
+    ):
+        checks = 0
+        sig = resolve_signature(literal, [c, d])
+        assert greatest_simulation(c, d, sig).pairs == expected
+        assert checks <= 2 * n * n, (literal, checks)

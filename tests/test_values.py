@@ -88,6 +88,13 @@ def test_relabel_nbhd_collapse():
     assert values_equal(relabel(t, {"a": "c", "b": "c"}), nbhd_value([["c"]]))
 
 
+def test_relabel_names_missing_states_in_key_order():
+    t = kripke_value([], [10, "b", "a"])
+    with pytest.raises(ValidationError) as info:
+        relabel(t, {"a": "c"})
+    assert str(info.value) == "relabel map is not defined on ['b', 10]"
+
+
 def test_relabel_nbhd_matches_membership_oracle():
     rng = random.Random(5)
     states = ["a", "b", "c", "d"]
