@@ -191,12 +191,14 @@ class LambdaSignature:
     pairs.  `full_grid` records that the finite grid of a graded or
     probabilistic signature covers every threshold occurring in the models it
     was resolved against; Kripke and neighborhood signatures always have it.
+    It defaults to False, so a hand-built grid claims no cover it lacks;
+    `resolve_signature` sets it.
     """
 
     kind: FunctorKind
     modalities: tuple
     separating: bool
-    full_grid: bool = True
+    full_grid: bool = False
 
     def __post_init__(self):
         for m in self.modalities:
@@ -253,7 +255,7 @@ def _kripke_signature(kind: FunctorKind, want: set) -> LambdaSignature:
     separating = ("box" in want or "diamond" in want) and (
         "atoms" in want or not kind.atoms
     )
-    return LambdaSignature(kind, tuple(mods), separating)
+    return LambdaSignature(kind, tuple(mods), separating, full_grid=True)
 
 
 def resolve_signature(literal: str, models: Sequence[Coalgebra]) -> LambdaSignature:
@@ -302,13 +304,13 @@ def resolve_signature(literal: str, models: Sequence[Coalgebra]) -> LambdaSignat
             if spec != "auto-grid":
                 raise ValidationError(f"malformed probabilistic signature {literal!r}")
             mods = tuple(at_least(p) for p in prob_grid(models))
-            return LambdaSignature(kind, mods, separating=True)
+            return LambdaSignature(kind, mods, separating=True, full_grid=True)
         if family == "nbhd":
             if kind.name != NEIGHBORHOOD:
                 raise KindMismatchError(f"signature {literal!r} needs neighborhood models")
             if spec != "box":
                 raise ValidationError(f"malformed neighborhood signature {literal!r}")
-            return LambdaSignature(kind, (NBHD_BOX,), separating=True)
+            return LambdaSignature(kind, (NBHD_BOX,), separating=True, full_grid=True)
         raise ValidationError(f"unknown signature literal {literal!r}")
     except ValueError as exc:
         raise ValidationError(f"malformed signature literal {literal!r}: {exc}") from exc
@@ -332,10 +334,11 @@ def _separation_gap(sig: LambdaSignature, models) -> Optional[str]:
     if not sig.separating:
         return "signature is not declared separating"
     if sig.kind.name == MULTISET:
-        have = max((m.index for m in sig.modalities), default=-1)
+        have = {m.index for m in sig.modalities}
         need = graded_bound(models)
-        if have < need:
-            return f"graded grid 0..{have} cannot separate these models; weights reach {need}"
+        gap = min(set(range(len(have) + 1)) - have)  # least index not in the grid
+        if gap <= need:
+            return f"graded grid misses index {gap}; weights reach {need}"
     if sig.kind.name == DISTRIBUTION:
         have = {m.bound for m in sig.modalities}
         missing = [p for p in prob_grid(models) if p not in have]

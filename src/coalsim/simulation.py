@@ -6,26 +6,24 @@ at a time by `lifting_check`, or with its failures listed by
 `lifting_violations`.  This module only builds relations, chains and
 reports on top of that condition.
 
-Greatest and bounded-depth answers alike start from level 1: the pairs
-whose values, pushed along `!` to the one-point carrier (T1), meet the
-condition under the full relation, decided once per distinct pair of pushed
-values (`_level_one`).
-The bounded-depth answers are the levels of one descending chain from there
-(`_levels`): each level re-examines every surviving pair against the previous
-level and drops all failures at once.  The greatest (bi)simulation is the
-chain's limit, but it is reached by a worklist instead (`_greatest`): a pair
-is re-examined only after a pair among its values' bases has been dropped,
-in the manner of Henzinger, Henzinger and Kopke's simulation algorithm.  For
-signatures that separate the models, bisimilarity is decided instead by the
-certified partition of `coalsim.behaviour`, which makes only |C|+|D| pair
-checks through `is_bisimulation_at`.  `greatest_bisimulation` remains the
-route for signatures that do not separate the models and the independent
-oracle the property suite compares that partition against.
+Greatest and bounded-depth answers alike are levels of one descending chain
+from the full relation (`_levels`).  Level 1 keeps the pairs whose values,
+pushed along `!` to the one-point carrier (T1), meet the condition under the
+full relation, decided once per distinct pair of pushed values
+(`_level_one`).  Each later level re-examines only the pairs whose values'
+bases lost a pair in the previous round, in the manner of Henzinger,
+Henzinger and Kopke's simulation algorithm, and drops all failures at once;
+the depth-n answers read level n and the greatest (bi)simulation is the
+first level that drops nothing.  For signatures that separate the models,
+bisimilarity is decided instead by the certified partition of
+`coalsim.behaviour`, which makes only |C|+|D| pair checks through
+`is_bisimulation_at`.  `greatest_bisimulation` remains the route for
+signatures that do not separate the models and the independent oracle the
+property suite compares that partition against.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import islice
 
@@ -37,7 +35,7 @@ from .liftings import (
     lifting_violations,
     per_kind_exact,
 )
-from .relations import Relation, difunctional_closure, full_relation
+from .relations import Relation, difunctional_closure
 from .values import Coalgebra, _skey, base, relabel
 
 VIOLATION_CAP = 100
@@ -201,37 +199,6 @@ def _level_one(c: Coalgebra, d: Coalgebra, sig: LambdaSignature, both: bool) -> 
     return img
 
 
-def _levels(c: Coalgebra, d: Coalgebra, sig: LambdaSignature, both: bool):
-    """The descending chain of relations behind the bounded-depth answers.
-
-    Level 0 is the full relation and level 1 comes from `_level_one`; level
-    k+1 keeps the pairs of level k that meet the condition with images taken
-    under level k, in one direction or, when `both`, in both.  Level k is the
-    greatest depth-k (bi)simulation.  Both directions take images under the
-    same level: the witness of a depth-(k+1) bisimulation must itself be a
-    depth-k bisimulation, and independent witness chains would accept
-    relations that do not refine the bounded-depth partition.  Pairs stay in
-    carrier order, so the checks run in the same order on every run.
-    """
-    rel = full_relation(c.carrier, d.carrier)
-    _check_setup(rel, c, d, sig)
-    yield rel
-    ok = lifting_check(sig)
-    ct, dt = c.transition, d.transition
-    first = _level_one(c, d, sig, both)
-    pairs = [(x, y) for x in rel.left for y in rel.right if y in first[x]]
-    while True:
-        rel = Relation(rel.left, rel.right, frozenset(pairs))
-        yield rel
-        img = rel.left_images()
-        cimg = rel.converse().left_images() if both else None
-        pairs = [
-            (x, y)
-            for x, y in pairs
-            if ok(ct[x], dt[y], img) and (not both or ok(dt[y], ct[x], cimg))
-        ]
-
-
 def _predecessors(m: Coalgebra) -> dict:
     """Each state to the states whose values have it in their base, in carrier order."""
     pred = {s: [] for s in m.carrier}
@@ -241,19 +208,43 @@ def _predecessors(m: Coalgebra) -> dict:
     return pred
 
 
-def _greatest(c: Coalgebra, d: Coalgebra, sig: LambdaSignature, both: bool) -> Relation:
-    """The greatest (bi)simulation: the limit of `_levels`, reached by a worklist.
+def _suspects(dropped, pred_c: dict, pred_d: dict, img: dict) -> dict:
+    """The surviving pairs whose bases meet a dropped pair, in first-reached order."""
+    return dict.fromkeys(
+        (x, y)
+        for x2, y2 in dropped
+        for x in pred_c[x2]
+        for y in pred_d[y2]
+        if y in img[x]
+    )
 
-    The verdict at (x, y) reads only the part of the relation inside
+
+def _levels(c: Coalgebra, d: Coalgebra, sig: LambdaSignature, both: bool):
+    """The descending chain, as images from left states, up to its limit.
+
+    Level 0 is the full relation and level 1 comes from `_level_one`; level
+    k+1 keeps the pairs of level k that meet the condition with images taken
+    under level k, in one direction or, when `both`, in both.  Level k is the
+    greatest depth-k (bi)simulation.  Both directions take images under the
+    same level: the witness of a depth-(k+1) bisimulation must itself be a
+    depth-k bisimulation, and independent witness chains would accept
+    relations that do not refine the bounded-depth partition.
+
+    The verdict at (x, y) reads only the part of the level inside
     base(t_x) × base(u_y), and the condition is monotone in the relation.
-    So after level 1, a pair needs a new check only once a pair there has
-    been dropped; pairs that fail it are dropped at once, and the images
-    shrink in place.  Dropping failures in any order reaches the same
-    greatest fixpoint, which contains every (bi)simulation.  Each drop of
-    (x', y') queues the surviving pairs in pred(x') × pred(y'), so pairs are
-    checked in an order fixed by the carriers.
+    So a pair of level k needs a new check only if a pair there was dropped
+    between levels k-1 and k, in the manner of Henzinger, Henzinger and
+    Kopke's simulation algorithm; the other pairs passed the same check one
+    level earlier.  Each round checks just those pairs against level k and
+    drops its failures only after the round.  The generator stops after the
+    first level whose round drops nothing: that level is the chain's limit,
+    the greatest (bi)simulation, which contains every (bi)simulation.  The
+    images are updated in place between levels, so a caller that keeps a
+    level copies it (`_relation`).  Pairs are checked in an order fixed by
+    the carriers, so the checks run in the same order on every run.
     """
     _check_kinds(c, d, sig)
+    yield dict.fromkeys(c.carrier, frozenset(d.carrier))
     ok = lifting_check(sig)
     ct, dt = c.transition, d.transition
     img = {x: set(ys) for x, ys in _level_one(c, d, sig, both).items()}
@@ -263,31 +254,26 @@ def _greatest(c: Coalgebra, d: Coalgebra, sig: LambdaSignature, both: bool) -> R
             for y in ys:
                 cimg[y].add(x)
     pred_c, pred_d = _predecessors(c), _predecessors(d)
-    queue, queued = deque(), set()
-
-    def dropped(x2, y2):
-        for x in pred_c[x2]:
-            row = img[x]
-            for y in pred_d[y2]:
-                if y in row and (x, y) not in queued:
-                    queued.add((x, y))
-                    queue.append((x, y))
-
     observed = [y for y in d.carrier if pred_d[y]]
-    for x2 in c.carrier:
-        if pred_c[x2]:
-            for y2 in observed:
-                if y2 not in img[x2]:
-                    dropped(x2, y2)
-    while queue:
-        pair = queue.popleft()
-        queued.discard(pair)
-        x, y = pair
-        if ok(ct[x], dt[y], img) and (not both or ok(dt[y], ct[x], cimg)):
-            continue
-        img[x].discard(y)
-        cimg[y].discard(x)
-        dropped(x, y)
+    # The drops from level 0 to level 1 that lie in some base product.
+    dropped = (
+        (x, y) for x in c.carrier if pred_c[x] for y in observed if y not in img[x]
+    )
+    while True:
+        yield img
+        dropped = [
+            (x, y)
+            for x, y in _suspects(dropped, pred_c, pred_d, img)
+            if not (ok(ct[x], dt[y], img) and (not both or ok(dt[y], ct[x], cimg)))
+        ]
+        if not dropped:
+            return
+        for x, y in dropped:
+            img[x].discard(y)
+            cimg[y].discard(x)
+
+
+def _relation(c: Coalgebra, d: Coalgebra, img: dict) -> Relation:
     return Relation(
         tuple(c.carrier),
         tuple(d.carrier),
@@ -295,24 +281,27 @@ def _greatest(c: Coalgebra, d: Coalgebra, sig: LambdaSignature, both: bool) -> R
     )
 
 
-def _chain(c, d, sig, n: int, both: bool) -> list:
-    """Levels 0..n of the descending chain."""
-    _check_depth(n)
-    return list(islice(_levels(c, d, sig, both), n + 1))
+def _level(c, d, sig, both: bool, n=None) -> Relation:
+    """Level n of the chain, or its limit when n is None."""
+    if n is not None:
+        _check_depth(n)
+        n += 1
+    *_, img = islice(_levels(c, d, sig, both), n)
+    return _relation(c, d, img)
 
 
 def greatest_simulation(c: Coalgebra, d: Coalgebra, sig: LambdaSignature) -> Relation:
     """Largest relation whose every pair meets the simulation condition.
 
-    Simulations are closed under unions, so the largest one exists; the
-    worklist of `_greatest` reaches it.
+    Simulations are closed under unions, so the largest one exists; it is
+    the limit of the chain of `_levels`.
     """
-    return _greatest(c, d, sig, both=False)
+    return _level(c, d, sig, both=False)
 
 
 def greatest_bisimulation(c: Coalgebra, d: Coalgebra, sig: LambdaSignature) -> Relation:
     """Largest relation that is a simulation in both directions."""
-    return _greatest(c, d, sig, both=True)
+    return _level(c, d, sig, both=True)
 
 
 def n_simulation_chain(
@@ -321,9 +310,11 @@ def n_simulation_chain(
     """Greatest depth-k simulations for k = 0..n, as a descending chain.
 
     Every depth-k simulation is contained in level k, so membership in the
-    chain decides the depth-k property.
+    chain decides the depth-k property.  Levels past the limit repeat it.
     """
-    return _chain(c, d, sig, n, both=False)
+    _check_depth(n)
+    chain = [_relation(c, d, img) for img in islice(_levels(c, d, sig, False), n + 1)]
+    return chain + chain[-1:] * (n + 1 - len(chain))
 
 
 def is_n_simulation(
@@ -331,14 +322,14 @@ def is_n_simulation(
 ) -> bool:
     """Depth-n simulation test: containment in the greatest depth-n simulation."""
     _check_setup(s, c, d, sig)
-    return s.pairs <= n_simulation_chain(c, d, sig, n)[n].pairs
+    return s.pairs <= _level(c, d, sig, False, n).pairs
 
 
 def greatest_n_bisimulation(
     c: Coalgebra, d: Coalgebra, sig: LambdaSignature, n: int
 ) -> Relation:
     """Largest relation witnessed by a synchronized chain of depth-k bisimulations."""
-    return _chain(c, d, sig, n, both=True)[n]
+    return _level(c, d, sig, True, n)
 
 
 def is_n_bisimulation(

@@ -11,8 +11,9 @@ were built from; `values_equal` compares the denoted upward-closed families.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
 from .errors import BudgetError, KindMismatchError, ValidationError
@@ -135,16 +136,22 @@ class Coalgebra:
     """Finite carrier with a total transition map into values of one kind.
 
     The carrier keeps its given order; every listed output is reported in
-    carrier order, which makes results reproducible byte for byte.
+    carrier order, which makes results reproducible byte for byte.  The
+    transition map is copied into a read-only mapping, and a model hashes by
+    its kind and carrier; equality still compares transitions.
     """
 
     kind: FunctorKind
     carrier: tuple
-    transition: Mapping
+    transition: Mapping = field(hash=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "carrier", tuple(self.carrier))
+        object.__setattr__(self, "transition", MappingProxyType(dict(self.transition)))
 
 
 def coalgebra(kind: FunctorKind, carrier: Iterable, transition: Mapping) -> Coalgebra:
-    c = Coalgebra(kind, tuple(carrier), dict(transition))
+    c = Coalgebra(kind, carrier, transition)
     validate(c)
     return c
 

@@ -6,7 +6,9 @@ import pytest
 from coalsim import (
     BOX,
     DIAMOND,
+    MULTISET_KIND,
     NBHD_BOX,
+    LambdaSignature,
     BudgetError,
     KindMismatchError,
     NotSeparatingError,
@@ -14,10 +16,13 @@ from coalsim import (
     at_least,
     atom,
     auto_signature,
+    brute_force_simulation_oracle,
     diamond_gt,
     distinguishing_pair,
     dist_value,
     ensure_separating,
+    greatest_bisimulation,
+    greatest_simulation,
     is_lambda_homomorphism,
     is_simulation,
     kripke_kind,
@@ -29,8 +34,10 @@ from coalsim import (
     relation,
     resolve_signature,
     satisfies,
+    simulation_fast_path_holds,
     values_equal,
 )
+from coalsim.behaviour import certified_equivalence
 from coalsim.liftings import graded_bound, prob_grid
 from coalsim.values import INF
 
@@ -249,3 +256,28 @@ def test_max_base_bound_env_override(monkeypatch):
         lambda_leq(big, big, sig)
     monkeypatch.setenv("COALSIM_MAX_BASE", "25")
     assert lambda_leq(big, big, sig)
+
+
+def test_hand_built_grid_claims_no_cover():
+    """A grid with a gap is decided by the generic search, not the flow check."""
+    c = multiset_model({"a": {}, "x": {"a": 3}})
+    d = multiset_model({"b": {}, "y": {"b": 2}})
+    sig = LambdaSignature(MULTISET_KIND, (diamond_gt(0), diamond_gt(5)), separating=False)
+    s = relation(c.carrier, d.carrier, [("a", "b"), ("x", "y")])
+    assert is_simulation(s, c, d, sig).holds
+    assert brute_force_simulation_oracle(s, c, d, sig)
+    assert simulation_fast_path_holds(s, c, d, sig)
+    assert s.pairs <= greatest_simulation(c, d, sig).pairs
+    assert not sig.full_grid
+
+
+def test_graded_grid_with_a_gap_is_not_separating():
+    c = multiset_model({"a": {"a": 5}, "x": {"a": 2}})
+    d = multiset_model({"b": {"b": 5}, "y": {"b": 3}})
+    sig = LambdaSignature(MULTISET_KIND, (diamond_gt(0), diamond_gt(5)), separating=True)
+    assert len(greatest_bisimulation(c, d, sig)) == 4
+    with pytest.raises(NotSeparatingError, match="misses index 1; weights reach 5"):
+        ensure_separating(sig, c, d)
+    with pytest.raises(NotSeparatingError):
+        certified_equivalence(c, d, sig)
+    ensure_separating(resolve_signature("graded:auto", [c, d]), c, d)

@@ -152,7 +152,7 @@ def _weighted_cases(trials):
         img = {x: frozenset(y for y in labels if rng.random() < p) for x in labels}
         kind, mod = (DISTRIBUTION_KIND, at_least("1/2")) if dist else (MULTISET_KIND, diamond_gt(0))
         mods = () if trial % 5 == 0 else (mod,)
-        yield t, u, img, LambdaSignature(kind, mods, separating=bool(mods))
+        yield t, u, img, LambdaSignature(kind, mods, separating=bool(mods), full_grid=True)
 
 
 def test_weighted_check_matches_subset_reference():

@@ -438,3 +438,51 @@ def test_path_greatest_simulation_makes_quadratically_many_pair_checks(monkeypat
         sig = resolve_signature(literal, [c, d])
         assert greatest_simulation(c, d, sig).pairs == expected
         assert checks <= 2 * n * n, (literal, checks)
+
+
+def test_every_chain_level_equals_the_levels_reference():
+    """Levels 0..4 of both depth-n answers, not only level 1 and the limit."""
+    shrank = 0
+    for c, d, sig in _fixpoint_instances():
+        expected = {
+            both: list(islice(levels_reference(c, d, sig, both), 5)) for both in (False, True)
+        }
+        assert n_simulation_chain(c, d, sig, 4) == expected[False], (c, d, sig)
+        for k, rel in enumerate(expected[True]):
+            assert greatest_n_bisimulation(c, d, sig, k) == rel, (c, d, sig, k)
+        shrank += expected[False][2] != expected[False][1]
+        shrank += expected[True][2] != expected[True][1]
+    assert shrank > 50
+
+
+def test_path_depth_n_chains_make_quadratically_many_pair_checks(monkeypatch):
+    """A 200+200 path: re-checking every surviving pair made millions of pair checks."""
+    n = 200
+
+    def path(prefix):
+        states = [f"{prefix}{i}" for i in range(n)]
+        return kripke_model({s: states[i + 1 : i + 2] for i, s in enumerate(states)})
+
+    c, d = path("x"), path("y")
+    sig = resolve_signature("kripke:box,diamond", [c, d])
+    checks = 0
+    real = simulation.lifting_check
+
+    def counted(sig):
+        ok = real(sig)
+
+        def check(t, u, img):
+            nonlocal checks
+            checks += 1
+            return ok(t, u, img)
+
+        return check
+
+    monkeypatch.setattr(simulation, "lifting_check", counted)
+    diagonal = {(f"x{i}", f"y{i}") for i in range(n)}
+    chain = n_simulation_chain(c, d, sig, n)
+    assert chain[n].pairs == diagonal and chain[n // 2].pairs != diagonal
+    assert checks <= 2 * n * n, checks
+    checks = 0
+    assert greatest_n_bisimulation(c, d, sig, n).pairs == diagonal
+    assert checks <= 2 * n * n, checks

@@ -214,3 +214,18 @@ def test_base_guarantee_brute_force():
     for t, m in cases:
         for a in all_subsets(universe):
             assert satisfies(t, m, a) == satisfies(t, m, a & base(t))
+
+
+def test_models_are_read_only_and_hash_by_kind_and_carrier():
+    source = {"x": kripke_value([], ["x"])}
+    c = coalgebra(kripke_kind([]), ["x"], source)
+    source["x"] = kripke_value([], [])
+    assert c.transition["x"].succ == frozenset({"x"})
+    with pytest.raises(TypeError):
+        c.transition["x"] = kripke_value([], [])
+    assert c.carrier == ("x",)
+    same = coalgebra(kripke_kind([]), ("x",), {"x": kripke_value([], ["x"])})
+    dead = coalgebra(kripke_kind([]), ("x",), {"x": kripke_value([], [])})
+    assert c == same and hash(c) == hash(same)
+    assert c != dead and hash(c) == hash(dead)
+    assert len({c, same, dead}) == 2
