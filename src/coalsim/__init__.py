@@ -5,7 +5,6 @@ monotone neighborhood systems."""
 
 from .behaviour import (
     Coupling,
-    Partition,
     QuotientWitness,
     behavioural_equivalence,
     n_step_partition,
@@ -75,6 +74,7 @@ from .properties import (
     theorem_matrix,
 )
 from .relations import (
+    Partition,
     Relation,
     difunctional_closure,
     full_relation,
@@ -86,13 +86,13 @@ from .simulation import (
     Violation,
     greatest_bisimulation,
     greatest_n_bisimulation,
+    greatest_n_simulation,
     greatest_simulation,
     is_bisimulation,
     is_bisimulation_up_to_difunctionality,
     is_n_bisimulation,
     is_n_simulation,
     is_simulation,
-    n_simulation_chain,
     simulation_fast_path_holds,
 )
 from .values import (

@@ -1,19 +1,21 @@
 """Behavioural equivalence: bounded-depth partitions, quotient witnesses,
 and coupling-based relational witnesses.
 
-Behavioural equivalence is decided by partition refinement on the tagged
-disjoint union of the two carriers: two states share a block at depth k+1
-exactly when their transition values, relabeled by depth-k block ids, are
-equal, and refinement stops when no block splits.  For a separating
-signature the stabilized partition's cross relation is both behavioural
-equivalence and Λ-bisimilarity, so `behavioural_equivalence` returns it
-after two cheap certificates (see `certified_equivalence`): a non-iterated
-bisimulation check on a spanning set of each block, and an explicit quotient
-model on the blocks whose projection maps are verified to commute with the
-transition structures.  A failed certificate raises `InternalCheckError`, so
-a wrong answer can never be returned quietly.  The pair-removal fixpoint
-`greatest_bisimulation` is not run here; the property suite compares it with
-both of these routes.
+Behavioural equivalence is decided by partition refinement on the disjoint
+union of the two carriers: two states share a block at depth k+1 exactly
+when their transition values, relabeled by depth-k block ids, are equal, and
+refinement stops when no block splits.  Each level is a
+`coalsim.relations.Partition`, whose blocks are (left states, right states);
+a relation's quotient takes its blocks from `Relation.components`, which
+builds the same type.  For a separating signature the stabilized
+partition's cross relation is both behavioural equivalence and
+Λ-bisimilarity, so `behavioural_equivalence` returns it after two cheap
+certificates (see `certified_equivalence`): a non-iterated bisimulation
+check on a spanning set of each block, and an explicit quotient model on the
+blocks whose projection maps commute with the transition structures.  A
+failed certificate raises `InternalCheckError`, so a wrong answer can never
+be returned quietly.  The pair-removal fixpoint `greatest_bisimulation` is
+not run here; the property suite compares it with both of these routes.
 
 Coupling search decides the span-style notion of bisimulation: a relation is
 witnessed by giving, for every related pair, a single transition value over
@@ -27,7 +29,6 @@ exact transportation feasibility.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import islice
 from typing import Optional
 
@@ -39,7 +40,7 @@ from .errors import (
     ValidationError,
 )
 from .liftings import LambdaSignature, ensure_separating
-from .relations import Relation, difunctional_closure
+from .relations import Partition, Relation, difunctional_closure
 from .simulation import is_bisimulation_at
 from .transport import feasible_transport
 from .values import (
@@ -54,124 +55,43 @@ from .values import (
     KripkeValue,
     MultisetValue,
     NbhdValue,
-    _skey,
     antichain,
     base,
     dist_value,
     multiset_value,
     relabel,
+    state_key,
     values_equal,
 )
 
-LEFT, RIGHT = "L", "R"
 
-
-def _sides(blk) -> tuple:
-    """The left and the right states of a block, each in block order."""
-    return [s for side, s in blk if side == LEFT], [s for side, s in blk if side == RIGHT]
-
-
-def _block_ids(blocks) -> dict:
-    return {member: i for i, blk in enumerate(blocks) for member in blk}
-
-
-def _blocks_doc(blocks) -> list:
-    out = []
-    for blk in blocks:
-        lefts, rights = _sides(blk)
-        out.append({"left": lefts, "right": rights})
-    return out
-
-
-@dataclass(frozen=True)
-class Partition:
-    """Blocks over the tagged disjoint union of two carriers."""
-
-    left: tuple
-    right: tuple
-    blocks: tuple  # tuple of tuples of (side, state), in first-occurrence order
-
-    @cached_property
-    def _ids(self) -> dict:
-        return _block_ids(self.blocks)
-
-    def same_block(self, x, y) -> bool:
-        return self._ids[(LEFT, x)] == self._ids[(RIGHT, y)]
-
-    def cross_relation(self) -> Relation:
-        pairs = []
-        for blk in self.blocks:
-            lefts, rights = _sides(blk)
-            pairs.extend((x, y) for x in lefts for y in rights)
-        return Relation(self.left, self.right, frozenset(pairs))
-
-    def spanning_pairs(self) -> list:
-        """At most |C|+|D| cross pairs that decide the bisimulation condition.
-
-        Per block: each left member with the first right member, and the
-        first left member with each right member.  `certified_equivalence`
-        explains why the condition on these pairs gives it on the whole
-        cross relation.
-        """
-        out = []
-        for blk in self.blocks:
-            lefts, rights = _sides(blk)
-            if lefts and rights:
-                out.extend((x, rights[0]) for x in lefts)
-                out.extend((lefts[0], y) for y in rights[1:])
-        return out
-
-    def to_dict(self) -> dict:
-        return {"blocks": _blocks_doc(self.blocks)}
-
-
-def _tagged(c: Coalgebra, d: Coalgebra) -> list:
-    return [(LEFT, x) for x in c.carrier] + [(RIGHT, y) for y in d.carrier]
-
-
-def _transition_of(member, c, d):
-    side, s = member
-    return c.transition[s] if side == LEFT else d.transition[s]
-
-
-def _group_blocks(order, key_of) -> tuple:
-    """Group an ordered list by key, blocks numbered by first occurrence."""
-    blocks = {}
-    out = []
-    for member in order:
-        k = key_of(member)
-        if k not in blocks:
-            blocks[k] = len(out)
-            out.append([])
-        out[blocks[k]].append(member)
-    return tuple(tuple(b) for b in out)
-
-
-def _refinements(c: Coalgebra, d: Coalgebra):
-    """Blocks of the disjoint union at depth 0, 1, 2, ...
-
-    Depth 0 is a single block; each step groups states whose transition
-    values agree after replacing every mentioned state by its previous-depth
-    block id.  `relabel` returns neighborhood values in antichain form, so
-    the relabeled values themselves are canonical keys.
-    """
+def _same_kind(c: Coalgebra, d: Coalgebra) -> None:
     if c.kind != d.kind:
         raise KindMismatchError(
             f"cannot compare a {c.kind.name} model with a {d.kind.name} model"
         )
-    order = _tagged(c, d)
-    blocks = (tuple(order),)
+
+
+def _refinements(c: Coalgebra, d: Coalgebra):
+    """Partitions of the disjoint union at depth 0, 1, 2, ...
+
+    Depth 0 is a single block; each step groups states whose transition
+    values agree after replacing every mentioned state by its previous-depth
+    block id.  `relabel` returns neighborhood values in antichain form, so
+    the relabeled values themselves are canonical keys.  Blocks are numbered
+    by first occurrence, left carrier before right carrier.
+    """
+    _same_kind(c, d)
+    part = Partition(c.carrier, d.carrier, ((c.carrier, d.carrier),))
     while True:
-        yield blocks
-        ids = _block_ids(blocks)
-        left_map = {x: ids[(LEFT, x)] for x in c.carrier}
-        right_map = {y: ids[(RIGHT, y)] for y in d.carrier}
-
-        def key_of(member):
-            f = left_map if member[0] == LEFT else right_map
-            return relabel(_transition_of(member, c, d), f)
-
-        blocks = _group_blocks(order, key_of)
+        yield part
+        groups = {}
+        for side, m, ids in ((0, c, part.left_ids), (1, d, part.right_ids)):
+            for s in m.carrier:
+                key = relabel(m.transition[s], ids)
+                groups.setdefault(key, ([], []))[side].append(s)
+        blocks = tuple((tuple(ls), tuple(rs)) for ls, rs in groups.values())
+        part = Partition(c.carrier, d.carrier, blocks)
 
 
 def n_step_partition(c: Coalgebra, d: Coalgebra, n: int) -> Partition:
@@ -180,11 +100,9 @@ def n_step_partition(c: Coalgebra, d: Coalgebra, n: int) -> Partition:
     Relabeled-value equality matches equality of depth-n behaviours because
     all four functors preserve injections.
     """
-    levels = _refinements(c, d)
     if n < 0:
         raise ValidationError(f"depth must be a natural number, got {n}")
-    blocks = next(islice(levels, n, None))
-    return Partition(tuple(c.carrier), tuple(d.carrier), blocks)
+    return next(islice(_refinements(c, d), n, None))
 
 
 def stabilized_partition(c: Coalgebra, d: Coalgebra) -> tuple:
@@ -195,10 +113,10 @@ def stabilized_partition(c: Coalgebra, d: Coalgebra) -> tuple:
     levels = _refinements(c, d)
     prev = next(levels)
     rounds = islice(levels, len(c.carrier) + len(d.carrier) + 1)
-    for depth, blocks in enumerate(rounds):
-        if blocks == prev:
-            return Partition(tuple(c.carrier), tuple(d.carrier), prev), depth
-        prev = blocks
+    for depth, part in enumerate(rounds):
+        if part.blocks == prev.blocks:
+            return prev, depth
+        prev = part
     raise InternalCheckError("partition failed to stabilize within the carrier bound")
 
 
@@ -206,18 +124,21 @@ def stabilized_partition(c: Coalgebra, d: Coalgebra) -> tuple:
 class QuotientWitness:
     """Explicit joint quotient model certifying behavioural equivalence."""
 
-    blocks: tuple
-    kappa_left: dict
-    kappa_right: dict
+    partition: Partition  # the blocks; its block ids are the two quotient maps
     structure: dict  # block id -> value over block ids
+
+    @property
+    def blocks(self) -> tuple:
+        return self.partition.blocks
 
     def to_dict(self) -> dict:
         from .modelio import value_to_json
 
+        kappa_left, kappa_right = self.partition.left_ids, self.partition.right_ids
         return {
-            "blocks": _blocks_doc(self.blocks),
-            "kappa_left": {str(s): f"b{i}" for s, i in sorted(self.kappa_left.items())},
-            "kappa_right": {str(s): f"b{i}" for s, i in sorted(self.kappa_right.items())},
+            **self.partition.to_dict(),
+            "kappa_left": {str(s): f"b{i}" for s, i in sorted(kappa_left.items())},
+            "kappa_right": {str(s): f"b{i}" for s, i in sorted(kappa_right.items())},
             "structure": {
                 f"b{i}": value_to_json(v, label=lambda b: f"b{b}")
                 for i, v in sorted(self.structure.items())
@@ -229,43 +150,25 @@ def quotient_witness(s: Relation, c: Coalgebra, d: Coalgebra) -> QuotientWitness
     """Quotient the disjoint union by the equivalence the relation generates.
 
     Succeeds when every member of each block has the same block-relabeled
-    transition value; the common values then form a model on the blocks and
-    both block maps are transition-preserving by construction (re-verified
-    here).  Raises QuotientUndefined with the disagreeing pair of values
-    otherwise, which certifies the relation does not witness behavioural
-    equivalence.
+    transition value; the common values then form a model on the blocks,
+    and both block maps are transition-preserving because every state's
+    relabeled value was compared with its block's.  Raises QuotientUndefined
+    with the disagreeing pair of values otherwise, which certifies the
+    relation does not witness behavioural equivalence.
     """
-    if c.kind != d.kind:
-        raise KindMismatchError(
-            f"cannot compare a {c.kind.name} model with a {d.kind.name} model"
-        )
+    _same_kind(c, d)
     # Blocks in the models' carrier order, whatever order s lists its carriers in.
-    joint = Relation(tuple(c.carrier), tuple(d.carrier), s.pairs)
-    blocks = tuple(
-        tuple((LEFT, x) for x in lefts) + tuple((RIGHT, y) for y in rights)
-        for lefts, rights in joint.components()
-    )
-    ids = _block_ids(blocks)
-    kappa_left = {x: ids[(LEFT, x)] for x in c.carrier}
-    kappa_right = {y: ids[(RIGHT, y)] for y in d.carrier}
+    part = Relation(c.carrier, d.carrier, s.pairs).components()
     structure = {}
-    for i, blk in enumerate(blocks):
-        first = blk[0]
-        fmap = kappa_left if first[0] == LEFT else kappa_right
-        chosen = relabel(_transition_of(first, c, d), fmap)
-        for member in blk[1:]:
-            mmap = kappa_left if member[0] == LEFT else kappa_right
-            candidate = relabel(_transition_of(member, c, d), mmap)
+    for i, blk in enumerate(part.blocks):
+        values = [("left", x, relabel(c.transition[x], part.left_ids)) for x in blk[0]]
+        values += [("right", y, relabel(d.transition[y], part.right_ids)) for y in blk[1]]
+        (side, x, chosen), *rest = values
+        for other_side, y, candidate in rest:
             if not values_equal(chosen, candidate):
-                raise QuotientUndefined(blk, first, chosen, member, candidate)
+                raise QuotientUndefined(blk, (side, x), chosen, (other_side, y), candidate)
         structure[i] = chosen
-    for x in c.carrier:
-        if not values_equal(relabel(c.transition[x], kappa_left), structure[kappa_left[x]]):
-            raise InternalCheckError(f"left block map fails to commute at {x!r}")
-    for y in d.carrier:
-        if not values_equal(relabel(d.transition[y], kappa_right), structure[kappa_right[y]]):
-            raise InternalCheckError(f"right block map fails to commute at {y!r}")
-    return QuotientWitness(blocks, kappa_left, kappa_right, structure)
+    return QuotientWitness(part, structure)
 
 
 def certified_equivalence(
@@ -428,17 +331,14 @@ def _weighted_coupling(x, y, c, d, cells) -> Optional[FunctorValue]:
 
 def _coupling_check(s: Relation, cell_pairs, c, d) -> Optional[Coupling]:
     """Coupling values for the pairs of s over the given cells, verified, or None."""
-    if c.kind != d.kind:
-        raise KindMismatchError(
-            f"cannot relate a {c.kind.name} model with a {d.kind.name} model"
-        )
+    _same_kind(c, d)
     kind = c.kind.name
-    cells = sorted(cell_pairs, key=_skey)
+    cells = sorted(cell_pairs, key=state_key)
     p1 = {q: q[0] for q in cells}
     p2 = {q: q[1] for q in cells}
     by_left, by_right = _cell_index(cells)
     out = []
-    for x, y in sorted(s.pairs, key=_skey):
+    for x, y in sorted(s.pairs, key=state_key):
         if kind in (KRIPKE, NEIGHBORHOOD):
             v = _canonical_coupling(
                 c.transition[x], d.transition[y], by_left, by_right, p1, p2

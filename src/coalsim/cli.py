@@ -32,13 +32,13 @@ from .relations import difunctional_closure
 from .simulation import (
     greatest_bisimulation,
     greatest_n_bisimulation,
+    greatest_n_simulation,
     greatest_simulation,
     is_bisimulation,
     is_bisimulation_up_to_difunctionality,
     is_n_bisimulation,
     is_n_simulation,
     is_simulation,
-    n_simulation_chain,
 )
 
 
@@ -47,12 +47,11 @@ def _signature(args, *models):
     return resolve_signature(literal, models)
 
 
-def _emit_relation(args, rel, header=None):
+def _emit_relation(args, rel):
+    """Print the relation's pairs; exit 0 when it has any."""
     if args.json:
         sys.stdout.write(dump_json(relation_to_dict(rel)))
     else:
-        if header:
-            print(header)
         for x, y in rel.sorted_pairs():
             print(f"{x} {y}")
     return 0 if rel.pairs else 1
@@ -114,7 +113,7 @@ def _cmd_greatest(args, bi: bool) -> int:
         if bi:
             rel = greatest_n_bisimulation(c, d, sig, args.n)
         else:
-            rel = n_simulation_chain(c, d, sig, args.n)[args.n]
+            rel = greatest_n_simulation(c, d, sig, args.n)
     elif not bi:
         rel = greatest_simulation(c, d, sig)
     else:
@@ -153,13 +152,7 @@ def _cmd_behavioural(args) -> int:
 
 
 def _cmd_closure(args) -> int:
-    rel = load_relation(args.relation)
-    closed = difunctional_closure(rel)
-    if args.json:
-        sys.stdout.write(dump_json(relation_to_dict(closed)))
-    else:
-        for x, y in closed.sorted_pairs():
-            print(f"{x} {y}")
+    _emit_relation(args, difunctional_closure(load_relation(args.relation)))
     return 0
 
 

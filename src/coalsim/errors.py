@@ -48,9 +48,10 @@ class NotSeparatingError(CoalsimError):
 class QuotientUndefined(CoalsimError):
     """The joint quotient has no well-defined transition structure.
 
-    Carries the offending block and two members whose relabeled transition
-    values disagree; this certifies that the relation does not witness
-    behavioural equivalence.
+    Carries the offending block, as (left states, right states), and two of
+    its members, each as (side, state) with side "left" or "right", whose
+    relabeled transition values disagree; this certifies that the relation
+    does not witness behavioural equivalence.
     """
 
     def __init__(self, block, member_a, value_a, member_b, value_b):
@@ -59,9 +60,11 @@ class QuotientUndefined(CoalsimError):
         self.value_a = value_a
         self.member_b = member_b
         self.value_b = value_b
+        lefts, rights = block
         super().__init__(
-            f"quotient transition ill-defined on block {sorted(map(repr, block))}: "
-            f"{member_a!r} maps to {value_a!r} but {member_b!r} maps to {value_b!r}"
+            f"quotient transition ill-defined on block left={list(lefts)!r} "
+            f"right={list(rights)!r}: {member_a[0]} state {member_a[1]!r} maps to "
+            f"{value_a!r} but {member_b[0]} state {member_b[1]!r} maps to {value_b!r}"
         )
 
 

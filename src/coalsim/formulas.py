@@ -117,7 +117,23 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
+_PREFIX = {"box": BOX, "diamond": DIAMOND, "nbhd": NBHD_BOX}
 _RATIONAL_RE = re.compile(r"\s*(\d+)\s*(?:/\s*(\d+)\s*)?")
+
+# Deepest nesting `parse_formula` accepts, both in the syntax tree's height
+# and in parentheses, prefix operators and implications open at any point.
+# Parsing and evaluation recurse per level; this keeps them far from
+# Python's recursion limit.
+MAX_FORMULA_DEPTH = 100
+
+
+def _height(f: Formula) -> int:
+    """Operators on the longest root-to-leaf path, found without recursion."""
+    height, level = -1, [f]
+    while level:
+        height += 1
+        level = [g for h in level for g in vars(h).values() if isinstance(g, Formula)]
+    return height
 
 
 class _Parser:
@@ -125,6 +141,7 @@ class _Parser:
         self.text = text
         self.sig = sig
         self.pos = 0
+        self.depth = 0
 
     def error(self, message):
         raise ParseError(message, self.pos)
@@ -147,6 +164,21 @@ class _Parser:
             self.error(f"expected {ch!r}")
         self.pos += 1
 
+    def nested(self, parse) -> Formula:
+        """Run `parse` one level deeper, refusing to pass MAX_FORMULA_DEPTH."""
+        if self.depth == MAX_FORMULA_DEPTH:
+            self.error(f"formula nests deeper than {MAX_FORMULA_DEPTH} levels")
+        self.depth += 1
+        f = parse()
+        self.depth -= 1
+        return f
+
+    def natural(self, digits: str) -> int:
+        try:
+            return int(digits)
+        except ValueError:  # Python refuses to convert more than 4300 digits
+            self.error(f"number {digits[:12]}... has too many digits")
+
     def check_kind(self, modality, token, start):
         want = modality_kind(modality)
         if want != self.sig.kind.name:
@@ -158,6 +190,8 @@ class _Parser:
         self.skip_ws()
         if self.pos != len(self.text):
             self.error("unexpected trailing input")
+        if _height(f) > MAX_FORMULA_DEPTH:
+            self.error(f"formula nests deeper than {MAX_FORMULA_DEPTH} levels")
         return f
 
     def parse_implies(self) -> Formula:
@@ -165,7 +199,7 @@ class _Parser:
         m = self.peek()
         if m and m.lastgroup == "arrow":
             self.take(m)
-            right = self.parse_implies()
+            right = self.nested(self.parse_implies)
             return Or(Neg(left), right)
         return left
 
@@ -198,24 +232,13 @@ class _Parser:
         kind = m.lastgroup
         if kind == "punct" and m.group("punct") == "~":
             self.take(m)
-            return Neg(self.parse_unary())
-        if kind == "box":
+            return Neg(self.nested(self.parse_unary))
+        if kind in ("box", "diamond", "nbhd", "gdiamond"):
+            tok = m.group(kind)
             self.take(m)
-            mod = self.check_kind(BOX, "[]", start)
-            return Modal(mod, self.parse_unary())
-        if kind == "diamond":
-            self.take(m)
-            mod = self.check_kind(DIAMOND, "<>", start)
-            return Modal(mod, self.parse_unary())
-        if kind == "nbhd":
-            self.take(m)
-            mod = self.check_kind(NBHD_BOX, "[m]", start)
-            return Modal(mod, self.parse_unary())
-        if kind == "gdiamond":
-            tok = m.group("gdiamond")
-            self.take(m)
-            mod = self.check_kind(diamond_gt(int(tok[1:-1])), tok, start)
-            return Modal(mod, self.parse_unary())
+            mod = _PREFIX[kind] if kind in _PREFIX else diamond_gt(self.natural(tok[1:-1]))
+            mod = self.check_kind(mod, tok, start)
+            return Modal(mod, self.nested(self.parse_unary))
         if kind == "ident" and m.group("ident") in ("L", "M"):
             after = self.text[m.end():m.end() + 1]
             if after == "(":
@@ -226,13 +249,16 @@ class _Parser:
                 if not q:
                     self.error("expected a rational like 1/2")
                 self.pos = q.end()
-                value = Fraction(int(q.group(1)), int(q.group(2) or 1))
+                num, den = self.natural(q.group(1)), self.natural(q.group(2) or "1")
+                if den == 0:
+                    self.error("probability index has denominator 0")
+                value = Fraction(num, den)
                 if not 0 <= value <= 1:
                     self.error(f"probability index {value} is outside [0,1]")
                 self.expect_char(")")
                 mod = at_least(value) if letter == "L" else more_than(value)
                 self.check_kind(mod, f"{letter}({value})", start)
-                return Modal(mod, self.parse_unary())
+                return Modal(mod, self.nested(self.parse_unary))
         return self.parse_primary()
 
     def parse_primary(self) -> Formula:
@@ -243,7 +269,7 @@ class _Parser:
             self.error("expected a formula")
         if m.lastgroup == "punct" and m.group("punct") == "(":
             self.take(m)
-            f = self.parse_implies()
+            f = self.nested(self.parse_implies)
             self.expect_char(")")
             return f
         if m.lastgroup == "ident":

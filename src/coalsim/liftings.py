@@ -43,11 +43,11 @@ from .values import (
     KripkeValue,
     MultisetValue,
     NbhdValue,
-    _skey,
-    _subsets,
     base,
     measure,
     relabel,
+    state_key,
+    subsets,
 )
 
 DEFAULT_MAX_BASE = 16
@@ -66,13 +66,13 @@ def _max_base() -> int:
 
 
 def exhaustive_base(states, what: str) -> list:
-    """The states in `_skey` order, for exhaustive subset quantification.
+    """The states in `state_key` order, for exhaustive subset quantification.
 
     This is the one gate on such quantification: more than COALSIM_MAX_BASE
     states (default 16) raise BudgetError.
     """
     bound = _max_base()
-    items = sorted(states, key=_skey)
+    items = sorted(states, key=state_key)
     if len(items) > bound:
         raise BudgetError(
             f"{what} has {len(items)} states, above the exhaustive bound {bound} "
@@ -364,11 +364,11 @@ def _failures(sig: LambdaSignature, states, what: str, fails):
 
     The one quantification over observations: a nullary modality observes
     only the empty set, any other each subset of `states` (gated by
-    `exhaustive_base`), streamed per modality, in `_subsets` order.
+    `exhaustive_base`), streamed per modality, in `subsets` order.
     """
     items = exhaustive_base(states, what)
     for m in sig.modalities:
-        for a in (frozenset(),) if m.nullary else _subsets(items):
+        for a in (frozenset(),) if m.nullary else subsets(items):
             if fails(m, a):
                 yield m, a
 
@@ -537,7 +537,7 @@ def is_lambda_homomorphism(
     missing = [x for x in c.carrier if x not in f]
     if missing:
         raise ValidationError(f"map is not defined on carrier states {missing}")
-    outside = sorted({f[x] for x in c.carrier} - set(d.carrier), key=_skey)
+    outside = sorted({f[x] for x in c.carrier} - set(d.carrier), key=state_key)
     if outside:
         raise ValidationError(f"map targets states outside the codomain carrier: {outside}")
     return all(

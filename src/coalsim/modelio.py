@@ -39,7 +39,7 @@ from .values import (
     kripke_value,
     multiset_value,
     nbhd_value,
-    _skey,
+    state_key,
 )
 
 _PLAIN_KINDS = {
@@ -122,7 +122,7 @@ def value_to_json(v: FunctorValue, label: Callable = str):
     if isinstance(v, KripkeValue):
         return {
             "props": sorted(v.props),
-            "succ": sorted((label(s) for s in v.succ), key=_skey),
+            "succ": sorted((label(s) for s in v.succ), key=state_key),
         }
     if isinstance(v, MultisetValue):
         return {
@@ -135,8 +135,8 @@ def value_to_json(v: FunctorValue, label: Callable = str):
     if isinstance(v, NbhdValue):
         return {
             "minimals": sorted(
-                (sorted((label(s) for s in m), key=_skey) for m in v.minimals),
-                key=_skey,
+                (sorted((label(s) for s in m), key=state_key) for m in v.minimals),
+                key=state_key,
             )
         }
     raise ValidationError(f"not a transition value: {v!r}")
@@ -151,7 +151,7 @@ def coalgebra_from_dict(doc: dict) -> Coalgebra:
     name = doc["functor"]
     if name == KRIPKE:
         kind = kripke_kind(_strings(doc.get("atoms", []), "atoms"))
-    elif name in _PLAIN_KINDS:
+    elif isinstance(name, str) and name in _PLAIN_KINDS:
         if "atoms" in doc:
             raise ValidationError(f"functor {name!r} takes no atom vocabulary")
         kind = _PLAIN_KINDS[name]
@@ -170,11 +170,10 @@ def coalgebra_to_dict(c: Coalgebra) -> dict:
     doc = {"functor": name, "states": list(c.carrier)}
     if name == KRIPKE:
         doc["atoms"] = list(c.kind.atoms)
-    if name == KRIPKE:
         tr = {
             s: {
                 "props": sorted(c.transition[s].props),
-                "succ": sorted(c.transition[s].succ, key=_skey),
+                "succ": sorted(c.transition[s].succ, key=state_key),
             }
             for s in c.carrier
         }
@@ -191,7 +190,7 @@ def coalgebra_to_dict(c: Coalgebra) -> dict:
         tr = {
             s: {
                 "minimals": sorted(
-                    (sorted(m, key=_skey) for m in c.transition[s].minimals), key=_skey
+                    (sorted(m, key=state_key) for m in c.transition[s].minimals), key=state_key
                 )
             }
             for s in c.carrier
@@ -204,10 +203,10 @@ def _read_json(path: str):
     with open(path, encoding="utf-8") as handle:
         try:
             return json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: not valid JSON: {exc}") from exc
         except UnicodeDecodeError as exc:
             raise ValidationError(f"{path}: not UTF-8 text: {exc}") from exc
+        except ValueError as exc:  # bad syntax, or an integer too long to convert
+            raise ValidationError(f"{path}: not valid JSON: {exc}") from exc
 
 
 def load_coalgebra(path: str) -> Coalgebra:
@@ -215,8 +214,8 @@ def load_coalgebra(path: str) -> Coalgebra:
 
 
 def relation_from_dict(doc: dict, c: Coalgebra = None, d: Coalgebra = None) -> Relation:
-    if not isinstance(doc, dict) or "pairs" not in doc:
-        raise ValidationError("relation document needs a \"pairs\" field")
+    if not isinstance(doc, dict) or not isinstance(doc.get("pairs"), list):
+        raise ValidationError("relation document needs a \"pairs\" list")
     pairs = []
     for raw in doc["pairs"]:
         if not isinstance(raw, (list, tuple)) or len(raw) != 2:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from importlib import resources
 from typing import Callable
 
@@ -23,7 +24,7 @@ from .behaviour import (
     t_bisimulation_check,
 )
 from .errors import InternalCheckError, ValidationError
-from .formulas import evaluate, rank
+from .formulas import evaluate, format_formula, rank
 from .generators import (
     GeneratorConfig,
     generate_coalgebra,
@@ -51,13 +52,13 @@ from .relations import difunctional_closure, identity_relation, relation
 from .simulation import (
     greatest_bisimulation,
     greatest_n_bisimulation,
+    greatest_n_simulation,
     greatest_simulation,
     is_bisimulation,
     is_bisimulation_up_to_difunctionality,
     is_n_bisimulation,
     is_n_simulation,
     is_simulation,
-    n_simulation_chain,
     simulation_fast_path_holds,
 )
 from .values import (
@@ -73,9 +74,9 @@ from .values import (
     enumerate_values,
     kripke_kind,
     relabel,
+    state_key,
+    subsets,
     values_equal,
-    _skey,
-    _subsets,
 )
 
 KIND_POOL = (
@@ -133,8 +134,6 @@ def _random_modality(rng, kind, values):
     if name == MULTISET:
         return diamond_gt(rng.randint(0, 5))
     if name == DISTRIBUTION:
-        from fractions import Fraction
-
         p = Fraction(rng.randint(0, 4), 4)
         return at_least(p) if rng.random() < 0.5 else more_than(p)
     return NBHD_BOX
@@ -179,11 +178,9 @@ def _prop_preservation(trial, seed):
     if not s.pairs:
         return None
     for _ in range(12):
-        x, y = sorted(s.pairs, key=_skey)[rng.randrange(len(s.pairs))]
+        x, y = sorted(s.pairs, key=state_key)[rng.randrange(len(s.pairs))]
         f = random_positive_formula(rng, sig, max_rank=4)
         if evaluate(f, c, x) and not evaluate(f, d, y):
-            from .formulas import format_formula
-
             return _instance_doc(
                 c,
                 d,
@@ -198,17 +195,15 @@ def _prop_rank_preservation(trial, seed):
     rng, c, d = _models(seed + trial, KIND_POOL[trial % 4], max_states=5)
     sig = auto_signature(c, d)
     n = trial % 5
-    s = n_simulation_chain(c, d, sig, n)[n]
+    s = greatest_n_simulation(c, d, sig, n)
     if not s.pairs:
         return None
     for _ in range(12):
-        x, y = sorted(s.pairs, key=_skey)[rng.randrange(len(s.pairs))]
+        x, y = sorted(s.pairs, key=state_key)[rng.randrange(len(s.pairs))]
         f = random_positive_formula(rng, sig, max_rank=n)
         if rank(f) > n:
             raise InternalCheckError("formula generator exceeded its rank bound")
         if evaluate(f, c, x) and not evaluate(f, d, y):
-            from .formulas import format_formula
-
             return _instance_doc(
                 c,
                 d,
@@ -305,7 +300,7 @@ def _prop_t_implies_lambda(trial, seed):
 
 def _all_relations(c, d):
     pool = [(x, y) for x in c.carrier for y in d.carrier]
-    for pairs in _subsets(pool):
+    for pairs in subsets(pool):
         yield relation(c.carrier, d.carrier, pairs)
 
 

@@ -1,12 +1,18 @@
-"""Finite relations between two state carriers."""
+"""Finite relations between two state carriers, and partitions of their union.
+
+A `Partition` holds blocks of (left states, right states).  It is the one
+shape of a difunctional relation, left × right over the blocks.  Refinement
+in `coalsim.behaviour` and the union-find of `Relation.components` build it.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 from .errors import ValidationError
-from .values import _skey
+from .values import state_key
 
 
 @dataclass(frozen=True)
@@ -43,12 +49,12 @@ class Relation:
         """x S y, z S y and z S w imply x S w; equivalently, S equals its closure."""
         return difunctional_closure(self).pairs == self.pairs
 
-    def components(self) -> list:
+    def components(self) -> "Partition":
         """Connected components of the bipartite graph of the relation.
 
-        Each component is (left states, right states), both in carrier order.
-        Components are listed by first member, left carrier before right
-        carrier; a state in no pair is a component of its own.
+        Each block is (left states, right states), both in carrier order.
+        Blocks are listed by first member, left carrier before right
+        carrier; a state in no pair is a block of its own.
         """
         parent = {}
 
@@ -65,7 +71,8 @@ class Relation:
         groups = {}
         for node in [(0, x) for x in self.left] + [(1, y) for y in self.right]:
             groups.setdefault(find(node), ([], []))[node[0]].append(node[1])
-        return [(tuple(lefts), tuple(rights)) for lefts, rights in groups.values()]
+        blocks = tuple((tuple(ls), tuple(rs)) for ls, rs in groups.values())
+        return Partition(self.left, self.right, blocks)
 
     def sorted_pairs(self) -> list:
         li = {s: i for i, s in enumerate(self.left)}
@@ -87,7 +94,7 @@ def relation(left: Iterable, right: Iterable, pairs: Iterable) -> Relation:
     right = tuple(right)
     ls, rs = set(left), set(right)
     pairs = frozenset(tuple(p) for p in pairs)
-    bad = sorted((p for p in pairs if p[0] not in ls or p[1] not in rs), key=_skey)
+    bad = sorted((p for p in pairs if p[0] not in ls or p[1] not in rs), key=state_key)
     if bad:
         raise ValidationError(f"pairs outside the carriers: {bad}")
     return Relation(left, right, pairs)
@@ -110,7 +117,54 @@ def difunctional_closure(s: Relation) -> Relation:
     It relates every left state to every right state of its connected
     component in the bipartite graph of s.
     """
-    pairs = frozenset(
-        (x, y) for lefts, rights in s.components() for x in lefts for y in rights
-    )
-    return Relation(s.left, s.right, pairs)
+    return s.components().cross_relation()
+
+
+@dataclass(frozen=True)
+class Partition:
+    """Blocks over the disjoint union of two carriers.
+
+    Each block is (left states, right states), both in carrier order, and
+    blocks are numbered by first member, left carrier before right carrier.
+    """
+
+    left: tuple
+    right: tuple
+    blocks: tuple
+
+    @cached_property
+    def left_ids(self) -> dict:
+        """Each left state to the number of its block."""
+        return {x: i for i, (lefts, _) in enumerate(self.blocks) for x in lefts}
+
+    @cached_property
+    def right_ids(self) -> dict:
+        """Each right state to the number of its block."""
+        return {y: i for i, (_, rights) in enumerate(self.blocks) for y in rights}
+
+    def same_block(self, x, y) -> bool:
+        return self.left_ids[x] == self.right_ids[y]
+
+    def cross_relation(self) -> Relation:
+        """The difunctional relation of the blocks: left × right, block by block."""
+        return Relation(self.left, self.right, frozenset(
+            (x, y) for lefts, rights in self.blocks for x in lefts for y in rights
+        ))
+
+    def spanning_pairs(self) -> list:
+        """At most |C|+|D| cross pairs that decide the bisimulation condition.
+
+        Per block: each left state with the first right state, and the first
+        left state with each right state.  `certified_equivalence` explains
+        why the condition on these pairs gives it on the whole cross
+        relation.
+        """
+        out = []
+        for lefts, rights in self.blocks:
+            if lefts and rights:
+                out.extend((x, rights[0]) for x in lefts)
+                out.extend((lefts[0], y) for y in rights[1:])
+        return out
+
+    def to_dict(self) -> dict:
+        return {"blocks": [{"left": list(ls), "right": list(rs)} for ls, rs in self.blocks]}

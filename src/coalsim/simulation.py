@@ -36,7 +36,7 @@ from .liftings import (
     per_kind_exact,
 )
 from .relations import Relation, difunctional_closure
-from .values import Coalgebra, _skey, base, relabel
+from .values import Coalgebra, base, relabel, state_key
 
 VIOLATION_CAP = 100
 
@@ -55,7 +55,7 @@ class Violation:
             "left": self.left,
             "right": self.right,
             "modality": self.modality.token(),
-            "witness": [str(s) for s in sorted(self.witness, key=_skey)],
+            "witness": [str(s) for s in sorted(self.witness, key=state_key)],
         }
 
 
@@ -83,11 +83,6 @@ def _check_setup(s: Relation, c: Coalgebra, d: Coalgebra, sig: LambdaSignature):
     _check_kinds(c, d, sig)
     if tuple(s.left) != tuple(c.carrier) or tuple(s.right) != tuple(d.carrier):
         raise ValidationError("relation carriers do not match the models")
-
-
-def _check_depth(n: int) -> None:
-    if n < 0:
-        raise ValidationError(f"depth must be a natural number, got {n}")
 
 
 def _violations(s: Relation, c, d, sig, witness: Relation, direction: str) -> list:
@@ -239,9 +234,9 @@ def _levels(c: Coalgebra, d: Coalgebra, sig: LambdaSignature, both: bool):
     drops its failures only after the round.  The generator stops after the
     first level whose round drops nothing: that level is the chain's limit,
     the greatest (bi)simulation, which contains every (bi)simulation.  The
-    images are updated in place between levels, so a caller that keeps a
-    level copies it (`_relation`).  Pairs are checked in an order fixed by
-    the carriers, so the checks run in the same order on every run.
+    images are updated in place between levels, so `_level` copies the one
+    it returns.  Pairs are checked in an order fixed by the carriers, so the
+    checks run in the same order on every run.
     """
     _check_kinds(c, d, sig)
     yield dict.fromkeys(c.carrier, frozenset(d.carrier))
@@ -273,21 +268,14 @@ def _levels(c: Coalgebra, d: Coalgebra, sig: LambdaSignature, both: bool):
             cimg[y].discard(x)
 
 
-def _relation(c: Coalgebra, d: Coalgebra, img: dict) -> Relation:
-    return Relation(
-        tuple(c.carrier),
-        tuple(d.carrier),
-        frozenset((x, y) for x in c.carrier for y in img[x]),
-    )
-
-
 def _level(c, d, sig, both: bool, n=None) -> Relation:
     """Level n of the chain, or its limit when n is None."""
     if n is not None:
-        _check_depth(n)
+        if n < 0:
+            raise ValidationError(f"depth must be a natural number, got {n}")
         n += 1
     *_, img = islice(_levels(c, d, sig, both), n)
-    return _relation(c, d, img)
+    return Relation(c.carrier, d.carrier, frozenset((x, y) for x in c.carrier for y in img[x]))
 
 
 def greatest_simulation(c: Coalgebra, d: Coalgebra, sig: LambdaSignature) -> Relation:
@@ -304,17 +292,15 @@ def greatest_bisimulation(c: Coalgebra, d: Coalgebra, sig: LambdaSignature) -> R
     return _level(c, d, sig, both=True)
 
 
-def n_simulation_chain(
+def greatest_n_simulation(
     c: Coalgebra, d: Coalgebra, sig: LambdaSignature, n: int
-) -> list:
-    """Greatest depth-k simulations for k = 0..n, as a descending chain.
+) -> Relation:
+    """Greatest depth-n simulation: level n of the chain, or its limit if that comes first.
 
-    Every depth-k simulation is contained in level k, so membership in the
-    chain decides the depth-k property.  Levels past the limit repeat it.
+    Every depth-n simulation is contained in it, so containment decides the
+    depth-n property.
     """
-    _check_depth(n)
-    chain = [_relation(c, d, img) for img in islice(_levels(c, d, sig, False), n + 1)]
-    return chain + chain[-1:] * (n + 1 - len(chain))
+    return _level(c, d, sig, False, n)
 
 
 def is_n_simulation(
@@ -322,7 +308,7 @@ def is_n_simulation(
 ) -> bool:
     """Depth-n simulation test: containment in the greatest depth-n simulation."""
     _check_setup(s, c, d, sig)
-    return s.pairs <= _level(c, d, sig, False, n).pairs
+    return s.pairs <= greatest_n_simulation(c, d, sig, n).pairs
 
 
 def greatest_n_bisimulation(

@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Mapping, Optional
 
-from .values import _skey
+from .values import state_key
 
 
 def _max_flow(n: int, capacity: dict, source: int, sink: int) -> dict:
@@ -101,9 +101,9 @@ def feasible_transport(
         *[v.denominator for v in cols.values()],
         1,
     )
-    supply = {k: int(rows[k] * denom) for k in sorted(rows, key=_skey)}
-    room = {k: int(cols[k] * denom) for k in sorted(cols, key=_skey)}
-    arcs = [(r, c) for r, c in sorted(cells, key=_skey) if r in supply and c in room]
+    supply = {k: int(rows[k] * denom) for k in sorted(rows, key=state_key)}
+    room = {k: int(cols[k] * denom) for k in sorted(cols, key=state_key)}
+    arcs = [(r, c) for r, c in sorted(cells, key=state_key) if r in supply and c in room]
     shipped = ship(supply, room, arcs)
     if shipped is None:
         return None

@@ -28,7 +28,7 @@ NEIGHBORHOOD = "neighborhood"
 _KIND_NAMES = (KRIPKE, MULTISET, DISTRIBUTION, NEIGHBORHOOD)
 
 
-def _skey(x):
+def state_key(x):
     # Deterministic sort key for state labels of any hashable type
     # (strings, ints, pairs); independent of PYTHONHASHSEED.
     return repr(x)
@@ -107,7 +107,7 @@ def multiset_value(weights: Mapping) -> MultisetValue:
             raise ValidationError(f"multiset weight for {s!r} is negative")
         if w > 0:
             cleaned[s] = w
-    return MultisetValue(tuple(sorted(cleaned.items(), key=lambda kv: _skey(kv[0]))))
+    return MultisetValue(tuple(sorted(cleaned.items(), key=lambda kv: state_key(kv[0]))))
 
 
 def dist_value(mass: Mapping) -> DistValue:
@@ -118,7 +118,7 @@ def dist_value(mass: Mapping) -> DistValue:
             raise ValidationError(f"distribution mass for {s!r} is negative")
         if q > 0:
             cleaned[s] = q
-    return DistValue(tuple(sorted(cleaned.items(), key=lambda kv: _skey(kv[0]))))
+    return DistValue(tuple(sorted(cleaned.items(), key=lambda kv: state_key(kv[0]))))
 
 
 def nbhd_value(minimals: Iterable[Iterable]) -> NbhdValue:
@@ -197,7 +197,7 @@ def validate(c: Coalgebra) -> None:
         if vk != c.kind.name:
             problems.append(f"state {s!r}: value kind {vk} does not match model kind {c.kind.name}")
             continue
-        stray = [z for z in sorted(base(t), key=_skey) if z not in carrier]
+        stray = [z for z in sorted(base(t), key=state_key) if z not in carrier]
         if stray:
             problems.append(f"state {s!r}: mentions states outside the carrier: {stray}")
         if isinstance(t, KripkeValue):
@@ -259,7 +259,7 @@ def relabel(t: FunctorValue, f: Mapping) -> FunctorValue:
     """
     missing = [s for s in base(t) if s not in f]
     if missing:
-        raise ValidationError(f"relabel map is not defined on {sorted(missing, key=_skey)}")
+        raise ValidationError(f"relabel map is not defined on {sorted(missing, key=state_key)}")
     if isinstance(t, KripkeValue):
         return KripkeValue(t.props, frozenset(f[s] for s in t.succ))
     if isinstance(t, MultisetValue):
@@ -314,7 +314,7 @@ class EnumerationBudget:
 MAX_NEIGHBORHOOD_STATES = 5
 
 
-def _subsets(items: list) -> Iterator[frozenset]:
+def subsets(items: list) -> Iterator[frozenset]:
     """Every subset of a list, in the order of a binary counter over its positions.
 
     The one subset enumerator of the package (the oracles keep their own);
@@ -336,8 +336,8 @@ def enumerate_values(
     """
     states = list(states)
     if kind.name == KRIPKE:
-        for props in _subsets(list(kind.atoms)):
-            for succ in _subsets(states):
+        for props in subsets(list(kind.atoms)):
+            for succ in subsets(states):
                 yield KripkeValue(props, succ)
     elif kind.name == MULTISET:
         def rec_weights(i, acc):
@@ -364,14 +364,14 @@ def enumerate_values(
                 f"neighborhood enumeration over {len(states)} states exceeds the "
                 f"cap of {MAX_NEIGHBORHOOD_STATES}"
             )
-        subsets = list(_subsets(states))
+        sets = list(subsets(states))
 
         def rec_antichain(i, chosen):
-            if i == len(subsets):
+            if i == len(sets):
                 yield NbhdValue(frozenset(chosen))
                 return
             yield from rec_antichain(i + 1, chosen)
-            cand = subsets[i]
+            cand = sets[i]
             if not any(cand <= m or m <= cand for m in chosen):
                 chosen.append(cand)
                 yield from rec_antichain(i + 1, chosen)

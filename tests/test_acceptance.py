@@ -14,10 +14,10 @@ from coalsim import (
     auto_signature,
     evaluate,
     generate_coalgebra,
+    greatest_n_simulation,
     greatest_simulation,
     is_bisimulation,
     is_bisimulation_up_to_difunctionality,
-    n_simulation_chain,
     random_positive_formula,
     rank,
     run_property_suite,
@@ -111,7 +111,7 @@ def test_ac4_rank_bounded_preservation():
         c = generate_coalgebra(cfg)
         d = generate_coalgebra(replace(cfg, seed=rng.getrandbits(32)))
         sig = auto_signature(c, d)
-        s = n_simulation_chain(c, d, sig, n)[n]
+        s = greatest_n_simulation(c, d, sig, n)
         if not s.pairs:
             return 0, []
         pairs = s.sorted_pairs()

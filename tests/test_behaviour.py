@@ -104,10 +104,9 @@ def test_quotient_witness_identity():
     c = kripke_model({"x": ["y"], "y": []})
     w = quotient_witness(identity_relation(c.carrier), c, c)
     assert len(w.blocks) == len(c.carrier)
+    kappa_left = w.partition.left_ids
     for x in c.carrier:
-        assert values_equal(
-            relabel(c.transition[x], w.kappa_left), w.structure[w.kappa_left[x]]
-        )
+        assert values_equal(relabel(c.transition[x], kappa_left), w.structure[kappa_left[x]])
 
 
 def test_quotient_witness_succeeds_on_behavioural_equivalence():
@@ -392,16 +391,19 @@ def test_feasible_transport_exactness():
 def _merged(part, i, j):
     """The partition with blocks i and j merged into one."""
     rest = tuple(b for k, b in enumerate(part.blocks) if k not in (i, j))
-    return Partition(part.left, part.right, rest + (part.blocks[i] + part.blocks[j],))
+    (li, ri), (lj, rj) = part.blocks[i], part.blocks[j]
+    return Partition(part.left, part.right, rest + ((li + lj, ri + rj),))
 
 
 def _random_partition(rng, part):
-    members = [m for blk in part.blocks for m in blk]
     k = rng.randint(1, 3)
-    groups = [[] for _ in range(k)]
-    for m in members:
-        groups[rng.randrange(k)].append(m)
-    return Partition(part.left, part.right, tuple(tuple(g) for g in groups if g))
+    groups = [([], []) for _ in range(k)]
+    for blk in part.blocks:
+        for side, states in enumerate(blk):
+            for s in states:
+                groups[rng.randrange(k)][side].append(s)
+    blocks = tuple((tuple(ls), tuple(rs)) for ls, rs in groups if ls or rs)
+    return Partition(part.left, part.right, blocks)
 
 
 def test_spanning_pairs_decide_the_bisimulation_condition():
@@ -439,8 +441,8 @@ def test_corrupted_partition_is_caught_by_the_certificate(monkeypatch):
 
     def corrupted(c, d):
         part, depth = true_stabilized(c, d)
-        i = next(k for k, blk in enumerate(part.blocks) if ("L", "x") in blk)
-        j = next(k for k, blk in enumerate(part.blocks) if ("R", "y") in blk)
+        i = next(k for k, (lefts, _) in enumerate(part.blocks) if "x" in lefts)
+        j = next(k for k, (_, rights) in enumerate(part.blocks) if "y" in rights)
         return _merged(part, i, j), depth
 
     monkeypatch.setattr(behaviour, "stabilized_partition", corrupted)
@@ -466,10 +468,11 @@ def test_partition_block_lookups_agree_with_blocks():
     c = kripke_model({"x0": ["x1"], "x1": [], "x2": ["x2"]})
     d = kripke_model({"y0": [], "y1": ["y1"]})
     part, _ = stabilized_partition(c, d)
-    ids = {member: i for i, blk in enumerate(part.blocks) for member in blk}
+    left_ids = {x: i for i, (lefts, _) in enumerate(part.blocks) for x in lefts}
+    right_ids = {y: i for i, (_, rights) in enumerate(part.blocks) for y in rights}
     cross = part.cross_relation().pairs
     for x in c.carrier:
         for y in d.carrier:
-            same = ids[("L", x)] == ids[("R", y)]
+            same = left_ids[x] == right_ids[y]
             assert part.same_block(x, y) == same
             assert ((x, y) in cross) == same

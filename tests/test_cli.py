@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -261,6 +262,8 @@ def _kripke_doc(states, succ=()):
 
 BAD_FILES = {
     "rel": {"pairs": [["x", "x"]]},
+    "pairs_int": {"pairs": 5},
+    "dist": {"functor": "distribution", "states": ["a"], "transition": {"a": {"a": 1}}},
     "states_string": _kripke_doc("ab"),
     "state_list": _kripke_doc([["a"], "b"]),
     "state_bool": _kripke_doc([True, "b"]),
@@ -301,6 +304,16 @@ BAD_INPUTS = [
     ("prop-is-a-list", {}, ("eval", "{props_list}", "a", "true"), "list of strings"),
     ("atom-is-a-list", {}, ("eval", "{atoms_list}", "a", "true"), "list of strings"),
     ("atoms-is-a-string", {}, ("eval", "{atoms_string}", "a", "true"), "list of strings"),
+    ("pairs-not-a-list", {}, ("closure", "{pairs_int}"), '"pairs" list'),
+    ("pairs-not-a-list-with-models", {}, ("check-sim", "{loop}", "{loop}", "{pairs_int}"),
+     '"pairs" list'),
+    ("formula-negations-too-deep", {}, ("eval", "{loop}", "x", "~" * 3000 + "true"),
+     "deeper than 100 levels"),
+    ("formula-parentheses-too-deep", {}, ("eval", "{loop}", "x", "(" * 3000 + "p" + ")" * 3000),
+     "deeper than 100 levels"),
+    ("formula-diamonds-too-deep", {}, ("eval", "{loop}", "x", "<>" * 3000 + "p"),
+     "deeper than 100 levels"),
+    ("formula-zero-denominator", {}, ("eval", "{dist}", "a", "L(1/0) true"), "denominator 0"),
 ]
 
 
@@ -317,6 +330,26 @@ def test_bad_input_exit_two(run, tmp_path, monkeypatch, loop_model, env, argv, e
     code, out, err = run(*(arg.format(**paths) for arg in argv))
     assert code == 2 and out == ""
     assert err.startswith("error: ") and expect in err
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="this Python converts integers of any length",
+)
+def test_numbers_too_long_to_convert_exit_two(run, tmp_path):
+    digits = "9" * 5000
+    doc = '{"functor": "multiset", "states": ["a"], "transition": {"a": {"a": %s}}}'
+    models = {}
+    for name, weight in (("long", digits), ("short", "1")):
+        models[name] = tmp_path / f"{name}.json"
+        models[name].write_text(doc % weight)
+    for argv, expect in (
+        (("eval", str(models["long"]), "a", "true"), "not valid JSON"),
+        (("eval", str(models["short"]), "a", f"<{digits}> true"), "too many digits"),
+    ):
+        code, out, err = run(*argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and expect in err
 
 
 @pytest.mark.parametrize("command", ["greatest-bisim", "behavioural"])

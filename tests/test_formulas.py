@@ -24,7 +24,7 @@ from coalsim import (
     parse_formula,
     rank,
 )
-from coalsim.formulas import BOT, TOP
+from coalsim.formulas import BOT, MAX_FORMULA_DEPTH, TOP
 from coalsim.generators import random_formula
 from coalsim.liftings import BOX, DIAMOND, NBHD_BOX
 
@@ -84,6 +84,33 @@ def test_parse_errors_carry_positions(ksig):
         parse_formula("p p", ksig)
     with pytest.raises(ParseError):
         parse_formula("L(3/2) true", auto_signature(dist_model({"x": {"x": 1}})))
+
+
+def _nested_forms(k):
+    """Formulas k levels deep in each way the parser and the evaluator recurse."""
+    return {
+        "negation": "~" * k + "p",
+        "parentheses": "(" * k + "p" + ")" * k,
+        "diamond": "<> " * k + "p",
+        "conjunction": " & ".join(["p"] * (k + 1)),
+        "implication": " -> ".join(["p"] * k),
+    }
+
+
+def test_formulas_at_the_depth_bound_parse_and_evaluate():
+    c = kripke_model({"x": ["x"]}, atoms=["p"], props={"x": ["p"]})
+    sig = auto_signature(c)
+    for name, text in _nested_forms(MAX_FORMULA_DEPTH).items():
+        f = parse_formula(text, sig)
+        assert evaluate(f, c, "x"), name
+        assert parse_formula(format_formula(f), sig) == f, name
+
+
+@pytest.mark.parametrize("k", [MAX_FORMULA_DEPTH + 1, 3000])
+def test_formulas_past_the_depth_bound_are_rejected(ksig, k):
+    for name, text in _nested_forms(k).items():
+        with pytest.raises(ParseError, match=f"deeper than {MAX_FORMULA_DEPTH} levels"):
+            parse_formula(text, ksig)
 
 
 def test_rank_examples(ksig):

@@ -172,7 +172,7 @@ def test_weighted_check_enumerates_no_subsets(monkeypatch):
     def forbidden(*args):
         raise AssertionError("the weighted pair check enumerated subsets")
 
-    for name in ("_subsets", "measure", "exhaustive_base"):
+    for name in ("subsets", "measure", "exhaustive_base"):
         monkeypatch.setattr(coalsim.liftings, name, forbidden)
     for t, u, img, sig in _weighted_cases(400):
         lifting_check(sig)(t, u, img)

@@ -13,6 +13,7 @@ from coalsim import (
     generate_coalgebra,
     greatest_bisimulation,
     greatest_n_bisimulation,
+    greatest_n_simulation,
     greatest_simulation,
     identity_relation,
     is_bisimulation,
@@ -21,7 +22,6 @@ from coalsim import (
     is_n_simulation,
     is_simulation,
     kripke_kind,
-    n_simulation_chain,
     parse_formula,
     random_relation,
     relation,
@@ -240,7 +240,7 @@ def test_n_simulation_chain_shape():
     c = kripke_model({"x": ["x"]})
     d = kripke_model({"y": []})
     sig = resolve_signature("kripke:diamond", [c, d])
-    chain = n_simulation_chain(c, d, sig, 3)
+    chain = [greatest_n_simulation(c, d, sig, k) for k in range(4)]
     assert len(chain) == 4
     assert chain[0].pairs == full_relation(c.carrier, d.carrier).pairs
     for earlier, later in zip(chain, chain[1:]):
@@ -251,9 +251,8 @@ def test_depth_three_distinction_on_four_chain():
     c = kripke_model({"x0": ["x1"], "x1": ["x2"], "x2": ["x3"], "x3": []})
     d = kripke_model({"y0": ["y1"], "y1": ["y2"], "y2": []})
     sig = resolve_signature("kripke:box,diamond", [c, d])
-    chain = n_simulation_chain(c, d, sig, 3)
-    assert ("x0", "y0") in chain[2].pairs
-    assert ("x0", "y0") not in chain[3].pairs
+    assert ("x0", "y0") in greatest_n_simulation(c, d, sig, 2).pairs
+    assert ("x0", "y0") not in greatest_n_simulation(c, d, sig, 3).pairs
     # independent evidence: a rank-3 positive formula separates the states
     probe = parse_formula("<> <> <> true", sig)
     assert evaluate(probe, c, "x0") and not evaluate(probe, d, "y0")
@@ -280,10 +279,10 @@ def test_n_simulation_chain_matches_recursive_definition_on_tiny_models():
         d = generate_coalgebra(GeneratorConfig(seed=seed + 50, kind=cfg.kind, max_states=2))
         sig = resolve_signature("kripke:box,diamond", [c, d])
         levels = n_simulation_sets(c, d, sig, 3)
-        chain = n_simulation_chain(c, d, sig, 3)
         for n in range(4):
+            greatest = greatest_n_simulation(c, d, sig, n)
             for s in all_relations(c.carrier, d.carrier):
-                assert (s.pairs in levels[n]) == (s.pairs <= chain[n].pairs)
+                assert (s.pairs in levels[n]) == (s.pairs <= greatest.pairs)
 
 
 def test_up_to_difunctionality_examples():
@@ -402,7 +401,7 @@ def test_level_one_on_the_point_equals_the_reference_first_round():
         for both, rel in first.items():
             assert _level_one(c, d, sig, both) == rel.left_images(), (c, d, sig, both)
             shrank += len(rel) < len(c.carrier) * len(d.carrier)
-        assert n_simulation_chain(c, d, sig, 1)[1] == first[False]
+        assert greatest_n_simulation(c, d, sig, 1) == first[False]
         assert greatest_n_bisimulation(c, d, sig, 1) == first[True]
     assert shrank > 100
 
@@ -447,7 +446,8 @@ def test_every_chain_level_equals_the_levels_reference():
         expected = {
             both: list(islice(levels_reference(c, d, sig, both), 5)) for both in (False, True)
         }
-        assert n_simulation_chain(c, d, sig, 4) == expected[False], (c, d, sig)
+        for k, rel in enumerate(expected[False]):
+            assert greatest_n_simulation(c, d, sig, k) == rel, (c, d, sig, k)
         for k, rel in enumerate(expected[True]):
             assert greatest_n_bisimulation(c, d, sig, k) == rel, (c, d, sig, k)
         shrank += expected[False][2] != expected[False][1]
@@ -480,8 +480,9 @@ def test_path_depth_n_chains_make_quadratically_many_pair_checks(monkeypatch):
 
     monkeypatch.setattr(simulation, "lifting_check", counted)
     diagonal = {(f"x{i}", f"y{i}") for i in range(n)}
-    chain = n_simulation_chain(c, d, sig, n)
-    assert chain[n].pairs == diagonal and chain[n // 2].pairs != diagonal
+    assert greatest_n_simulation(c, d, sig, n // 2).pairs != diagonal
+    checks = 0
+    assert greatest_n_simulation(c, d, sig, n).pairs == diagonal
     assert checks <= 2 * n * n, checks
     checks = 0
     assert greatest_n_bisimulation(c, d, sig, n).pairs == diagonal
