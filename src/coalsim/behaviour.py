@@ -10,11 +10,11 @@ a relation's quotient takes its blocks from `Relation.components`, which
 builds the same type.  For a separating signature the stabilized
 partition's cross relation is both behavioural equivalence and
 Λ-bisimilarity, so `behavioural_equivalence` returns it after two cheap
-certificates (see `certified_equivalence`): a non-iterated bisimulation
-check on a spanning set of each block, and an explicit quotient model on the
-blocks whose projection maps commute with the transition structures.  A
-failed certificate raises `InternalCheckError`, so a wrong answer can never
-be returned quietly.  The pair-removal fixpoint `greatest_bisimulation` is
+certificates on the blocks' spanning pairs (see `certified_equivalence`):
+they form a bisimulation up to difunctionality, and they give an explicit
+quotient model whose projection maps commute with the transition
+structures.  A failed certificate raises `InternalCheckError`, so a wrong
+answer can never be returned quietly.  The pair-removal fixpoint `greatest_bisimulation` is
 not run here; the property suite compares it with both of these routes.
 
 Coupling search decides the span-style notion of bisimulation: a relation is
@@ -41,7 +41,7 @@ from .errors import (
 )
 from .liftings import LambdaSignature, ensure_separating
 from .relations import Partition, Relation, difunctional_closure
-from .simulation import is_bisimulation_at
+from .simulation import is_bisimulation_up_to_difunctionality
 from .transport import feasible_transport
 from .values import (
     DISTRIBUTION,
@@ -181,34 +181,28 @@ def certified_equivalence(
     Λ-bisimilarity, and the partition gives maximality.  Two certificates
     guard it, and either failing raises InternalCheckError:
 
-    (a) R is a Λ-bisimulation: one non-iterated check of the condition, in
-        both directions, with images taken under R.  It runs on the
-        partition's spanning pairs only, |C|+|D| checks instead of |R|.
-        That suffices because R, the union of each block's left × right
-        states, is difunctional, so R[R⁻¹[R[A]]] = R[A] for every set A, and
-        every modality (and every fast path) is monotone and sees only the
-        base.  Take x, y in one block with first members x₀, y₀.  If x's
-        value satisfies a modality at A, the forward condition at (x, y₀)
-        makes y₀'s satisfy it at R[A], the backward one at (y₀, x₀) makes
-        x₀'s satisfy it at R⁻¹[R[A]], and the forward one at (x₀, y) makes
-        y's satisfy it at R[R⁻¹[R[A]]] = R[A]: the forward condition holds
-        at (x, y).  The backward condition at (y, x) chains (y, x₀),
-        (x₀, y₀) and (y₀, x) the same way.
-    (b) The quotient construction on R succeeds.
+    (a) R is a Λ-bisimulation: the partition's spanning pairs, |C|+|D| of
+        them instead of |R|, form a bisimulation up to difunctionality
+        (`is_bisimulation_up_to_difunctionality`).  That suffices because
+        they join every left state of a two-sided block to every right state
+        of it by a path, and join nothing else, so their difunctional
+        closure is R, the union of each block's left × right states.
+    (b) The quotient construction on the spanning pairs succeeds.  Their
+        components are R's: the two-sided blocks, and singletons for the rest.
 
     Returns (R, QuotientWitness).  A signature that does not separate the
     models raises NotSeparatingError before any other work.
     """
     ensure_separating(sig, c, d)
     part, _ = stabilized_partition(c, d)
-    rel = part.cross_relation()
-    if not is_bisimulation_at(rel, part.spanning_pairs(), c, d, sig):
+    spanning = Relation(c.carrier, d.carrier, frozenset(part.spanning_pairs()))
+    if not is_bisimulation_up_to_difunctionality(spanning, c, d, sig).holds:
         raise InternalCheckError("stabilized partition is not a bisimulation")
     try:
-        witness = quotient_witness(rel, c, d)
+        witness = quotient_witness(spanning, c, d)
     except QuotientUndefined as exc:
         raise InternalCheckError(f"quotient construction failed: {exc}") from exc
-    return rel, witness
+    return part.cross_relation(), witness
 
 
 def behavioural_equivalence(
@@ -223,12 +217,6 @@ class Coupling:
     """Per-pair transition values over related pairs witnessing a relational span."""
 
     values: tuple  # tuple of ((x, y), FunctorValue over pair states)
-
-    def value_for(self, pair):
-        for p, v in self.values:
-            if p == pair:
-                return v
-        raise KeyError(pair)
 
     def to_dict(self) -> dict:
         from .modelio import value_to_json

@@ -46,8 +46,8 @@ class Relation:
         return Relation(self.left, self.right, self.pairs | other.pairs)
 
     def is_difunctional(self) -> bool:
-        """x S y, z S y and z S w imply x S w; equivalently, S equals its closure."""
-        return difunctional_closure(self).pairs == self.pairs
+        """x S y, z S y and z S w imply x S w: S is left × right on each component."""
+        return len(self.pairs) == sum(len(ls) * len(rs) for ls, rs in self.components().blocks)
 
     def components(self) -> "Partition":
         """Connected components of the bipartite graph of the relation.
@@ -142,8 +142,13 @@ class Partition:
         """Each right state to the number of its block."""
         return {y: i for i, (_, rights) in enumerate(self.blocks) for y in rights}
 
-    def same_block(self, x, y) -> bool:
-        return self.left_ids[x] == self.right_ids[y]
+    def images(self) -> tuple:
+        """Each left state to its block's right states, and each right state to its lefts."""
+        img, cimg = {}, {}
+        for lefts, rights in self.blocks:
+            img.update(dict.fromkeys(lefts, frozenset(rights)))
+            cimg.update(dict.fromkeys(rights, frozenset(lefts)))
+        return img, cimg
 
     def cross_relation(self) -> Relation:
         """The difunctional relation of the blocks: left × right, block by block."""
@@ -155,9 +160,8 @@ class Partition:
         """At most |C|+|D| cross pairs that decide the bisimulation condition.
 
         Per block: each left state with the first right state, and the first
-        left state with each right state.  `certified_equivalence` explains
-        why the condition on these pairs gives it on the whole cross
-        relation.
+        left state with each right state.  Their difunctional closure is the
+        cross relation, so `certified_equivalence` checks them up to it.
         """
         out = []
         for lefts, rights in self.blocks:

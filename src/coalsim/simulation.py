@@ -17,9 +17,9 @@ the depth-n answers read level n and the greatest (bi)simulation is the
 first level that drops nothing.  For signatures that separate the models,
 bisimilarity is decided instead by the certified partition of
 `coalsim.behaviour`, which makes only |C|+|D| pair checks through
-`is_bisimulation_at`.  `greatest_bisimulation` remains the route for
-signatures that do not separate the models and the independent oracle the
-property suite compares that partition against.
+`is_bisimulation_up_to_difunctionality`.  `greatest_bisimulation` remains
+the route for signatures that do not separate the models and the independent
+oracle the property suite compares that partition against.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .liftings import (
     lifting_violations,
     per_kind_exact,
 )
-from .relations import Relation, difunctional_closure
+from .relations import Relation
 from .values import Coalgebra, base, relabel, state_key
 
 VIOLATION_CAP = 100
@@ -85,8 +85,8 @@ def _check_setup(s: Relation, c: Coalgebra, d: Coalgebra, sig: LambdaSignature):
         raise ValidationError("relation carriers do not match the models")
 
 
-def _violations(s: Relation, c, d, sig, witness: Relation, direction: str) -> list:
-    """Violations at the pairs of s in carrier order, images under witness; capped.
+def _violations(s: Relation, c, d, sig, img: dict, direction: str) -> list:
+    """Violations at the pairs of s in carrier order, images from img; capped.
 
     Where the per-kind check is exact for sig, each pair is screened by
     `lifting_check` and the violations are listed only at pairs that fail
@@ -96,7 +96,6 @@ def _violations(s: Relation, c, d, sig, witness: Relation, direction: str) -> li
     """
     ok = lifting_check(sig)
     screen = per_kind_exact(sig)
-    img = witness.left_images()
     out = []
     for x, y in s.sorted_pairs():
         room = VIOLATION_CAP - len(out)
@@ -115,15 +114,15 @@ def is_simulation(
 ) -> SimulationReport:
     """Check the simulation condition for every pair; collect violations in order."""
     _check_setup(s, c, d, sig)
-    violations = _violations(s, c, d, sig, s, "forward")
+    violations = _violations(s, c, d, sig, s.left_images(), "forward")
     return SimulationReport(not violations, tuple(violations))
 
 
-def _bisimulation_report(s, c, d, sig, witness: Relation) -> SimulationReport:
-    """Both directions at the pairs of s, images under witness and its converse."""
+def _bisimulation_report(s, c, d, sig, img: dict, cimg: dict) -> SimulationReport:
+    """Both directions at the pairs of s, images from img and, backward, cimg."""
     _check_setup(s, c, d, sig)
-    violations = _violations(s, c, d, sig, witness, "forward")
-    violations += _violations(s.converse(), d, c, sig, witness.converse(), "backward")
+    violations = _violations(s, c, d, sig, img, "forward")
+    violations += _violations(s.converse(), d, c, sig, cimg, "backward")
     return SimulationReport(not violations, tuple(violations))
 
 
@@ -141,24 +140,7 @@ def is_bisimulation(
     s: Relation, c: Coalgebra, d: Coalgebra, sig: LambdaSignature
 ) -> SimulationReport:
     """Simulation condition for the relation and its converse, reports merged."""
-    return _bisimulation_report(s, c, d, sig, s)
-
-
-def is_bisimulation_at(
-    s: Relation, pairs, c: Coalgebra, d: Coalgebra, sig: LambdaSignature
-) -> bool:
-    """One non-iterated check of the condition at the given pairs, both directions.
-
-    Images are taken under the whole of s (and its converse for the backward
-    direction), so this decides whether s is a bisimulation when `pairs`
-    covers s; callers that know more about s may pass fewer pairs.
-    """
-    _check_setup(s, c, d, sig)
-    ok = lifting_check(sig)
-    img = s.left_images()
-    cimg = s.converse().left_images()
-    ct, dt = c.transition, d.transition
-    return all(ok(ct[x], dt[y], img) and ok(dt[y], ct[x], cimg) for x, y in pairs)
+    return _bisimulation_report(s, c, d, sig, s.left_images(), s.converse().left_images())
 
 
 def _level_one(c: Coalgebra, d: Coalgebra, sig: LambdaSignature, both: bool) -> dict:
@@ -330,7 +312,16 @@ def is_bisimulation_up_to_difunctionality(
 ) -> SimulationReport:
     """Both-direction simulation condition with images under the difunctional closure.
 
-    Holds exactly when the difunctional closure of the relation is a
-    bisimulation, but only the pairs of the relation itself are examined.
+    Holds exactly when the difunctional closure R of s is a bisimulation,
+    but only the pairs of s are examined, with images read from the blocks
+    of `components()`, so R's pairs are never built.  The harder half: R is
+    difunctional, so R[R⁻¹[R[A]]] = R[A] for every set A, and every modality
+    (and every fast path) is monotone and sees only the base.  A path
+    x = x₀ s y₀ s⁻¹ x₁ s y₁ … s yₖ = y joins each x R y.  If x's value
+    satisfies a modality at A, the forward condition at (x₀, y₀) makes y₀'s
+    satisfy it at R[A], the backward one at (y₀, x₁) makes x₁'s satisfy it
+    at R⁻¹[R[A]], the forward one at (x₁, y₁) makes y₁'s satisfy it at
+    R[R⁻¹[R[A]]] = R[A], and so on to y: the forward condition holds at
+    (x, y).  The backward condition at (y, x) runs the path from y's end.
     """
-    return _bisimulation_report(s, c, d, sig, difunctional_closure(s))
+    return _bisimulation_report(s, c, d, sig, *s.components().images())

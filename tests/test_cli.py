@@ -277,6 +277,12 @@ BAD_FILES = {
                      "transition": {"a": {"props": [], "succ": []}}},
     "multiset": {"functor": "multiset", "states": ["a", "b"],
                  "transition": {"a": {"b": 2}, "b": {"a": 1, "b": "inf"}}},
+    "mass_long": {"functor": "distribution", "states": ["a"],
+                  "transition": {"a": {"a": "9" * 5000 + "/" + "x" * 5000}}},
+    "weight_long": {"functor": "multiset", "states": ["a"],
+                    "transition": {"a": {"a": "w" * 20000}}},
+    "states_long": _kripke_doc("s" * 20000),
+    "pair_long": {"pairs": [["x" * 20000]]},
 }
 
 BAD_INPUTS = [
@@ -314,6 +320,10 @@ BAD_INPUTS = [
     ("formula-diamonds-too-deep", {}, ("eval", "{loop}", "x", "<>" * 3000 + "p"),
      "deeper than 100 levels"),
     ("formula-zero-denominator", {}, ("eval", "{dist}", "a", "L(1/0) true"), "denominator 0"),
+    ("mass-too-long", {}, ("eval", "{mass_long}", "a", "true"), "is not a rational: '99999"),
+    ("weight-too-long", {}, ("eval", "{weight_long}", "a", "true"), "got 'wwww"),
+    ("states-too-long", {}, ("eval", "{states_long}", "a", "true"), "list of states, got 'ssss"),
+    ("pair-too-long", {}, ("closure", "{pair_long}"), "two-element list, got ['xxxx"),
 ]
 
 
@@ -330,6 +340,7 @@ def test_bad_input_exit_two(run, tmp_path, monkeypatch, loop_model, env, argv, e
     code, out, err = run(*(arg.format(**paths) for arg in argv))
     assert code == 2 and out == ""
     assert err.startswith("error: ") and expect in err
+    assert len(err) < 500  # a long input value is echoed cut short
 
 
 @pytest.mark.skipif(

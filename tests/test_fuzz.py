@@ -37,6 +37,14 @@ COMMANDS = (
     ("behavioural", "{c}", "{d}", "--witness", "{witness}"),
     ("closure", "{rel}"),
     ("closure", "{rel}", "--json"),
+    ("eval", "{c}", "s0", "true"),
+    ("eval", "{c}", "s0", "~false"),
+    ("nstep", "{c}", "{d}", "--n", "1"),
+    ("nstep", "{c}", "{d}", "--n", "2", "--json"),
+    ("greatest-bisim", "{c}", "{d}"),
+    ("greatest-bisim", "{c}", "{d}", "--n", "1"),
+    ("tbisim", "{c}", "{d}", "{rel}", "--json"),
+    ("tbisim", "{c}", "{d}", "{rel}", "--up-to-difunctional"),
 )
 
 # Values that are wrong in most places of a document: wrong types, unknown
