@@ -93,7 +93,6 @@ from .simulation import (
     is_n_bisimulation,
     is_n_simulation,
     is_simulation,
-    simulation_fast_path_holds,
 )
 from .values import (
     DISTRIBUTION_KIND,

@@ -58,11 +58,12 @@ def _emit_relation(args, rel):
 
 
 def _emit_report(args, report):
+    violations = report.violations  # listed before any output, which a BudgetError would cut
     if args.json:
         sys.stdout.write(dump_json(report.to_dict()))
     else:
         print("holds" if report.holds else "fails")
-        for v in report.violations:
+        for v in violations:
             wit = ",".join(str(s) for s in sorted(v.witness, key=repr))
             print(
                 f"violation [{v.direction}] {v.left} {v.right} "
@@ -219,8 +220,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("right")
     p.add_argument("relation")
     p.add_argument("--bi", action="store_true", help="check both directions")
-    p.add_argument("--n", type=int, help="bounded depth n")
-    p.add_argument(
+    depth_or_closure = p.add_mutually_exclusive_group()
+    depth_or_closure.add_argument("--n", type=int, help="bounded depth n")
+    depth_or_closure.add_argument(
         "--up-to-difunctional",
         action="store_true",
         help="bisimulation up to difunctional closure",

@@ -1,4 +1,12 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and how their messages echo input."""
+
+ECHO_LIMIT = 200  # the longest repr of an input value that a message echoes whole
+
+
+def shown(value) -> str:
+    """The repr of an input value; past ECHO_LIMIT characters it is cut, and says so."""
+    text = repr(value)
+    return text if len(text) <= ECHO_LIMIT else f"{text[:ECHO_LIMIT]}... ({len(text)} characters)"
 
 
 class CoalsimError(Exception):

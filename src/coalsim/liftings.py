@@ -14,8 +14,10 @@ which is recorded in `full_grid`.
 
 This is the one module that knows the one-step (lifting) condition behind
 simulations, bisimulations and the pointwise order (see
-`lifting_violations`); `lifting_check` picks its per-pair test, and
-`lambda_leq` and `distinguishing_pair` quantify it with S the identity.
+`lifting_violations`).  `lifting_check` picks its per-pair test, which
+decides every verdict, `lambda_leq` included: that is the check with S the
+identity.  `lifting_violations` lists the failures for reports, and
+`distinguishing_pair` searches the joint base of two values.
 """
 
 from __future__ import annotations
@@ -497,20 +499,14 @@ def lifting_check(sig: LambdaSignature):
 def lambda_leq(t: FunctorValue, u: FunctorValue, sig: LambdaSignature) -> bool:
     """Pointwise ordering of values: everything t satisfies, u satisfies.
 
-    This is the lifting condition with S the identity.  Quantification runs
-    over subsets of the joint base of the two values, which is equivalent to
-    quantifying over any larger set because satisfaction only sees the base
-    and all modalities are monotone.
+    This is the lifting condition with S the identity, decided by
+    `lifting_check`.  Its sets range over base(t) only, which is equivalent
+    to ranging over the joint base: t sees only A ∩ base(t), and u, being
+    monotone, satisfies at A whatever it satisfies at A ∩ base(t).
     """
     if type(t) is not type(u):
         raise KindMismatchError(f"cannot order {type(t).__name__} against {type(u).__name__}")
-    misses = _failures(
-        sig,
-        base(t) | base(u),
-        "joint base",
-        lambda m, a: satisfies(t, m, a) and not satisfies(u, m, a),
-    )
-    return next(misses, None) is None
+    return lifting_check(sig)(t, u, {z: {z} for z in base(t)})
 
 
 def distinguishing_pair(t: FunctorValue, u: FunctorValue, sig: LambdaSignature):

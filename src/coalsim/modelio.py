@@ -18,7 +18,7 @@ import json
 from fractions import Fraction
 from typing import Callable
 
-from .errors import ValidationError
+from .errors import ValidationError, shown
 from .relations import Relation, relation
 from .values import (
     DISTRIBUTION,
@@ -42,15 +42,6 @@ from .values import (
     state_key,
 )
 
-ECHO_LIMIT = 200  # the longest repr of an input value that a message echoes whole
-
-
-def _shown(value) -> str:
-    """The repr of an input value; past ECHO_LIMIT characters it is cut, and says so."""
-    text = repr(value)
-    return text if len(text) <= ECHO_LIMIT else f"{text[:ECHO_LIMIT]}... ({len(text)} characters)"
-
-
 _PLAIN_KINDS = {
     MULTISET: FunctorKind(MULTISET),
     DISTRIBUTION: FunctorKind(DISTRIBUTION),
@@ -61,7 +52,7 @@ _PLAIN_KINDS = {
 def _states(raw, where: str) -> list:
     """A JSON list of state labels; a label is a string or a non-bool integer."""
     if not isinstance(raw, list):
-        raise ValidationError(f"{where} must be a list of states, got {_shown(raw)}")
+        raise ValidationError(f"{where} must be a list of states, got {shown(raw)}")
     for s in raw:
         _check_state(s, where)
     return raw
@@ -69,13 +60,13 @@ def _states(raw, where: str) -> list:
 
 def _check_state(s, where: str) -> None:
     if not isinstance(s, (str, int)) or isinstance(s, bool):
-        raise ValidationError(f"{where}: state {_shown(s)} is not a string or an integer")
+        raise ValidationError(f"{where}: state {shown(s)} is not a string or an integer")
 
 
 def _strings(raw, where: str) -> list:
     """A JSON list of strings: the atoms of a vocabulary or a state's props."""
     if not isinstance(raw, list) or not all(isinstance(p, str) for p in raw):
-        raise ValidationError(f"{where} must be a list of strings, got {_shown(raw)}")
+        raise ValidationError(f"{where} must be a list of strings, got {shown(raw)}")
     return raw
 
 
@@ -89,7 +80,7 @@ def _parse_weight(raw, state):
         return INF
     if isinstance(raw, int) and not isinstance(raw, bool) and raw >= 0:
         return raw
-    raise ValidationError(f"weight for {_shown(state)} must be a natural or \"inf\", got {_shown(raw)}")
+    raise ValidationError(f"weight for {shown(state)} must be a natural or \"inf\", got {shown(raw)}")
 
 
 def _parse_mass(raw, state):
@@ -97,33 +88,33 @@ def _parse_mass(raw, state):
         try:
             return Fraction(raw)
         except (ValueError, ZeroDivisionError) as exc:
-            raise ValidationError(f"mass for {_shown(state)} is not a rational: {_shown(raw)}") from exc
+            raise ValidationError(f"mass for {shown(state)} is not a rational: {shown(raw)}") from exc
     if isinstance(raw, int) and not isinstance(raw, bool):
         return Fraction(raw)
-    raise ValidationError(f"mass for {_shown(state)} must be \"n/d\" or an integer, got {_shown(raw)}")
+    raise ValidationError(f"mass for {shown(state)} must be \"n/d\" or an integer, got {shown(raw)}")
 
 
 def value_from_json(kind_name: str, raw) -> FunctorValue:
     if kind_name == KRIPKE:
         if not isinstance(raw, dict) or set(raw) - {"props", "succ"}:
-            raise ValidationError(f"kripke value needs props/succ, got {_shown(raw)}")
+            raise ValidationError(f"kripke value needs props/succ, got {shown(raw)}")
         props = _strings(raw.get("props", []), "props")
         return kripke_value(props, _states(raw.get("succ", []), "succ"))
     if kind_name == MULTISET:
         if not isinstance(raw, dict):
-            raise ValidationError(f"multiset value must be a weight map, got {_shown(raw)}")
+            raise ValidationError(f"multiset value must be a weight map, got {shown(raw)}")
         return multiset_value({s: _parse_weight(w, s) for s, w in raw.items()})
     if kind_name == DISTRIBUTION:
         if not isinstance(raw, dict):
-            raise ValidationError(f"distribution value must be a mass map, got {_shown(raw)}")
+            raise ValidationError(f"distribution value must be a mass map, got {shown(raw)}")
         return dist_value({s: _parse_mass(q, s) for s, q in raw.items()})
     if kind_name == NEIGHBORHOOD:
         if not isinstance(raw, dict) or set(raw) != {"minimals"}:
-            raise ValidationError(f"neighborhood value needs minimals, got {_shown(raw)}")
+            raise ValidationError(f"neighborhood value needs minimals, got {shown(raw)}")
         if not isinstance(raw["minimals"], list):
-            raise ValidationError(f"minimals must be a list of state lists, got {_shown(raw)}")
+            raise ValidationError(f"minimals must be a list of state lists, got {shown(raw)}")
         return nbhd_value(_states(m, "minimal set") for m in raw["minimals"])
-    raise ValidationError(f"unknown functor {_shown(kind_name)}")
+    raise ValidationError(f"unknown functor {shown(kind_name)}")
 
 
 def value_to_json(v: FunctorValue, label: Callable = str):
@@ -162,10 +153,10 @@ def coalgebra_from_dict(doc: dict) -> Coalgebra:
         kind = kripke_kind(_strings(doc.get("atoms", []), "atoms"))
     elif isinstance(name, str) and name in _PLAIN_KINDS:
         if "atoms" in doc:
-            raise ValidationError(f"functor {_shown(name)} takes no atom vocabulary")
+            raise ValidationError(f"functor {shown(name)} takes no atom vocabulary")
         kind = _PLAIN_KINDS[name]
     else:
-        raise ValidationError(f"unknown functor {_shown(name)}")
+        raise ValidationError(f"unknown functor {shown(name)}")
     states = _states(doc["states"], "states")
     transition = doc["transition"]
     if not isinstance(transition, dict):
@@ -228,7 +219,7 @@ def relation_from_dict(doc: dict, c: Coalgebra = None, d: Coalgebra = None) -> R
     pairs = []
     for raw in doc["pairs"]:
         if not isinstance(raw, (list, tuple)) or len(raw) != 2:
-            raise ValidationError(f"relation pair must be a two-element list, got {_shown(raw)}")
+            raise ValidationError(f"relation pair must be a two-element list, got {shown(raw)}")
         _check_state(raw[0], "relation pair")
         _check_state(raw[1], "relation pair")
         pairs.append((raw[0], raw[1]))

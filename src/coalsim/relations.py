@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
-from .errors import ValidationError
+from .errors import ValidationError, shown
 from .values import state_key
 
 
@@ -96,7 +96,7 @@ def relation(left: Iterable, right: Iterable, pairs: Iterable) -> Relation:
     pairs = frozenset(tuple(p) for p in pairs)
     bad = sorted((p for p in pairs if p[0] not in ls or p[1] not in rs), key=state_key)
     if bad:
-        raise ValidationError(f"pairs outside the carriers: {bad}")
+        raise ValidationError(f"pairs outside the carriers: {shown(bad)}")
     return Relation(left, right, pairs)
 
 

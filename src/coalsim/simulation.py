@@ -1,10 +1,11 @@
 """Deciding simulations and bisimulations between two finite models.
 
 A relation S is a simulation when every related pair (x, y) meets the
-lifting condition of `coalsim.liftings` with images under S: checked one pair
-at a time by `lifting_check`, or with its failures listed by
-`lifting_violations`.  This module only builds relations, chains and
-reports on top of that condition.
+lifting condition of `coalsim.liftings` with images under S.  Every verdict
+here is `lifting_check` at one pair at a time; a report's verdict stops at
+the first failing pair, and its failures are listed by `lifting_violations`
+only when the report's violations are read.  This module only builds
+relations, chains and reports on top of that condition.
 
 Greatest and bounded-depth answers alike are levels of one descending chain
 from the full relation (`_levels`).  Level 1 keeps the pairs whose values,
@@ -25,7 +26,8 @@ oracle the property suite compares that partition against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
+from functools import cached_property
+from itertools import chain, islice
 
 from .errors import KindMismatchError, ValidationError
 from .liftings import (
@@ -33,7 +35,6 @@ from .liftings import (
     Modality,
     lifting_check,
     lifting_violations,
-    per_kind_exact,
 )
 from .relations import Relation
 from .values import Coalgebra, base, relabel, state_key
@@ -59,10 +60,39 @@ class Violation:
         }
 
 
-@dataclass(frozen=True)
 class SimulationReport:
-    holds: bool
-    violations: tuple
+    """A relation check's verdict, with its violations listed on first read.
+
+    Each direction streams the pairs, in carrier order, that fail
+    `lifting_check` under its images.  `holds` reads up to the first failing
+    pair, and the backward stream only if the forward one has none.
+    `violations` continues the same streams and lists up to VIOLATION_CAP
+    violations per direction, so no pair is checked twice.
+    """
+
+    def __init__(self, sig: LambdaSignature, streams: list):
+        self._sig = sig
+        self._streams = streams  # (direction, images, failing pairs), forward first
+        self.holds = True
+        for i, (direction, img, failing) in enumerate(streams):
+            first = next(failing, None)
+            if first is not None:
+                streams[i] = (direction, img, chain((first,), failing))
+                self.holds = False
+                break
+
+    @cached_property
+    def violations(self) -> tuple:
+        out = []
+        for direction, img, failing in self._streams:
+            room = VIOLATION_CAP
+            for x, y, t, u in failing:
+                found = lifting_violations(t, u, img, self._sig, room)
+                out += (Violation(direction, x, y, m, tuple(a)) for m, a in found)
+                room -= len(found)
+                if room <= 0:
+                    break
+        return tuple(out)
 
     def to_dict(self) -> dict:
         return {"holds": self.holds, "violations": [v.to_dict() for v in self.violations]}
@@ -85,55 +115,28 @@ def _check_setup(s: Relation, c: Coalgebra, d: Coalgebra, sig: LambdaSignature):
         raise ValidationError("relation carriers do not match the models")
 
 
-def _violations(s: Relation, c, d, sig, img: dict, direction: str) -> list:
-    """Violations at the pairs of s in carrier order, images from img; capped.
-
-    Where the per-kind check is exact for sig, each pair is screened by
-    `lifting_check` and the violations are listed only at pairs that fail
-    it, so the list is the same as listing at every pair.  Elsewhere the
-    screen would be the generic search itself, so every pair is listed
-    directly.
-    """
+def _stream(direction: str, s: Relation, c, d, sig, img: dict) -> tuple:
+    """One direction of a report: its images and the failing pairs of s, in carrier order."""
     ok = lifting_check(sig)
-    screen = per_kind_exact(sig)
-    out = []
-    for x, y in s.sorted_pairs():
-        room = VIOLATION_CAP - len(out)
-        if room <= 0:
-            break
-        t, u = c.transition[x], d.transition[y]
-        if screen and ok(t, u, img):
-            continue
-        for m, a in lifting_violations(t, u, img, sig, room):
-            out.append(Violation(direction, x, y, m, tuple(a)))
-    return out
+    pairs = ((x, y, c.transition[x], d.transition[y]) for x, y in s.sorted_pairs())
+    return direction, img, ((x, y, t, u) for x, y, t, u in pairs if not ok(t, u, img))
 
 
 def is_simulation(
     s: Relation, c: Coalgebra, d: Coalgebra, sig: LambdaSignature
 ) -> SimulationReport:
-    """Check the simulation condition for every pair; collect violations in order."""
+    """Check the simulation condition at the pairs of s."""
     _check_setup(s, c, d, sig)
-    violations = _violations(s, c, d, sig, s.left_images(), "forward")
-    return SimulationReport(not violations, tuple(violations))
+    return SimulationReport(sig, [_stream("forward", s, c, d, sig, s.left_images())])
 
 
 def _bisimulation_report(s, c, d, sig, img: dict, cimg: dict) -> SimulationReport:
     """Both directions at the pairs of s, images from img and, backward, cimg."""
     _check_setup(s, c, d, sig)
-    violations = _violations(s, c, d, sig, img, "forward")
-    violations += _violations(s.converse(), d, c, sig, cimg, "backward")
-    return SimulationReport(not violations, tuple(violations))
-
-
-def simulation_fast_path_holds(
-    s: Relation, c: Coalgebra, d: Coalgebra, sig: LambdaSignature
-) -> bool:
-    """Verdict of `lifting_check` at every pair; must agree with is_simulation."""
-    _check_setup(s, c, d, sig)
-    ok = lifting_check(sig)
-    img = s.left_images()
-    return all(ok(c.transition[x], d.transition[y], img) for x, y in s.sorted_pairs())
+    return SimulationReport(sig, [
+        _stream("forward", s, c, d, sig, img),
+        _stream("backward", s.converse(), d, c, sig, cimg),
+    ])
 
 
 def is_bisimulation(

@@ -16,7 +16,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
-from .errors import BudgetError, KindMismatchError, ValidationError
+from .errors import BudgetError, KindMismatchError, ValidationError, shown
 
 INF = float("inf")
 
@@ -176,15 +176,15 @@ def validate(c: Coalgebra) -> None:
     seen = set()
     for s in c.carrier:
         if s in seen:
-            problems.append(f"duplicate carrier state {s!r}")
+            problems.append(f"duplicate carrier state {shown(s)}")
         seen.add(s)
     carrier = frozenset(c.carrier)
     missing = [s for s in c.carrier if s not in c.transition]
     for s in missing:
-        problems.append(f"state {s!r} has no transition value")
+        problems.append(f"state {shown(s)} has no transition value")
     for s in c.transition:
         if s not in carrier:
-            problems.append(f"transition defined on {s!r}, which is not in the carrier")
+            problems.append(f"transition defined on {shown(s)}, which is not in the carrier")
     for s in c.carrier:
         t = c.transition.get(s)
         if t is None:
@@ -192,38 +192,38 @@ def validate(c: Coalgebra) -> None:
         try:
             vk = _value_kind_name(t)
         except KindMismatchError:
-            problems.append(f"state {s!r}: transition value has unknown type {type(t).__name__}")
+            problems.append(f"state {shown(s)}: transition value has unknown type {type(t).__name__}")
             continue
         if vk != c.kind.name:
-            problems.append(f"state {s!r}: value kind {vk} does not match model kind {c.kind.name}")
+            problems.append(f"state {shown(s)}: value kind {vk} does not match model kind {c.kind.name}")
             continue
         stray = [z for z in sorted(base(t), key=state_key) if z not in carrier]
         if stray:
-            problems.append(f"state {s!r}: mentions states outside the carrier: {stray}")
+            problems.append(f"state {shown(s)}: mentions states outside the carrier: {shown(stray)}")
         if isinstance(t, KripkeValue):
             bad = sorted(t.props - set(c.kind.atoms))
             if bad:
-                problems.append(f"state {s!r}: unknown atoms {bad}")
+                problems.append(f"state {shown(s)}: unknown atoms {shown(bad)}")
         elif isinstance(t, MultisetValue):
             for z, w in t.entries:
                 if w == INF:
                     continue
                 if not isinstance(w, int) or isinstance(w, bool) or w < 0:
-                    problems.append(f"state {s!r}: weight {w!r} for {z!r} is not a natural or infinity")
+                    problems.append(f"state {shown(s)}: weight {shown(w)} for {shown(z)} is not a natural or infinity")
                 elif w == 0:
-                    problems.append(f"state {s!r}: stores an explicit zero weight for {z!r}")
+                    problems.append(f"state {shown(s)}: stores an explicit zero weight for {shown(z)}")
         elif isinstance(t, DistValue):
             total = Fraction(0)
             for z, q in t.entries:
                 if not isinstance(q, Fraction) or q <= 0:
-                    problems.append(f"state {s!r}: mass {q!r} for {z!r} is not a positive rational")
+                    problems.append(f"state {shown(s)}: mass {shown(q)} for {shown(z)} is not a positive rational")
                 else:
                     total += q
             if total != 1:
-                problems.append(f"state {s!r}: mass sum {total} != 1")
+                problems.append(f"state {shown(s)}: mass sum {total} != 1")
         elif isinstance(t, NbhdValue):
             if t.minimals != antichain(t.minimals):
-                problems.append(f"state {s!r}: minimal sets are not an antichain")
+                problems.append(f"state {shown(s)}: minimal sets are not an antichain")
     if problems:
         raise ValidationError(problems)
 

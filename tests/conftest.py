@@ -13,6 +13,7 @@ from coalsim import (
     multiset_value,
     nbhd_value,
 )
+from coalsim.liftings import lifting_violations
 
 
 def kripke_model(transitions, atoms=(), props=None):
@@ -39,6 +40,15 @@ def dist_model(transitions):
         DISTRIBUTION_KIND,
         states,
         {s: dist_value({z: Fraction(q) for z, q in w.items()}) for s, w in transitions.items()},
+    )
+
+
+def generic_listing_empty(s, c, d, sig):
+    """Does the generic search list no simulation violation at any pair of s?"""
+    img = s.left_images()
+    return not any(
+        lifting_violations(c.transition[x], d.transition[y], img, sig, 1)
+        for x, y in s.sorted_pairs()
     )
 
 

@@ -143,6 +143,22 @@ def test_check_sim_and_greatest_commands(run, tmp_path):
     assert code == 0
 
 
+def test_depth_and_up_to_difunctional_are_exclusive(run, tmp_path):
+    c = write(tmp_path, "c.json", {
+        "functor": "kripke", "states": ["x", "y"],
+        "transition": {"x": {"props": [], "succ": ["y"]}, "y": {"props": [], "succ": []}},
+    })
+    d = write(tmp_path, "d.json", {
+        "functor": "kripke", "states": ["z"], "transition": {"z": {"props": [], "succ": ["z"]}},
+    })
+    rel = write(tmp_path, "rel.json", {"pairs": [["x", "z"]]})
+    assert run("check-sim", c, d, rel, "--n", "1")[:2] == (0, "holds\n")
+    assert run("check-sim", c, d, rel, "--up-to-difunctional")[0] == 1
+    code, out, err = run("check-sim", c, d, rel, "--up-to-difunctional", "--n", "1")
+    assert code == 2 and out == ""
+    assert "argument --n: not allowed with argument --up-to-difunctional" in err
+
+
 def test_nstep_and_behavioural_with_witness(run, tmp_path):
     cyc = write(
         tmp_path,
@@ -283,6 +299,14 @@ BAD_FILES = {
                     "transition": {"a": {"a": "w" * 20000}}},
     "states_long": _kripke_doc("s" * 20000),
     "pair_long": {"pairs": [["x" * 20000]]},
+    "succ_long": {"functor": "kripke", "states": ["a"],
+                  "transition": {"a": {"props": [], "succ": ["s" * 20000]}}},
+    "key_long": {"functor": "kripke", "states": ["a"],
+                 "transition": {"a": {"props": [], "succ": []},
+                                "k" * 20000: {"props": [], "succ": []}}},
+    "prop_long": {"functor": "kripke", "atoms": ["p"], "states": ["a"],
+                  "transition": {"a": {"props": ["p" * 20000], "succ": []}}},
+    "pair_state_long": {"pairs": [["x", "y" * 20000]]},
 }
 
 BAD_INPUTS = [
@@ -324,6 +348,13 @@ BAD_INPUTS = [
     ("weight-too-long", {}, ("eval", "{weight_long}", "a", "true"), "got 'wwww"),
     ("states-too-long", {}, ("eval", "{states_long}", "a", "true"), "list of states, got 'ssss"),
     ("pair-too-long", {}, ("closure", "{pair_long}"), "two-element list, got ['xxxx"),
+    ("successor-too-long", {}, ("eval", "{succ_long}", "a", "true"),
+     "outside the carrier: ['ssss"),
+    ("transition-key-too-long", {}, ("eval", "{key_long}", "a", "true"),
+     "transition defined on 'kkkk"),
+    ("prop-too-long", {}, ("eval", "{prop_long}", "a", "true"), "unknown atoms ['pppp"),
+    ("pair-state-too-long", {}, ("check-sim", "{loop}", "{loop}", "{pair_state_long}"),
+     "pairs outside the carriers: [('x', 'yyyy"),
 ]
 
 

@@ -1,7 +1,8 @@
 """Fuzzing the loaders and the command line with valid and mutated documents.
 
 Every call must end in exit 0, 1 or 2 and raise nothing.  Exit 2 means a bad
-input: stdout stays empty and stderr starts with `error: `.
+input: stdout stays empty and stderr starts with `error: `, or, for a flag
+combination that argparse rejects, with its usage line.
 """
 
 import contextlib
@@ -45,6 +46,11 @@ COMMANDS = (
     ("greatest-bisim", "{c}", "{d}", "--n", "1"),
     ("tbisim", "{c}", "{d}", "{rel}", "--json"),
     ("tbisim", "{c}", "{d}", "{rel}", "--up-to-difunctional"),
+)
+# Flag combinations that argparse rejects, with its usage line, before any
+# document is read.
+USAGE_ERRORS = (
+    ("check-sim", "{c}", "{d}", "{rel}", "--up-to-difunctional", "--n", "1"),
 )
 
 # Values that are wrong in most places of a document: wrong types, unknown
@@ -120,7 +126,7 @@ def test_cli_survives_valid_and_mutated_documents(data):
     target = data.draw(st.sampled_from([None, "c", "d", "rel"]))
     if target is not None:
         docs[target] = data.draw(mutated(docs[target]))
-    command = data.draw(st.sampled_from(COMMANDS))
+    command = data.draw(st.sampled_from(COMMANDS + USAGE_ERRORS))
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         paths = {"witness": os.path.join(tmp, "witness.json")}
@@ -131,6 +137,9 @@ def test_cli_survives_valid_and_mutated_documents(data):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli_dispatch([arg.format(**paths) for arg in command])
     assert code in (0, 1, 2), (command, docs)
-    if code == 2:
+    if command in USAGE_ERRORS:
+        assert code == 2 and out.getvalue() == "", (command, docs)
+        assert err.getvalue().startswith("usage: "), (command, err.getvalue())
+    elif code == 2:
         assert out.getvalue() == "", (command, docs)
         assert err.getvalue().startswith("error: "), (command, docs, err.getvalue())

@@ -34,14 +34,13 @@ from coalsim import (
     relation,
     resolve_signature,
     satisfies,
-    simulation_fast_path_holds,
     values_equal,
 )
 from coalsim.behaviour import certified_equivalence
 from coalsim.liftings import graded_bound, prob_grid
 from coalsim.values import INF
 
-from conftest import dist_model, kripke_model, multiset_model, nbhd_model
+from conftest import dist_model, generic_listing_empty, kripke_model, multiset_model, nbhd_model
 
 
 def test_satisfies_box_diamond_atoms():
@@ -253,9 +252,9 @@ def test_max_base_bound_env_override(monkeypatch):
     c = kripke_model({"a": []})
     sig = resolve_signature("kripke:diamond", [c])
     with pytest.raises(BudgetError):
-        lambda_leq(big, big, sig)
+        distinguishing_pair(big, big, sig)
     monkeypatch.setenv("COALSIM_MAX_BASE", "25")
-    assert lambda_leq(big, big, sig)
+    assert distinguishing_pair(big, big, sig) is None
 
 
 def test_hand_built_grid_claims_no_cover():
@@ -266,7 +265,7 @@ def test_hand_built_grid_claims_no_cover():
     s = relation(c.carrier, d.carrier, [("a", "b"), ("x", "y")])
     assert is_simulation(s, c, d, sig).holds
     assert brute_force_simulation_oracle(s, c, d, sig)
-    assert simulation_fast_path_holds(s, c, d, sig)
+    assert generic_listing_empty(s, c, d, sig)
     assert s.pairs <= greatest_simulation(c, d, sig).pairs
     assert not sig.full_grid
 

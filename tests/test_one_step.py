@@ -13,6 +13,7 @@ from coalsim import (
     INF,
     MULTISET_KIND,
     NEIGHBORHOOD_KIND,
+    BudgetError,
     GeneratorConfig,
     LambdaSignature,
     auto_signature,
@@ -29,6 +30,7 @@ from coalsim import (
     lambda_leq,
     multiset_value,
     random_relation,
+    relation,
     resolve_signature,
 )
 from coalsim.liftings import (
@@ -198,12 +200,14 @@ def _listed(report):
 
 @pytest.mark.parametrize("cap", [100, 2])
 def test_screened_reports_match_reference(monkeypatch, cap):
-    def searched_twice(*args):
-        raise AssertionError("a report screened a pair with the generic search")
+    generic = coalsim.liftings._pair_ok_generic
 
-    # Where no per-kind check is exact the screen would be the listing's own
-    # search, so reports list those pairs directly.
-    monkeypatch.setattr(coalsim.liftings, "_pair_ok_generic", searched_twice)
+    def generic_only_where_needed(sig, *args):
+        assert not per_kind_exact(sig), "a report ran the generic search under an exact check"
+        return generic(sig, *args)
+
+    # The generic search decides a pair only where no per-kind check is exact.
+    monkeypatch.setattr(coalsim.liftings, "_pair_ok_generic", generic_only_where_needed)
     monkeypatch.setattr(coalsim.simulation, "VIOLATION_CAP", cap)
     rng = random.Random(23)
     failing = partial_grids = 0
@@ -225,6 +229,56 @@ def test_screened_reports_match_reference(monkeypatch, cap):
             assert _listed(report) == expected and report.holds == (not expected)
         failing += bool(forward)
     assert failing > 100 and partial_grids > 10
+
+
+def test_reports_stop_at_the_first_failure_and_check_no_pair_twice(monkeypatch):
+    verdicts = []
+    real = coalsim.simulation.lifting_check
+
+    def recorded(sig):
+        ok = real(sig)
+
+        def check(t, u, img):
+            verdicts.append(ok(t, u, img))
+            return verdicts[-1]
+
+        return check
+
+    monkeypatch.setattr(coalsim.simulation, "lifting_check", recorded)
+    monkeypatch.setattr(coalsim.simulation, "VIOLATION_CAP", 10**6)
+    rng = random.Random(31)
+    stopped_early = 0
+    for _, c, d, sig in _seeded_cases(120):
+        if not per_kind_exact(sig):
+            continue
+        s = random_relation(rng, c, d)
+        for check, directions in (
+            (is_simulation, 1),
+            (is_bisimulation, 2),
+            (is_bisimulation_up_to_difunctionality, 2),
+        ):
+            verdicts.clear()
+            report = check(s, c, d, sig)
+            # The verdict reads pairs up to the first failing one.
+            assert verdicts.count(False) == (not report.holds)
+            assert report.holds or verdicts[-1] is False
+            stopped_early += len(verdicts) < directions * len(s)
+            # The listing continues from there and checks every other pair once.
+            listed = {(v.direction, v.left, v.right) for v in report.violations}
+            assert len(verdicts) == directions * len(s)
+            assert verdicts.count(False) == len(listed)
+    assert stopped_early > 50
+
+
+def test_failing_wide_support_verdict_needs_no_budget():
+    support = [f"s{i}" for i in range(20)]
+    c = dist_model({"x": {z: Fraction(1, 20) for z in support}, **{z: {z: 1} for z in support}})
+    d = dist_model({"y": {"y": 1}})
+    report = is_simulation(relation(c.carrier, d.carrier, [("x", "y")]), c, d, auto_signature(c, d))
+    assert report.holds is False
+    # Listing the violation still enumerates the subsets of x's base.
+    with pytest.raises(BudgetError, match="value base has 20 states"):
+        report.violations
 
 
 def test_wide_support_distribution_needs_no_budget():

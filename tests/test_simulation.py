@@ -5,8 +5,10 @@ import pytest
 
 from coalsim import (
     DIAMOND,
+    PROPERTIES,
     GeneratorConfig,
     auto_signature,
+    behavioural_equivalence,
     difunctional_closure,
     evaluate,
     full_relation,
@@ -26,13 +28,13 @@ from coalsim import (
     random_relation,
     relation,
     resolve_signature,
-    simulation_fast_path_holds,
+    run_property_suite,
 )
 from coalsim import simulation
 from coalsim.errors import ValidationError
 from coalsim.simulation import _level_one
 
-from conftest import dist_model, kripke_model, multiset_model, nbhd_model
+from conftest import dist_model, generic_listing_empty, kripke_model, multiset_model, nbhd_model
 from oracle_helpers import (
     all_relations,
     difunctional_closure_oracle,
@@ -162,8 +164,36 @@ def test_fast_paths_agree_with_generic_engine():
         for sig in sigs:
             assert (
                 is_simulation(s, c, d, sig).holds
-                == simulation_fast_path_holds(s, c, d, sig)
+                == generic_listing_empty(s, c, d, sig)
             )
+
+
+def test_verdicts_never_list_violations(monkeypatch):
+    def listed(*args):
+        raise AssertionError("a verdict listed violations")
+
+    monkeypatch.setattr(simulation, "lifting_violations", listed)
+    rng = random.Random(8)
+    kinds = [kripke_kind(("p",)), multiset_model({"u": {}}).kind,
+             dist_model({"u": {"u": 1}}).kind, nbhd_model({"u": []}).kind]
+    verdicts = {True: 0, False: 0}
+    for trial in range(40):
+        kind = kinds[trial % 4]
+        c = generate_coalgebra(GeneratorConfig(seed=trial, kind=kind, max_states=4))
+        d = generate_coalgebra(GeneratorConfig(seed=trial + 900, kind=kind, max_states=4))
+        sigs = [auto_signature(c, d)]
+        if kind.name == "multiset":
+            sigs.append(resolve_signature("graded:0..0", [c, d]))
+        for sig in sigs:
+            for s in (random_relation(rng, c, d), greatest_simulation(c, d, sig),
+                      greatest_bisimulation(c, d, sig)):
+                for check in (is_simulation, is_bisimulation,
+                              is_bisimulation_up_to_difunctionality):
+                    verdicts[check(s, c, d, sig).holds] += 1
+        behavioural_equivalence(c, d, sigs[0])
+    assert min(verdicts.values()) > 50
+    for name in PROPERTIES:
+        run_property_suite(name, 3, 0)
 
 
 def test_greatest_simulation_contains_identity_and_deadlock_pairs():
