@@ -1,7 +1,10 @@
 """Simulation, bisimulation, and behavioural-equivalence checking for finite
 state-based models over four functor kinds: Kripke frames with propositions,
 multisets (graded transitions), exact rational probability distributions, and
-monotone neighborhood systems."""
+monotone neighborhood systems.
+
+This package exports the engine.  The verification layer is imported by
+module: `coalsim.generators`, `coalsim.oracles`, `coalsim.properties`."""
 
 from .behaviour import (
     Coupling,
@@ -41,13 +44,6 @@ from .formulas import (
     parse_formula,
     rank,
 )
-from .generators import (
-    GeneratorConfig,
-    generate_coalgebra,
-    random_formula,
-    random_positive_formula,
-    random_relation,
-)
 from .liftings import (
     BOX,
     DIAMOND,
@@ -58,20 +54,10 @@ from .liftings import (
     atom,
     auto_signature,
     diamond_gt,
-    distinguishing_pair,
     ensure_separating,
-    is_lambda_homomorphism,
-    lambda_leq,
     more_than,
     resolve_signature,
     satisfies,
-)
-from .oracles import brute_force_simulation_oracle
-from .properties import (
-    PROPERTIES,
-    PropertyRunReport,
-    run_property_suite,
-    theorem_matrix,
 )
 from .relations import (
     Partition,
@@ -101,7 +87,6 @@ from .values import (
     NEIGHBORHOOD_KIND,
     Coalgebra,
     DistValue,
-    EnumerationBudget,
     FunctorKind,
     KripkeValue,
     MultisetValue,
@@ -110,7 +95,6 @@ from .values import (
     base,
     coalgebra,
     dist_value,
-    enumerate_values,
     kripke_kind,
     kripke_value,
     multiset_value,

@@ -1,6 +1,7 @@
 """Exception types shared across the package, and how their messages echo input."""
 
 ECHO_LIMIT = 200  # the longest repr of an input value that a message echoes whole
+PROBLEM_LIMIT = 10  # the most problems a ValidationError message lists
 
 
 def shown(value) -> str:
@@ -14,13 +15,21 @@ class CoalsimError(Exception):
 
 
 class ValidationError(CoalsimError):
-    """A model, relation, map, or configuration violates its invariants."""
+    """A model, relation, map, or configuration violates its invariants.
+
+    `violations` keeps every problem; the message lists the first
+    PROBLEM_LIMIT and counts the rest.
+    """
 
     def __init__(self, violations):
         if isinstance(violations, str):
             violations = [violations]
         self.violations = list(violations)
-        super().__init__("; ".join(self.violations))
+        message = "; ".join(self.violations[:PROBLEM_LIMIT])
+        rest = len(self.violations) - PROBLEM_LIMIT
+        if rest > 0:
+            message += f"; ... and {rest} more problems"
+        super().__init__(message)
 
 
 class KindMismatchError(CoalsimError):

@@ -1,8 +1,10 @@
-"""Seeded random models, relations, and formulas.
+"""Seeded random models, relations, and formulas, and exhaustive value pools.
 
 Every generator is driven by an explicit seed and touches only ordered
 containers, so identical configurations reproduce identical artifacts byte
-for byte across runs and platforms.
+for byte across runs and platforms.  `enumerate_values` lists every value
+over a small state set within a budget, for the property suite's exhaustive
+checks; the engine never enumerates values.
 """
 
 from __future__ import annotations
@@ -10,10 +12,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable, Iterator
 
-from .errors import ValidationError
+from .errors import BudgetError, KindMismatchError, ValidationError
 from .formulas import BOT, TOP, And, Formula, Modal, Neg, Or
-from .liftings import LambdaSignature
+from .liftings import LambdaSignature, subsets
 from .relations import Relation, relation
 from .values import (
     DISTRIBUTION,
@@ -23,6 +26,9 @@ from .values import (
     NEIGHBORHOOD,
     Coalgebra,
     FunctorKind,
+    FunctorValue,
+    KripkeValue,
+    NbhdValue,
     antichain,
     coalgebra,
     dist_value,
@@ -142,3 +148,88 @@ def random_formula(
     if fuel > 0 and rng.random() < 0.25:
         return Neg(random_formula(rng, sig, max_rank, fuel - 1))
     return random_positive_formula(rng, sig, max_rank, fuel)
+
+
+@dataclass(frozen=True)
+class EnumerationBudget:
+    """Caps for exhaustive value enumeration on a fixed state set."""
+
+    max_weight: int = 2
+    denominators: tuple = (1, 2, 3, 4)
+
+
+# Largest state set whose neighborhood values `enumerate_values` lists:
+# 7,581 antichains over 5 states, 7,828,354 over 6.
+MAX_NEIGHBORHOOD_STATES = 5
+
+
+def enumerate_values(
+    kind: FunctorKind, states: Iterable, budget: EnumerationBudget = EnumerationBudget()
+) -> Iterator[FunctorValue]:
+    """Yield all values over the given states within the budget.
+
+    Complete for the full value space over the states for Kripke and
+    neighborhood kinds; multiset and distribution enumerations are complete
+    for the finite sub-universe the budget describes (weight cap, mass
+    denominators from the given grid).
+    """
+    states = list(states)
+    if kind.name == KRIPKE:
+        for props in subsets(list(kind.atoms)):
+            for succ in subsets(states):
+                yield KripkeValue(props, succ)
+    elif kind.name == MULTISET:
+        def rec_weights(i, acc):
+            if i == len(states):
+                yield multiset_value(acc)
+                return
+            for w in range(budget.max_weight + 1):
+                acc[states[i]] = w
+                yield from rec_weights(i + 1, acc)
+            del acc[states[i]]
+
+        yield from rec_weights(0, {})
+    elif kind.name == DISTRIBUTION:
+        seen = set()
+        for d in budget.denominators:
+            for parts in _compositions(d, len(states)):
+                v = dist_value({s: Fraction(p, d) for s, p in zip(states, parts) if p})
+                if v not in seen:
+                    seen.add(v)
+                    yield v
+    elif kind.name == NEIGHBORHOOD:
+        if len(states) > MAX_NEIGHBORHOOD_STATES:
+            raise BudgetError(
+                f"neighborhood enumeration over {len(states)} states exceeds the "
+                f"cap of {MAX_NEIGHBORHOOD_STATES}"
+            )
+        sets = list(subsets(states))
+
+        def rec_antichain(i, chosen):
+            if i == len(sets):
+                yield NbhdValue(frozenset(chosen))
+                return
+            yield from rec_antichain(i + 1, chosen)
+            cand = sets[i]
+            if not any(cand <= m or m <= cand for m in chosen):
+                chosen.append(cand)
+                yield from rec_antichain(i + 1, chosen)
+                chosen.pop()
+
+        yield from rec_antichain(0, [])
+    else:
+        raise KindMismatchError(f"unknown functor kind {kind.name!r}")
+
+
+def _compositions(total: int, parts: int) -> Iterator[tuple]:
+    """All tuples of `parts` naturals summing to `total`."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for rest in _compositions(total - head, parts - 1):
+            yield (head,) + rest

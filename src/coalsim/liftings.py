@@ -13,11 +13,11 @@ graded and probabilistic kinds the finite list is a grid; grids produced by
 which is recorded in `full_grid`.
 
 This is the one module that knows the one-step (lifting) condition behind
-simulations, bisimulations and the pointwise order (see
-`lifting_violations`).  `lifting_check` picks its per-pair test, which
-decides every verdict, `lambda_leq` included: that is the check with S the
-identity.  `lifting_violations` lists the failures for reports, and
-`distinguishing_pair` searches the joint base of two values.
+simulations and bisimulations (see `lifting_violations`).  `lifting_check`
+picks its per-pair test, which decides every verdict, and
+`lifting_violations` lists the failures for reports.  It is also the one
+place the engine enumerates subsets: `subsets`, behind the gate
+`exhaustive_base`.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from fractions import Fraction
 from functools import partial
 from itertools import islice
 from math import lcm
-from typing import Mapping, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .errors import BudgetError, KindMismatchError, NotSeparatingError, ValidationError
 from .transport import ship
@@ -47,9 +47,7 @@ from .values import (
     NbhdValue,
     base,
     measure,
-    relabel,
     state_key,
-    subsets,
 )
 
 DEFAULT_MAX_BASE = 16
@@ -81,6 +79,17 @@ def exhaustive_base(states, what: str) -> list:
             f"(override with COALSIM_MAX_BASE)"
         )
     return items
+
+
+def subsets(items: list) -> Iterator[frozenset]:
+    """Every subset of a list, in the order of a binary counter over its positions.
+
+    The one subset enumerator of the package (the brute-force simulation
+    oracle keeps its own); its order fixes the order in which violations and
+    witnesses are reported.
+    """
+    for mask in range(1 << len(items)):
+        yield frozenset(items[i] for i in range(len(items)) if mask >> i & 1)
 
 
 @dataclass(frozen=True)
@@ -361,28 +370,18 @@ def _image(a, img) -> frozenset:
     return frozenset().union(*map(img.__getitem__, a))
 
 
-def _failures(sig: LambdaSignature, states, what: str, fails):
-    """The observations (modality, set A) of sig at which `fails` holds, in order.
+def _misses(t, u, img, sig):
+    """Where the lifting condition fails: t satisfies m at A, u not at S[A].
 
-    The one quantification over observations: a nullary modality observes
-    only the empty set, any other each subset of `states` (gated by
-    `exhaustive_base`), streamed per modality, in `subsets` order.
+    The one quantification over observations (modality m, set A): a nullary
+    modality observes only the empty set, any other each subset of base(t)
+    (gated by `exhaustive_base`), streamed per modality, in `subsets` order.
     """
-    items = exhaustive_base(states, what)
+    items = exhaustive_base(base(t), "value base")
     for m in sig.modalities:
         for a in (frozenset(),) if m.nullary else subsets(items):
-            if fails(m, a):
+            if satisfies(t, m, a) and not satisfies(u, m, _image(a, img)):
                 yield m, a
-
-
-def _misses(t, u, img, sig):
-    """Where the lifting condition fails: t satisfies m at A, u not at S[A]."""
-    return _failures(
-        sig,
-        base(t),
-        "value base",
-        lambda m, a: satisfies(t, m, a) and not satisfies(u, m, _image(a, img)),
-    )
 
 
 def lifting_violations(
@@ -494,49 +493,3 @@ def lifting_check(sig: LambdaSignature):
     """
     _max_base()
     return partial(_pair_ok_fast if per_kind_exact(sig) else _pair_ok_generic, sig)
-
-
-def lambda_leq(t: FunctorValue, u: FunctorValue, sig: LambdaSignature) -> bool:
-    """Pointwise ordering of values: everything t satisfies, u satisfies.
-
-    This is the lifting condition with S the identity, decided by
-    `lifting_check`.  Its sets range over base(t) only, which is equivalent
-    to ranging over the joint base: t sees only A ∩ base(t), and u, being
-    monotone, satisfies at A whatever it satisfies at A ∩ base(t).
-    """
-    if type(t) is not type(u):
-        raise KindMismatchError(f"cannot order {type(t).__name__} against {type(u).__name__}")
-    return lifting_check(sig)(t, u, {z: {z} for z in base(t)})
-
-
-def distinguishing_pair(t: FunctorValue, u: FunctorValue, sig: LambdaSignature):
-    """A (modality, state set) satisfied by exactly one of the two values.
-
-    Returns None when no subset of the joint base distinguishes them; for a
-    separating signature this certifies the values are equal.
-    """
-    if type(t) is not type(u):
-        raise KindMismatchError(f"cannot compare {type(t).__name__} against {type(u).__name__}")
-    differs = _failures(
-        sig,
-        base(t) | base(u),
-        "joint base",
-        lambda m, a: satisfies(t, m, a) != satisfies(u, m, a),
-    )
-    return next(differs, None)
-
-
-def is_lambda_homomorphism(
-    f: Mapping, c: Coalgebra, d: Coalgebra, sig: LambdaSignature
-) -> bool:
-    """Pointwise criterion: the pushed-forward value of x sits below the value of f(x)."""
-    missing = [x for x in c.carrier if x not in f]
-    if missing:
-        raise ValidationError(f"map is not defined on carrier states {missing}")
-    outside = sorted({f[x] for x in c.carrier} - set(d.carrier), key=state_key)
-    if outside:
-        raise ValidationError(f"map targets states outside the codomain carrier: {outside}")
-    return all(
-        lambda_leq(relabel(c.transition[x], f), d.transition[f[x]], sig)
-        for x in c.carrier
-    )

@@ -26,7 +26,9 @@ from .behaviour import (
 from .errors import InternalCheckError, ValidationError
 from .formulas import evaluate, format_formula, rank
 from .generators import (
+    EnumerationBudget,
     GeneratorConfig,
+    enumerate_values,
     generate_coalgebra,
     random_positive_formula,
     random_relation,
@@ -36,18 +38,21 @@ from .liftings import (
     at_least,
     atom,
     diamond_gt,
-    lambda_leq,
-    is_lambda_homomorphism,
-    distinguishing_pair,
     lifting_violations,
     more_than,
     satisfies,
+    subsets,
     BOX,
     DIAMOND,
     NBHD_BOX,
 )
 from .modelio import coalgebra_to_dict, relation_to_dict
-from .oracles import brute_force_simulation_oracle
+from .oracles import (
+    brute_force_simulation_oracle,
+    distinguishing_pair,
+    is_lambda_homomorphism,
+    lambda_leq,
+)
 from .relations import difunctional_closure, identity_relation, relation
 from .simulation import (
     greatest_bisimulation,
@@ -68,13 +73,10 @@ from .values import (
     MULTISET_KIND,
     NEIGHBORHOOD_KIND,
     Coalgebra,
-    EnumerationBudget,
     base,
-    enumerate_values,
     kripke_kind,
     relabel,
     state_key,
-    subsets,
     values_equal,
 )
 

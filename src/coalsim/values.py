@@ -7,6 +7,7 @@ rational probability distribution, or a monotone neighborhood system stored
 as the antichain of its minimal sets.  All values are immutable and
 hash-canonical, except that neighborhood values keep the minimal sets they
 were built from; `values_equal` compares the denoted upward-closed families.
+Listing every value over a state set is left to `coalsim.generators`.
 """
 
 from __future__ import annotations
@@ -14,9 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
-from .errors import BudgetError, KindMismatchError, ValidationError, shown
+from .errors import KindMismatchError, ValidationError, shown
 
 INF = float("inf")
 
@@ -259,7 +260,7 @@ def relabel(t: FunctorValue, f: Mapping) -> FunctorValue:
     """
     missing = [s for s in base(t) if s not in f]
     if missing:
-        raise ValidationError(f"relabel map is not defined on {sorted(missing, key=state_key)}")
+        raise ValidationError(f"relabel map is not defined on {shown(sorted(missing, key=state_key))}")
     if isinstance(t, KripkeValue):
         return KripkeValue(t.props, frozenset(f[s] for s in t.succ))
     if isinstance(t, MultisetValue):
@@ -299,98 +300,3 @@ def measure(t: MultisetValue | DistValue, states) -> "int | float | Fraction":
         if s in key:
             total = INF if (w == INF or total == INF) else total + w
     return total
-
-
-@dataclass(frozen=True)
-class EnumerationBudget:
-    """Caps for exhaustive value enumeration on a fixed state set."""
-
-    max_weight: int = 2
-    denominators: tuple = (1, 2, 3, 4)
-
-
-# Largest state set whose neighborhood values `enumerate_values` lists:
-# 7,581 antichains over 5 states, 7,828,354 over 6.
-MAX_NEIGHBORHOOD_STATES = 5
-
-
-def subsets(items: list) -> Iterator[frozenset]:
-    """Every subset of a list, in the order of a binary counter over its positions.
-
-    The one subset enumerator of the package (the oracles keep their own);
-    its order fixes the order in which violations and witnesses are reported.
-    """
-    for mask in range(1 << len(items)):
-        yield frozenset(items[i] for i in range(len(items)) if mask >> i & 1)
-
-
-def enumerate_values(
-    kind: FunctorKind, states: Iterable, budget: EnumerationBudget = EnumerationBudget()
-) -> Iterator[FunctorValue]:
-    """Yield all values over the given states within the budget.
-
-    Complete for the full value space over the states for Kripke and
-    neighborhood kinds; multiset and distribution enumerations are complete
-    for the finite sub-universe the budget describes (weight cap, mass
-    denominators from the given grid).
-    """
-    states = list(states)
-    if kind.name == KRIPKE:
-        for props in subsets(list(kind.atoms)):
-            for succ in subsets(states):
-                yield KripkeValue(props, succ)
-    elif kind.name == MULTISET:
-        def rec_weights(i, acc):
-            if i == len(states):
-                yield multiset_value(acc)
-                return
-            for w in range(budget.max_weight + 1):
-                acc[states[i]] = w
-                yield from rec_weights(i + 1, acc)
-            del acc[states[i]]
-
-        yield from rec_weights(0, {})
-    elif kind.name == DISTRIBUTION:
-        seen = set()
-        for d in budget.denominators:
-            for parts in _compositions(d, len(states)):
-                v = dist_value({s: Fraction(p, d) for s, p in zip(states, parts) if p})
-                if v not in seen:
-                    seen.add(v)
-                    yield v
-    elif kind.name == NEIGHBORHOOD:
-        if len(states) > MAX_NEIGHBORHOOD_STATES:
-            raise BudgetError(
-                f"neighborhood enumeration over {len(states)} states exceeds the "
-                f"cap of {MAX_NEIGHBORHOOD_STATES}"
-            )
-        sets = list(subsets(states))
-
-        def rec_antichain(i, chosen):
-            if i == len(sets):
-                yield NbhdValue(frozenset(chosen))
-                return
-            yield from rec_antichain(i + 1, chosen)
-            cand = sets[i]
-            if not any(cand <= m or m <= cand for m in chosen):
-                chosen.append(cand)
-                yield from rec_antichain(i + 1, chosen)
-                chosen.pop()
-
-        yield from rec_antichain(0, [])
-    else:
-        raise KindMismatchError(f"unknown functor kind {kind.name!r}")
-
-
-def _compositions(total: int, parts: int) -> Iterator[tuple]:
-    """All tuples of `parts` naturals summing to `total`."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest

@@ -323,7 +323,8 @@ def nbhd_coupling_reference(t, u, cells):
     Returns the first value, in enumeration order, whose two projections give
     t and u; None when there is none.  More than five cells raise BudgetError.
     """
-    from coalsim import NEIGHBORHOOD_KIND, enumerate_values, relabel, values_equal
+    from coalsim import NEIGHBORHOOD_KIND, relabel, values_equal
+    from coalsim.generators import enumerate_values
 
     p1 = {q: q[0] for q in cells}
     p2 = {q: q[1] for q in cells}

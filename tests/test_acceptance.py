@@ -10,22 +10,20 @@ import time
 from dataclasses import replace
 
 from coalsim import (
-    GeneratorConfig,
     auto_signature,
     evaluate,
-    generate_coalgebra,
     greatest_n_simulation,
     greatest_simulation,
     is_bisimulation,
     is_bisimulation_up_to_difunctionality,
-    random_positive_formula,
     rank,
-    run_property_suite,
     satisfies,
     t_bisim_up_to_difunctionality_check,
     t_bisimulation_check,
     values_equal,
 )
+from coalsim.generators import GeneratorConfig, generate_coalgebra, random_positive_formula
+from coalsim.properties import run_property_suite
 from coalsim.cli import cli_dispatch
 from coalsim.modelio import dump_json
 from coalsim.properties import KIND_POOL, WPP_KIND_POOL, _all_relations

@@ -6,7 +6,6 @@ import pytest
 import coalsim.behaviour as behaviour
 from coalsim import (
     NEIGHBORHOOD_KIND,
-    GeneratorConfig,
     InfiniteWeightError,
     InternalCheckError,
     NotSeparatingError,
@@ -15,7 +14,6 @@ from coalsim import (
     ValidationError,
     auto_signature,
     behavioural_equivalence,
-    generate_coalgebra,
     greatest_bisimulation,
     identity_relation,
     is_bisimulation,
@@ -23,7 +21,6 @@ from coalsim import (
     kripke_kind,
     n_step_partition,
     quotient_witness,
-    random_relation,
     relation,
     resolve_signature,
     stabilized_partition,
@@ -32,6 +29,7 @@ from coalsim import (
     values_equal,
     verify_coupling,
 )
+from coalsim.generators import GeneratorConfig, generate_coalgebra, random_relation
 from coalsim.transport import feasible_transport
 from coalsim.values import INF, relabel
 

@@ -8,13 +8,12 @@ from coalsim import (
     DISTRIBUTION_KIND,
     MULTISET_KIND,
     NEIGHBORHOOD_KIND,
-    GeneratorConfig,
     NotSeparatingError,
-    generate_coalgebra,
     greatest_bisimulation,
     kripke_kind,
     resolve_signature,
 )
+from coalsim.generators import GeneratorConfig, generate_coalgebra
 from coalsim.cli import cli_dispatch
 from coalsim.liftings import _separation_gap, prob_grid
 from coalsim.modelio import coalgebra_to_dict, dump_json
@@ -392,6 +391,17 @@ def test_numbers_too_long_to_convert_exit_two(run, tmp_path):
         code, out, err = run(*argv)
         assert code == 2 and out == ""
         assert err.startswith("error: ") and expect in err
+
+
+def test_many_problems_make_one_short_error_line(run, tmp_path):
+    states = [f"s{i}" for i in range(3000)]
+    transition = {s: {"props": [], "succ": ["zz" + s]} for s in states}
+    model = write(tmp_path, "many.json",
+                  {"functor": "kripke", "states": states, "transition": transition})
+    code, out, err = run("eval", model, "s0", "true")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "; ... and 2990 more problems" in err and len(err) < 3000
 
 
 @pytest.mark.parametrize("command", ["greatest-bisim", "behavioural"])

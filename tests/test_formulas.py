@@ -208,7 +208,8 @@ def test_eval_boolean_laws_random():
 
 
 def test_eval_matches_graph_oracle_on_random_kripke_models():
-    from coalsim import GeneratorConfig, generate_coalgebra, kripke_kind
+    from coalsim import kripke_kind
+    from coalsim.generators import GeneratorConfig, generate_coalgebra
 
     rng = random.Random(99)
     for trial in range(60):

@@ -19,10 +19,9 @@ from coalsim import (
     DISTRIBUTION_KIND,
     MULTISET_KIND,
     NEIGHBORHOOD_KIND,
-    GeneratorConfig,
-    generate_coalgebra,
     kripke_kind,
 )
+from coalsim.generators import GeneratorConfig, generate_coalgebra
 from coalsim.cli import cli_dispatch
 from coalsim.modelio import coalgebra_to_dict
 

@@ -4,17 +4,14 @@ from fractions import Fraction
 import pytest
 
 from coalsim import (
-    GeneratorConfig,
     ValidationError,
-    generate_coalgebra,
-    random_positive_formula,
-    random_relation,
     rank,
     is_positive,
     auto_signature,
     kripke_kind,
     validate,
 )
+from coalsim.generators import GeneratorConfig, generate_coalgebra, random_positive_formula, random_relation
 from coalsim.modelio import coalgebra_to_dict, dump_json
 from coalsim.values import DISTRIBUTION_KIND, MULTISET_KIND, NEIGHBORHOOD_KIND
 

@@ -3,19 +3,17 @@
 import random
 
 from coalsim import (
-    GeneratorConfig,
     INF,
     auto_signature,
     behavioural_equivalence,
     diamond_gt,
-    distinguishing_pair,
-    generate_coalgebra,
     is_simulation,
     multiset_value,
-    random_relation,
     satisfies,
     values_equal,
 )
+from coalsim.generators import GeneratorConfig, generate_coalgebra, random_relation
+from coalsim.oracles import distinguishing_pair
 from coalsim.values import MULTISET_KIND
 
 from conftest import generic_listing_empty, multiset_model

@@ -14,25 +14,22 @@ from coalsim import (
     MULTISET_KIND,
     NEIGHBORHOOD_KIND,
     BudgetError,
-    GeneratorConfig,
     LambdaSignature,
     auto_signature,
     behavioural_equivalence,
     difunctional_closure,
     dist_value,
-    distinguishing_pair,
-    generate_coalgebra,
     greatest_simulation,
     is_bisimulation,
     is_bisimulation_up_to_difunctionality,
     is_simulation,
     kripke_kind,
-    lambda_leq,
     multiset_value,
-    random_relation,
     relation,
     resolve_signature,
 )
+from coalsim.generators import GeneratorConfig, generate_coalgebra, random_relation
+from coalsim.oracles import distinguishing_pair, lambda_leq
 from coalsim.liftings import (
     at_least,
     diamond_gt,

@@ -1,6 +1,7 @@
 import pytest
 
-from coalsim import PROPERTIES, ValidationError, run_property_suite, theorem_matrix
+from coalsim import ValidationError
+from coalsim.properties import PROPERTIES, run_property_suite, theorem_matrix
 
 
 def test_registry_and_manifest_are_in_sync():

@@ -5,14 +5,11 @@ import pytest
 
 from coalsim import (
     DIAMOND,
-    PROPERTIES,
-    GeneratorConfig,
     auto_signature,
     behavioural_equivalence,
     difunctional_closure,
     evaluate,
     full_relation,
-    generate_coalgebra,
     greatest_bisimulation,
     greatest_n_bisimulation,
     greatest_n_simulation,
@@ -25,11 +22,11 @@ from coalsim import (
     is_simulation,
     kripke_kind,
     parse_formula,
-    random_relation,
     relation,
     resolve_signature,
-    run_property_suite,
 )
+from coalsim.generators import GeneratorConfig, generate_coalgebra, random_relation
+from coalsim.properties import PROPERTIES, run_property_suite
 from coalsim import simulation
 from coalsim.errors import ValidationError
 from coalsim.simulation import _level_one

@@ -10,14 +10,12 @@ from coalsim import (
     MULTISET_KIND,
     NEIGHBORHOOD_KIND,
     Coalgebra,
-    EnumerationBudget,
     KindMismatchError,
     ValidationError,
     antichain,
     base,
     coalgebra,
     dist_value,
-    enumerate_values,
     kripke_kind,
     kripke_value,
     multiset_value,
@@ -27,6 +25,7 @@ from coalsim import (
     validate,
     values_equal,
 )
+from coalsim.generators import EnumerationBudget, enumerate_values
 from coalsim.liftings import BOX, DIAMOND, NBHD_BOX, diamond_gt, at_least
 
 from oracle_helpers import all_subsets, nbhd_relabel_oracle
