@@ -263,13 +263,12 @@ def _cell_index(cells) -> tuple:
     return by_left, by_right
 
 
-def _canonical_coupling(t, u, by_left, by_right, p1, p2) -> Optional[FunctorValue]:
+def _canonical_coupling(t, u, by_left, by_right) -> FunctorValue:
     """The one Kripke or neighborhood coupling candidate of t and u over the cells.
 
     `by_left` and `by_right` index the cells by their left and right states.
-    The candidate is returned exactly when relabelling it along the
-    projections p1 and p2 gives back t and u; then it is a coupling, and
-    otherwise none exists.
+    The candidate is a coupling exactly when relabelling it along the two
+    projections gives back t and u, and otherwise none exists.
 
     Kripke: the candidate R ∩ (succ t × succ u), R the cells, is the largest
     set of cells inside both successor sets; every coupling is a subset of
@@ -286,17 +285,13 @@ def _canonical_coupling(t, u, by_left, by_right, p1, p2) -> Optional[FunctorValu
     with π₂[Z] ∈ u, so R[X] ∈ u; the argument for u is the same.
     """
     if isinstance(t, KripkeValue):
-        v = KripkeValue(t.props, frozenset(
+        return KripkeValue(t.props, frozenset(
             q for x in t.succ for q in by_left.get(x, ()) if q[1] in u.succ
         ))
-    else:
-        v = NbhdValue(antichain(
-            [[q for x in m for q in by_left.get(x, ())] for m in t.minimals]
-            + [[q for y in m for q in by_right.get(y, ())] for m in u.minimals]
-        ))
-    if values_equal(relabel(v, p1), t) and values_equal(relabel(v, p2), u):
-        return v
-    return None
+    return NbhdValue(antichain(
+        [[q for x in m for q in by_left.get(x, ())] for m in t.minimals]
+        + [[q for y in m for q in by_right.get(y, ())] for m in u.minimals]
+    ))
 
 
 def _weighted_coupling(x, y, c, d, cells) -> Optional[FunctorValue]:
@@ -318,7 +313,12 @@ def _weighted_coupling(x, y, c, d, cells) -> Optional[FunctorValue]:
 
 
 def _coupling_check(s: Relation, cell_pairs, c, d) -> Optional[Coupling]:
-    """Coupling values for the pairs of s over the given cells, verified, or None."""
+    """Coupling values for the pairs of s over the given cells, verified, or None.
+
+    Each pair's value is checked once against both projections.  A failed
+    check means no coupling exists for a Kripke or neighborhood candidate,
+    and a bug for a transportation plan, which raises InternalCheckError.
+    """
     _same_kind(c, d)
     kind = c.kind.name
     cells = sorted(cell_pairs, key=state_key)
@@ -327,21 +327,21 @@ def _coupling_check(s: Relation, cell_pairs, c, d) -> Optional[Coupling]:
     by_left, by_right = _cell_index(cells)
     out = []
     for x, y in sorted(s.pairs, key=state_key):
+        t, u = c.transition[x], d.transition[y]
         if kind in (KRIPKE, NEIGHBORHOOD):
-            v = _canonical_coupling(
-                c.transition[x], d.transition[y], by_left, by_right, p1, p2
-            )
+            v = _canonical_coupling(t, u, by_left, by_right)
         elif kind in (MULTISET, DISTRIBUTION):
             v = _weighted_coupling(x, y, c, d, cells)
+            if v is None:
+                return None
         else:
             raise KindMismatchError(f"unknown kind {kind!r}")
-        if v is None:
-            return None
+        if not (values_equal(relabel(v, p1), t) and values_equal(relabel(v, p2), u)):
+            if kind in (KRIPKE, NEIGHBORHOOD):
+                return None
+            raise InternalCheckError("constructed coupling fails its projection equations")
         out.append(((x, y), v))
-    coupling = Coupling(tuple(out))
-    if not verify_coupling(coupling, s, c, d):
-        raise InternalCheckError("constructed coupling fails its projection equations")
-    return coupling
+    return Coupling(tuple(out))
 
 
 def t_bisimulation_check(

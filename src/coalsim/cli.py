@@ -18,7 +18,7 @@ from .behaviour import (
     t_bisim_up_to_difunctionality_check,
     t_bisimulation_check,
 )
-from .errors import CoalsimError, NotSeparatingError
+from .errors import CoalsimError, NotSeparatingError, shown
 from .formulas import evaluate, parse_formula
 from .liftings import DEFAULT_LITERALS, resolve_signature
 from .modelio import (
@@ -296,7 +296,10 @@ def cli_dispatch(argv) -> int:
     try:
         return args.func(args)
     except (CoalsimError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        message = str(exc)
+        if isinstance(exc, OSError) and exc.filename is not None:
+            message = f"[Errno {exc.errno}] {exc.strerror}: {shown(exc.filename)}"
+        print(f"error: {message}", file=sys.stderr)
         return 2
 
 

@@ -4,10 +4,14 @@ ECHO_LIMIT = 200  # the longest repr of an input value that a message echoes who
 PROBLEM_LIMIT = 10  # the most problems a ValidationError message lists
 
 
-def shown(value) -> str:
-    """The repr of an input value; past ECHO_LIMIT characters it is cut, and says so."""
-    text = repr(value)
+def clipped(text: str) -> str:
+    """The text itself; past ECHO_LIMIT characters it is cut, and says so."""
     return text if len(text) <= ECHO_LIMIT else f"{text[:ECHO_LIMIT]}... ({len(text)} characters)"
+
+
+def shown(value) -> str:
+    """The repr of an input value, `clipped`."""
+    return clipped(repr(value))
 
 
 class CoalsimError(Exception):
@@ -47,7 +51,7 @@ class ParseError(CoalsimError):
 class UnknownModalityError(ParseError):
     def __init__(self, token, position):
         self.token = token
-        super().__init__(f"unknown modality {token!r}", position)
+        super().__init__(f"unknown modality {shown(token)}", position)
 
 
 class BudgetError(CoalsimError):

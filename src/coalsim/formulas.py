@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .errors import KindMismatchError, ParseError, UnknownModalityError, ValidationError
+from .errors import KindMismatchError, ParseError, UnknownModalityError, ValidationError, clipped, shown
 from .liftings import (
     BOX,
     DIAMOND,
@@ -254,7 +254,7 @@ class _Parser:
                     self.error("probability index has denominator 0")
                 value = Fraction(num, den)
                 if not 0 <= value <= 1:
-                    self.error(f"probability index {value} is outside [0,1]")
+                    self.error(f"probability index {clipped(str(value))} is outside [0,1]")
                 self.expect_char(")")
                 mod = at_least(value) if letter == "L" else more_than(value)
                 self.check_kind(mod, f"{letter}({value})", start)
@@ -282,7 +282,7 @@ class _Parser:
             if self.sig.kind.name != KRIPKE or name not in self.sig.kind.atoms:
                 raise UnknownModalityError(name, start)
             return Modal(atom(name), None)
-        self.error(f"unexpected token {m.group(0).strip()!r}")
+        self.error(f"unexpected token {shown(m.group(0).strip())}")
 
 
 def parse_formula(text: str, sig: LambdaSignature) -> Formula:
@@ -364,5 +364,5 @@ def extension(f: Formula, c: Coalgebra) -> frozenset:
 def evaluate(f: Formula, c: Coalgebra, x) -> bool:
     """Truth of the formula at one state."""
     if x not in c.transition:
-        raise ValidationError(f"state {x!r} is not in the carrier")
+        raise ValidationError(f"state {shown(x)} is not in the carrier")
     return x in extension(f, c)

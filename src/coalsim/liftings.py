@@ -6,15 +6,16 @@ Each modality is a monotone predicate lifting for its functor kind: `[]` and
 multisets, `L(p)` / `M(p)` (mass at least / more than p) over distributions,
 and `[m]` (the tested set belongs to the system) over neighborhoods.
 
-A signature bundles the functor kind with the finite list of modalities that
-algorithmic quantifiers iterate over, plus a declared separation flag.  For
-graded and probabilistic kinds the finite list is a grid; grids produced by
-`auto_signature` cover every threshold distinguishable on the given models,
-which is recorded in `full_grid`.
+A signature is a functor kind and the finite list of modalities that
+algorithmic quantifiers iterate over, nothing more.  For graded and
+probabilistic kinds the list is a grid of thresholds; `resolve_signature`
+builds grids that cover every threshold the given models can realize.
+Whether a signature separates the values of some models is derived from its
+modalities (`ensure_separating`).
 
 This is the one module that knows the one-step (lifting) condition behind
 simulations and bisimulations (see `lifting_violations`).  `lifting_check`
-picks its per-pair test, which decides every verdict, and
+decides it at one pair, exactly for every signature, and
 `lifting_violations` lists the failures for reports.  It is also the one
 place the engine enumerates subsets: `subsets`, behind the gate
 `exhaustive_base`.
@@ -25,12 +26,12 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 from itertools import islice
 from math import lcm
 from typing import Iterator, Optional, Sequence
 
-from .errors import BudgetError, KindMismatchError, NotSeparatingError, ValidationError
+from .errors import BudgetError, KindMismatchError, NotSeparatingError, ValidationError, shown
 from .transport import ship
 from .values import (
     DISTRIBUTION,
@@ -195,21 +196,10 @@ def satisfies(t: FunctorValue, m: Modality, states) -> bool:
 
 @dataclass(frozen=True)
 class LambdaSignature:
-    """Functor kind plus the finite modality list algorithms quantify over.
-
-    `separating` is declared, not computed: it is set for the signature
-    families known to determine a value from its satisfied (modality, set)
-    pairs.  `full_grid` records that the finite grid of a graded or
-    probabilistic signature covers every threshold occurring in the models it
-    was resolved against; Kripke and neighborhood signatures always have it.
-    It defaults to False, so a hand-built grid claims no cover it lacks;
-    `resolve_signature` sets it.
-    """
+    """Functor kind plus the finite modality list algorithms quantify over."""
 
     kind: FunctorKind
     modalities: tuple
-    separating: bool
-    full_grid: bool = False
 
     def __post_init__(self):
         for m in self.modalities:
@@ -219,6 +209,11 @@ class LambdaSignature:
                 )
             if m.op == "atom" and m.name not in self.kind.atoms:
                 raise ValidationError(f"atom {m.name!r} is not in the vocabulary")
+
+    @cached_property
+    def _thresholds(self) -> frozenset:
+        """(operator, index or bound) of each modality, read by the weighted pair check."""
+        return frozenset((m.op, m.bound if m.index is None else m.index) for m in self.modalities)
 
 
 def graded_bound(models: Sequence[Coalgebra]) -> int:
@@ -255,18 +250,7 @@ def prob_grid(models: Sequence[Coalgebra]) -> tuple:
     return tuple(sorted(grid))
 
 
-def _kripke_signature(kind: FunctorKind, want: set) -> LambdaSignature:
-    mods = []
-    if "box" in want:
-        mods.append(BOX)
-    if "diamond" in want:
-        mods.append(DIAMOND)
-    if "atoms" in want:
-        mods.extend(atom(p) for p in kind.atoms)
-    separating = ("box" in want or "diamond" in want) and (
-        "atoms" in want or not kind.atoms
-    )
-    return LambdaSignature(kind, tuple(mods), separating, full_grid=True)
+_FAMILY_KINDS = {"kripke": KRIPKE, "graded": MULTISET, "prob": DISTRIBUTION, "nbhd": NEIGHBORHOOD}
 
 
 def resolve_signature(literal: str, models: Sequence[Coalgebra]) -> LambdaSignature:
@@ -285,46 +269,41 @@ def resolve_signature(literal: str, models: Sequence[Coalgebra]) -> LambdaSignat
             raise KindMismatchError(
                 f"models of kinds {kind.name!r} and {c.kind.name!r} cannot share a signature"
             )
-    try:
-        family, _, spec = literal.partition(":")
-        if family == "kripke":
-            if kind.name != KRIPKE:
-                raise KindMismatchError(f"signature {literal!r} needs kripke models")
-            want = set(filter(None, spec.split(",")))
-            unknown = want - {"box", "diamond", "atoms"}
-            if unknown:
-                raise ValidationError(f"unknown kripke signature parts {sorted(unknown)}")
-            if not want:
-                raise ValidationError("kripke signature needs at least one part")
-            return _kripke_signature(kind, want)
-        if family == "graded":
-            if kind.name != MULTISET:
-                raise KindMismatchError(f"signature {literal!r} needs multiset models")
-            needed = graded_bound(models)
-            if spec == "auto":
-                bound = needed
-            elif spec.startswith("0.."):
+    family, _, spec = literal.partition(":")
+    if family not in _FAMILY_KINDS:
+        raise ValidationError(f"unknown signature literal {shown(literal)}")
+    if kind.name != _FAMILY_KINDS[family]:
+        raise KindMismatchError(f"signature {shown(literal)} needs {_FAMILY_KINDS[family]} models")
+    if family == "kripke":
+        want = set(filter(None, spec.split(",")))
+        unknown = want - {"box", "diamond", "atoms"}
+        if unknown:
+            raise ValidationError(f"unknown kripke signature parts {shown(sorted(unknown))}")
+        if not want:
+            raise ValidationError("kripke signature needs at least one part")
+        mods = [m for part, m in (("box", BOX), ("diamond", DIAMOND)) if part in want]
+        if "atoms" in want:
+            mods += map(atom, kind.atoms)
+    elif family == "graded":
+        if spec == "auto":
+            bound = graded_bound(models)
+        elif spec.startswith("0.."):
+            try:
                 bound = int(spec[3:])
-            else:
-                raise ValidationError(f"malformed graded signature {literal!r}")
-            mods = tuple(diamond_gt(k) for k in range(bound + 1))
-            return LambdaSignature(kind, mods, separating=True, full_grid=bound >= needed)
-        if family == "prob":
-            if kind.name != DISTRIBUTION:
-                raise KindMismatchError(f"signature {literal!r} needs distribution models")
-            if spec != "auto-grid":
-                raise ValidationError(f"malformed probabilistic signature {literal!r}")
-            mods = tuple(at_least(p) for p in prob_grid(models))
-            return LambdaSignature(kind, mods, separating=True, full_grid=True)
-        if family == "nbhd":
-            if kind.name != NEIGHBORHOOD:
-                raise KindMismatchError(f"signature {literal!r} needs neighborhood models")
-            if spec != "box":
-                raise ValidationError(f"malformed neighborhood signature {literal!r}")
-            return LambdaSignature(kind, (NBHD_BOX,), separating=True, full_grid=True)
-        raise ValidationError(f"unknown signature literal {literal!r}")
-    except ValueError as exc:
-        raise ValidationError(f"malformed signature literal {literal!r}: {exc}") from exc
+            except ValueError as exc:
+                raise ValidationError(f"malformed signature literal {shown(literal)}: {exc}") from exc
+        else:
+            raise ValidationError(f"malformed graded signature {shown(literal)}")
+        mods = map(diamond_gt, range(bound + 1))
+    elif family == "prob":
+        if spec != "auto-grid":
+            raise ValidationError(f"malformed probabilistic signature {shown(literal)}")
+        mods = map(at_least, prob_grid(models))
+    else:
+        if spec != "box":
+            raise ValidationError(f"malformed neighborhood signature {shown(literal)}")
+        mods = (NBHD_BOX,)
+    return LambdaSignature(kind, tuple(mods))
 
 
 DEFAULT_LITERALS = {
@@ -341,9 +320,21 @@ def auto_signature(*models: Coalgebra) -> LambdaSignature:
 
 
 def _separation_gap(sig: LambdaSignature, models) -> Optional[str]:
-    """Why the signature cannot separate the values of these models, or None."""
-    if not sig.separating:
-        return "signature is not declared separating"
+    """Why the signature cannot separate the values of these models, or None.
+
+    Kripke values are separated by [] or <> together with every atom of the
+    vocabulary, neighborhood values by [m], and weighted values by a grid
+    holding every threshold the models realize: each index up to
+    `graded_bound`, each mass of `prob_grid`.
+    """
+    if sig.kind.name == KRIPKE:
+        if BOX not in sig.modalities and DIAMOND not in sig.modalities:
+            return "kripke signature needs [] or <>"
+        missing = [p for p in sig.kind.atoms if atom(p) not in sig.modalities]
+        if missing:
+            return f"kripke signature misses atoms {shown(missing)}"
+    if sig.kind.name == NEIGHBORHOOD and not sig.modalities:
+        return "neighborhood signature needs [m]"
     if sig.kind.name == MULTISET:
         have = {m.index for m in sig.modalities}
         need = graded_bound(models)
@@ -405,41 +396,14 @@ def _pair_ok_generic(sig, t, u, img) -> bool:
     return next(_misses(t, u, img, sig), None) is None
 
 
-def _routable(t, u, img) -> bool:
-    """u(S[A]) >= t(A) for every A ⊆ base(t), decided by one max flow."""
-    unbounded = frozenset(y for y, w in u.entries if w == INF)
-    supply = {}
-    for x, w in t.entries:
-        if img[x] & unbounded:
-            continue
-        if w == INF:
-            return False
-        supply[x] = w
-    if not supply:
-        return True
-    room = {y: w for y, w in u.entries if w != INF}
-    den = lcm(*(w.denominator for w in supply.values()), *(w.denominator for w in room.values()))
-    arcs = [(x, y) for x in supply for y in room if y in img[x]]
-    return ship(
-        {x: int(w * den) for x, w in supply.items()},
-        {y: int(w * den) for y, w in room.items()},
-        arcs,
-    ) is not None
+def hall_violator(t, u, img) -> Optional[tuple]:
+    """A set A ⊆ base(t) with t(A) > u(S[A]), as (A, t(A), u(S[A])), or None.
 
+    None exactly when u(S[A]) >= t(A) for every A ⊆ base(t), decided without
+    enumerating subsets:
 
-def _pair_ok_fast(sig, t, u, img) -> bool:
-    """Per-kind characterization of the lifting condition at one pair.
-
-    Exact for Kripke and neighborhood signatures.  For multiset and
-    distribution kinds it decides the condition for the full family of
-    thresholds, u(S[A]) >= t(A) for every A ⊆ base(t), which coincides with
-    the signature's verdict whenever the grid covers both models (always
-    true for resolved auto grids).  That family is decided without
-    enumerating subsets (`_routable`):
-
-    - A source x of infinite weight needs u(S[{x}]) infinite, so an
-      infinite sink in its image; when it has none the condition fails at
-      A = {x}.
+    - A source x of infinite weight needs an infinite sink in its image;
+      when it has none, A = {x}.
     - A source whose image reaches an infinite sink satisfies every A that
       contains it, since then u(S[A]) is infinite; drop it.
     - The remaining sources have finite weight and images among u's finite
@@ -447,9 +411,45 @@ def _pair_ok_fast(sig, t, u, img) -> bool:
       their subsets A is Gale's supply-demand condition: by max-flow
       min-cut, it holds exactly when the flow from the sources (supplies
       t(x)) along S into the sinks (capacities u(y)) ships all of t's
-      remaining weight.  For distributions this is the Jonsson-Larsen
-      simulation check by max-flow.
+      remaining weight, and otherwise A is the minimum cut's sources
+      (`coalsim.transport.ship`).  For distributions this is the
+      Jonsson-Larsen simulation check by max-flow.
     """
+    unbounded = frozenset(y for y, w in u.entries if w == INF)
+    supply = {}
+    for x, w in t.entries:
+        if img[x] & unbounded:
+            continue
+        if w == INF:
+            return frozenset((x,)), INF, sum(v for y, v in u.entries if y in img[x])
+        supply[x] = w
+    if not supply:
+        return None
+    room = {y: w for y, w in u.entries if w != INF}
+    den = lcm(*(w.denominator for w in supply.values()), *(w.denominator for w in room.values()))
+    supply = {x: int(w * den) for x, w in supply.items()}
+    room = {y: int(w * den) for y, w in room.items()}
+    _, cut = ship(supply, room, [(x, y) for x in supply for y in room if y in img[x]])
+    if cut is None:
+        return None
+    sources, short = cut  # the cut's capacity is what shipped: u(S[A]) = t(A) - short
+    a = sum(map(supply.get, sources))
+    if den != 1:
+        a, short = Fraction(a, den), Fraction(short, den)
+    return frozenset(sources), a, a - short
+
+
+def _pair_ok(sig, t, u, img) -> bool:
+    """The lifting condition at one pair, exact for every signature.
+
+    Kripke and neighborhood modalities are checked directly.  A weighted
+    threshold can fail at a set A only where t(A) > u(S[A]); with no such set
+    (`hall_violator`) every threshold holds.  Otherwise the violator A, with
+    a = t(A) and b = u(S[A]), fails <b>, L(a) and M(b); a grid resolved on
+    the models holds one of them, and only a grid holding none is searched.
+    """
+    if not sig.modalities:
+        return True
     if isinstance(t, KripkeValue):
         for m in sig.modalities:
             if m.op == "atom":
@@ -465,31 +465,23 @@ def _pair_ok_fast(sig, t, u, img) -> bool:
                         return False
         return True
     if isinstance(t, (MultisetValue, DistValue)):
-        return not sig.modalities or _routable(t, u, img)
+        cut = hall_violator(t, u, img)
+        if cut is None:
+            return True
+        _, a, b = cut
+        if not sig._thresholds.isdisjoint((("diamond_gt", b), ("at_least", a), ("more_than", b))):
+            return False
+        return _pair_ok_generic(sig, t, u, img)
     if isinstance(t, NbhdValue):
-        for m in t.minimals:
-            if not u.contains(_image(m, img)):
-                return False
-        return True
+        return all(u.contains(_image(m, img)) for m in t.minimals)
     raise KindMismatchError(f"unsupported value type {type(t).__name__}")
-
-
-def per_kind_exact(sig: LambdaSignature) -> bool:
-    """Is the per-kind characterization exact for sig?
-
-    It is for Kripke and neighborhood signatures, and for grids that cover
-    the models.
-    """
-    return sig.kind.name in (KRIPKE, NEIGHBORHOOD) or sig.full_grid
 
 
 def lifting_check(sig: LambdaSignature):
     """The lifting condition at one pair for sig, as a predicate ok(t, u, img).
 
-    The per-kind characterization where it is exact for sig, otherwise the
-    generic search of `lifting_violations`.  COALSIM_MAX_BASE is validated
-    here, once, whether or not the returned check ever reaches
-    `exhaustive_base`.
+    COALSIM_MAX_BASE is validated here, once, whether or not the returned
+    check ever reaches `exhaustive_base`.
     """
     _max_base()
-    return partial(_pair_ok_fast if per_kind_exact(sig) else _pair_ok_generic, sig)
+    return partial(_pair_ok, sig)

@@ -166,36 +166,14 @@ def coalgebra_from_dict(doc: dict) -> Coalgebra:
 
 
 def coalgebra_to_dict(c: Coalgebra) -> dict:
-    name = c.kind.name
-    doc = {"functor": name, "states": list(c.carrier)}
-    if name == KRIPKE:
+    """The model document of c: values as `value_to_json` gives them, weighted entries as maps."""
+    doc = {"functor": c.kind.name, "states": list(c.carrier)}
+    if c.kind.name == KRIPKE:
         doc["atoms"] = list(c.kind.atoms)
-        tr = {
-            s: {
-                "props": sorted(c.transition[s].props),
-                "succ": sorted(c.transition[s].succ, key=state_key),
-            }
-            for s in c.carrier
-        }
-    elif name == MULTISET:
-        tr = {
-            s: {z: ("inf" if w == INF else w) for z, w in c.transition[s].entries}
-            for s in c.carrier
-        }
-    elif name == DISTRIBUTION:
-        tr = {
-            s: {z: str(q) for z, q in c.transition[s].entries} for s in c.carrier
-        }
-    else:
-        tr = {
-            s: {
-                "minimals": sorted(
-                    (sorted(m, key=state_key) for m in c.transition[s].minimals), key=state_key
-                )
-            }
-            for s in c.carrier
-        }
-    doc["transition"] = tr
+    doc["transition"] = {}
+    for s in c.carrier:
+        raw = value_to_json(c.transition[s], label=lambda z: z)
+        doc["transition"][s] = dict(raw["entries"]) if "entries" in raw else raw
     return doc
 
 

@@ -23,7 +23,7 @@ from .behaviour import (
     t_bisim_up_to_difunctionality_check,
     t_bisimulation_check,
 )
-from .errors import InternalCheckError, ValidationError
+from .errors import InternalCheckError, ValidationError, shown
 from .formulas import evaluate, format_formula, rank
 from .generators import (
     EnumerationBudget,
@@ -157,8 +157,8 @@ def _prop_fast_path(trial, seed):
     rng, c, d = _models(seed + trial, KIND_POOL[trial % 4], max_states=5)
     sig = auto_signature(c, d)
     s = random_relation(rng, c, d)
-    # is_simulation decides by lifting_check, the per-kind check where it is
-    # exact; compare with the generic search's listing at every pair.
+    # is_simulation decides by lifting_check, the per-kind check and the
+    # flow's cut; compare with the generic search's listing at every pair.
     img = s.left_images()
     generic = not any(
         lifting_violations(c.transition[x], d.transition[y], img, sig, 1)
@@ -594,7 +594,7 @@ def run_property_suite(name: str, trials: int, seed: int) -> PropertyRunReport:
     """Run one named property for the given number of derived-seed trials."""
     if name not in PROPERTIES:
         known = ", ".join(sorted(PROPERTIES))
-        raise ValidationError(f"unknown property {name!r}; known: {known}")
+        raise ValidationError(f"unknown property {shown(name)}; known: {known}")
     if trials < 0:
         raise ValidationError(f"trial count must be a natural number, got {trials}")
     spec = PROPERTIES[name]

@@ -7,7 +7,8 @@ common multiple, and the integer problem is solved by breadth-first
 augmenting paths.  `ship` routes integer supplies into sinks of bounded
 room along allowed arcs; `feasible_transport` reads its table off that
 flow, and `coalsim.liftings` decides the weighted lifting condition at one
-pair by whether all of the supply ships.
+pair from whether all of the supply ships and, when it does not, from the
+minimum cut that stops it.
 Instances here are tiny (a handful of sources and sinks), so simplicity
 beats asymptotics.
 """
@@ -22,8 +23,8 @@ from typing import Mapping, Optional
 from .values import state_key
 
 
-def _max_flow(n: int, capacity: dict, source: int, sink: int) -> dict:
-    """Edmonds-Karp on an adjacency-dict graph; mutates nothing, returns flows."""
+def _max_flow(n: int, capacity: dict, source: int, sink: int) -> tuple:
+    """Edmonds-Karp; mutates nothing, returns the flows and a minimum cut's source side."""
     residual = {}
     adj = {i: set() for i in range(n)}
     for (a, b), cap in capacity.items():
@@ -43,7 +44,7 @@ def _max_flow(n: int, capacity: dict, source: int, sink: int) -> dict:
                     parent[nxt] = node
                     queue.append(nxt)
         if sink not in parent:
-            return flow
+            return flow, parent.keys()
         path = []
         node = sink
         while parent[node] is not None:
@@ -59,14 +60,19 @@ def _max_flow(n: int, capacity: dict, source: int, sink: int) -> dict:
                 flow[(e[1], e[0])] -= push
 
 
-def ship(supply: Mapping, room: Mapping, arcs) -> Optional[dict]:
-    """Ship every source's whole supply into the sinks along the arcs, or None.
+def ship(supply: Mapping, room: Mapping, arcs) -> tuple:
+    """Ship every source's whole supply into the sinks along the arcs.
 
     `supply` maps sources to natural amounts, `room` maps sinks to natural
     capacities, and `arcs` lists the allowed (source, sink) pairs, of
     unbounded capacity, with both ends among those keys.  Sources and sinks
     are separate nodes even when their labels coincide, numbered in the
-    order of the mappings.  Returns {arc: amount} from one maximum flow.
+    order of the mappings.  Returns (shipped, cut) from one maximum flow:
+    ({arc: amount}, None) when all of the supply ships, otherwise (None,
+    (sources, short)): the sources on a minimum cut's source side and the
+    amount left unshipped.  No arc is saturated then, so the cut's capacity,
+    the amount shipped, is the supply outside it plus the room of the sinks
+    its sources reach, and their supply exceeds that room by `short`.
     """
     total = sum(supply.values())
     src_id = {k: 1 + i for i, k in enumerate(supply)}
@@ -77,10 +83,11 @@ def ship(supply: Mapping, room: Mapping, arcs) -> Optional[dict]:
     capacity.update(((dst_id[k], sink), v) for k, v in room.items())
     edges = {(src_id[a], dst_id[b]): (a, b) for a, b in arcs}
     capacity.update((e, total) for e in edges)
-    flow = _max_flow(n, capacity, source, sink)
-    if sum(flow[(source, i)] for i in src_id.values()) != total:
-        return None
-    return {arc: flow[e] for e, arc in edges.items()}
+    flow, reached = _max_flow(n, capacity, source, sink)
+    short = total - sum(flow[(source, i)] for i in src_id.values())
+    if short:
+        return None, ([k for k, i in src_id.items() if i in reached], short)
+    return {arc: flow[e] for e, arc in edges.items()}, None
 
 
 def feasible_transport(
@@ -104,7 +111,7 @@ def feasible_transport(
     supply = {k: int(rows[k] * denom) for k in sorted(rows, key=state_key)}
     room = {k: int(cols[k] * denom) for k in sorted(cols, key=state_key)}
     arcs = [(r, c) for r, c in sorted(cells, key=state_key) if r in supply and c in room]
-    shipped = ship(supply, room, arcs)
+    shipped, _ = ship(supply, room, arcs)
     if shipped is None:
         return None
     return {

@@ -304,12 +304,10 @@ def prob_grid_reference(models):
     return tuple(sorted(grid))
 
 
-def weighted_pair_reference(t, u, img, sig):
-    """The weighted per-pair check as first written: u(S[A]) >= t(A) for every A ⊆ base(t)."""
+def weighted_pair_reference(t, u, img):
+    """Hall's condition for a weighted pair, by every subset: u(S[A]) >= t(A) for each A ⊆ base(t)."""
     from coalsim.values import base, measure
 
-    if not sig.modalities:
-        return True
     for a in _subsets_in_counter_order(sorted(base(t), key=repr)):
         sa = frozenset().union(*(img[z] for z in a)) if a else frozenset()
         if measure(u, sa) < measure(t, a):

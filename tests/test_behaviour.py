@@ -241,7 +241,8 @@ def test_canonical_nbhd_coupling_agrees_with_the_reference_search():
         coupled = True
         for x, y in cells:
             t, u = c.transition[x], d.transition[y]
-            found = behaviour._canonical_coupling(t, u, by_left, by_right, p1, p2) is not None
+            v = behaviour._canonical_coupling(t, u, by_left, by_right)
+            found = values_equal(relabel(v, p1), t) and values_equal(relabel(v, p2), u)
             assert found == (nbhd_coupling_reference(t, u, cells) is not None), (c, d, s)
             verdicts.add(found)
             coupled = coupled and found
@@ -478,3 +479,26 @@ def test_partition_block_lookups_agree_with_blocks():
     img, cimg = part.images()
     assert img == part.cross_relation().left_images()
     assert cimg == part.cross_relation().converse().left_images()
+
+
+def test_couplings_check_each_pair_once(monkeypatch):
+    """A coupled Kripke or neighborhood pair costs one relabel per projection."""
+    calls = []
+
+    def counted(v, f):
+        calls.append(v)
+        return relabel(v, f)
+
+    monkeypatch.setattr(behaviour, "relabel", counted)
+    rng = random.Random(67)
+    coupled = 0
+    for seed in range(40):
+        kind = (kripke_kind(("p",)), NEIGHBORHOOD_KIND)[seed % 2]
+        c = generate_coalgebra(GeneratorConfig(seed=seed, kind=kind, max_states=4))
+        for s in (identity_relation(c.carrier), random_relation(rng, c, c)):
+            for check in (t_bisimulation_check, t_bisim_up_to_difunctionality_check):
+                calls.clear()
+                if check(s, c, c) is not None:
+                    assert len(calls) == 2 * len(s)
+                    coupled += 1
+    assert coupled > 80

@@ -17,6 +17,7 @@ from coalsim.generators import GeneratorConfig, generate_coalgebra
 from coalsim.cli import cli_dispatch
 from coalsim.liftings import _separation_gap, prob_grid
 from coalsim.modelio import coalgebra_to_dict, dump_json
+from coalsim.properties import PROPERTIES
 
 
 def write(tmp_path, name, doc):
@@ -354,6 +355,21 @@ BAD_INPUTS = [
     ("prop-too-long", {}, ("eval", "{prop_long}", "a", "true"), "unknown atoms ['pppp"),
     ("pair-state-too-long", {}, ("check-sim", "{loop}", "{loop}", "{pair_state_long}"),
      "pairs outside the carriers: [('x', 'yyyy"),
+    ("eval-state-too-long", {}, ("eval", "{loop}", "s" * 5000, "true"),
+     "state 'ssss"),
+    ("formula-identifier-too-long", {}, ("eval", "{loop}", "x", "z" * 5000),
+     "unknown modality 'zzzz"),
+    ("probability-index-too-long", {}, ("eval", "{dist}", "a", "L(" + "9" * 4000 + ") true"),
+     "probability index 9999"),
+    ("signature-literal-too-long", {}, ("eval", "{loop}", "x", "true", "--sig", "z" * 5000),
+     "unknown signature literal 'zzzz"),
+    ("kripke-parts-too-long", {}, ("eval", "{loop}", "x", "true", "--sig", "kripke:" + "z" * 5000),
+     "unknown kripke signature parts ['zzzz"),
+    ("graded-bound-too-long", {}, ("eval", "{multiset}", "a", "true", "--sig", "graded:0.." + "z" * 5000),
+     "malformed signature literal 'graded:0..zzzz"),
+    ("prob-spec-too-long", {}, ("eval", "{dist}", "a", "true", "--sig", "prob:" + "z" * 5000),
+     "malformed probabilistic signature 'prob:zzzz"),
+    ("file-name-too-long", {}, ("eval", "{dir}/" + "f" * 5000, "a", "true"), "fff"),
 ]
 
 
@@ -377,6 +393,14 @@ def test_bad_input_exit_two(run, tmp_path, monkeypatch, loop_model, env, argv, e
     not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
     reason="this Python converts integers of any length",
 )
+def test_unknown_property_name_is_cut(run):
+    # The error line also lists the known properties, so it runs past 500 characters.
+    code, out, err = run("randtest", "z" * 5000)
+    assert code == 2 and out == ""
+    assert err.startswith("error: unknown property 'zzzz") and "... (5002 characters)" in err
+    assert err.count("z") < 250 and len(err) < 200 + len(", ".join(sorted(PROPERTIES))) + 100
+
+
 def test_numbers_too_long_to_convert_exit_two(run, tmp_path):
     digits = "9" * 5000
     doc = '{"functor": "multiset", "states": ["a"], "transition": {"a": {"a": %s}}}'

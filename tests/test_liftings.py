@@ -34,7 +34,7 @@ from coalsim import (
 )
 from coalsim.oracles import brute_force_simulation_oracle, distinguishing_pair, is_lambda_homomorphism, lambda_leq
 from coalsim.behaviour import certified_equivalence
-from coalsim.liftings import graded_bound, prob_grid
+from coalsim.liftings import _separation_gap, graded_bound, prob_grid
 from coalsim.values import INF
 
 from conftest import dist_model, generic_listing_empty, kripke_model, multiset_model, nbhd_model
@@ -198,21 +198,24 @@ def test_monotony_and_naturality_random():
         )
 
 
-def test_signature_literals_and_flags():
+def _separates(literal, model):
+    return _separation_gap(resolve_signature(literal, [model]), [model]) is None
+
+
+def test_signature_literals_and_separation():
     k = kripke_model({"x": []}, atoms=["p"])
-    assert resolve_signature("kripke:box,diamond,atoms", [k]).separating
-    assert not resolve_signature("kripke:box", [k]).separating
+    assert _separates("kripke:box,diamond,atoms", k)
+    assert not _separates("kripke:box", k)
     plain = kripke_model({"x": []})
-    assert resolve_signature("kripke:box", [plain]).separating
+    assert _separates("kripke:box", plain)
     m = multiset_model({"u": {"u": 2}})
     sig = resolve_signature("graded:0..5", [m])
-    assert sig.separating and sig.full_grid
+    assert _separates("graded:0..5", m)
     assert len(sig.modalities) == 6
-    low = resolve_signature("graded:0..1", [m])
-    assert not low.full_grid
+    assert not _separates("graded:0..1", m)
     d = dist_model({"x": {"x": 1}})
     auto = resolve_signature("prob:auto-grid", [d])
-    assert auto.separating and at_least(Fraction(1)) in auto.modalities
+    assert _separates("prob:auto-grid", d) and at_least(Fraction(1)) in auto.modalities
     n = nbhd_model({"x": []})
     assert resolve_signature("nbhd:box", [n]).modalities == (NBHD_BOX,)
     with pytest.raises(ValidationError):
@@ -255,25 +258,75 @@ def test_max_base_bound_env_override(monkeypatch):
 
 
 def test_hand_built_grid_claims_no_cover():
-    """A grid with a gap is decided by the generic search, not the flow check."""
+    """A grid with a gap that misses the threshold the flow's cut fails is searched."""
     c = multiset_model({"a": {}, "x": {"a": 3}})
     d = multiset_model({"b": {}, "y": {"b": 2}})
-    sig = LambdaSignature(MULTISET_KIND, (diamond_gt(0), diamond_gt(5)), separating=False)
+    sig = LambdaSignature(MULTISET_KIND, (diamond_gt(0), diamond_gt(5)))
     s = relation(c.carrier, d.carrier, [("a", "b"), ("x", "y")])
     assert is_simulation(s, c, d, sig).holds
     assert brute_force_simulation_oracle(s, c, d, sig)
     assert generic_listing_empty(s, c, d, sig)
     assert s.pairs <= greatest_simulation(c, d, sig).pairs
-    assert not sig.full_grid
 
 
 def test_graded_grid_with_a_gap_is_not_separating():
     c = multiset_model({"a": {"a": 5}, "x": {"a": 2}})
     d = multiset_model({"b": {"b": 5}, "y": {"b": 3}})
-    sig = LambdaSignature(MULTISET_KIND, (diamond_gt(0), diamond_gt(5)), separating=True)
+    sig = LambdaSignature(MULTISET_KIND, (diamond_gt(0), diamond_gt(5)))
     assert len(greatest_bisimulation(c, d, sig)) == 4
     with pytest.raises(NotSeparatingError, match="misses index 1; weights reach 5"):
         ensure_separating(sig, c, d)
     with pytest.raises(NotSeparatingError):
         certified_equivalence(c, d, sig)
     ensure_separating(resolve_signature("graded:auto", [c, d]), c, d)
+
+
+def test_separation_names_the_missing_part():
+    k = kripke_model({"x": []}, atoms=["p", "q"])
+    kind = k.kind
+    for mods, gap in (
+        ((atom("p"), atom("q")), "kripke signature needs [] or <>"),
+        ((DIAMOND, atom("q")), "kripke signature misses atoms ['p']"),
+        ((BOX, DIAMOND), "kripke signature misses atoms ['p', 'q']"),
+    ):
+        with pytest.raises(NotSeparatingError, match=gap.replace("[", r"\[")):
+            ensure_separating(LambdaSignature(kind, mods), k, k)
+    ensure_separating(LambdaSignature(kind, (BOX, atom("p"), atom("q"))), k, k)
+    n = nbhd_model({"x": []})
+    with pytest.raises(NotSeparatingError, match=r"neighborhood signature needs \[m\]"):
+        ensure_separating(LambdaSignature(n.kind, ()), n, n)
+    ensure_separating(LambdaSignature(n.kind, (NBHD_BOX,)), n, n)
+
+
+def test_signature_resolved_on_other_models_decides_exactly():
+    """A probability grid from other models misses the cut's mass; the pair is searched."""
+    sig = auto_signature(dist_model({"p": {"p": "1/2", "q": "1/2"}, "q": {"q": 1}}))
+    c = dist_model({"x": {"a": "1/3", "b": "2/3"}, "a": {"a": 1}, "b": {"b": 1}})
+    d = dist_model({"y": {"a2": "1/2", "b2": "1/2"}, "a2": {"a2": 1}, "b2": {"b2": 1}})
+    s = relation(c.carrier, d.carrier, [("x", "y"), ("a", "a2"), ("b", "b2")])
+    report = is_simulation(s, c, d, sig)
+    assert report.holds == brute_force_simulation_oracle(s, c, d, sig) is True
+    assert report.violations == ()
+
+
+def test_diamond_only_kripke_signature_does_not_separate():
+    c = kripke_model({"x": []}, atoms=["p"], props={"x": ["p"]})
+    d = kripke_model({"y": []}, atoms=["p"])
+    sig = LambdaSignature(kripke_kind(("p",)), (DIAMOND,))
+    with pytest.raises(NotSeparatingError, match=r"misses atoms \['p'\]"):
+        ensure_separating(sig, c, d)
+    # The greatest-bisim route: the certified partition, or the fixpoint when it refuses.
+    try:
+        route = certified_equivalence(c, d, sig)[0]
+    except NotSeparatingError:
+        route = greatest_bisimulation(c, d, sig)
+    assert route.pairs == greatest_bisimulation(c, d, sig).pairs == {("x", "y")}
+
+
+def test_hand_built_grid_equal_to_the_resolved_one_needs_no_budget():
+    support = {f"s{i}": 1 for i in range(20)}
+    m = multiset_model({"x": support, **{z: {} for z in support}})
+    sig = LambdaSignature(MULTISET_KIND, tuple(diamond_gt(k) for k in range(21)))
+    assert sig.modalities == auto_signature(m).modalities
+    ident = relation(m.carrier, m.carrier, [(z, z) for z in m.carrier])
+    assert is_simulation(ident, m, m, sig).holds

@@ -3,6 +3,7 @@
 import random
 import time
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -29,15 +30,18 @@ from coalsim import (
     resolve_signature,
 )
 from coalsim.generators import GeneratorConfig, generate_coalgebra, random_relation
-from coalsim.oracles import distinguishing_pair, lambda_leq
+from coalsim.oracles import brute_force_simulation_oracle, distinguishing_pair, lambda_leq
 from coalsim.liftings import (
     at_least,
     diamond_gt,
+    graded_bound,
+    hall_violator,
     lifting_check,
     lifting_violations,
-    per_kind_exact,
     prob_grid,
+    satisfies,
 )
+from coalsim.values import base, measure
 
 from conftest import dist_model
 from oracle_helpers import (
@@ -62,15 +66,20 @@ LITERALS = [
 ]
 
 
-def _seeded_cases(trials):
+# Literals whose grids need not cover the models they are resolved on.
+PARTIAL = ("graded:0..0", "graded:0..1")
+
+
+def _seeded_cases(trials, third=False):
+    """(literal, c, d, sig) over LITERALS, sig resolved on [c, d] or, if `third`, on another model."""
     for trial in range(trials):
         kind, cfg, literals = LITERALS[trial % len(LITERALS)]
-        c = generate_coalgebra(GeneratorConfig(seed=trial, kind=kind, max_states=4, **cfg))
-        d = generate_coalgebra(
-            GeneratorConfig(seed=trial + 7000, kind=kind, max_states=4, **cfg)
+        c, d, e = (
+            generate_coalgebra(GeneratorConfig(seed=trial + k, kind=kind, max_states=4, **cfg))
+            for k in (0, 7000, 9000)
         )
         for literal in literals:
-            yield trial, c, d, resolve_signature(literal, [c, d])
+            yield literal, c, d, resolve_signature(literal, [e] if third else [c, d])
 
 
 def test_violations_match_reference_in_order_and_cap():
@@ -130,7 +139,7 @@ def _weighted_cases(trials):
     Multisets (even trials) have supports 0..8 with infinite weights on
     either side; distributions (odd trials) supports 1..8.  Images are
     random subsets of all labels, so they may miss u's support.  Every
-    fifth signature has no modalities; the others claim a covering grid.
+    fifth signature has no modalities; the others one threshold.
     """
     rng = random.Random(17)
     labels = [f"s{i}" for i in range(10)]
@@ -151,30 +160,60 @@ def _weighted_cases(trials):
         img = {x: frozenset(y for y in labels if rng.random() < p) for x in labels}
         kind, mod = (DISTRIBUTION_KIND, at_least("1/2")) if dist else (MULTISET_KIND, diamond_gt(0))
         mods = () if trial % 5 == 0 else (mod,)
-        yield t, u, img, LambdaSignature(kind, mods, separating=bool(mods), full_grid=True)
+        yield t, u, img, LambdaSignature(kind, mods)
+
+
+def _covering(sig, t, u):
+    """sig's kind with the grid `resolve_signature` would build on models holding t and u."""
+    models = [SimpleNamespace(transition={"t": t, "u": u})]
+    if sig.kind == DISTRIBUTION_KIND:
+        return LambdaSignature(sig.kind, tuple(map(at_least, prob_grid(models))))
+    return LambdaSignature(sig.kind, tuple(map(diamond_gt, range(graded_bound(models) + 1))))
 
 
 def test_weighted_check_matches_subset_reference():
+    """The flow and its cut (`hall_violator`) against every subset."""
     verdicts = {True: 0, False: 0}
     infinite = empty = 0
     for t, u, img, sig in _weighted_cases(3000):
-        ok = lifting_check(sig)(t, u, img)
-        assert ok == weighted_pair_reference(t, u, img, sig), (t, u, img, sig)
-        verdicts[ok] += 1
+        cut = hall_violator(t, u, img)
+        assert (cut is None) == weighted_pair_reference(t, u, img), (t, u, img)
+        if cut is not None:
+            # The Hall violator: a non-empty A ⊆ base(t) with t(A) > u(S[A]), masses exact.
+            a, t_mass, u_mass = cut
+            image = frozenset().union(*(img[z] for z in a))
+            assert a and a <= base(t)
+            assert (t_mass, u_mass) == (measure(t, a), measure(u, image))
+            assert t_mass > u_mass
+        verdicts[cut is None] += 1
         infinite += any(w == INF for _, w in t.entries + u.entries)
         empty += not t.entries or not u.entries
     assert min(verdicts.values()) > 300
     assert infinite > 300 and empty > 50
 
 
+def test_weighted_check_matches_violation_reference():
+    """One-threshold grids on every case, covering grids (slower to search) on the first 100."""
+    verdicts = {True: 0, False: 0}
+    for i, (t, u, img, sig) in enumerate(_weighted_cases(3000)):
+        for grid in (sig, _covering(sig, t, u)) if i < 100 else (sig,):
+            ok = lifting_check(grid)(t, u, img)
+            assert ok == (not pair_violations_reference(t, u, img, grid, 1)), (t, u, img, grid)
+            verdicts[ok] += 1
+    assert min(verdicts.values()) > 600
+
+
 def test_weighted_check_enumerates_no_subsets(monkeypatch):
     def forbidden(*args):
         raise AssertionError("the weighted pair check enumerated subsets")
 
+    cases = [(t, u, img, _covering(sig, t, u)) for t, u, img, sig in _weighted_cases(400)]
     for name in ("subsets", "measure", "exhaustive_base"):
         monkeypatch.setattr(coalsim.liftings, name, forbidden)
-    for t, u, img, sig in _weighted_cases(400):
-        lifting_check(sig)(t, u, img)
+    failing = 0
+    for t, u, img, sig in cases:
+        failing += not lifting_check(sig)(t, u, img)
+    assert failing > 100
 
 
 def _reference_report(s, c, d, sig, witness, direction, cap):
@@ -195,21 +234,35 @@ def _listed(report):
             for v in report.violations]
 
 
+def _count_generic_searches(monkeypatch) -> list:
+    """Count the pair checks that fall back to the generic search; each must need it.
+
+    The generic search runs only at a failing weighted pair whose Hall
+    violator A fails no threshold of the grid.
+    """
+    generic = coalsim.liftings._pair_ok_generic
+    searched = []
+
+    def generic_only_where_needed(sig, t, u, img):
+        cut = hall_violator(t, u, img)
+        assert cut is not None, "the generic search ran at a pair the flow passes"
+        a, image = cut[0], frozenset().union(*(img[z] for z in cut[0]))
+        assert not any(satisfies(t, m, a) and not satisfies(u, m, image)
+                       for m in sig.modalities), "the cut already fails a threshold"
+        searched.append(sig)
+        return generic(sig, t, u, img)
+
+    monkeypatch.setattr(coalsim.liftings, "_pair_ok_generic", generic_only_where_needed)
+    return searched
+
+
 @pytest.mark.parametrize("cap", [100, 2])
 def test_screened_reports_match_reference(monkeypatch, cap):
-    generic = coalsim.liftings._pair_ok_generic
-
-    def generic_only_where_needed(sig, *args):
-        assert not per_kind_exact(sig), "a report ran the generic search under an exact check"
-        return generic(sig, *args)
-
-    # The generic search decides a pair only where no per-kind check is exact.
-    monkeypatch.setattr(coalsim.liftings, "_pair_ok_generic", generic_only_where_needed)
+    searched = _count_generic_searches(monkeypatch)
     monkeypatch.setattr(coalsim.simulation, "VIOLATION_CAP", cap)
     rng = random.Random(23)
-    failing = partial_grids = 0
+    failing = 0
     for _, c, d, sig in _seeded_cases(120):
-        partial_grids += not per_kind_exact(sig)
         s = random_relation(rng, c, d)
         forward = _reference_report(s, c, d, sig, s, "forward", cap)
         report = is_simulation(s, c, d, sig)
@@ -225,7 +278,7 @@ def test_screened_reports_match_reference(monkeypatch, cap):
             report = check(s, c, d, sig)
             assert _listed(report) == expected and report.holds == (not expected)
         failing += bool(forward)
-    assert failing > 100 and partial_grids > 10
+    assert failing > 100 and len(searched) > 10
 
 
 def test_reports_stop_at_the_first_failure_and_check_no_pair_twice(monkeypatch):
@@ -246,8 +299,6 @@ def test_reports_stop_at_the_first_failure_and_check_no_pair_twice(monkeypatch):
     rng = random.Random(31)
     stopped_early = 0
     for _, c, d, sig in _seeded_cases(120):
-        if not per_kind_exact(sig):
-            continue
         s = random_relation(rng, c, d)
         for check, directions in (
             (is_simulation, 1),
@@ -285,3 +336,40 @@ def test_wide_support_distribution_needs_no_budget():
     pairs = {(x, y) for x in model.carrier for y in model.carrier}
     assert behavioural_equivalence(model, model, sig).pairs == pairs
     assert greatest_simulation(model, model, sig).pairs == pairs
+
+
+def test_verdicts_match_the_oracle_under_foreign_signatures():
+    """Signatures resolved on the models or on a third one: exact verdicts, listed failures."""
+    rng = random.Random(41)
+    failing = 0
+    for third in (False, True):
+        for _, c, d, sig in _seeded_cases(100, third):
+            s = random_relation(rng, c, d)
+            report = is_simulation(s, c, d, sig)
+            assert report.holds == brute_force_simulation_oracle(s, c, d, sig)
+            assert report.holds or report.violations
+            failing += not report.holds
+    assert failing > 100
+
+
+def test_resolved_grids_decide_every_pair_by_the_flow(monkeypatch):
+    """Under grids resolved on the models, no verdict falls back to the generic search."""
+    searched = _count_generic_searches(monkeypatch)
+    cuts = []
+    real = coalsim.liftings.hall_violator
+
+    def recorded(*args):
+        cuts.append(real(*args))
+        return cuts[-1]
+
+    monkeypatch.setattr(coalsim.liftings, "hall_violator", recorded)
+    rng = random.Random(43)
+    for literal, c, d, sig in _seeded_cases(200):
+        if literal.startswith("kripke") or literal in PARTIAL:
+            continue
+        s = random_relation(rng, c, d)
+        is_simulation(s, c, d, sig).holds
+        is_bisimulation(s, c, d, sig).holds
+        greatest_simulation(c, d, sig)
+    assert searched == []
+    assert sum(cut is not None for cut in cuts) > 200
