@@ -294,7 +294,12 @@ def _canonical_coupling(t, u, by_left, by_right) -> FunctorValue:
     ))
 
 
-def _weighted_coupling(x, y, c, d, cells) -> Optional[FunctorValue]:
+def _weighted_coupling(x, y, c, d, by_left) -> Optional[FunctorValue]:
+    """A transportation plan of x's value onto y's over the cells, or None.
+
+    `by_left` indexes the cells by their left states; only the cells in the
+    rows of x's support are passed on.
+    """
     t, u = c.transition[x], d.transition[y]
     rows = dict(t.entries)
     cols = dict(u.entries)
@@ -304,7 +309,7 @@ def _weighted_coupling(x, y, c, d, cells) -> Optional[FunctorValue]:
                 f"coupling search needs finite weights; pair ({x!r}, {y!r}) has an "
                 f"infinite weight"
             )
-    plan = feasible_transport(rows, cols, cells)
+    plan = feasible_transport(rows, cols, [q for r in rows for q in by_left.get(r, ())])
     if plan is None:
         return None
     if isinstance(t, DistValue):
@@ -321,17 +326,16 @@ def _coupling_check(s: Relation, cell_pairs, c, d) -> Optional[Coupling]:
     """
     _same_kind(c, d)
     kind = c.kind.name
-    cells = sorted(cell_pairs, key=state_key)
-    p1 = {q: q[0] for q in cells}
-    p2 = {q: q[1] for q in cells}
-    by_left, by_right = _cell_index(cells)
+    p1 = {q: q[0] for q in cell_pairs}
+    p2 = {q: q[1] for q in cell_pairs}
+    by_left, by_right = _cell_index(cell_pairs)
     out = []
     for x, y in sorted(s.pairs, key=state_key):
         t, u = c.transition[x], d.transition[y]
         if kind in (KRIPKE, NEIGHBORHOOD):
             v = _canonical_coupling(t, u, by_left, by_right)
         elif kind in (MULTISET, DISTRIBUTION):
-            v = _weighted_coupling(x, y, c, d, cells)
+            v = _weighted_coupling(x, y, c, d, by_left)
             if v is None:
                 return None
         else:

@@ -17,8 +17,9 @@ This is the one module that knows the one-step (lifting) condition behind
 simulations and bisimulations (see `lifting_violations`).  `lifting_check`
 decides it at one pair, exactly for every signature, and
 `lifting_violations` lists the failures for reports.  It is also the one
-place the engine enumerates subsets: `subsets`, behind the gate
-`exhaustive_base`.
+place the engine enumerates subsets, behind the gate `exhaustive_base`:
+`subsets` for Kripke and neighborhood values, one table of masses over
+bitmasks for weighted ones.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import islice
-from math import lcm
+from math import ceil, floor, lcm
 from typing import Iterator, Optional, Sequence
 
 from .errors import BudgetError, KindMismatchError, NotSeparatingError, ValidationError, shown
@@ -52,6 +53,7 @@ from .values import (
 )
 
 DEFAULT_MAX_BASE = 16
+MAX_GRADED_INDEX = 100_000  # largest index of a graded grid; about 0.2 s to build
 
 
 def _max_base() -> int:
@@ -169,6 +171,20 @@ def modality_kind(m: Modality) -> str:
     return _KIND_OF_OP[m.op]
 
 
+def _mismatch(t: FunctorValue, m: Modality) -> KindMismatchError:
+    return KindMismatchError(f"modality {m.token()!r} is not interpretable over {type(t).__name__}")
+
+
+def _threshold(t: FunctorValue, m: Modality) -> tuple:
+    """(strict, bound) of a weighted modality: a value satisfies m at A when
+    its mass at A exceeds the bound or, if not `strict`, reaches it."""
+    if isinstance(t, MultisetValue) and m.op == "diamond_gt":
+        return True, m.index
+    if isinstance(t, DistValue) and m.op in ("at_least", "more_than"):
+        return m.op == "more_than", m.bound
+    raise _mismatch(t, m)
+
+
 def satisfies(t: FunctorValue, m: Modality, states) -> bool:
     """Does the value satisfy the modality applied to the given state set?"""
     if isinstance(t, KripkeValue):
@@ -178,20 +194,14 @@ def satisfies(t: FunctorValue, m: Modality, states) -> bool:
             return bool(t.succ & frozenset(states))
         if m.op == "atom":
             return m.name in t.props
-    elif isinstance(t, MultisetValue):
-        if m.op == "diamond_gt":
-            return measure(t, states) > m.index
-    elif isinstance(t, DistValue):
-        if m.op == "at_least":
-            return measure(t, states) >= m.bound
-        if m.op == "more_than":
-            return measure(t, states) > m.bound
+    elif isinstance(t, (MultisetValue, DistValue)):
+        strict, bound = _threshold(t, m)
+        mass = measure(t, states)
+        return mass > bound if strict else mass >= bound
     elif isinstance(t, NbhdValue):
         if m.op == "nbhd_box":
             return t.contains(states)
-    raise KindMismatchError(
-        f"modality {m.token()!r} is not interpretable over {type(t).__name__}"
-    )
+    raise _mismatch(t, m)
 
 
 @dataclass(frozen=True)
@@ -259,7 +269,8 @@ def resolve_signature(literal: str, models: Sequence[Coalgebra]) -> LambdaSignat
     Supported literals: "kripke:<parts>" with parts among box, diamond,
     atoms; "graded:0..K" and "graded:auto"; "prob:auto-grid"; "nbhd:box".
     Grid-style signatures are resolved against the models they will be used
-    on, so the grid provably covers every relevant threshold.
+    on, so the grid provably covers every relevant threshold.  A graded grid
+    past index MAX_GRADED_INDEX, given or resolved, raises BudgetError.
     """
     if not models:
         raise ValidationError("signature resolution needs at least one model")
@@ -294,6 +305,10 @@ def resolve_signature(literal: str, models: Sequence[Coalgebra]) -> LambdaSignat
                 raise ValidationError(f"malformed signature literal {shown(literal)}: {exc}") from exc
         else:
             raise ValidationError(f"malformed graded signature {shown(literal)}")
+        if bound > MAX_GRADED_INDEX:
+            raise BudgetError(
+                f"graded signature {shown(literal)} needs indices above the limit {MAX_GRADED_INDEX}"
+            )
         mods = map(diamond_gt, range(bound + 1))
     elif family == "prob":
         if spec != "auto-grid":
@@ -364,15 +379,102 @@ def _image(a, img) -> frozenset:
 def _misses(t, u, img, sig):
     """Where the lifting condition fails: t satisfies m at A, u not at S[A].
 
-    The one quantification over observations (modality m, set A): a nullary
-    modality observes only the empty set, any other each subset of base(t)
-    (gated by `exhaustive_base`), streamed per modality, in `subsets` order.
+    The one quantification over observations (modality m, set A), streamed
+    per modality in signature order, each in `subsets` order.  A nullary
+    modality observes only the empty set, any other each subset of base(t),
+    gated by `exhaustive_base`; weighted values are listed from their mass
+    table instead (`_weighted_misses`).
     """
+    if isinstance(t, (MultisetValue, DistValue)):
+        yield from _weighted_misses(t, u, img, sig)
+        return
     items = exhaustive_base(base(t), "value base")
     for m in sig.modalities:
         for a in (frozenset(),) if m.nullary else subsets(items):
             if satisfies(t, m, a) and not satisfies(u, m, _image(a, img)):
                 yield m, a
+
+
+def _denominator(t, u) -> int:
+    """The least common denominator of two weighted values' finite weights."""
+    return lcm(*(w.denominator for _, w in (*t.entries, *u.entries) if w != INF))
+
+
+def _scaled(w, den: int) -> int:
+    """A finite weight times den, a multiple of its denominator."""
+    return w.numerator * (den // w.denominator)
+
+
+def _deficits(t, u, img, items, den) -> list:
+    """One mass table: (mask, t(A), u(S[A])) for each A ⊆ items with
+    t(A) > u(S[A]), in `subsets` order, masses scaled by `den`.
+
+    Bit i of a mask stands for items[i].  t(A) is t(A minus its lowest
+    item) plus that item's weight; S[A] is a bitmask over u's support, ORed
+    from per-item image masks, and u's mass is computed once per image mask.
+    Infinite weights are masks of their own, so no sum meets infinity: an A
+    holding one has t(A) = INF, an S[A] holding one is never short.
+    """
+    tw, uw = dict(t.entries), [w for _, w in u.entries]
+    t_scaled = [0 if tw[x] == INF else _scaled(tw[x], den) for x in items]
+    u_scaled = [0 if w == INF else _scaled(w, den) for w in uw]
+    t_inf = sum(1 << i for i, x in enumerate(items) if tw[x] == INF)
+    u_inf = sum(1 << j for j, w in enumerate(uw) if w == INF)
+    images = [sum(1 << j for j, (y, _) in enumerate(u.entries) if y in img[x]) for x in items]
+    t_mass, s_mask, u_mass = [0] * (1 << len(items)), [0] * (1 << len(items)), {0: 0}
+    table = []
+    for mask in range(1, 1 << len(items)):
+        low = mask & -mask
+        i = low.bit_length() - 1
+        ta = t_mass[mask] = t_mass[mask ^ low] + t_scaled[i]
+        sa = s_mask[mask] = s_mask[mask ^ low] | images[i]
+        if sa & u_inf:
+            continue
+        ub = u_mass.get(sa)
+        if ub is None:
+            ub = u_mass[sa] = sum(w for j, w in enumerate(u_scaled) if sa >> j & 1)
+        if mask & t_inf:
+            ta = INF
+        if ta > ub:
+            table.append((mask, ta, ub))
+    return table
+
+
+def _weighted_misses(t, u, img, sig):
+    """`_misses` for multisets and distributions, read off one mass table.
+
+    Every modality is a monotone threshold on mass, so it can fail at A only
+    where t(A) > u(S[A]); the table (`_deficits`) keeps those sets, and each
+    modality, in signature order, scans them.  The sets are built only for
+    the failures yielded.  Beyond COALSIM_MAX_BASE the minimum cut A* of
+    `hall_violator` stands in for the table: each modality that A* fails
+    is listed with it, and BudgetError is raised only when it fails none,
+    which a grid holding the models' thresholds rules out.
+    """
+    den = _denominator(t, u)
+    beyond = len(t.entries) > _max_base()
+    if beyond:
+        cut = hall_violator(t, u, img)
+        table = [(cut[0], cut[1] * den, cut[2] * den)] if cut else []
+        members = frozenset
+    else:
+        items = exhaustive_base(base(t), "value base")
+        table = _deficits(t, u, img, items, den)
+
+        def members(mask):
+            return frozenset(x for i, x in enumerate(items) if mask >> i & 1)
+
+    listed = False
+    for m in sig.modalities:
+        strict, bound = _threshold(t, m)
+        # m holds of an integer mass v exactly when v > level.
+        level = floor(bound * den) if strict else ceil(bound * den) - 1
+        for a, ta, ub in table:
+            if ub <= level < ta:
+                listed = True
+                yield m, members(a)
+    if beyond and table and not listed:
+        exhaustive_base(base(t), "value base")  # raises: only a search of every A could list this pair
 
 
 def lifting_violations(
@@ -426,9 +528,9 @@ def hall_violator(t, u, img) -> Optional[tuple]:
     if not supply:
         return None
     room = {y: w for y, w in u.entries if w != INF}
-    den = lcm(*(w.denominator for w in supply.values()), *(w.denominator for w in room.values()))
-    supply = {x: int(w * den) for x, w in supply.items()}
-    room = {y: int(w * den) for y, w in room.items()}
+    den = _denominator(t, u)
+    supply = {x: _scaled(w, den) for x, w in supply.items()}
+    room = {y: _scaled(w, den) for y, w in room.items()}
     _, cut = ship(supply, room, [(x, y) for x in supply for y in room if y in img[x]])
     if cut is None:
         return None

@@ -2,20 +2,24 @@
 
 It serves two callers.  `feasible_transport` fills a table with given row
 and column marginals (the couplings behind t-bisimulations): marginals are
-exact rationals (or naturals), denominators are cleared with their least
-common multiple, and the integer problem is solved by breadth-first
-augmenting paths.  `ship` routes integer supplies into sinks of bounded
+exact rationals (or naturals), scaled to integers by the least common
+multiple of their denominators, and converted back only for the cells of
+the plan it returns.  `ship` routes integer supplies into sinks of bounded
 room along allowed arcs; `feasible_transport` reads its table off that
 flow, and `coalsim.liftings` decides the weighted lifting condition at one
 pair from whether all of the supply ships and, when it does not, from the
 minimum cut that stops it.
-Instances here are tiny (a handful of sources and sinks), so simplicity
-beats asymptotics.
+
+The flow is Edmonds-Karp on one n*n list of residual capacities, with
+breadth-first search visiting neighbours in node order.  `ship` numbers
+the nodes in the order of its supplies and rooms, so the flow and the cut do
+not depend on the order of the arcs, and `feasible_transport` sorts its rows
+and columns, so its plan does not depend on the order of the cells.  Instances here
+are small (the supports of two values), so n*n entries are cheap.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from fractions import Fraction
 from math import lcm
 from typing import Mapping, Optional
@@ -24,40 +28,46 @@ from .values import state_key
 
 
 def _max_flow(n: int, capacity: dict, source: int, sink: int) -> tuple:
-    """Edmonds-Karp; mutates nothing, returns the flows and a minimum cut's source side."""
-    residual = {}
-    adj = {i: set() for i in range(n)}
+    """Edmonds-Karp on one n*n residual list; returns the flows and a minimum cut's source side.
+
+    `capacity` maps arcs (a, b) to natural capacities and holds no arc in both
+    directions, so each arc's flow is read back as its capacity minus its
+    residual.  Breadth-first search visits neighbours in node order, which
+    fixes the augmenting paths and so the flow.
+    """
+    residual = [0] * (n * n)
+    order = [[] for _ in range(n)]
     for (a, b), cap in capacity.items():
-        residual[(a, b)] = residual.get((a, b), 0) + cap
-        residual.setdefault((b, a), 0)
-        adj[a].add(b)
-        adj[b].add(a)
-    order = {i: sorted(nbrs) for i, nbrs in adj.items()}
-    flow = {edge: 0 for edge in capacity}
+        residual[a * n + b] = cap
+        order[a].append(b)
+        order[b].append(a)
+    for nbrs in order:
+        nbrs.sort()
     while True:
-        parent = {source: None}
-        queue = deque([source])
-        while queue and sink not in parent:
-            node = queue.popleft()
+        parent = [-1] * n
+        parent[source] = source
+        queue = [source]
+        for node in queue:
+            row = node * n
             for nxt in order[node]:
-                if nxt not in parent and residual[(node, nxt)] > 0:
+                if parent[nxt] < 0 and residual[row + nxt]:
                     parent[nxt] = node
                     queue.append(nxt)
-        if sink not in parent:
-            return flow, parent.keys()
+            if parent[sink] >= 0:
+                break
+        else:
+            flow = {(a, b): cap - residual[a * n + b] for (a, b), cap in capacity.items()}
+            return flow, set(queue)
         path = []
         node = sink
-        while parent[node] is not None:
-            path.append((parent[node], node))
+        while node != source:
+            path.append(parent[node] * n + node)
             node = parent[node]
         push = min(residual[e] for e in path)
         for e in path:
+            a, b = divmod(e, n)
             residual[e] -= push
-            residual[(e[1], e[0])] += push
-            if e in flow:
-                flow[e] += push
-            else:
-                flow[(e[1], e[0])] -= push
+            residual[b * n + a] += push
 
 
 def ship(supply: Mapping, room: Mapping, arcs) -> tuple:
@@ -95,22 +105,21 @@ def feasible_transport(
 ) -> Optional[dict]:
     """A nonnegative filling of the allowed cells with the given marginals.
 
-    Returns {cell: amount} using exact rationals (zero-amount cells omitted),
-    or None when no filling exists.  Rows and columns with zero marginal are
-    ignored; totals must agree, otherwise the problem is trivially infeasible.
+    Marginals are exact rationals (ints or Fractions).  Returns {cell:
+    amount} using exact rationals (zero-amount cells omitted), or None when
+    no filling exists.  Rows and columns with zero marginal are ignored;
+    totals must agree, otherwise the problem is trivially infeasible.  The
+    plan does not depend on the order of the cells: flow nodes are numbered
+    by the sorted rows and columns.
     """
-    rows = {k: Fraction(v) for k, v in rows.items() if v}
-    cols = {k: Fraction(v) for k, v in cols.items() if v}
-    if sum(rows.values(), Fraction(0)) != sum(cols.values(), Fraction(0)):
+    rows = {k: v for k, v in rows.items() if v}
+    cols = {k: v for k, v in cols.items() if v}
+    denom = lcm(*(v.denominator for v in rows.values()), *(v.denominator for v in cols.values()))
+    supply = {k: rows[k].numerator * (denom // rows[k].denominator) for k in sorted(rows, key=state_key)}
+    room = {k: cols[k].numerator * (denom // cols[k].denominator) for k in sorted(cols, key=state_key)}
+    if sum(supply.values()) != sum(room.values()):
         return None
-    denom = lcm(
-        *[v.denominator for v in rows.values()],
-        *[v.denominator for v in cols.values()],
-        1,
-    )
-    supply = {k: int(rows[k] * denom) for k in sorted(rows, key=state_key)}
-    room = {k: int(cols[k] * denom) for k in sorted(cols, key=state_key)}
-    arcs = [(r, c) for r, c in sorted(cells, key=state_key) if r in supply and c in room]
+    arcs = [(r, c) for r, c in cells if r in supply and c in room]
     shipped, _ = ship(supply, room, arcs)
     if shipped is None:
         return None

@@ -6,6 +6,7 @@ partition refinement on Kripke graphs) so that agreement is evidence, not
 circularity.
 """
 
+from collections import deque
 from itertools import combinations
 
 from coalsim import (
@@ -330,3 +331,43 @@ def nbhd_coupling_reference(t, u, cells):
         if values_equal(relabel(v, p1), t) and values_equal(relabel(v, p2), u):
             return v
     return None
+
+
+def max_flow_reference(n: int, capacity: dict, source: int, sink: int) -> tuple:
+    """The maximum flow as first written: Edmonds-Karp on dict residuals.
+
+    Mutates nothing, returns the flows and a minimum cut's source side.
+    """
+    residual = {}
+    adj = {i: set() for i in range(n)}
+    for (a, b), cap in capacity.items():
+        residual[(a, b)] = residual.get((a, b), 0) + cap
+        residual.setdefault((b, a), 0)
+        adj[a].add(b)
+        adj[b].add(a)
+    order = {i: sorted(nbrs) for i, nbrs in adj.items()}
+    flow = {edge: 0 for edge in capacity}
+    while True:
+        parent = {source: None}
+        queue = deque([source])
+        while queue and sink not in parent:
+            node = queue.popleft()
+            for nxt in order[node]:
+                if nxt not in parent and residual[(node, nxt)] > 0:
+                    parent[nxt] = node
+                    queue.append(nxt)
+        if sink not in parent:
+            return flow, parent.keys()
+        path = []
+        node = sink
+        while parent[node] is not None:
+            path.append((parent[node], node))
+            node = parent[node]
+        push = min(residual[e] for e in path)
+        for e in path:
+            residual[e] -= push
+            residual[(e[1], e[0])] += push
+            if e in flow:
+                flow[e] += push
+            else:
+                flow[(e[1], e[0])] -= push

@@ -1,5 +1,6 @@
 import json
 import sys
+import time
 
 import pytest
 
@@ -12,11 +13,12 @@ from coalsim import (
     greatest_bisimulation,
     kripke_kind,
     resolve_signature,
+    satisfies,
 )
 from coalsim.generators import GeneratorConfig, generate_coalgebra
 from coalsim.cli import cli_dispatch
 from coalsim.liftings import _separation_gap, prob_grid
-from coalsim.modelio import coalgebra_to_dict, dump_json
+from coalsim.modelio import coalgebra_to_dict, dump_json, load_coalgebra, load_relation
 from coalsim.properties import PROPERTIES
 
 
@@ -415,6 +417,44 @@ def test_numbers_too_long_to_convert_exit_two(run, tmp_path):
         code, out, err = run(*argv)
         assert code == 2 and out == ""
         assert err.startswith("error: ") and expect in err
+
+
+def test_listing_beyond_the_exhaustive_bound_reports_the_cut(run, tmp_path):
+    """A failing pair over a 40-state support lists real violations and exits 1."""
+    support = [f"s{i}" for i in range(40)]
+    c = write(tmp_path, "c.json", {
+        "functor": "distribution", "states": ["x", *support],
+        "transition": {"x": {z: "1/40" for z in support}, **{z: {z: 1} for z in support}},
+    })
+    d = write(tmp_path, "d.json", {
+        "functor": "distribution", "states": ["y", "w"],
+        "transition": {"y": {"y": "1/2", "w": "1/2"}, "w": {"w": 1}},
+    })
+    rel = write(tmp_path, "rel.json", {"pairs": [["x", "y"], *([z, "w"] for z in support[:10])]})
+    code, out, err = run("check-sim", c, d, rel, "--json")
+    assert code == 1 and err == ""
+    report = json.loads(out)
+    assert report["holds"] is False and report["violations"]
+    cm, dm = load_coalgebra(c), load_coalgebra(d)
+    s = load_relation(rel, cm, dm)
+    grid = {m.token(): m for m in resolve_signature("prob:auto-grid", [cm, dm]).modalities}
+    img = s.left_images()
+    for v in report["violations"]:
+        t, u, m = cm.transition[v["left"]], dm.transition[v["right"]], grid[v["modality"]]
+        a = frozenset(v["witness"])
+        assert satisfies(t, m, a) and not satisfies(u, m, frozenset().union(*(img[z] for z in a)))
+    code, text, _ = run("check-sim", c, d, rel)
+    assert code == 1 and text.count("\nviolation ") == len(report["violations"])
+
+
+def test_graded_grid_past_the_index_limit_fails_at_once(run, tmp_path):
+    model = write(tmp_path, "m.json", {"functor": "multiset", "states": ["a"],
+                                       "transition": {"a": {"a": 2}}})
+    start = time.perf_counter()
+    code, out, err = run("eval", model, "a", "true", "--sig", "graded:0..9999999999")
+    assert time.perf_counter() - start < 2.0
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "limit 100000" in err and len(err) < 200
 
 
 def test_many_problems_make_one_short_error_line(run, tmp_path):

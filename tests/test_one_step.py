@@ -9,6 +9,7 @@ import pytest
 
 import coalsim.liftings
 import coalsim.simulation
+import coalsim.values
 from coalsim import (
     DISTRIBUTION_KIND,
     INF,
@@ -203,6 +204,61 @@ def test_weighted_check_matches_violation_reference():
     assert min(verdicts.values()) > 600
 
 
+def test_weighted_listings_read_one_mass_table(monkeypatch):
+    """Listing failing weighted pairs under auto grids calls no `measure` and no `satisfies`."""
+    calls = []
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(coalsim.values, "measure")
+    counted(coalsim.liftings, "measure")
+    counted(coalsim.liftings, "satisfies")
+    rng = random.Random(29)
+    listed = 0
+    for literal, c, d, sig in _seeded_cases(150):
+        if literal not in ("prob:auto-grid", "graded:auto"):
+            continue
+        s = random_relation(rng, c, d)
+        listed += len(is_simulation(s, c, d, sig).violations)
+        listed += len(is_bisimulation(s, c, d, sig).violations)
+    assert calls == [] and listed > 200
+
+
+def test_listings_beyond_the_bound_report_the_cut(monkeypatch):
+    """With COALSIM_MAX_BASE=0 each weighted listing reads the flow's minimum cut A*.
+
+    It lists (m, A*) for every modality A* fails, in signature order, and
+    raises BudgetError when A* fails none, which a covering grid rules out.
+    """
+    cases = [(t, u, img, grid, grid is sig) for t, u, img, sig in _weighted_cases(300)
+             for grid in (sig, _covering(sig, t, u))]
+    monkeypatch.setenv("COALSIM_MAX_BASE", "0")
+    seen = {"listed": 0, "budget": 0, "holds": 0}
+    for t, u, img, grid, partial in cases:
+        cut = hall_violator(t, u, img)  # None exactly when no A fails a threshold
+        fails = [] if cut is None else [
+            m for m in grid.modalities
+            if satisfies(t, m, cut[0]) and not satisfies(u, m, frozenset().union(*(img[z] for z in cut[0])))
+        ]
+        if cut is not None and not fails:
+            with pytest.raises(BudgetError, match="value base has"):
+                lifting_violations(t, u, img, grid, 100)
+            assert partial
+            seen["budget"] += 1
+            continue
+        assert lifting_violations(t, u, img, grid, 100) == [(m, cut[0]) for m in fails]
+        assert lifting_violations(t, u, img, grid, 2) == [(m, cut[0]) for m in fails[:2]]
+        seen["listed" if fails else "holds"] += 1
+    assert min(seen.values()) > 50, seen
+
+
 def test_weighted_check_enumerates_no_subsets(monkeypatch):
     def forbidden(*args):
         raise AssertionError("the weighted pair check enumerated subsets")
@@ -324,9 +380,10 @@ def test_failing_wide_support_verdict_needs_no_budget():
     d = dist_model({"y": {"y": 1}})
     report = is_simulation(relation(c.carrier, d.carrier, [("x", "y")]), c, d, auto_signature(c, d))
     assert report.holds is False
-    # Listing the violation still enumerates the subsets of x's base.
-    with pytest.raises(BudgetError, match="value base has 20 states"):
-        report.violations
+    # Beyond the exhaustive bound the listing reports the flow's minimum cut:
+    # all of x's support, of mass 1, whose image is empty.
+    listed = [(v.modality, frozenset(v.witness)) for v in report.violations]
+    assert listed == [(at_least(Fraction(k, 20)), frozenset(support)) for k in range(1, 21)]
 
 
 def test_wide_support_distribution_needs_no_budget():
