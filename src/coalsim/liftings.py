@@ -32,7 +32,7 @@ from itertools import islice
 from math import ceil, floor, lcm
 from typing import Iterator, Optional, Sequence
 
-from .errors import BudgetError, KindMismatchError, NotSeparatingError, ValidationError, shown
+from .errors import BudgetError, KindMismatchError, NotSeparatingError, ValidationError, clipped, shown
 from .transport import ship
 from .values import (
     DISTRIBUTION,
@@ -54,6 +54,7 @@ from .values import (
 
 DEFAULT_MAX_BASE = 16
 MAX_GRADED_INDEX = 100_000  # largest index of a graded grid; about 0.2 s to build
+MAX_PROB_GRID = 50_000  # most masses of a probability grid; a call at the limit takes about 1 s
 
 
 def _max_base() -> int:
@@ -244,20 +245,30 @@ def graded_bound(models: Sequence[Coalgebra]) -> int:
 def prob_grid(models: Sequence[Coalgebra]) -> tuple:
     """All subset masses realized by any distribution of the models, sorted.
 
-    Each value's distinct subset masses are collected entry by entry, as
-    integer multiples of the common denominator of its masses, so the cost
-    is bounded by support size times grid size, not by 2^support.
+    Each distinct list of masses has its subset masses collected entry by
+    entry, as integer multiples of the common denominator of all masses, so
+    the cost is bounded by support size times grid size, not by 2^support.
+    As soon as one value's subset masses or the whole grid pass
+    MAX_PROB_GRID, BudgetError is raised.
     """
-    grid = {Fraction(0), Fraction(1)}
-    for c in models:
-        for t in c.transition.values():
-            den = lcm(*(q.denominator for _, q in t.entries))
-            sums = {0}
-            for _, q in t.entries:
-                w = q.numerator * (den // q.denominator)
-                sums |= {s + w for s in sums}
-            grid.update(Fraction(s, den) for s in sums)
-    return tuple(sorted(grid))
+    lists = dict.fromkeys(tuple(sorted(q for _, q in t.entries)) for c in models for t in c.transition.values())
+    den = lcm(*(q.denominator for masses in lists for q in masses))
+    grid = {0, den}
+    for masses in lists:
+        sums = {0}
+        for q in masses:
+            w = q.numerator * (den // q.denominator)
+            sums |= {s + w for s in sums}
+            if len(sums) > MAX_PROB_GRID:
+                raise _grid_budget()
+        grid |= sums
+        if len(grid) > MAX_PROB_GRID:
+            raise _grid_budget()
+    return tuple(Fraction(s, den) for s in sorted(grid))
+
+
+def _grid_budget() -> BudgetError:
+    return BudgetError(f"probability grid holds more masses than the limit MAX_PROB_GRID = {MAX_PROB_GRID}")
 
 
 _FAMILY_KINDS = {"kripke": KRIPKE, "graded": MULTISET, "prob": DISTRIBUTION, "nbhd": NEIGHBORHOOD}
@@ -360,7 +371,7 @@ def _separation_gap(sig: LambdaSignature, models) -> Optional[str]:
         have = {m.bound for m in sig.modalities}
         missing = [p for p in prob_grid(models) if p not in have]
         if missing:
-            return f"probability grid misses realized masses {[str(p) for p in missing]}"
+            return clipped(f"probability grid misses realized masses {[str(p) for p in missing]}")
     return None
 
 

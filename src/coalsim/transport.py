@@ -1,4 +1,4 @@
-"""Exact integer maximum flow, for couplings and for one-step pair checks.
+"""Exact integer transport, for couplings and for one-step pair checks.
 
 It serves two callers.  `feasible_transport` fills a table with given row
 and column marginals (the couplings behind t-bisimulations): marginals are
@@ -10,12 +10,14 @@ flow, and `coalsim.liftings` decides the weighted lifting condition at one
 pair from whether all of the supply ships and, when it does not, from the
 minimum cut that stops it.
 
-The flow is Edmonds-Karp on one n*n list of residual capacities, with
-breadth-first search visiting neighbours in node order.  `ship` numbers
-the nodes in the order of its supplies and rooms, so the flow and the cut do
-not depend on the order of the arcs, and `feasible_transport` sorts its rows
-and columns, so its plan does not depend on the order of the cells.  Instances here
-are small (the supports of two values), so n*n entries are cheap.
+The answer is the flow of Edmonds-Karp with breadth-first search visiting
+neighbours in node order.  `ship` numbers the nodes in the order of its
+supplies and rooms, so the flow and the cut do not depend on the order of
+the arcs, and `feasible_transport` sorts its rows and columns, so its plan
+does not depend on the order of the cells.  On block-shaped networks (images
+read off partition blocks, a planted functional relation, the product C x D)
+`ship` writes that flow down by the northwest-corner rule and runs none;
+other networks run `_max_flow` on one n*n list of residual capacities.
 """
 
 from __future__ import annotations
@@ -70,6 +72,61 @@ def _max_flow(n: int, capacity: dict, source: int, sink: int) -> tuple:
             residual[b * n + a] += push
 
 
+def _flow_network(supply: Mapping, room: Mapping, arcs) -> tuple:
+    """The network `ship` solves by maximum flow, as (n, capacity, edges).
+
+    Node 0 is the source and node n-1 the sink; sources are numbered from 1
+    in the order of `supply`, then sinks in the order of `room`.  Each arc
+    gets the whole supply as its capacity, which no flow can fill, and
+    `edges` maps its node pair back to the arc, in arc order.
+    """
+    total = sum(supply.values())
+    src_id = {k: 1 + i for i, k in enumerate(supply)}
+    dst_id = {k: 1 + len(supply) + i for i, k in enumerate(room)}
+    n = 2 + len(supply) + len(room)
+    capacity = {(0, i): supply[k] for k, i in src_id.items()}
+    capacity.update(((i, n - 1), room[k]) for k, i in dst_id.items())
+    edges = {(src_id[a], dst_id[b]): (a, b) for a, b in arcs}
+    capacity.update((e, total) for e in edges)
+    return n, capacity, edges
+
+
+def _corner(supply: Mapping, room: Mapping, arcs, groups: dict) -> tuple:
+    """`ship` on groups of sources whose sink sets are pairwise disjoint.
+
+    Each group and its sinks form a complete bipartite component, filled by
+    the northwest-corner rule: sources in supply order, sinks in room order,
+    each step shipping as much as both have left.
+    """
+    shipped = {(a, b): 0 for a, b in arcs}
+    short = 0
+    stuck = set()
+    for sinks, sources in groups.items():
+        targets = (y for y in room if y in sinks)
+        left = 0
+        gap = 0
+        for x in sources:
+            have = supply[x]
+            while have:
+                if not left:
+                    y = next(targets, None)
+                    if y is None:
+                        break
+                    left = room[y]
+                    continue
+                push = min(have, left)
+                shipped[x, y] += push
+                have -= push
+                left -= push
+            gap += have
+        if gap:
+            short += gap
+            stuck.update(sources)
+    if short:
+        return None, ([x for x, w in supply.items() if w and x in stuck], short)
+    return shipped, None
+
+
 def ship(supply: Mapping, room: Mapping, arcs) -> tuple:
     """Ship every source's whole supply into the sinks along the arcs.
 
@@ -78,25 +135,39 @@ def ship(supply: Mapping, room: Mapping, arcs) -> tuple:
     unbounded capacity, with both ends among those keys.  Sources and sinks
     are separate nodes even when their labels coincide, numbered in the
     order of the mappings.  Returns (shipped, cut) from one maximum flow:
-    ({arc: amount}, None) when all of the supply ships, otherwise (None,
-    (sources, short)): the sources on a minimum cut's source side and the
-    amount left unshipped.  No arc is saturated then, so the cut's capacity,
-    the amount shipped, is the supply outside it plus the room of the sinks
-    its sources reach, and their supply exceeds that room by `short`.
+    ({arc: amount}, None) when all of the supply ships, every arc listed
+    once in arc order, otherwise (None, (sources, short)): the sources on a
+    minimum cut's source side, in supply order, and the amount left
+    unshipped.  No arc is saturated then, so the cut's capacity, the amount
+    shipped, is the supply outside it plus the room of the sinks its sources
+    reach, and their supply exceeds that room by `short`.
+
+    The sources are grouped by the set of sinks their arcs reach.  When
+    those sets are pairwise disjoint, as for images that are unions of
+    partition blocks or for the couplings of a product relation, each group
+    with its sinks is a complete bipartite component, and no flow runs:
+    `_corner` fills it by the northwest-corner rule.  That is the flow
+    Edmonds-Karp finds.  Components that share no node never interact, and
+    in a complete component the breadth-first search, visiting nodes in
+    order, always augments from the first source with supply left to the
+    first sink with room left.  A short component's positive-supply sources
+    all stay reachable from the source, so they are all on the minimal
+    minimum cut; a component that ships everything puts none there.
+    Otherwise one maximum flow runs on `_flow_network`.
     """
-    total = sum(supply.values())
-    src_id = {k: 1 + i for i, k in enumerate(supply)}
-    dst_id = {k: 1 + len(supply) + i for i, k in enumerate(room)}
-    n = 2 + len(supply) + len(room)
-    source, sink = 0, n - 1
-    capacity = {(source, src_id[k]): v for k, v in supply.items()}
-    capacity.update(((dst_id[k], sink), v) for k, v in room.items())
-    edges = {(src_id[a], dst_id[b]): (a, b) for a, b in arcs}
-    capacity.update((e, total) for e in edges)
-    flow, reached = _max_flow(n, capacity, source, sink)
-    short = total - sum(flow[(source, i)] for i in src_id.values())
+    reach = {x: set() for x in supply}
+    for a, b in arcs:
+        reach[a].add(b)
+    groups = {}
+    for x, sinks in reach.items():
+        groups.setdefault(frozenset(sinks), []).append(x)
+    if sum(map(len, groups)) == len(frozenset().union(*groups)):
+        return _corner(supply, room, arcs, groups)
+    n, capacity, edges = _flow_network(supply, room, arcs)
+    flow, reached = _max_flow(n, capacity, 0, n - 1)
+    short = sum(supply.values()) - sum(flow[(0, i)] for i in range(1, 1 + len(supply)))
     if short:
-        return None, ([k for k, i in src_id.items() if i in reached], short)
+        return None, ([k for i, k in enumerate(supply, 1) if i in reached], short)
     return {arc: flow[e] for e, arc in edges.items()}, None
 
 

@@ -114,7 +114,8 @@ def multiset_value(weights: Mapping) -> MultisetValue:
 def dist_value(mass: Mapping) -> DistValue:
     cleaned = {}
     for s, q in mass.items():
-        q = Fraction(q)
+        if type(q) is not Fraction:
+            q = Fraction(q)
         if q < 0:
             raise ValidationError(f"distribution mass for {s!r} is negative")
         if q > 0:

@@ -371,3 +371,22 @@ def max_flow_reference(n: int, capacity: dict, source: int, sink: int) -> tuple:
                 flow[e] += push
             else:
                 flow[(e[1], e[0])] -= push
+
+
+def ship_reference(supply, room, arcs) -> tuple:
+    """`coalsim.transport.ship` as it was before its flow-free path: one
+    maximum flow on every network, by `max_flow_reference`."""
+    total = sum(supply.values())
+    src_id = {k: 1 + i for i, k in enumerate(supply)}
+    dst_id = {k: 1 + len(supply) + i for i, k in enumerate(room)}
+    n = 2 + len(supply) + len(room)
+    source, sink = 0, n - 1
+    capacity = {(source, src_id[k]): v for k, v in supply.items()}
+    capacity.update(((dst_id[k], sink), v) for k, v in room.items())
+    edges = {(src_id[a], dst_id[b]): (a, b) for a, b in arcs}
+    capacity.update((e, total) for e in edges)
+    flow, reached = max_flow_reference(n, capacity, source, sink)
+    short = total - sum(flow[(source, i)] for i in src_id.values())
+    if short:
+        return None, ([k for k, i in src_id.items() if i in reached], short)
+    return {arc: flow[e] for e, arc in edges.items()}, None

@@ -457,6 +457,19 @@ def test_graded_grid_past_the_index_limit_fails_at_once(run, tmp_path):
     assert err.startswith("error: ") and "limit 100000" in err and len(err) < 200
 
 
+def test_probability_grid_past_its_limit_fails_at_once(run, tmp_path):
+    states = [f"s{i}" for i in range(40)]
+    mass = {z: f"1/{2 ** (i + 1)}" for i, z in enumerate(states[:-1])}
+    mass[states[-1]] = f"1/{2 ** 39}"
+    model = write(tmp_path, "dyadic.json", {"functor": "distribution", "states": states,
+                                             "transition": {z: mass for z in states}})
+    start = time.perf_counter()
+    code, out, err = run("greatest-sim", model, model)
+    assert time.perf_counter() - start < 2.0
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "MAX_PROB_GRID = 50000" in err and len(err) < 200
+
+
 def test_many_problems_make_one_short_error_line(run, tmp_path):
     states = [f"s{i}" for i in range(3000)]
     transition = {s: {"props": [], "succ": ["zz" + s]} for s in states}

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import coalsim.liftings
 from coalsim import (
     BOX,
     DIAMOND,
@@ -236,6 +237,36 @@ def test_prob_grid_contains_all_subset_masses():
     grid = prob_grid([d])
     for q in (0, 1, Fraction(1, 3), Fraction(2, 3)):
         assert Fraction(q) in grid
+
+
+def _dyadic_model(k):
+    """One k-state distribution model whose value has masses 1/2, 1/4, ..., 1/2^(k-1) and the rest."""
+    states = [f"s{i}" for i in range(k)]
+    mass = {z: Fraction(1, 2 ** (i + 1)) for i, z in enumerate(states[:-1])}
+    mass[states[-1]] = 1 - sum(mass.values())
+    return dist_model({z: mass for z in states})
+
+
+def test_prob_grid_past_its_limit_raises_budget_error(monkeypatch):
+    assert len(prob_grid([_dyadic_model(10)])) == 2**9 + 1
+    monkeypatch.setattr(coalsim.liftings, "MAX_PROB_GRID", 2**9 + 1)
+    assert len(prob_grid([_dyadic_model(10)])) == 2**9 + 1
+    with pytest.raises(BudgetError, match="MAX_PROB_GRID = 513"):
+        prob_grid([_dyadic_model(11)])
+    thirds = dist_model({"x": {"x": "1/3", "y": "2/3"}, "y": {"y": 1}})
+    with pytest.raises(BudgetError, match="MAX_PROB_GRID"):
+        prob_grid([_dyadic_model(10), thirds])
+
+
+def test_separation_gap_clips_the_missing_masses():
+    model = _dyadic_model(10)
+    foreign = LambdaSignature(model.kind, (at_least(Fraction(1)),))
+    gap = _separation_gap(foreign, [model])
+    assert gap.startswith("probability grid misses realized masses ['0', '1/512', ")
+    assert len(gap) < 240 and gap.endswith(" characters)")
+    with pytest.raises(NotSeparatingError) as err:
+        ensure_separating(foreign, model)
+    assert str(err.value) == gap
 
 
 def test_ensure_separating_rejects_inadequate_grids():

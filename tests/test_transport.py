@@ -1,13 +1,25 @@
-"""The flat-array maximum flow against the first implementation, and plans
-that do not depend on the order of the cells."""
+"""The flat-array maximum flow and `ship` against their first
+implementations, the flow-free path on block-shaped networks, and plans that
+do not depend on the order of the cells."""
 
 import random
 from fractions import Fraction
 
 import coalsim.transport as transport
+from coalsim import (
+    DISTRIBUTION_KIND,
+    MULTISET_KIND,
+    auto_signature,
+    coalgebra,
+    full_relation,
+    t_bisimulation_check,
+)
+from coalsim.behaviour import certified_equivalence
+from coalsim.generators import GeneratorConfig, generate_coalgebra
 from coalsim.transport import feasible_transport, ship
+from coalsim.values import relabel
 
-from oracle_helpers import max_flow_reference
+from oracle_helpers import max_flow_reference, ship_reference
 
 
 def _ship_case(rng, trial):
@@ -43,28 +55,115 @@ def _ship_case(rng, trial):
     return supply, room, arcs
 
 
-def test_max_flow_matches_the_reference_on_ship_networks(monkeypatch):
-    real = transport._max_flow
+def test_max_flow_matches_the_reference_on_ship_networks():
     seen = {"cut": 0, "shipped": 0, "saturated": 0, "no arcs": 0, "empty": 0}
-
-    def both(n, capacity, source, sink):
-        flow, reached = real(n, capacity, source, sink)
+    rng = random.Random(47)
+    for trial in range(2000):
+        supply, room, arcs = _ship_case(rng, trial)
+        seen["empty"] += not supply or not room
+        n, capacity, _ = transport._flow_network(supply, room, arcs)
+        source, sink = 0, n - 1
+        flow, reached = transport._max_flow(n, capacity, source, sink)
         expected_flow, expected_reached = max_flow_reference(n, capacity, source, sink)
         assert flow == expected_flow
         assert set(reached) == set(expected_reached)
         inner = [e for e in capacity if e[0] != source and e[1] != sink]
         seen["saturated"] += any(flow[e] == capacity[e] > 0 for e in inner)
         seen["no arcs"] += not inner
-        return flow, reached
-
-    monkeypatch.setattr(transport, "_max_flow", both)
-    rng = random.Random(47)
-    for trial in range(2000):
-        supply, room, arcs = _ship_case(rng, trial)
-        seen["empty"] += not supply or not room
-        shipped, cut = ship(supply, room, arcs)
-        seen["cut" if cut else "shipped"] += 1
+        short = sum(supply.values()) - sum(flow[e] for e in capacity if e[0] == source)
+        seen["cut" if short else "shipped"] += 1
     assert min(seen.values()) > 50, seen
+
+
+def _block_case(rng):
+    """Random supplies, rooms and arcs biased toward block shapes.
+
+    Sinks fall into blocks; most sources reach all of one block, some the
+    union of two (so sink sets overlap), some nothing.  Sources and sinks are
+    shuffled, so sources with equal sink sets are seldom adjacent in supply
+    order; supplies and rooms are often zero; some cases are random arcs.
+    """
+    sources = [f"x{i}" for i in range(rng.randint(0, 7))]
+    sinks = [f"y{j}" for j in range(rng.randint(0, 7))]
+    rng.shuffle(sources)
+    rng.shuffle(sinks)
+    supply = {x: rng.choice((0, rng.randint(1, 9))) for x in sources}
+    room = {y: rng.choice((0, rng.randint(1, 9))) for y in sinks}
+    if sinks and rng.random() < 0.7:
+        blocks = rng.randint(1, 4)
+        block = {y: rng.randrange(blocks) for y in sinks}
+        arcs = []
+        for x in sources:
+            if rng.random() < 0.15:
+                continue
+            chosen = {rng.randrange(blocks) for _ in range(1 if rng.random() < 0.8 else 2)}
+            arcs += [(x, y) for y in sinks if block[y] in chosen]
+    else:
+        p = rng.random()
+        arcs = [(x, y) for x in sources for y in sinks if rng.random() < p]
+    rng.shuffle(arcs)
+    return supply, room, arcs
+
+
+def _counted(monkeypatch, name):
+    """Wrap transport.<name>; returns the list each call appends its arguments to."""
+    calls = []
+    real = getattr(transport, name)
+
+    def call(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(transport, name, call)
+    return calls
+
+
+def test_ship_matches_the_flow_on_every_network(monkeypatch):
+    flows = _counted(monkeypatch, "_max_flow")
+    seen = dict.fromkeys(("corner", "flow", "corner cut", "flow cut", "apart", "stranded", "unreached"), 0)
+    rng = random.Random(61)
+    for _ in range(3000):
+        supply, room, arcs = _block_case(rng)
+        before = len(flows)
+        shipped, cut = ship(supply, room, arcs)
+        expected_shipped, expected_cut = ship_reference(supply, room, arcs)
+        assert cut == expected_cut
+        assert shipped == expected_shipped
+        if shipped is not None:
+            assert list(shipped) == list(expected_shipped)
+        path = "corner" if len(flows) == before else "flow"
+        seen[path] += 1
+        seen[path + " cut"] += cut is not None
+        if path == "corner":
+            reach = {x: frozenset(y for a, y in arcs if a == x) for x in supply}
+            order = list(reach.values())
+            seen["apart"] += any(
+                order[i] and order[i] != order[i + 1] and order[i] in order[i + 2 :]
+                for i in range(len(order) - 1)
+            )
+            seen["stranded"] += any(supply[x] and not ys for x, ys in reach.items())
+            seen["unreached"] += bool(room.keys() - {y for _, y in arcs})
+    assert min(seen.values()) >= 50, seen
+
+
+def _renamed(c):
+    """A copy of c on states d<s>."""
+    f = {s: f"d{s}" for s in c.carrier}
+    return coalgebra(c.kind, list(f.values()), {f[s]: relabel(t, f) for s, t in c.transition.items()})
+
+
+def test_block_shaped_networks_run_no_flow(monkeypatch):
+    flows = _counted(monkeypatch, "_max_flow")
+    corners = _counted(monkeypatch, "_corner")
+    for kind in (MULTISET_KIND, DISTRIBUTION_KIND):
+        for seed in range(8):
+            c = generate_coalgebra(GeneratorConfig(seed=seed, kind=kind, min_states=3, max_states=6))
+            d = _renamed(c)
+            equivalent, _ = certified_equivalence(c, d, auto_signature(c, d))
+            assert {(s, f"d{s}") for s in c.carrier} <= set(equivalent.pairs)
+            t_bisimulation_check(full_relation(c.carrier, d.carrier), c, d)
+    assert flows == []
+    assert len(corners) > 100
 
 
 def test_feasible_transport_plan_ignores_cell_order():
