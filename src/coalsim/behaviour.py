@@ -10,7 +10,7 @@ a relation's quotient takes its blocks from `Relation.components`, which
 builds the same type.  For a separating signature the stabilized
 partition's cross relation is both behavioural equivalence and
 Λ-bisimilarity, so `behavioural_equivalence` returns it after two cheap
-certificates on the blocks' spanning pairs (see `certified_equivalence`):
+certificates on the blocks' spanning pairs (see `certified_partition`):
 they form a bisimulation up to difunctionality, and they give an explicit
 quotient model whose projection maps commute with the transition
 structures.  A failed certificate raises `InternalCheckError`, so a wrong
@@ -171,15 +171,15 @@ def quotient_witness(s: Relation, c: Coalgebra, d: Coalgebra) -> QuotientWitness
     return QuotientWitness(part, structure)
 
 
-def certified_equivalence(
+def certified_partition(
     c: Coalgebra, d: Coalgebra, sig: LambdaSignature
 ) -> tuple:
-    """All behaviourally equivalent cross pairs and their quotient witness.
+    """The stabilized partition, certified, and its quotient witness.
 
-    The answer R is the stabilized partition's cross relation; for a
-    separating signature it is both behavioural equivalence and
-    Λ-bisimilarity, and the partition gives maximality.  Two certificates
-    guard it, and either failing raises InternalCheckError:
+    For a separating signature the partition's cross relation R is both
+    behavioural equivalence and Λ-bisimilarity, and the partition gives
+    maximality.  Two certificates guard it, and either failing raises
+    InternalCheckError:
 
     (a) R is a Λ-bisimulation: the partition's spanning pairs, |C|+|D| of
         them instead of |R|, form a bisimulation up to difunctionality
@@ -190,8 +190,9 @@ def certified_equivalence(
     (b) The quotient construction on the spanning pairs succeeds.  Their
         components are R's: the two-sided blocks, and singletons for the rest.
 
-    Returns (R, QuotientWitness).  A signature that does not separate the
-    models raises NotSeparatingError before any other work.
+    Returns (Partition, QuotientWitness); the command line prints R from the
+    partition's rows.  A signature that does not separate the models raises
+    NotSeparatingError before any other work.
     """
     ensure_separating(sig, c, d)
     part, _ = stabilized_partition(c, d)
@@ -202,6 +203,18 @@ def certified_equivalence(
         witness = quotient_witness(spanning, c, d)
     except QuotientUndefined as exc:
         raise InternalCheckError(f"quotient construction failed: {exc}") from exc
+    return part, witness
+
+
+def certified_equivalence(
+    c: Coalgebra, d: Coalgebra, sig: LambdaSignature
+) -> tuple:
+    """All behaviourally equivalent cross pairs and their quotient witness.
+
+    Returns (R, QuotientWitness), R the cross relation of the certified
+    partition (see `certified_partition`).
+    """
+    part, witness = certified_partition(c, d, sig)
     return part.cross_relation(), witness
 
 

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import argparse
 import functools
+import json
 import sys
 
 from .behaviour import (
-    certified_equivalence,
+    certified_partition,
     n_step_partition,
     t_bisim_up_to_difunctionality_check,
     t_bisimulation_check,
@@ -21,24 +22,16 @@ from .behaviour import (
 from .errors import CoalsimError, NotSeparatingError, shown
 from .formulas import evaluate, parse_formula
 from .liftings import DEFAULT_LITERALS, resolve_signature
-from .modelio import (
-    dump_json,
-    load_coalgebra,
-    load_relation,
-    relation_to_dict,
-)
+from .modelio import dump_json, load_coalgebra, load_relation
 from .properties import run_property_suite
-from .relations import difunctional_closure
 from .simulation import (
-    greatest_bisimulation,
-    greatest_n_bisimulation,
-    greatest_n_simulation,
-    greatest_simulation,
     is_bisimulation,
     is_bisimulation_up_to_difunctionality,
     is_n_bisimulation,
     is_n_simulation,
     is_simulation,
+    level_rows,
+    simulation_rows,
 )
 
 
@@ -47,14 +40,36 @@ def _signature(args, *models):
     return resolve_signature(literal, models)
 
 
-def _emit_relation(args, rel):
-    """Print the relation's pairs; exit 0 when it has any."""
+def _emit_rows(args, left, rows) -> int:
+    """Print a relation answer from its rows in one write; exit 0 when it has a pair.
+
+    `rows` maps each state of `left` to its right states in carrier order,
+    so walking `left` lists the pairs in `sorted_pairs` order: the bytes of
+    one `x y` line per pair, or of `dump_json(relation_to_dict(...))`,
+    without building or sorting a pair set.  A row shared by a block is
+    rendered once.
+    """
+    render = json.dumps if args.json else str
+    rendered = {}  # id of a row -> its right states as text
+    chunks = []
+    for x in left:
+        ys = rows[x]
+        if not ys:
+            continue
+        cells = rendered.get(id(ys))
+        if cells is None:
+            cells = rendered[id(ys)] = [render(y) for y in ys]
+        if args.json:
+            head = f"[{render(x)}, "
+            chunks.append(head + ("], " + head).join(cells) + "]")
+        else:
+            head = f"{x} "
+            chunks.append(head + ("\n" + head).join(cells) + "\n")
     if args.json:
-        sys.stdout.write(dump_json(relation_to_dict(rel)))
+        sys.stdout.write('{"pairs": [' + ", ".join(chunks) + "]}\n")
     else:
-        for x, y in rel.sorted_pairs():
-            print(f"{x} {y}")
-    return 0 if rel.pairs else 1
+        sys.stdout.write("".join(chunks))
+    return 0 if chunks else 1
 
 
 def _emit_report(args, report):
@@ -111,21 +126,18 @@ def _cmd_greatest(args, bi: bool) -> int:
     d = load_coalgebra(args.right)
     sig = _signature(args, c, d)
     if args.n is not None:
-        if bi:
-            rel = greatest_n_bisimulation(c, d, sig, args.n)
-        else:
-            rel = greatest_n_simulation(c, d, sig, args.n)
+        rows = level_rows(c, d, sig, bi, args.n)
     elif not bi:
-        rel = greatest_simulation(c, d, sig)
+        rows = simulation_rows(c, d, sig)
     else:
         # For a signature that separates the models, Λ-bisimilarity is
         # behavioural equivalence: take the certified partition, which
         # decides separation first and raises before any other work if not.
         try:
-            rel, _ = certified_equivalence(c, d, sig)
+            rows = certified_partition(c, d, sig)[0].rows()
         except NotSeparatingError:
-            rel = greatest_bisimulation(c, d, sig)
-    return _emit_relation(args, rel)
+            rows = level_rows(c, d, sig, True)
+    return _emit_rows(args, c.carrier, rows)
 
 
 def _cmd_nstep(args) -> int:
@@ -145,15 +157,16 @@ def _cmd_behavioural(args) -> int:
     c = load_coalgebra(args.left)
     d = load_coalgebra(args.right)
     sig = _signature(args, c, d)
-    rel, witness = certified_equivalence(c, d, sig)
+    part, witness = certified_partition(c, d, sig)
     if args.witness:
         with open(args.witness, "w", encoding="utf-8") as handle:
             handle.write(dump_json(witness.to_dict()))
-    return _emit_relation(args, rel)
+    return _emit_rows(args, c.carrier, part.rows())
 
 
 def _cmd_closure(args) -> int:
-    _emit_relation(args, difunctional_closure(load_relation(args.relation)))
+    rel = load_relation(args.relation)
+    _emit_rows(args, rel.left, rel.components().rows())
     return 0
 
 

@@ -25,9 +25,11 @@ from .values import (
     MULTISET,
     NEIGHBORHOOD,
     Coalgebra,
+    DistValue,
     FunctorKind,
     FunctorValue,
     KripkeValue,
+    MultisetValue,
     NbhdValue,
     antichain,
     coalgebra,
@@ -35,6 +37,7 @@ from .values import (
     kripke_value,
     multiset_value,
     nbhd_value,
+    state_key,
 )
 
 
@@ -112,6 +115,51 @@ def random_relation(rng: random.Random, c: Coalgebra, d: Coalgebra, density: flo
         (x, y) for x in c.carrier for y in d.carrier if rng.random() < density
     ]
     return relation(c.carrier, d.carrier, pairs)
+
+
+def inflate_coalgebra(rng: random.Random, m: Coalgebra, max_copies: int = 3) -> Coalgebra:
+    """A model with one to max_copies copies of each state of m, in shuffled order.
+
+    Each copy's value splits its original's along the projection back to m:
+    successors and minimal sets go to some copies of each state, and finite
+    weights and masses are divided among some copies (an infinite weight is
+    infinite on each).  Pushing a copy's value forward along the projection
+    gives back the original's, so the projection is a morphism and every
+    copy is behaviourally equivalent to its original.
+    """
+    copies = {s: [f"{s}.{i}" for i in range(rng.randint(1, max_copies))] for s in m.carrier}
+
+    def some(z):
+        return _pick_subset(rng, copies[z], rng.randint(1, len(copies[z])))
+
+    def lift(t):
+        if isinstance(t, KripkeValue):
+            return kripke_value(t.props, [j for z in sorted(t.succ, key=state_key) for j in some(z)])
+        if isinstance(t, MultisetValue):
+            out = {}
+            for z, w in t.entries:
+                chosen = some(z)
+                if w == INF:
+                    out.update(dict.fromkeys(chosen, INF))
+                    continue
+                chosen = chosen[:w]
+                cuts = [0, *sorted(rng.sample(range(1, w), len(chosen) - 1)), w]
+                out.update(zip(chosen, (b - a for a, b in zip(cuts, cuts[1:]))))
+            return multiset_value(out)
+        if isinstance(t, DistValue):
+            out = {}
+            for z, q in t.entries:
+                chosen = some(z)
+                shares = [rng.randint(1, 3) for _ in chosen]
+                out.update((j, q * Fraction(k, sum(shares))) for j, k in zip(chosen, shares))
+            return dist_value(out)
+        minimals = sorted((sorted(a, key=state_key) for a in t.minimals), key=state_key)
+        return nbhd_value(antichain([j for z in a for j in some(z)] for a in minimals))
+
+    transition = {j: lift(m.transition[s]) for s in m.carrier for j in copies[s]}
+    carrier = list(transition)
+    rng.shuffle(carrier)
+    return coalgebra(m.kind, carrier, transition)
 
 
 def random_positive_formula(

@@ -242,29 +242,39 @@ def graded_bound(models: Sequence[Coalgebra]) -> int:
     return best
 
 
-def prob_grid(models: Sequence[Coalgebra]) -> tuple:
-    """All subset masses realized by any distribution of the models, sorted.
+def _subset_sums(models: Sequence[Coalgebra]) -> tuple:
+    """(den, sums): every subset mass realized by a distribution of the models, times den.
 
-    Each distinct list of masses has its subset masses collected entry by
-    entry, as integer multiples of the common denominator of all masses, so
-    the cost is bounded by support size times grid size, not by 2^support.
-    As soon as one value's subset masses or the whole grid pass
-    MAX_PROB_GRID, BudgetError is raised.
+    den is the common denominator of all masses, and each distinct list of
+    masses (kept as sorted numerator-denominator pairs, which compare as
+    integers) has its subset sums collected entry by entry, so the cost is
+    bounded by support size times grid size, not by 2^support.  As soon as
+    one value's sums or all of them pass MAX_PROB_GRID, BudgetError is
+    raised.
     """
-    lists = dict.fromkeys(tuple(sorted(q for _, q in t.entries)) for c in models for t in c.transition.values())
-    den = lcm(*(q.denominator for masses in lists for q in masses))
+    lists = dict.fromkeys(
+        tuple(sorted((q.numerator, q.denominator) for _, q in t.entries))
+        for c in models for t in c.transition.values()
+    )
+    den = lcm(*(b for masses in lists for _, b in masses))
     grid = {0, den}
     for masses in lists:
         sums = {0}
-        for q in masses:
-            w = q.numerator * (den // q.denominator)
+        for a, b in masses:
+            w = a * (den // b)
             sums |= {s + w for s in sums}
             if len(sums) > MAX_PROB_GRID:
                 raise _grid_budget()
         grid |= sums
         if len(grid) > MAX_PROB_GRID:
             raise _grid_budget()
-    return tuple(Fraction(s, den) for s in sorted(grid))
+    return den, grid
+
+
+def prob_grid(models: Sequence[Coalgebra]) -> tuple:
+    """All subset masses realized by any distribution of the models, sorted (`_subset_sums`)."""
+    den, sums = _subset_sums(models)
+    return tuple(Fraction(s, den) for s in sorted(sums))
 
 
 def _grid_budget() -> BudgetError:
@@ -351,7 +361,8 @@ def _separation_gap(sig: LambdaSignature, models) -> Optional[str]:
     Kripke values are separated by [] or <> together with every atom of the
     vocabulary, neighborhood values by [m], and weighted values by a grid
     holding every threshold the models realize: each index up to
-    `graded_bound`, each mass of `prob_grid`.
+    `graded_bound`, each subset mass of `_subset_sums`, compared as integers
+    over its common denominator, so no sorted grid of fractions is built.
     """
     if sig.kind.name == KRIPKE:
         if BOX not in sig.modalities and DIAMOND not in sig.modalities:
@@ -368,10 +379,12 @@ def _separation_gap(sig: LambdaSignature, models) -> Optional[str]:
         if gap <= need:
             return f"graded grid misses index {gap}; weights reach {need}"
     if sig.kind.name == DISTRIBUTION:
-        have = {m.bound for m in sig.modalities}
-        missing = [p for p in prob_grid(models) if p not in have]
+        den, sums = _subset_sums(models)
+        have = {_scaled(m.bound, den) for m in sig.modalities if den % m.bound.denominator == 0}
+        missing = sorted(sums - have)
         if missing:
-            return clipped(f"probability grid misses realized masses {[str(p) for p in missing]}")
+            masses = [str(Fraction(s, den)) for s in missing]
+            return clipped(f"probability grid misses realized masses {masses}")
     return None
 
 

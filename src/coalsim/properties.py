@@ -30,10 +30,12 @@ from .generators import (
     GeneratorConfig,
     enumerate_values,
     generate_coalgebra,
+    inflate_coalgebra,
     random_positive_formula,
     random_relation,
 )
 from .liftings import (
+    LambdaSignature,
     auto_signature,
     at_least,
     atom,
@@ -53,7 +55,7 @@ from .oracles import (
     is_lambda_homomorphism,
     lambda_leq,
 )
-from .relations import difunctional_closure, identity_relation, relation
+from .relations import difunctional_closure, identity_relation, relation, rows_relation
 from .simulation import (
     greatest_bisimulation,
     greatest_n_bisimulation,
@@ -64,6 +66,7 @@ from .simulation import (
     is_n_bisimulation,
     is_n_simulation,
     is_simulation,
+    level_rows,
 )
 from .values import (
     DISTRIBUTION,
@@ -497,6 +500,27 @@ def _prop_nstep_is_n_bisim(trial, seed):
     return None
 
 
+def _prop_quotient_simulation(trial, seed):
+    """On every kind, inflated models under their auto signature or a few
+    random modalities, which need not separate them."""
+    for kind in KIND_POOL:
+        rng, c, d = _models(seed + trial, kind, max_states=4, allow_infinite=True)
+        c, d = inflate_coalgebra(rng, c), inflate_coalgebra(rng, c if rng.random() < 0.5 else d)
+        if rng.random() < 0.5:
+            sig = auto_signature(c, d)
+        else:
+            picked = (_random_modality(rng, kind) for _ in range(rng.randint(1, 3)))
+            sig = LambdaSignature(kind, tuple(dict.fromkeys(picked)))
+        quotient = greatest_simulation(c, d, sig)
+        direct = rows_relation(c.carrier, d.carrier, level_rows(c, d, sig, False))
+        if quotient.pairs != direct.pairs:
+            return _instance_doc(
+                c, d, signature=[m.token() for m in sig.modalities],
+                quotient=relation_to_dict(quotient), direct=relation_to_dict(direct),
+            )
+    return None
+
+
 def _tiny_model_pool(kind_name: str):
     """Deterministic exhaustive pool of very small models for the search."""
     if kind_name == KRIPKE:
@@ -562,6 +586,7 @@ _RUNNERS = {
     "injectivity": _prop_injectivity,
     "nstep-is-n-bisim": _prop_nstep_is_n_bisim,
     "open-problem-search": _prop_open_problem_search,
+    "quotient-simulation": _prop_quotient_simulation,
 }
 
 

@@ -3,6 +3,13 @@
 A `Partition` holds blocks of (left states, right states).  It is the one
 shape of a difunctional relation, left × right over the blocks.  Refinement
 in `coalsim.behaviour` and the union-find of `Relation.components` build it.
+
+A relation can also be held as rows: each left state mapped to its right
+states as a tuple in carrier order (`image_rows`, `Partition.rows`).  Walking
+the left carrier through its rows lists the pairs in `sorted_pairs` order,
+so the command line prints greatest (bi)simulations, behavioural
+equivalence and closures from rows, without building or sorting a pair set;
+`rows_relation` turns rows back into a `Relation`.
 """
 
 from __future__ import annotations
@@ -111,6 +118,17 @@ def identity_relation(carrier: Iterable) -> Relation:
     return Relation(carrier, carrier, frozenset((x, x) for x in carrier))
 
 
+def image_rows(img: dict, right: tuple) -> dict:
+    """Images as rows: each state of img to its image, as a tuple in the order of `right`."""
+    position = {y: i for i, y in enumerate(right)}.__getitem__
+    return {x: tuple(sorted(ys, key=position)) for x, ys in img.items()}
+
+
+def rows_relation(left: tuple, right: tuple, rows: dict) -> Relation:
+    """The relation of rows: each left state with each right state of its row."""
+    return Relation(left, right, frozenset((x, y) for x in left for y in rows[x]))
+
+
 def difunctional_closure(s: Relation) -> Relation:
     """Least difunctional relation containing s.
 
@@ -149,6 +167,10 @@ class Partition:
             img.update(dict.fromkeys(lefts, frozenset(rights)))
             cimg.update(dict.fromkeys(rights, frozenset(lefts)))
         return img, cimg
+
+    def rows(self) -> dict:
+        """Each left state to its block's right states: one shared tuple per block."""
+        return {x: rights for lefts, rights in self.blocks for x in lefts}
 
     def cross_relation(self) -> Relation:
         """The difunctional relation of the blocks: left × right, block by block."""

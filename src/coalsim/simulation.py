@@ -15,12 +15,22 @@ full relation, decided once per distinct pair of pushed values
 bases lost a pair in the previous round, in the manner of Henzinger,
 Henzinger and Kopke's simulation algorithm, and drops all failures at once;
 the depth-n answers read level n and the greatest (bi)simulation is the
-first level that drops nothing.  For signatures that separate the models,
-bisimilarity is decided instead by the certified partition of
-`coalsim.behaviour`, which makes only |C|+|D| pair checks through
-`is_bisimulation_up_to_difunctionality`.  `greatest_bisimulation` remains
-the route for signatures that do not separate the models and the independent
-oracle the property suite compares that partition against.
+first level that drops nothing.
+
+The greatest simulation is decided on the behavioural quotients
+(`simulation_rows`), as Bustan and Grumberg do for Kripke structures: the
+chain runs on one-sided quotients of C and D by the stabilized partition of
+`coalsim.behaviour`, and each left block's answer is expanded to its states.
+That is exact for every monotone signature, separating or not: the quotient
+maps are coalgebra morphisms, whose graphs are Λ-bisimulations, and
+Λ-simulations compose, so the greatest simulation is a union of products of
+behavioural-equivalence classes.  The greatest bisimulation and the
+depth-n levels stay on the direct chain: for signatures that separate the
+models, bisimilarity is decided by the certified partition of
+`coalsim.behaviour` instead, and `greatest_bisimulation` is the independent
+oracle the property suite compares that partition against.  Answers for the
+command line come as rows (`coalsim.relations.image_rows`), never as sorted
+pair sets.
 """
 
 from __future__ import annotations
@@ -36,7 +46,7 @@ from .liftings import (
     lifting_check,
     lifting_violations,
 )
-from .relations import Relation
+from .relations import Relation, image_rows, rows_relation
 from .values import Coalgebra, base, relabel, state_key
 
 VIOLATION_CAP = 100
@@ -188,15 +198,21 @@ def _predecessors(m: Coalgebra) -> dict:
     return pred
 
 
-def _suspects(dropped, pred_c: dict, pred_d: dict, img: dict) -> dict:
-    """The surviving pairs whose bases meet a dropped pair, in first-reached order."""
-    return dict.fromkeys(
-        (x, y)
-        for x2, y2 in dropped
-        for x in pred_c[x2]
-        for y in pred_d[y2]
-        if y in img[x]
-    )
+def _suspects(lost: dict, pred_c: dict, img: dict, order_c, order_d) -> list:
+    """The surviving pairs whose bases meet a dropped pair, in carrier order.
+
+    `lost` maps each left state that lost pairs to the right predecessors of
+    the states it lost, united once; they are met, a set at a time, with
+    the image of each of its left predecessors.  `order_c` and `order_d`
+    give carrier positions, so the order does not depend on hashing.
+    """
+    found = {}
+    for x2, ys in lost.items():
+        for x in pred_c[x2]:
+            hit = img[x] & ys
+            if hit:
+                found.setdefault(x, set()).update(hit)
+    return [(x, y) for x in sorted(found, key=order_c) for y in sorted(found[x], key=order_d)]
 
 
 def _levels(c: Coalgebra, d: Coalgebra, sig: LambdaSignature, both: bool):
@@ -215,8 +231,9 @@ def _levels(c: Coalgebra, d: Coalgebra, sig: LambdaSignature, both: bool):
     So a pair of level k needs a new check only if a pair there was dropped
     between levels k-1 and k, in the manner of Henzinger, Henzinger and
     Kopke's simulation algorithm; the other pairs passed the same check one
-    level earlier.  Each round checks just those pairs against level k and
-    drops its failures only after the round.  The generator stops after the
+    level earlier.  Each round finds those pairs a set at a time
+    (`_suspects`), checks just them against level k and drops its failures
+    only after the round.  The generator stops after the
     first level whose round drops nothing: that level is the chain's limit,
     the greatest (bi)simulation, which contains every (bi)simulation.  The
     images are updated in place between levels, so `_level` copies the one
@@ -227,49 +244,98 @@ def _levels(c: Coalgebra, d: Coalgebra, sig: LambdaSignature, both: bool):
     yield dict.fromkeys(c.carrier, frozenset(d.carrier))
     ok = lifting_check(sig)
     ct, dt = c.transition, d.transition
-    img = {x: set(ys) for x, ys in _level_one(c, d, sig, both).items()}
+    first = _level_one(c, d, sig, both)
+    img = {x: set(ys) for x, ys in first.items()}
     cimg = {y: set() for y in d.carrier}
     if both:
         for x, ys in img.items():
             for y in ys:
                 cimg[y].add(x)
     pred_c, pred_d = _predecessors(c), _predecessors(d)
-    observed = [y for y in d.carrier if pred_d[y]]
-    # The drops from level 0 to level 1 that lie in some base product.
-    dropped = (
-        (x, y) for x in c.carrier if pred_c[x] for y in observed if y not in img[x]
-    )
+    order_c = {x: i for i, x in enumerate(c.carrier)}.__getitem__
+    order_d = {y: i for i, y in enumerate(d.carrier)}.__getitem__
+    # The drops from level 0 to level 1, once per row of level 1: the right
+    # predecessors of the states outside it.
+    outside = {}
+    for ys in first.values():
+        if ys not in outside:
+            outside[ys] = set().union(*(pred_d[y] for y in d.carrier if y not in ys))
+    lost = {x: outside[first[x]] for x in c.carrier if pred_c[x]}
     while True:
         yield img
         dropped = [
             (x, y)
-            for x, y in _suspects(dropped, pred_c, pred_d, img)
+            for x, y in _suspects(lost, pred_c, img, order_c, order_d)
             if not (ok(ct[x], dt[y], img) and (not both or ok(dt[y], ct[x], cimg)))
         ]
         if not dropped:
             return
+        lost = {}
         for x, y in dropped:
             img[x].discard(y)
             cimg[y].discard(x)
+            lost.setdefault(x, set()).update(pred_d[y])
 
 
-def _level(c, d, sig, both: bool, n=None) -> Relation:
-    """Level n of the chain, or its limit when n is None."""
+def _limit(c, d, sig, both: bool, n=None) -> dict:
+    """Level n of the chain, or its limit when n is None, as images."""
     if n is not None:
         if n < 0:
             raise ValidationError(f"depth must be a natural number, got {n}")
         n += 1
     *_, img = islice(_levels(c, d, sig, both), n)
+    return img
+
+
+def _level(c, d, sig, both: bool, n=None) -> Relation:
+    """Level n of the chain, or its limit when n is None."""
+    img = _limit(c, d, sig, both, n)
     return Relation(c.carrier, d.carrier, frozenset((x, y) for x in c.carrier for y in img[x]))
+
+
+def level_rows(c, d, sig, both: bool, n=None) -> dict:
+    """Level n of the direct chain, or its limit when n is None, as rows."""
+    return image_rows(_limit(c, d, sig, both, n), d.carrier)
+
+
+def _quotient(m: Coalgebra, ids: dict, members: dict) -> Coalgebra:
+    """The model on block ids: each block's value is its first member's, relabelled by ids."""
+    return Coalgebra(m.kind, tuple(members), {
+        i: relabel(m.transition[states[0]], ids) for i, states in members.items()
+    })
+
+
+def simulation_rows(c: Coalgebra, d: Coalgebra, sig: LambdaSignature) -> dict:
+    """The greatest simulation as rows, decided on the behavioural quotients.
+
+    Q_C has a state for each block of the stabilized partition with left
+    states, Q_D one for each block with right states, and a block's value is
+    its first member's value relabelled by block ids; members of a block
+    agree on it because the partition is stable.  The quotient maps are
+    morphisms, so x is simulated by y exactly when x's block is simulated by
+    y's block under the same signature.  The chain runs on Q_C × Q_D, and
+    each left state gets its block's row, one shared tuple per block.
+    """
+    from .behaviour import stabilized_partition  # behaviour imports this module
+
+    _check_kinds(c, d, sig)
+    part, _ = stabilized_partition(c, d)
+    blocks = part.blocks
+    qc = _quotient(c, part.left_ids, {i: ls for i, (ls, _) in enumerate(blocks) if ls})
+    qd = _quotient(d, part.right_ids, {i: rs for i, (_, rs) in enumerate(blocks) if rs})
+    *_, img = _levels(qc, qd, sig, False)
+    row = image_rows({i: [y for j in img[i] for y in blocks[j][1]] for i in qc.carrier}, d.carrier)
+    return {x: row[i] for x, i in part.left_ids.items()}
 
 
 def greatest_simulation(c: Coalgebra, d: Coalgebra, sig: LambdaSignature) -> Relation:
     """Largest relation whose every pair meets the simulation condition.
 
     Simulations are closed under unions, so the largest one exists; it is
-    the limit of the chain of `_levels`.
+    the limit of the chain of `_levels`, here run on the behavioural
+    quotients (`simulation_rows`).
     """
-    return _level(c, d, sig, both=False)
+    return rows_relation(c.carrier, d.carrier, simulation_rows(c, d, sig))
 
 
 def greatest_bisimulation(c: Coalgebra, d: Coalgebra, sig: LambdaSignature) -> Relation:

@@ -199,8 +199,9 @@ def validate(c: Coalgebra) -> None:
         if vk != c.kind.name:
             problems.append(f"state {shown(s)}: value kind {vk} does not match model kind {c.kind.name}")
             continue
-        stray = [z for z in sorted(base(t), key=state_key) if z not in carrier]
-        if stray:
+        observed = base(t)
+        if not observed <= carrier:
+            stray = [z for z in sorted(observed, key=state_key) if z not in carrier]
             problems.append(f"state {shown(s)}: mentions states outside the carrier: {shown(stray)}")
         if isinstance(t, KripkeValue):
             bad = sorted(t.props - set(c.kind.atoms))

@@ -1,4 +1,5 @@
 import json
+import random
 import sys
 import time
 
@@ -10,16 +11,31 @@ from coalsim import (
     MULTISET_KIND,
     NEIGHBORHOOD_KIND,
     NotSeparatingError,
+    auto_signature,
+    difunctional_closure,
     greatest_bisimulation,
     kripke_kind,
     resolve_signature,
     satisfies,
 )
-from coalsim.generators import GeneratorConfig, generate_coalgebra
+from coalsim.behaviour import certified_equivalence
+from coalsim.generators import (
+    GeneratorConfig,
+    generate_coalgebra,
+    inflate_coalgebra,
+    random_relation,
+)
 from coalsim.cli import cli_dispatch
-from coalsim.liftings import _separation_gap, prob_grid
-from coalsim.modelio import coalgebra_to_dict, dump_json, load_coalgebra, load_relation
+from coalsim.liftings import _separation_gap
+from coalsim.modelio import (
+    coalgebra_to_dict,
+    dump_json,
+    load_coalgebra,
+    load_relation,
+    relation_to_dict,
+)
 from coalsim.properties import PROPERTIES
+from coalsim.simulation import _level
 
 
 def write(tmp_path, name, doc):
@@ -484,17 +500,24 @@ def test_many_problems_make_one_short_error_line(run, tmp_path):
 @pytest.mark.parametrize("command", ["greatest-bisim", "behavioural"])
 def test_distribution_call_decides_separation_once(run, tmp_path, monkeypatch, command):
     (_, cp), (_, dp) = _model_pair(tmp_path, DISTRIBUTION_KIND, 3)
-    calls = []
+    calls = {"prob_grid": 0, "_subset_sums": 0}
 
-    def counted(models):
-        calls.append(len(models))
-        return prob_grid(models)
+    def counted(name):
+        real = getattr(coalsim.liftings, name)
 
-    monkeypatch.setattr(coalsim.liftings, "prob_grid", counted)
+        def call(models):
+            calls[name] += 1
+            return real(models)
+
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(coalsim.liftings, name, counted(name))
     code, out, _ = run(command, cp, dp)
     assert code == 0 and out
-    # One grid to resolve prob:auto-grid, one to decide separation.
-    assert len(calls) == 2
+    # One sorted grid, to resolve prob:auto-grid; separation compares the
+    # integer subset sums with the grid's bounds and builds no second grid.
+    assert calls == {"prob_grid": 1, "_subset_sums": 2}
 
 
 def test_closure_sorts_mixed_int_and_str_states(run, tmp_path):
@@ -551,7 +574,7 @@ def test_greatest_bisim_partition_route_matches_fixpoint_bytes(
         assert _separation_gap(resolve_signature(literal, [c, d]), (c, d)) is None
         argvs += [("greatest-bisim", cp, dp, "--sig", literal, *extra) for extra in ((), ("--json",))]
     outputs = [run(*argv) for argv in argvs]
-    monkeypatch.setattr(coalsim.cli, "certified_equivalence", _not_separating)
+    monkeypatch.setattr(coalsim.cli, "certified_partition", _not_separating)
     assert outputs == [run(*argv) for argv in argvs]
     assert any(code == 0 for code, _, _ in outputs)
 
@@ -598,3 +621,81 @@ def test_bounded_depth_commands_reject_negative_depth(run, tmp_path, loop_model,
     code, out, err = run(command, loop_model, loop_model, *rest)
     assert code == 2 and out == ""
     assert "error:" in err and "depth" in err
+
+
+def _legacy_relation(argv):
+    """The relation a command printed before rows: pair sets on the direct chain."""
+    command, first, *rest = argv
+    if command == "closure":
+        return difunctional_closure(load_relation(first))
+    c, d = load_coalgebra(first), load_coalgebra(rest[0])
+    literal = argv[argv.index("--sig") + 1] if "--sig" in argv else None
+    sig = resolve_signature(literal, [c, d]) if literal else auto_signature(c, d)
+    if command == "greatest-sim":
+        return _level(c, d, sig, False)
+    try:
+        return certified_equivalence(c, d, sig)[0]
+    except NotSeparatingError:
+        if command == "behavioural":
+            raise
+        return greatest_bisimulation(c, d, sig)
+
+
+def _legacy_bytes(argv):
+    rel = _legacy_relation(argv)
+    if "--json" in argv:
+        out = dump_json(relation_to_dict(rel))
+    else:
+        out = "".join(f"{x} {y}\n" for x, y in rel.sorted_pairs())
+    return (0 if rel.pairs or argv[0] == "closure" else 1), out
+
+
+@pytest.mark.parametrize("kind,cfg,literal,exits", [
+    (kripke_kind(("p", "q")), {}, "kripke:diamond", {0, 1}),
+    (MULTISET_KIND, {"allow_infinite": True}, "graded:0..0", {0, 1}),
+    (DISTRIBUTION_KIND, {}, None, {0}),  # unlabelled distributions are all bisimilar
+    (NEIGHBORHOOD_KIND, {}, None, {0}),
+])
+def test_relation_answers_print_from_rows_with_the_legacy_bytes(
+    run, tmp_path, kind, cfg, literal, exits
+):
+    """greatest-sim (quotient route), greatest-bisim, behavioural and closure print
+    rows; their bytes and exit codes equal those of the pair sets of the direct
+    chain and the certified relation, printed in `sorted_pairs` order."""
+    argvs = []
+    for seed in range(8):
+        rng = random.Random(seed)
+        base = generate_coalgebra(GeneratorConfig(seed=seed, kind=kind, max_states=5, **cfg))
+        other = generate_coalgebra(GeneratorConfig(seed=seed + 31, kind=kind, max_states=5, **cfg))
+        c = inflate_coalgebra(rng, base)
+        d = inflate_coalgebra(rng, base if seed % 2 else other)
+        cp = write(tmp_path, f"c{seed}.json", coalgebra_to_dict(c))
+        dp = write(tmp_path, f"d{seed}.json", coalgebra_to_dict(d))
+        rel = write(tmp_path, f"r{seed}.json", relation_to_dict(random_relation(rng, c, d, 0.1)))
+        sigs = [(), ("--sig", literal)] if literal else [()]
+        for extra in ((), ("--json",)):
+            for sig in sigs:
+                argvs += [("greatest-sim", cp, dp, *sig, *extra), ("greatest-bisim", cp, dp, *sig, *extra)]
+            argvs += [("behavioural", cp, dp, *extra), ("behavioural", dp, dp, *extra),
+                      ("closure", rel, *extra)]
+    codes = set()
+    for argv in argvs:
+        code, out, err = run(*argv)
+        assert (code, out, err) == (*_legacy_bytes(argv), ""), argv
+        codes.add(code)
+    assert codes == exits
+
+
+def test_quotient_route_errors_exit_two(run, tmp_path, monkeypatch):
+    rng = random.Random(5)
+    base = generate_coalgebra(GeneratorConfig(seed=5, kind=MULTISET_KIND, max_states=4))
+    c = inflate_coalgebra(rng, base)
+    cp = write(tmp_path, "c.json", coalgebra_to_dict(c))
+    kripke = write(tmp_path, "k.json", coalgebra_to_dict(
+        generate_coalgebra(GeneratorConfig(seed=5, kind=kripke_kind(("p",)), max_states=4))
+    ))
+    code, out, err = run("greatest-sim", kripke, cp)
+    assert code == 2 and out == "" and "error: models of kinds 'kripke' and 'multiset'" in err
+    monkeypatch.setenv("COALSIM_MAX_BASE", "x")
+    code, out, err = run("greatest-sim", cp, cp)
+    assert code == 2 and out == "" and "COALSIM_MAX_BASE must be a natural number" in err

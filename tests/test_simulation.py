@@ -25,11 +25,18 @@ from coalsim import (
     relation,
     resolve_signature,
 )
-from coalsim.generators import GeneratorConfig, generate_coalgebra, random_relation
+from coalsim.generators import (
+    GeneratorConfig,
+    generate_coalgebra,
+    inflate_coalgebra,
+    random_relation,
+)
 from coalsim.properties import PROPERTIES, run_property_suite
-from coalsim import simulation
-from coalsim.errors import ValidationError
-from coalsim.simulation import _level_one
+from coalsim import behaviour, simulation
+from coalsim.errors import BudgetError, KindMismatchError, ValidationError
+from coalsim.liftings import LambdaSignature, at_least, more_than
+from coalsim.simulation import _level, _level_one
+from coalsim.values import DISTRIBUTION_KIND, MULTISET_KIND, NEIGHBORHOOD_KIND
 
 from conftest import dist_model, generic_listing_empty, kripke_model, multiset_model, nbhd_model
 from oracle_helpers import (
@@ -514,3 +521,75 @@ def test_path_depth_n_chains_make_quadratically_many_pair_checks(monkeypatch):
     checks = 0
     assert greatest_n_bisimulation(c, d, sig, n).pairs == diagonal
     assert checks <= 2 * n * n, checks
+
+
+def _inflated_instances():
+    """Inflated pairs of all four kinds, each under a separating signature and
+    one that need not separate: `kripke:diamond`, `graded:0..0`, a hand-built
+    probability grid, and neighborhoods under no modality at all."""
+    partial = {
+        "kripke": lambda c, d: resolve_signature("kripke:diamond", [c, d]),
+        "multiset": lambda c, d: resolve_signature("graded:0..0", [c, d]),
+        "distribution": lambda c, d: LambdaSignature(
+            DISTRIBUTION_KIND, (at_least("1/2"), more_than("1/4"), at_least(1))
+        ),
+        "neighborhood": lambda c, d: LambdaSignature(NEIGHBORHOOD_KIND, ()),
+    }
+    kinds = [kripke_kind(("p", "q")), MULTISET_KIND, DISTRIBUTION_KIND, NEIGHBORHOOD_KIND]
+    for seed in range(60):
+        kind = kinds[seed % 4]
+        rng = random.Random(seed)
+        cfg = GeneratorConfig(seed=seed, kind=kind, max_states=5, allow_infinite=seed % 8 == 1)
+        base_c = generate_coalgebra(cfg)
+        base_d = generate_coalgebra(GeneratorConfig(
+            seed=seed + 91, kind=kind, max_states=5, allow_infinite=cfg.allow_infinite
+        ))
+        c = inflate_coalgebra(rng, base_c)
+        d = inflate_coalgebra(rng, base_c if seed % 3 else base_d)
+        yield c, d, auto_signature(c, d)
+        yield c, d, partial[kind.name](c, d)
+
+
+def test_quotient_simulation_equals_the_direct_chain():
+    merged = nontrivial = infinite = 0
+    for c, d, sig in _inflated_instances():
+        direct = _level(c, d, sig, False)
+        assert greatest_simulation(c, d, sig) == direct, (c, d, sig)
+        blocks = behaviour.stabilized_partition(c, d)[0].blocks
+        merged += any(len(ls) > 1 or len(rs) > 1 for ls, rs in blocks)
+        nontrivial += 0 < len(direct) < len(c.carrier) * len(d.carrier)
+        infinite += any(w == float("inf") for t in c.transition.values()
+                        if c.kind == MULTISET_KIND for _, w in t.entries)
+    assert merged > 100 and nontrivial > 30 and infinite > 5
+
+
+def test_quotient_route_checks_kinds_before_any_partition_work(monkeypatch):
+    def no_partition(c, d):
+        raise AssertionError("partition work before the kind checks")
+
+    monkeypatch.setattr(behaviour, "stabilized_partition", no_partition)
+    c = kripke_model({"x": ["x"]})
+    d = multiset_model({"y": {"y": 1}})
+    with pytest.raises(KindMismatchError, match="cannot relate a kripke model with a multiset"):
+        greatest_simulation(c, d, auto_signature(c))
+    with pytest.raises(KindMismatchError, match="signature kind multiset does not match"):
+        greatest_simulation(c, c, auto_signature(d))
+    monkeypatch.undo()
+    with pytest.raises(KindMismatchError, match="cannot compare a kripke model with a multiset"):
+        behaviour.stabilized_partition(c, d)
+
+
+def test_quotient_bases_stay_within_the_exhaustive_bound(monkeypatch):
+    """Twenty equivalent successors are one quotient state: under `graded:0..0`
+    the direct chain must search the subsets of all twenty and raises
+    BudgetError at the default bound, the quotient route answers."""
+    zs = [f"z{i}" for i in range(20)]
+    c = multiset_model({"x": dict.fromkeys(zs, 1), "q": {}, **{z: {"q": 1} for z in zs}})
+    d = multiset_model({"y": {"w": 1, "v": 1}, "w": {"p": 1}, "v": {}, "p": {}})
+    sig = resolve_signature("graded:0..0", [c, d])
+    with pytest.raises(BudgetError, match="value base has 20 states"):
+        _level(c, d, sig, False)
+    answer = greatest_simulation(c, d, sig)
+    assert ("x", "y") in answer.pairs
+    monkeypatch.setenv("COALSIM_MAX_BASE", "20")
+    assert answer == _level(c, d, sig, False)
