@@ -4,7 +4,10 @@ and coupling-based relational witnesses.
 Behavioural equivalence is decided by partition refinement on the disjoint
 union of the two carriers: two states share a block at depth k+1 exactly
 when their transition values, relabeled by depth-k block ids, are equal, and
-refinement stops when no block splits.  Each level is a
+refinement stops when no block splits.  `n_step_partition` builds the levels
+one by one; `stabilized_partition` reaches the same stable level
+incrementally, re-keying only the predecessors of the states that changed
+block in the round before.  Each level is a
 `coalsim.relations.Partition`, whose blocks are (left states, right states);
 a relation's quotient takes its blocks from `Relation.components`, which
 builds the same type.  For a separating signature the stabilized
@@ -59,6 +62,7 @@ from .values import (
     base,
     dist_value,
     multiset_value,
+    predecessors,
     relabel,
     state_key,
     values_equal,
@@ -108,16 +112,60 @@ def n_step_partition(c: Coalgebra, d: Coalgebra, n: int) -> Partition:
 def stabilized_partition(c: Coalgebra, d: Coalgebra) -> tuple:
     """Refine until stable; returns (partition, depth at stabilization).
 
-    Blocks only ever split, so at most carrier-size many rounds happen.
+    The levels are those of `_refinements`, found incrementally in the
+    manner of Paige and Tarjan.  A state's relabelled value can change only
+    when a state in its base changed block, so each round re-keys just the
+    predecessors of the states that moved in the round before.  All members
+    of a block that are not re-keyed still carry the key the block shares,
+    so the block splits off its re-keyed states with other keys; when every
+    member is re-keyed, the largest group keeps the block.  The depth is
+    the number of rounds that split a block; blocks only ever split, so
+    there are fewer than |C|+|D| of them.  The blocks are numbered by first
+    member at the end, left carrier before right carrier.
     """
-    levels = _refinements(c, d)
-    prev = next(levels)
-    rounds = islice(levels, len(c.carrier) + len(d.carrier) + 1)
-    for depth, part in enumerate(rounds):
-        if part.blocks == prev.blocks:
-            return prev, depth
-        prev = part
-    raise InternalCheckError("partition failed to stabilize within the carrier bound")
+    _same_kind(c, d)
+    nodes, pred = [], []  # the disjoint union, left carrier first
+    for m in (c, d):
+        ids, at = {}, {}
+        for s in m.carrier:
+            ids[s], at[s] = 0, len(nodes)
+            nodes.append((ids, s, m.transition[s]))
+        pred += ([at[p] for p in ps] for ps in predecessors(m).values())
+    block, key = [0] * len(nodes), [None] * len(nodes)
+    size, shared = [len(nodes)], [None]  # per block: members, and the key they all carry
+    depth, dirty = 0, range(len(nodes))
+    while True:
+        rekeyed = {}
+        for i in dirty:
+            ids, _, t = nodes[i]
+            key[i] = relabel(t, ids)
+            rekeyed.setdefault(block[i], []).append(i)
+        moved = []
+        for b, states in rekeyed.items():
+            groups = {}
+            for i in states:
+                groups.setdefault(key[i], []).append(i)
+            if size[b] == len(states):
+                shared[b] = max(groups, key=lambda k: len(groups[k]))
+            groups.pop(shared[b], None)
+            for k, group in groups.items():
+                new = len(size)
+                size.append(len(group))
+                shared.append(k)
+                size[b] -= len(group)
+                for i in group:
+                    ids, s, _ = nodes[i]
+                    block[i] = ids[s] = new
+                moved += group
+        if not moved:
+            break
+        depth += 1
+        dirty = {p for i in moved for p in pred[i]}
+    out = {}
+    for i, (_, s, _) in enumerate(nodes):
+        out.setdefault(block[i], ([], []))[i >= len(c.carrier)].append(s)
+    blocks = tuple((tuple(ls), tuple(rs)) for ls, rs in out.values())
+    return Partition(c.carrier, d.carrier, blocks), depth
 
 
 @dataclass(frozen=True)

@@ -117,8 +117,8 @@ def random_relation(rng: random.Random, c: Coalgebra, d: Coalgebra, density: flo
     return relation(c.carrier, d.carrier, pairs)
 
 
-def inflate_coalgebra(rng: random.Random, m: Coalgebra, max_copies: int = 3) -> Coalgebra:
-    """A model with one to max_copies copies of each state of m, in shuffled order.
+def inflate_coalgebra(rng: random.Random, m: Coalgebra) -> Coalgebra:
+    """A model with one to three copies of each state of m, in shuffled order.
 
     Each copy's value splits its original's along the projection back to m:
     successors and minimal sets go to some copies of each state, and finite
@@ -127,7 +127,7 @@ def inflate_coalgebra(rng: random.Random, m: Coalgebra, max_copies: int = 3) -> 
     gives back the original's, so the projection is a morphism and every
     copy is behaviourally equivalent to its original.
     """
-    copies = {s: [f"{s}.{i}" for i in range(rng.randint(1, max_copies))] for s in m.carrier}
+    copies = {s: [f"{s}.{i}" for i in range(rng.randint(1, 3))] for s in m.carrier}
 
     def some(z):
         return _pick_subset(rng, copies[z], rng.randint(1, len(copies[z])))

@@ -24,7 +24,10 @@ chain runs on one-sided quotients of C and D by the stabilized partition of
 That is exact for every monotone signature, separating or not: the quotient
 maps are coalgebra morphisms, whose graphs are Λ-bisimulations, and
 Λ-simulations compose, so the greatest simulation is a union of products of
-behavioural-equivalence classes.  The greatest bisimulation and the
+behavioural-equivalence classes.  The route only gains where the partition
+merges states; when it merges no two states of one side, the quotients are
+C and D themselves and the chain runs on them directly.  The greatest
+bisimulation and the
 depth-n levels stay on the direct chain: for signatures that separate the
 models, bisimilarity is decided by the certified partition of
 `coalsim.behaviour` instead, and `greatest_bisimulation` is the independent
@@ -47,7 +50,7 @@ from .liftings import (
     lifting_violations,
 )
 from .relations import Relation, image_rows, rows_relation
-from .values import Coalgebra, base, relabel, state_key
+from .values import Coalgebra, base, predecessors, relabel, state_key
 
 VIOLATION_CAP = 100
 
@@ -189,17 +192,8 @@ def _level_one(c: Coalgebra, d: Coalgebra, sig: LambdaSignature, both: bool) -> 
     return img
 
 
-def _predecessors(m: Coalgebra) -> dict:
-    """Each state to the states whose values have it in their base, in carrier order."""
-    pred = {s: [] for s in m.carrier}
-    for s in m.carrier:
-        for z in base(m.transition[s]):
-            pred[z].append(s)
-    return pred
-
-
 def _suspects(lost: dict, pred_c: dict, img: dict, order_c, order_d) -> list:
-    """The surviving pairs whose bases meet a dropped pair, in carrier order.
+    """The surviving pairs whose bases meet a dropped pair, as rows in carrier order.
 
     `lost` maps each left state that lost pairs to the right predecessors of
     the states it lost, united once; they are met, a set at a time, with
@@ -211,8 +205,11 @@ def _suspects(lost: dict, pred_c: dict, img: dict, order_c, order_d) -> list:
         for x in pred_c[x2]:
             hit = img[x] & ys
             if hit:
-                found.setdefault(x, set()).update(hit)
-    return [(x, y) for x in sorted(found, key=order_c) for y in sorted(found[x], key=order_d)]
+                if x in found:
+                    found[x] |= hit
+                else:
+                    found[x] = hit
+    return [(x, sorted(found[x], key=order_d)) for x in sorted(found, key=order_c)]
 
 
 def _levels(c: Coalgebra, d: Coalgebra, sig: LambdaSignature, both: bool):
@@ -251,7 +248,7 @@ def _levels(c: Coalgebra, d: Coalgebra, sig: LambdaSignature, both: bool):
         for x, ys in img.items():
             for y in ys:
                 cimg[y].add(x)
-    pred_c, pred_d = _predecessors(c), _predecessors(d)
+    pred_c, pred_d = predecessors(c), predecessors(d)
     order_c = {x: i for i, x in enumerate(c.carrier)}.__getitem__
     order_d = {y: i for i, y in enumerate(d.carrier)}.__getitem__
     # The drops from level 0 to level 1, once per row of level 1: the right
@@ -263,18 +260,21 @@ def _levels(c: Coalgebra, d: Coalgebra, sig: LambdaSignature, both: bool):
     lost = {x: outside[first[x]] for x in c.carrier if pred_c[x]}
     while True:
         yield img
-        dropped = [
-            (x, y)
-            for x, y in _suspects(lost, pred_c, img, order_c, order_d)
-            if not (ok(ct[x], dt[y], img) and (not both or ok(dt[y], ct[x], cimg)))
-        ]
+        dropped = {}
+        for x, ys in _suspects(lost, pred_c, img, order_c, order_d):
+            t = ct[x]
+            gone = [y for y in ys if not (ok(t, dt[y], img) and (not both or ok(dt[y], t, cimg)))]
+            if gone:
+                dropped[x] = gone
         if not dropped:
             return
         lost = {}
-        for x, y in dropped:
-            img[x].discard(y)
-            cimg[y].discard(x)
-            lost.setdefault(x, set()).update(pred_d[y])
+        for x, gone in dropped.items():
+            img[x].difference_update(gone)
+            lost[x] = set().union(*map(pred_d.__getitem__, gone))
+            if both:
+                for y in gone:
+                    cimg[y].discard(x)
 
 
 def _limit(c, d, sig, both: bool, n=None) -> dict:
@@ -314,15 +314,20 @@ def simulation_rows(c: Coalgebra, d: Coalgebra, sig: LambdaSignature) -> dict:
     agree on it because the partition is stable.  The quotient maps are
     morphisms, so x is simulated by y exactly when x's block is simulated by
     y's block under the same signature.  The chain runs on Q_C × Q_D, and
-    each left state gets its block's row, one shared tuple per block.
+    each left state gets its block's row, one shared tuple per block.  When
+    no block holds two states of one side, Q_C and Q_D are C and D up to
+    renaming, so the chain runs on C × D and no quotient is built.
     """
     from .behaviour import stabilized_partition  # behaviour imports this module
 
     _check_kinds(c, d, sig)
     part, _ = stabilized_partition(c, d)
     blocks = part.blocks
-    qc = _quotient(c, part.left_ids, {i: ls for i, (ls, _) in enumerate(blocks) if ls})
-    qd = _quotient(d, part.right_ids, {i: rs for i, (_, rs) in enumerate(blocks) if rs})
+    lefts = {i: ls for i, (ls, _) in enumerate(blocks) if ls}
+    rights = {i: rs for i, (_, rs) in enumerate(blocks) if rs}
+    if len(lefts) == len(c.carrier) and len(rights) == len(d.carrier):
+        return level_rows(c, d, sig, False)  # nothing merges: the quotients are C and D
+    qc, qd = _quotient(c, part.left_ids, lefts), _quotient(d, part.right_ids, rights)
     *_, img = _levels(qc, qd, sig, False)
     row = image_rows({i: [y for j in img[i] for y in blocks[j][1]] for i in qc.carrier}, d.carrier)
     return {x: row[i] for x, i in part.left_ids.items()}

@@ -96,6 +96,10 @@ def kripke_value(props: Iterable = (), succ: Iterable = ()) -> KripkeValue:
     return KripkeValue(frozenset(props), frozenset(succ))
 
 
+def _entries(weights: dict) -> tuple:
+    return tuple(sorted(weights.items(), key=lambda kv: state_key(kv[0])))
+
+
 def multiset_value(weights: Mapping) -> MultisetValue:
     cleaned = {}
     for s, w in weights.items():
@@ -108,7 +112,7 @@ def multiset_value(weights: Mapping) -> MultisetValue:
             raise ValidationError(f"multiset weight for {s!r} is negative")
         if w > 0:
             cleaned[s] = w
-    return MultisetValue(tuple(sorted(cleaned.items(), key=lambda kv: state_key(kv[0]))))
+    return MultisetValue(_entries(cleaned))
 
 
 def dist_value(mass: Mapping) -> DistValue:
@@ -120,7 +124,7 @@ def dist_value(mass: Mapping) -> DistValue:
             raise ValidationError(f"distribution mass for {s!r} is negative")
         if q > 0:
             cleaned[s] = q
-    return DistValue(tuple(sorted(cleaned.items(), key=lambda kv: state_key(kv[0]))))
+    return DistValue(_entries(cleaned))
 
 
 def nbhd_value(minimals: Iterable[Iterable]) -> NbhdValue:
@@ -252,6 +256,15 @@ def base(t: FunctorValue) -> frozenset:
     raise KindMismatchError(f"not a transition value: {t!r}")
 
 
+def predecessors(m: Coalgebra) -> dict:
+    """Each state to the states whose values have it in their base, in carrier order."""
+    pred = {s: [] for s in m.carrier}
+    for s in m.carrier:
+        for z in base(m.transition[s]):
+            pred[z].append(s)
+    return pred
+
+
 def relabel(t: FunctorValue, f: Mapping) -> FunctorValue:
     """Push a value forward along a total state map (the functorial action).
 
@@ -259,27 +272,32 @@ def relabel(t: FunctorValue, f: Mapping) -> FunctorValue:
     fibers (infinity absorbs), and a neighborhood family maps to the family
     whose members are exactly the sets with preimage in the original; its
     antichain is the minimized family of images of the original minimals.
+    Sums of a value's positive weights or masses are positive, so the
+    weighted results are built without validating them again.
     """
-    missing = [s for s in base(t) if s not in f]
-    if missing:
-        raise ValidationError(f"relabel map is not defined on {shown(sorted(missing, key=state_key))}")
-    if isinstance(t, KripkeValue):
-        return KripkeValue(t.props, frozenset(f[s] for s in t.succ))
-    if isinstance(t, MultisetValue):
-        acc = {}
-        for s, w in t.entries:
-            k = f[s]
-            prev = acc.get(k, 0)
-            acc[k] = INF if (prev == INF or w == INF) else prev + w
-        return multiset_value(acc)
-    if isinstance(t, DistValue):
-        acc = {}
-        for s, q in t.entries:
-            k = f[s]
-            acc[k] = acc.get(k, Fraction(0)) + q
-        return dist_value(acc)
-    if isinstance(t, NbhdValue):
-        return NbhdValue(antichain(frozenset(f[s] for s in m) for m in t.minimals))
+    try:
+        if isinstance(t, KripkeValue):
+            return KripkeValue(t.props, frozenset([f[s] for s in t.succ]))
+        if isinstance(t, MultisetValue):
+            acc = {}
+            for s, w in t.entries:
+                k = f[s]
+                prev = acc.get(k, 0)
+                acc[k] = INF if (prev == INF or w == INF) else prev + w
+            return MultisetValue(_entries(acc))
+        if isinstance(t, DistValue):
+            acc = {}
+            for s, q in t.entries:
+                k = f[s]
+                acc[k] = acc[k] + q if k in acc else q
+            return DistValue(_entries(acc))
+        if isinstance(t, NbhdValue):
+            return NbhdValue(antichain(frozenset([f[s] for s in m]) for m in t.minimals))
+    except KeyError:
+        missing = [s for s in base(t) if s not in f]
+        raise ValidationError(
+            f"relabel map is not defined on {shown(sorted(missing, key=state_key))}"
+        ) from None
     raise KindMismatchError(f"not a transition value: {t!r}")
 
 

@@ -29,7 +29,12 @@ from coalsim import (
     values_equal,
     verify_coupling,
 )
-from coalsim.generators import GeneratorConfig, generate_coalgebra, random_relation
+from coalsim.generators import (
+    GeneratorConfig,
+    generate_coalgebra,
+    inflate_coalgebra,
+    random_relation,
+)
 from coalsim.transport import feasible_transport
 from coalsim.values import INF, relabel
 
@@ -348,6 +353,50 @@ def test_stabilized_partition_relation_is_a_bisimulation():
         sig = auto_signature(c, d)
         part, _ = stabilized_partition(c, d)
         assert is_bisimulation(part.cross_relation(), c, d, sig).holds
+
+
+def _stabilized_level_by_level(c, d):
+    """The first level of `_refinements` that equals the next one, and its depth."""
+    levels = behaviour._refinements(c, d)
+    prev = next(levels)
+    for depth, part in enumerate(levels):
+        if part.blocks == prev.blocks:
+            return prev, depth
+        prev = part
+
+
+def test_incremental_refinement_matches_the_level_by_level_partition():
+    kinds = (kripke_kind(("p", "q")), multiset_model({"u": {}}).kind,
+             dist_model({"u": {"u": 1}}).kind, nbhd_model({"u": []}).kind)
+    rng = random.Random(7)
+    depths = set()
+    for seed in range(80):
+        kind = kinds[seed % 4]
+        cfg = GeneratorConfig(seed=seed, kind=kind, max_states=rng.choice((3, 6, 10)),
+                              allow_infinite=seed % 8 == 1)
+        a = generate_coalgebra(cfg)
+        b = generate_coalgebra(GeneratorConfig(seed=seed + 57, kind=kind, max_states=cfg.max_states,
+                                               allow_infinite=cfg.allow_infinite))
+        for c, d in ((a, b), (a, a), (inflate_coalgebra(rng, a), inflate_coalgebra(rng, b))):
+            expected = _stabilized_level_by_level(c, d)
+            assert stabilized_partition(c, d) == expected, (seed, kind.name)
+            depths.add(expected[1])
+    assert {0, 1, 2, 3} <= depths
+
+
+def test_refinement_of_a_path_rekeys_only_predecessors_of_moved_states(monkeypatch):
+    """A path of n states against a copy splits a block in each of n - 1 rounds.  Re-keying
+    every state each round would take n * 2n relabels; re-keying only the
+    predecessors of the states that moved takes a few per state."""
+    n = 60
+    c = kripke_model({f"x{i}": [f"x{i + 1}"] if i + 1 < n else [] for i in range(n)})
+    d = kripke_model({f"y{i}": [f"y{i + 1}"] if i + 1 < n else [] for i in range(n)})
+    calls = []
+    monkeypatch.setattr(behaviour, "relabel", lambda t, f: calls.append(t) or relabel(t, f))
+    part, depth = stabilized_partition(c, d)
+    assert depth == n - 1
+    assert part.blocks == tuple(((f"x{i}",), (f"y{i}",)) for i in range(n))
+    assert len(calls) <= 3 * 2 * n
 
 
 def test_successful_up_to_couplings_are_behaviourally_sound():

@@ -563,6 +563,20 @@ def test_quotient_simulation_equals_the_direct_chain():
     assert merged > 100 and nontrivial > 30 and infinite > 5
 
 
+def test_quotient_route_builds_quotients_only_when_the_partition_merges(monkeypatch):
+    built = []
+    quotient = simulation._quotient
+    monkeypatch.setattr(simulation, "_quotient", lambda m, *a: built.append(m) or quotient(m, *a))
+    c = kripke_model({"x0": ["x1"], "x1": []})
+    d = kripke_model({"y0": ["y1"], "y1": ["y2"], "y2": []})
+    sig = auto_signature(c, d)
+    assert greatest_simulation(c, d, sig) == _level(c, d, sig, False)
+    assert built == []
+    c = kripke_model({"x": ["a", "b"], "a": [], "b": []})
+    assert greatest_simulation(c, d, sig) == _level(c, d, sig, False)
+    assert built == [c, d]
+
+
 def test_quotient_route_checks_kinds_before_any_partition_work(monkeypatch):
     def no_partition(c, d):
         raise AssertionError("partition work before the kind checks")

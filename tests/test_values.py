@@ -94,6 +94,18 @@ def test_relabel_names_missing_states_in_key_order():
     assert str(info.value) == "relabel map is not defined on ['b', 10]"
 
 
+def test_relabel_names_missing_states_for_every_kind():
+    values = (
+        multiset_value({10: 2, "b": INF, "a": 1}),
+        dist_value({10: Fraction(1, 2), "b": Fraction(1, 4), "a": Fraction(1, 4)}),
+        nbhd_value([[10, "a"], ["b"]]),
+    )
+    for t in values:
+        with pytest.raises(ValidationError) as info:
+            relabel(t, {"a": "c"})
+        assert str(info.value) == "relabel map is not defined on ['b', 10]"
+
+
 def test_relabel_nbhd_matches_membership_oracle():
     rng = random.Random(5)
     states = ["a", "b", "c", "d"]
