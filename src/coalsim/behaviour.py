@@ -32,6 +32,7 @@ exact transportation feasibility.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import islice
 from typing import Optional
 
@@ -45,7 +46,7 @@ from .errors import (
 from .liftings import LambdaSignature, ensure_separating
 from .relations import Partition, Relation, difunctional_closure
 from .simulation import is_bisimulation_up_to_difunctionality
-from .transport import feasible_transport
+from .transport import couple, marginal
 from .values import (
     DISTRIBUTION,
     INF,
@@ -60,8 +61,6 @@ from .values import (
     NbhdValue,
     antichain,
     base,
-    dist_value,
-    multiset_value,
     predecessors,
     relabel,
     state_key,
@@ -355,27 +354,29 @@ def _canonical_coupling(t, u, by_left, by_right) -> FunctorValue:
     ))
 
 
-def _weighted_coupling(x, y, c, d, by_left) -> Optional[FunctorValue]:
-    """A transportation plan of x's value onto y's over the cells, or None.
-
-    `by_left` indexes the cells by their left states; only the cells in the
-    rows of x's support are passed on.
-    """
-    t, u = c.transition[x], d.transition[y]
-    rows = dict(t.entries)
-    cols = dict(u.entries)
-    if isinstance(t, MultisetValue):
-        if INF in rows.values() or INF in cols.values():
-            raise InfiniteWeightError(
-                f"coupling search needs finite weights; pair ({x!r}, {y!r}) has an "
-                f"infinite weight"
-            )
-    plan = feasible_transport(rows, cols, [q for r in rows for q in by_left.get(r, ())])
-    if plan is None:
+def _marginal(t) -> Optional[tuple]:
+    """The `marginal` of a weighted value, or None when it holds an infinite weight."""
+    if isinstance(t, MultisetValue) and any(w == INF for _, w in t.entries):
         return None
-    if isinstance(t, DistValue):
-        return dist_value(plan)
-    return multiset_value({cell: int(q) for cell, q in plan.items()})
+    return marginal(t.entries)
+
+
+def _weighted_coupling(rows, cols, by_left, rank, kind) -> Optional[FunctorValue]:
+    """A transportation plan of one marginal onto another over the cells, or None.
+
+    `by_left` indexes the cells by their left states, and only the cells in
+    the rows' support are passed on, sorted by `rank`, their position in
+    `state_key` order.  `couple` lists the plan's cells in that order, so its
+    value is built in canonical entry order, with no validation.
+    """
+    arcs = sorted((q for r, _ in rows[1] for q in by_left.get(r, ())), key=rank)
+    found = couple(rows, cols, arcs)
+    if found is None:
+        return None
+    den, shipped = found
+    if kind == DISTRIBUTION:
+        return DistValue(tuple((q, Fraction(w, den)) for q, w in shipped.items() if w))
+    return MultisetValue(tuple((q, w) for q, w in shipped.items() if w))
 
 
 def _coupling_check(s: Relation, cell_pairs, c, d) -> Optional[Coupling]:
@@ -384,19 +385,32 @@ def _coupling_check(s: Relation, cell_pairs, c, d) -> Optional[Coupling]:
     Each pair's value is checked once against both projections.  A failed
     check means no coupling exists for a Kripke or neighborhood candidate,
     and a bug for a transportation plan, which raises InternalCheckError.
+    For weighted kinds each state's `marginal` is computed once per call;
+    a pair whose values hold an infinite weight raises InfiniteWeightError
+    when it is reached.
     """
     _same_kind(c, d)
     kind = c.kind.name
     p1 = {q: q[0] for q in cell_pairs}
     p2 = {q: q[1] for q in cell_pairs}
     by_left, by_right = _cell_index(cell_pairs)
+    pairs = sorted(s.pairs, key=state_key)
+    if kind in (MULTISET, DISTRIBUTION):
+        rank = {q: i for i, q in enumerate(sorted(cell_pairs, key=state_key))}.__getitem__
+        rows = {x: _marginal(c.transition[x]) for x in {x for x, _ in pairs}}
+        cols = {y: _marginal(d.transition[y]) for y in {y for _, y in pairs}}
     out = []
-    for x, y in sorted(s.pairs, key=state_key):
+    for x, y in pairs:
         t, u = c.transition[x], d.transition[y]
         if kind in (KRIPKE, NEIGHBORHOOD):
             v = _canonical_coupling(t, u, by_left, by_right)
         elif kind in (MULTISET, DISTRIBUTION):
-            v = _weighted_coupling(x, y, c, d, by_left)
+            if rows[x] is None or cols[y] is None:
+                raise InfiniteWeightError(
+                    f"coupling search needs finite weights; pair ({x!r}, {y!r}) has an "
+                    f"infinite weight"
+                )
+            v = _weighted_coupling(rows[x], cols[y], by_left, rank, kind)
             if v is None:
                 return None
         else:

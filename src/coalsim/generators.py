@@ -168,6 +168,11 @@ def random_positive_formula(
     """A negation-free formula whose modal nesting depth is at most max_rank."""
     unary = [m for m in sig.modalities if not m.nullary]
     nullary = [m for m in sig.modalities if m.nullary]
+    return _positive_formula(rng, unary, nullary, max_rank, fuel)
+
+
+def _positive_formula(rng, unary: list, nullary: list, max_rank: int, fuel: int) -> Formula:
+    """`random_positive_formula` over the signature's unary and nullary modalities."""
     if fuel <= 0:
         return TOP if rng.random() < 0.5 else BOT
     roll = rng.random()
@@ -175,16 +180,16 @@ def random_positive_formula(
         if nullary and (not unary or rng.random() < 0.3):
             return Modal(nullary[rng.randrange(len(nullary))], None)
         m = unary[rng.randrange(len(unary))]
-        return Modal(m, random_positive_formula(rng, sig, max_rank - 1, fuel - 1))
+        return Modal(m, _positive_formula(rng, unary, nullary, max_rank - 1, fuel - 1))
     if roll < 0.7:
         return And(
-            random_positive_formula(rng, sig, max_rank, fuel - 2),
-            random_positive_formula(rng, sig, max_rank, fuel - 2),
+            _positive_formula(rng, unary, nullary, max_rank, fuel - 2),
+            _positive_formula(rng, unary, nullary, max_rank, fuel - 2),
         )
     if roll < 0.9:
         return Or(
-            random_positive_formula(rng, sig, max_rank, fuel - 2),
-            random_positive_formula(rng, sig, max_rank, fuel - 2),
+            _positive_formula(rng, unary, nullary, max_rank, fuel - 2),
+            _positive_formula(rng, unary, nullary, max_rank, fuel - 2),
         )
     return TOP if rng.random() < 0.5 else BOT
 

@@ -15,11 +15,16 @@ modalities (`ensure_separating`).
 
 This is the one module that knows the one-step (lifting) condition behind
 simulations and bisimulations (see `lifting_violations`).  `lifting_check`
-decides it at one pair, exactly for every signature, and
-`lifting_violations` lists the failures for reports.  It is also the one
-place the engine enumerates subsets, behind the gate `exhaustive_base`:
-`subsets` for Kripke and neighborhood values, one table of masses over
-bitmasks for weighted ones.
+compiles it, once per signature, into a predicate for one pair of the
+signature's kind, exact for every signature, and `lifting_violations`
+lists the failures for reports.  For multisets and distributions the pair
+check is Gale's supply-demand condition, decided on integers by
+`hall_violator`: from the blocks' totals when the sources' sink sets are
+pairwise disjoint, otherwise by one maximum flow, both through
+`coalsim.transport.shortfall`, which alone calls `ship` here.  This module
+is also the one place the engine enumerates subsets, behind the gate
+`exhaustive_base`: `subsets` for Kripke and neighborhood values, one table
+of masses over bitmasks for weighted ones.
 """
 
 from __future__ import annotations
@@ -27,13 +32,13 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import islice
 from math import ceil, floor, lcm
 from typing import Iterator, Optional, Sequence
 
 from .errors import BudgetError, KindMismatchError, NotSeparatingError, ValidationError, clipped, shown
-from .transport import ship
+from .transport import shortfall
 from .values import (
     DISTRIBUTION,
     INF,
@@ -533,81 +538,127 @@ def hall_violator(t, u, img) -> Optional[tuple]:
     - A source whose image reaches an infinite sink satisfies every A that
       contains it, since then u(S[A]) is infinite; drop it.
     - The remaining sources have finite weight and images among u's finite
-      sinks only.  Scaled by the common denominator, the condition on all
-      their subsets A is Gale's supply-demand condition: by max-flow
-      min-cut, it holds exactly when the flow from the sources (supplies
-      t(x)) along S into the sinks (capacities u(y)) ships all of t's
-      remaining weight, and otherwise A is the minimum cut's sources
-      (`coalsim.transport.ship`).  For distributions this is the
-      Jonsson-Larsen simulation check by max-flow.
+      sinks only.  On integers (multiset weights as they are, distribution
+      masses scaled by their common denominator, which hold no infinite
+      mass), the condition on all their subsets A is Gale's supply-demand
+      condition: by max-flow min-cut, it holds exactly when the flow from
+      the sources (supplies t(x)) along S into the sinks (capacities u(y))
+      ships all of t's remaining weight, and otherwise A is the minimum
+      cut's sources (`coalsim.transport.shortfall`).  When the sources'
+      sink sets are pairwise disjoint that is decided from block totals,
+      with no flow.  For distributions this is the Jonsson-Larsen
+      simulation check by max-flow.
     """
-    unbounded = frozenset(y for y, w in u.entries if w == INF)
-    supply = {}
-    for x, w in t.entries:
-        if img[x] & unbounded:
-            continue
-        if w == INF:
-            return frozenset((x,)), INF, sum(v for y, v in u.entries if y in img[x])
-        supply[x] = w
+    if isinstance(t, DistValue):
+        den = lcm(*(q.denominator for _, q in t.entries), *(q.denominator for _, q in u.entries))
+        supply = {x: q.numerator * (den // q.denominator) for x, q in t.entries}
+        room = {y: q.numerator * (den // q.denominator) for y, q in u.entries}
+    else:
+        den = 1
+        room = {y: w for y, w in u.entries if w != INF}
+        unbounded = frozenset(y for y, w in u.entries if w == INF) if len(room) < len(u.entries) else ()
+        supply = {}
+        for x, w in t.entries:
+            if unbounded and not unbounded.isdisjoint(img[x]):
+                continue
+            if w == INF:
+                return frozenset((x,)), INF, sum(v for y, v in u.entries if y in img[x])
+            supply[x] = w
     if not supply:
         return None
-    room = {y: w for y, w in u.entries if w != INF}
-    den = _denominator(t, u)
-    supply = {x: _scaled(w, den) for x, w in supply.items()}
-    room = {y: _scaled(w, den) for y, w in room.items()}
-    _, cut = ship(supply, room, [(x, y) for x in supply for y in room if y in img[x]])
+    sinks = frozenset(room)
+    cut = shortfall(supply, room, {x: sinks.intersection(img[x]) for x in supply})
     if cut is None:
         return None
     sources, short = cut  # the cut's capacity is what shipped: u(S[A]) = t(A) - short
-    a = sum(map(supply.get, sources))
+    a = sum(map(supply.__getitem__, sources))
     if den != 1:
         a, short = Fraction(a, den), Fraction(short, den)
     return frozenset(sources), a, a - short
 
 
-def _pair_ok(sig, t, u, img) -> bool:
-    """The lifting condition at one pair, exact for every signature.
+_VALUE_TYPES = {KRIPKE: KripkeValue, MULTISET: MultisetValue, DISTRIBUTION: DistValue, NEIGHBORHOOD: NbhdValue}
 
-    Kripke and neighborhood modalities are checked directly.  A weighted
-    threshold can fail at a set A only where t(A) > u(S[A]); with no such set
-    (`hall_violator`) every threshold holds.  Otherwise the violator A, with
-    a = t(A) and b = u(S[A]), fails <b>, L(a) and M(b); a grid resolved on
-    the models holds one of them, and only a grid holding none is searched.
-    """
-    if not sig.modalities:
-        return True
-    if isinstance(t, KripkeValue):
-        for m in sig.modalities:
-            if m.op == "atom":
-                if m.name in t.props and m.name not in u.props:
-                    return False
-            elif m.op == "diamond":
-                for xp in t.succ:
-                    if not img[xp] & u.succ:
-                        return False
-            elif m.op == "box":
-                for yp in u.succ:
-                    if not any(yp in img[xp] for xp in t.succ):
-                        return False
-        return True
-    if isinstance(t, (MultisetValue, DistValue)):
-        cut = hall_violator(t, u, img)
-        if cut is None:
-            return True
-        _, a, b = cut
-        if not sig._thresholds.isdisjoint((("diamond_gt", b), ("at_least", a), ("more_than", b))):
-            return False
-        return _pair_ok_generic(sig, t, u, img)
-    if isinstance(t, NbhdValue):
-        return all(u.contains(_image(m, img)) for m in t.minimals)
-    raise KindMismatchError(f"unsupported value type {type(t).__name__}")
+
+def _holds(t, u, img) -> bool:
+    return True
+
+
+def _value_mismatch(sig: LambdaSignature, t, u) -> KindMismatchError:
+    return KindMismatchError(
+        f"values of types {type(t).__name__} and {type(u).__name__} "
+        f"do not match signature kind {sig.kind.name!r}"
+    )
 
 
 def lifting_check(sig: LambdaSignature):
     """The lifting condition at one pair for sig, as a predicate ok(t, u, img).
 
-    COALSIM_MAX_BASE is validated here, once, whether or not the returned
-    check ever reaches `exhaustive_base`.
+    The predicate is compiled once for the signature's kind, exact for
+    every signature:
+
+    - Kripke: the atoms of sig are one subset test, `<>` asks that each
+      successor's image meet u's successors, and `[]` that each successor
+      of u lie in some successor's image.
+    - Multisets and distributions: a threshold can fail at a set A only
+      where t(A) > u(S[A]); with no such set (`hall_violator`) every
+      threshold holds.  Otherwise the violator A, with a = t(A) and b =
+      u(S[A]), fails <b>, L(a) and M(b); a grid resolved on the models holds
+      one of them, and only a grid holding none is searched
+      (`_pair_ok_generic`).
+    - Neighborhoods: each minimal set's image belongs to u.
+
+    A signature without modalities always holds; otherwise values not of
+    the signature's kind raise KindMismatchError.  COALSIM_MAX_BASE is
+    validated here, once, whether or not the returned check ever reaches
+    `exhaustive_base`.
     """
     _max_base()
-    return partial(_pair_ok, sig)
+    if not sig.modalities:
+        return _holds
+    kind = _VALUE_TYPES[sig.kind.name]
+    if kind is KripkeValue:
+        atoms = frozenset(m.name for m in sig.modalities if m.op == "atom")
+        diamond, box = DIAMOND in sig.modalities, BOX in sig.modalities
+
+        def ok(t, u, img) -> bool:
+            if not (isinstance(t, kind) and isinstance(u, kind)):
+                raise _value_mismatch(sig, t, u)
+            if not t.props & atoms <= u.props:
+                return False
+            if diamond:
+                for xp in t.succ:
+                    if img[xp].isdisjoint(u.succ):
+                        return False
+            if box:
+                for yp in u.succ:
+                    for xp in t.succ:
+                        if yp in img[xp]:
+                            break
+                    else:
+                        return False
+            return True
+
+    elif kind is NbhdValue:
+
+        def ok(t, u, img) -> bool:
+            if not (isinstance(t, kind) and isinstance(u, kind)):
+                raise _value_mismatch(sig, t, u)
+            return all(u.contains(_image(m, img)) for m in t.minimals)
+
+    else:
+        thresholds = sig._thresholds
+
+        def ok(t, u, img) -> bool:
+            if not (isinstance(t, kind) and isinstance(u, kind)):
+                raise _value_mismatch(sig, t, u)
+            # Read from the module at each call, where they can be replaced.
+            cut = hall_violator(t, u, img)
+            if cut is None:
+                return True
+            _, a, b = cut
+            if not thresholds.isdisjoint((("diamond_gt", b), ("at_least", a), ("more_than", b))):
+                return False
+            return _pair_ok_generic(sig, t, u, img)
+
+    return ok

@@ -54,7 +54,8 @@ def _states(raw, where: str) -> list:
     if not isinstance(raw, list):
         raise ValidationError(f"{where} must be a list of states, got {shown(raw)}")
     for s in raw:
-        _check_state(s, where)
+        if type(s) is not str:
+            _check_state(s, where)
     return raw
 
 
@@ -86,6 +87,11 @@ def _parse_weight(raw, state):
 def _parse_mass(raw, state):
     if isinstance(raw, str):
         try:
+            num, slash, den = raw.partition("/")
+            if slash and num.isascii() and num.isdigit() and den.isascii() and den.isdigit():
+                den = int(den)
+                if den:  # "n/d" in ASCII digits: no parse of the whole string
+                    return Fraction(int(num), den)
             return Fraction(raw)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValidationError(f"mass for {shown(state)} is not a rational: {shown(raw)}") from exc

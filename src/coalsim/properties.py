@@ -181,8 +181,9 @@ def _prop_preservation(trial, seed):
     s = greatest_simulation(c, d, sig)
     if not s.pairs:
         return None
+    pairs = sorted(s.pairs, key=state_key)
     for _ in range(12):
-        x, y = sorted(s.pairs, key=state_key)[rng.randrange(len(s.pairs))]
+        x, y = pairs[rng.randrange(len(pairs))]
         f = random_positive_formula(rng, sig, max_rank=4)
         if evaluate(f, c, x) and not evaluate(f, d, y):
             return _instance_doc(
@@ -202,8 +203,9 @@ def _prop_rank_preservation(trial, seed):
     s = greatest_n_simulation(c, d, sig, n)
     if not s.pairs:
         return None
+    pairs = sorted(s.pairs, key=state_key)
     for _ in range(12):
-        x, y = sorted(s.pairs, key=state_key)[rng.randrange(len(s.pairs))]
+        x, y = pairs[rng.randrange(len(pairs))]
         f = random_positive_formula(rng, sig, max_rank=n)
         if rank(f) > n:
             raise InternalCheckError("formula generator exceeded its rank bound")

@@ -1,23 +1,27 @@
 """Exact integer transport, for couplings and for one-step pair checks.
 
-It serves two callers.  `feasible_transport` fills a table with given row
-and column marginals (the couplings behind t-bisimulations): marginals are
-exact rationals (or naturals), scaled to integers by the least common
-multiple of their denominators, and converted back only for the cells of
-the plan it returns.  `ship` routes integer supplies into sinks of bounded
-room along allowed arcs; `feasible_transport` reads its table off that
-flow, and `coalsim.liftings` decides the weighted lifting condition at one
-pair from whether all of the supply ships and, when it does not, from the
-minimum cut that stops it.
+It serves two callers.  The coupling search of `coalsim.behaviour` reads
+each state's `marginal` once per call, its weights in `state_key` order
+scaled to integers by their own common denominator, and `couple` moves one
+marginal onto another at a pair: both are rescaled to the pair's common
+denominator and `ship` fills the table.  `feasible_transport` is the same
+step on rational marginals, converted back to rationals only for the
+cells of the plan it returns.  `coalsim.liftings` decides the weighted
+lifting condition at one pair by `shortfall`: whether all of the supply
+ships and, when it does not, the minimum cut that stops it.
 
-The answer is the flow of Edmonds-Karp with breadth-first search visiting
-neighbours in node order.  `ship` numbers the nodes in the order of its
-supplies and rooms, so the flow and the cut do not depend on the order of
-the arcs, and `feasible_transport` sorts its rows and columns, so its plan
-does not depend on the order of the cells.  On block-shaped networks (images
-read off partition blocks, a planted functional relation, the product C x D)
-`ship` writes that flow down by the northwest-corner rule and runs none;
-other networks run `_max_flow` on one n*n list of residual capacities.
+`ship` routes integer supplies into sinks of bounded room along allowed
+arcs.  Its answer is the flow of Edmonds-Karp with breadth-first search
+visiting neighbours in node order.  It numbers the nodes in the order of
+its supplies and rooms, so the flow and the cut do not depend on the order
+of the arcs, and marginals list their keys in sorted order, so a plan does
+not depend on the order of the cells.  On block-shaped networks (images
+read off partition blocks, a planted functional relation, the product
+C x D), those whose sources' sink sets are pairwise disjoint (`_blocks`,
+the one test for that shape), no flow runs: `ship` writes the flow down by
+the northwest-corner rule, and `shortfall` reads the cut off the blocks'
+totals without building a plan.  Other networks run `_max_flow` on one n*n
+list of residual capacities, called by `ship` alone.
 """
 
 from __future__ import annotations
@@ -91,6 +95,21 @@ def _flow_network(supply: Mapping, room: Mapping, arcs) -> tuple:
     return n, capacity, edges
 
 
+def _blocks(supply: Mapping, reach: Mapping) -> Optional[dict]:
+    """The sources grouped by their sink sets, or None unless those are pairwise disjoint.
+
+    `reach` maps each source to the frozenset of sinks it may ship to; the
+    groups map each sink set to its sources, in supply order.  This is the
+    one test for a block-shaped network, shared by `ship` and `shortfall`.
+    """
+    groups = {}
+    for x in supply:
+        groups.setdefault(reach[x], []).append(x)
+    if sum(map(len, groups)) == len(frozenset().union(*groups)):
+        return groups
+    return None
+
+
 def _corner(supply: Mapping, room: Mapping, arcs, groups: dict) -> tuple:
     """`ship` on groups of sources whose sink sets are pairwise disjoint.
 
@@ -158,10 +177,8 @@ def ship(supply: Mapping, room: Mapping, arcs) -> tuple:
     reach = {x: set() for x in supply}
     for a, b in arcs:
         reach[a].add(b)
-    groups = {}
-    for x, sinks in reach.items():
-        groups.setdefault(frozenset(sinks), []).append(x)
-    if sum(map(len, groups)) == len(frozenset().union(*groups)):
+    groups = _blocks(supply, {x: frozenset(sinks) for x, sinks in reach.items()})
+    if groups is not None:
         return _corner(supply, room, arcs, groups)
     n, capacity, edges = _flow_network(supply, room, arcs)
     flow, reached = _max_flow(n, capacity, 0, n - 1)
@@ -169,6 +186,64 @@ def ship(supply: Mapping, room: Mapping, arcs) -> tuple:
     if short:
         return None, ([k for i, k in enumerate(supply, 1) if i in reached], short)
     return {arc: flow[e] for e, arc in edges.items()}, None
+
+
+def shortfall(supply: Mapping, room: Mapping, reach: Mapping) -> Optional[tuple]:
+    """The cut of `ship` on the arcs from each source to its `reach`, or None when all ships.
+
+    `reach` maps each source to the frozenset of sinks it may ship to.  On
+    a block-shaped network (`_blocks`) no plan is built: a group is short by
+    its supply minus its sinks' room, and the cut is the positive-supply
+    sources of the short groups, in supply order, with the sum of their
+    shortfalls.  That is the cut `_corner` gives, since the northwest-corner
+    rule fills a complete component up to the smaller of its two totals.
+    Other networks go to `ship`.
+    """
+    groups = _blocks(supply, reach)
+    if groups is None:
+        return ship(supply, room, [(x, y) for x in supply for y in room if y in reach[x]])[1]
+    short = 0
+    stuck = set()
+    for sinks, sources in groups.items():
+        gap = sum(map(supply.__getitem__, sources)) - sum(map(room.__getitem__, sinks))
+        if gap > 0:
+            short += gap
+            stuck.update(sources)
+    if not short:
+        return None
+    return [x for x, w in supply.items() if w and x in stuck], short
+
+
+def marginal(weights) -> tuple:
+    """(den, items): the positive weights of (key, weight) pairs, as integers.
+
+    Weights are ints or Fractions; den is the least common multiple of their
+    denominators, and items lists (key, weight times den) in `state_key`
+    order of the keys.
+    """
+    items = sorted(((k, w) for k, w in weights if w), key=lambda kw: state_key(kw[0]))
+    den = lcm(*(w.denominator for _, w in items))
+    return den, tuple((k, w.numerator * (den // w.denominator)) for k, w in items)
+
+
+def couple(rows: tuple, cols: tuple, arcs) -> Optional[tuple]:
+    """A plan moving one `marginal` onto another along the arcs, or None.
+
+    Both marginals are rescaled to their common denominator den, and the
+    arcs between their keys are passed to `ship`.  Returns (den, {arc:
+    amount}), every such arc listed once in arc order, or None when the
+    totals differ or not all of the rows ship.
+    """
+    (row_den, row_items), (col_den, col_items) = rows, cols
+    den = lcm(row_den, col_den)
+    supply = {k: w * (den // row_den) for k, w in row_items}
+    room = {k: w * (den // col_den) for k, w in col_items}
+    if sum(supply.values()) != sum(room.values()):
+        return None
+    shipped, _ = ship(supply, room, [(r, c) for r, c in arcs if r in supply and c in room])
+    if shipped is None:
+        return None
+    return den, shipped
 
 
 def feasible_transport(
@@ -181,22 +256,17 @@ def feasible_transport(
     no filling exists.  Rows and columns with zero marginal are ignored;
     totals must agree, otherwise the problem is trivially infeasible.  The
     plan does not depend on the order of the cells: flow nodes are numbered
-    by the sorted rows and columns.
+    by the sorted rows and columns.  It is `couple` on the two `marginal`s,
+    the step the coupling search takes at each pair.
     """
-    rows = {k: v for k, v in rows.items() if v}
-    cols = {k: v for k, v in cols.items() if v}
-    denom = lcm(*(v.denominator for v in rows.values()), *(v.denominator for v in cols.values()))
-    supply = {k: rows[k].numerator * (denom // rows[k].denominator) for k in sorted(rows, key=state_key)}
-    room = {k: cols[k].numerator * (denom // cols[k].denominator) for k in sorted(cols, key=state_key)}
-    if sum(supply.values()) != sum(room.values()):
+    rows, cols = marginal(rows.items()), marginal(cols.items())
+    found = couple(rows, cols, cells)
+    if found is None:
         return None
-    arcs = [(r, c) for r, c in cells if r in supply and c in room]
-    shipped, _ = ship(supply, room, arcs)
-    if shipped is None:
-        return None
+    den, shipped = found
     return {
-        (r, c): Fraction(shipped[(r, c)], denom)
-        for r in supply
-        for c in room
+        (r, c): Fraction(shipped[(r, c)], den)
+        for r, _ in rows[1]
+        for c, _ in cols[1]
         if shipped.get((r, c))
     }

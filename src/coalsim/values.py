@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
+from math import lcm
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -120,9 +122,9 @@ def dist_value(mass: Mapping) -> DistValue:
     for s, q in mass.items():
         if type(q) is not Fraction:
             q = Fraction(q)
-        if q < 0:
+        if q.numerator < 0:  # a Fraction's sign is its numerator's
             raise ValidationError(f"distribution mass for {s!r} is negative")
-        if q > 0:
+        if q.numerator:
             cleaned[s] = q
     return DistValue(_entries(cleaned))
 
@@ -174,63 +176,111 @@ def _value_kind_name(value: FunctorValue) -> str:
     raise KindMismatchError(f"not a transition value: {value!r}")
 
 
+def _kripke_ok(t, carrier, atoms) -> bool:
+    return type(t) is KripkeValue and t.succ <= carrier and t.props <= atoms
+
+
+def _multiset_ok(t, carrier, atoms) -> bool:
+    if type(t) is not MultisetValue:
+        return False
+    for z, w in t.entries:
+        if z not in carrier or not (type(w) is int and w > 0 or w == INF):
+            return False
+    return True
+
+
+def _dist_ok(t, carrier, atoms) -> bool:
+    if type(t) is not DistValue:
+        return False
+    for z, q in t.entries:
+        if z not in carrier or type(q) is not Fraction or q.numerator <= 0:
+            return False
+    den = lcm(*(q.denominator for _, q in t.entries))
+    return sum(q.numerator * (den // q.denominator) for _, q in t.entries) == den
+
+
+def _nbhd_ok(t, carrier, atoms) -> bool:
+    return (
+        type(t) is NbhdValue
+        and carrier.issuperset(chain.from_iterable(t.minimals))
+        and t.minimals == antichain(t.minimals)
+    )
+
+
+# One predicate per kind: does a transition value pass every check of `validate`?
+_VALUE_OK = {KRIPKE: _kripke_ok, MULTISET: _multiset_ok, DISTRIBUTION: _dist_ok, NEIGHBORHOOD: _nbhd_ok}
+
+
+def _value_problems(c: Coalgebra, s, t, carrier: frozenset) -> list:
+    """Every problem of the transition value t of state s, in report order."""
+    problems = []
+    try:
+        vk = _value_kind_name(t)
+    except KindMismatchError:
+        return [f"state {shown(s)}: transition value has unknown type {type(t).__name__}"]
+    if vk != c.kind.name:
+        return [f"state {shown(s)}: value kind {vk} does not match model kind {c.kind.name}"]
+    observed = base(t)
+    if not observed <= carrier:
+        stray = [z for z in sorted(observed, key=state_key) if z not in carrier]
+        problems.append(f"state {shown(s)}: mentions states outside the carrier: {shown(stray)}")
+    if isinstance(t, KripkeValue):
+        bad = sorted(t.props - set(c.kind.atoms))
+        if bad:
+            problems.append(f"state {shown(s)}: unknown atoms {shown(bad)}")
+    elif isinstance(t, MultisetValue):
+        for z, w in t.entries:
+            if w == INF:
+                continue
+            if not isinstance(w, int) or isinstance(w, bool) or w < 0:
+                problems.append(f"state {shown(s)}: weight {shown(w)} for {shown(z)} is not a natural or infinity")
+            elif w == 0:
+                problems.append(f"state {shown(s)}: stores an explicit zero weight for {shown(z)}")
+    elif isinstance(t, DistValue):
+        total = Fraction(0)
+        for z, q in t.entries:
+            if not isinstance(q, Fraction) or q <= 0:
+                problems.append(f"state {shown(s)}: mass {shown(q)} for {shown(z)} is not a positive rational")
+            else:
+                total += q
+        if total != 1:
+            problems.append(f"state {shown(s)}: mass sum {total} != 1")
+    elif isinstance(t, NbhdValue):
+        if t.minimals != antichain(t.minimals):
+            problems.append(f"state {shown(s)}: minimal sets are not an antichain")
+    return problems
+
+
 def validate(c: Coalgebra) -> None:
-    """Check every structural invariant of a model; raise a full report on failure."""
+    """Check every structural invariant of a model; raise a full report on failure.
+
+    Each transition value passes one predicate of its kind, which checks
+    its base and atoms by subset tests, its weights by type, and its masses
+    as integers over their common denominator.  Only a value that fails it
+    is examined again, by `_value_problems`, to word its problems.
+    """
     problems = []
     if not c.carrier:
         problems.append("carrier is empty")
-    seen = set()
-    for s in c.carrier:
-        if s in seen:
-            problems.append(f"duplicate carrier state {shown(s)}")
-        seen.add(s)
     carrier = frozenset(c.carrier)
-    missing = [s for s in c.carrier if s not in c.transition]
-    for s in missing:
-        problems.append(f"state {shown(s)} has no transition value")
+    if len(carrier) != len(c.carrier):
+        seen = set()
+        for s in c.carrier:
+            if s in seen:
+                problems.append(f"duplicate carrier state {shown(s)}")
+            seen.add(s)
+    for s in c.carrier:
+        if s not in c.transition:
+            problems.append(f"state {shown(s)} has no transition value")
     for s in c.transition:
         if s not in carrier:
             problems.append(f"transition defined on {shown(s)}, which is not in the carrier")
+    ok = _VALUE_OK[c.kind.name]
+    atoms = frozenset(c.kind.atoms)
     for s in c.carrier:
         t = c.transition.get(s)
-        if t is None:
-            continue
-        try:
-            vk = _value_kind_name(t)
-        except KindMismatchError:
-            problems.append(f"state {shown(s)}: transition value has unknown type {type(t).__name__}")
-            continue
-        if vk != c.kind.name:
-            problems.append(f"state {shown(s)}: value kind {vk} does not match model kind {c.kind.name}")
-            continue
-        observed = base(t)
-        if not observed <= carrier:
-            stray = [z for z in sorted(observed, key=state_key) if z not in carrier]
-            problems.append(f"state {shown(s)}: mentions states outside the carrier: {shown(stray)}")
-        if isinstance(t, KripkeValue):
-            bad = sorted(t.props - set(c.kind.atoms))
-            if bad:
-                problems.append(f"state {shown(s)}: unknown atoms {shown(bad)}")
-        elif isinstance(t, MultisetValue):
-            for z, w in t.entries:
-                if w == INF:
-                    continue
-                if not isinstance(w, int) or isinstance(w, bool) or w < 0:
-                    problems.append(f"state {shown(s)}: weight {shown(w)} for {shown(z)} is not a natural or infinity")
-                elif w == 0:
-                    problems.append(f"state {shown(s)}: stores an explicit zero weight for {shown(z)}")
-        elif isinstance(t, DistValue):
-            total = Fraction(0)
-            for z, q in t.entries:
-                if not isinstance(q, Fraction) or q <= 0:
-                    problems.append(f"state {shown(s)}: mass {shown(q)} for {shown(z)} is not a positive rational")
-                else:
-                    total += q
-            if total != 1:
-                problems.append(f"state {shown(s)}: mass sum {total} != 1")
-        elif isinstance(t, NbhdValue):
-            if t.minimals != antichain(t.minimals):
-                problems.append(f"state {shown(s)}: minimal sets are not an antichain")
+        if t is not None and not ok(t, carrier, atoms):
+            problems += _value_problems(c, s, t, carrier)
     if problems:
         raise ValidationError(problems)
 

@@ -390,3 +390,284 @@ def ship_reference(supply, room, arcs) -> tuple:
     if short:
         return None, ([k for k, i in src_id.items() if i in reached], short)
     return {arc: flow[e] for e, arc in edges.items()}, None
+
+
+def hall_violator_reference(t, u, img):
+    """`coalsim.liftings.hall_violator` as it was before it decided on block
+    totals: infinite weights scanned on both kinds, masses scaled per pair,
+    and one maximum flow on every network, by `ship_reference`."""
+    from fractions import Fraction
+
+    from coalsim.liftings import _denominator, _scaled
+    from coalsim.values import INF
+
+    unbounded = frozenset(y for y, w in u.entries if w == INF)
+    supply = {}
+    for x, w in t.entries:
+        if img[x] & unbounded:
+            continue
+        if w == INF:
+            return frozenset((x,)), INF, sum(v for y, v in u.entries if y in img[x])
+        supply[x] = w
+    if not supply:
+        return None
+    room = {y: w for y, w in u.entries if w != INF}
+    den = _denominator(t, u)
+    supply = {x: _scaled(w, den) for x, w in supply.items()}
+    room = {y: _scaled(w, den) for y, w in room.items()}
+    _, cut = ship_reference(supply, room, [(x, y) for x in supply for y in room if y in img[x]])
+    if cut is None:
+        return None
+    sources, short = cut  # the cut's capacity is what shipped: u(S[A]) = t(A) - short
+    a = sum(map(supply.get, sources))
+    if den != 1:
+        a, short = Fraction(a, den), Fraction(short, den)
+    return frozenset(sources), a, a - short
+
+
+def random_positive_formula_reference(rng, sig, max_rank, fuel=12):
+    """`coalsim.generators.random_positive_formula` as first written, splitting
+    the modalities again at every node."""
+    from coalsim.formulas import BOT, TOP, And, Modal, Or
+
+    unary = [m for m in sig.modalities if not m.nullary]
+    nullary = [m for m in sig.modalities if m.nullary]
+    if fuel <= 0:
+        return TOP if rng.random() < 0.5 else BOT
+    roll = rng.random()
+    if max_rank > 0 and roll < 0.5 and (unary or nullary):
+        if nullary and (not unary or rng.random() < 0.3):
+            return Modal(nullary[rng.randrange(len(nullary))], None)
+        m = unary[rng.randrange(len(unary))]
+        return Modal(m, random_positive_formula_reference(rng, sig, max_rank - 1, fuel - 1))
+    if roll < 0.7:
+        return And(
+            random_positive_formula_reference(rng, sig, max_rank, fuel - 2),
+            random_positive_formula_reference(rng, sig, max_rank, fuel - 2),
+        )
+    if roll < 0.9:
+        return Or(
+            random_positive_formula_reference(rng, sig, max_rank, fuel - 2),
+            random_positive_formula_reference(rng, sig, max_rank, fuel - 2),
+        )
+    return TOP if rng.random() < 0.5 else BOT
+
+
+# The model loader as it was before each value was checked by one predicate:
+# `coalgebra_from_dict` of `coalsim.modelio` with the helpers it changed, and
+# `validate` of `coalsim.values`, copied unchanged but for their names.
+
+
+def _states_reference(raw, where):
+    """A JSON list of state labels; a label is a string or a non-bool integer."""
+    from coalsim.errors import ValidationError, shown
+
+    if not isinstance(raw, list):
+        raise ValidationError(f"{where} must be a list of states, got {shown(raw)}")
+    for s in raw:
+        _check_state_reference(s, where)
+    return raw
+
+
+def _check_state_reference(s, where):
+    from coalsim.errors import ValidationError, shown
+
+    if not isinstance(s, (str, int)) or isinstance(s, bool):
+        raise ValidationError(f"{where}: state {shown(s)} is not a string or an integer")
+
+
+def _parse_mass_reference(raw, state):
+    from fractions import Fraction
+
+    from coalsim.errors import ValidationError, shown
+
+    if isinstance(raw, str):
+        try:
+            return Fraction(raw)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValidationError(f"mass for {shown(state)} is not a rational: {shown(raw)}") from exc
+    if isinstance(raw, int) and not isinstance(raw, bool):
+        return Fraction(raw)
+    raise ValidationError(f"mass for {shown(state)} must be \"n/d\" or an integer, got {shown(raw)}")
+
+
+def _value_from_json_reference(kind_name, raw):
+    from coalsim.errors import ValidationError, shown
+    from coalsim.modelio import _parse_weight, _strings
+    from coalsim.values import (
+        DISTRIBUTION,
+        KRIPKE,
+        MULTISET,
+        NEIGHBORHOOD,
+        dist_value,
+        kripke_value,
+        multiset_value,
+        nbhd_value,
+    )
+
+    if kind_name == KRIPKE:
+        if not isinstance(raw, dict) or set(raw) - {"props", "succ"}:
+            raise ValidationError(f"kripke value needs props/succ, got {shown(raw)}")
+        props = _strings(raw.get("props", []), "props")
+        return kripke_value(props, _states_reference(raw.get("succ", []), "succ"))
+    if kind_name == MULTISET:
+        if not isinstance(raw, dict):
+            raise ValidationError(f"multiset value must be a weight map, got {shown(raw)}")
+        return multiset_value({s: _parse_weight(w, s) for s, w in raw.items()})
+    if kind_name == DISTRIBUTION:
+        if not isinstance(raw, dict):
+            raise ValidationError(f"distribution value must be a mass map, got {shown(raw)}")
+        return dist_value({s: _parse_mass_reference(q, s) for s, q in raw.items()})
+    if kind_name == NEIGHBORHOOD:
+        if not isinstance(raw, dict) or set(raw) != {"minimals"}:
+            raise ValidationError(f"neighborhood value needs minimals, got {shown(raw)}")
+        if not isinstance(raw["minimals"], list):
+            raise ValidationError(f"minimals must be a list of state lists, got {shown(raw)}")
+        return nbhd_value(_states_reference(m, "minimal set") for m in raw["minimals"])
+    raise ValidationError(f"unknown functor {shown(kind_name)}")
+
+
+def coalgebra_from_dict_reference(doc):
+    from coalsim.errors import ValidationError, shown
+    from coalsim.modelio import _PLAIN_KINDS, _strings
+    from coalsim.values import KRIPKE, Coalgebra, kripke_kind
+
+    if not isinstance(doc, dict):
+        raise ValidationError("model document must be a JSON object")
+    for field in ("functor", "states", "transition"):
+        if field not in doc:
+            raise ValidationError(f"model document misses the {field!r} field")
+    name = doc["functor"]
+    if name == KRIPKE:
+        kind = kripke_kind(_strings(doc.get("atoms", []), "atoms"))
+    elif isinstance(name, str) and name in _PLAIN_KINDS:
+        if "atoms" in doc:
+            raise ValidationError(f"functor {shown(name)} takes no atom vocabulary")
+        kind = _PLAIN_KINDS[name]
+    else:
+        raise ValidationError(f"unknown functor {shown(name)}")
+    states = _states_reference(doc["states"], "states")
+    transition = doc["transition"]
+    if not isinstance(transition, dict):
+        raise ValidationError("transition must map states to values")
+    values = {s: _value_from_json_reference(name, raw) for s, raw in transition.items()}
+    c = Coalgebra(kind, states, values)
+    validate_reference(c)
+    return c
+
+
+def validate_reference(c):
+    """Check every structural invariant of a model; raise a full report on failure."""
+    from fractions import Fraction
+
+    from coalsim.errors import KindMismatchError, ValidationError, shown
+    from coalsim.values import (
+        INF,
+        DistValue,
+        KripkeValue,
+        MultisetValue,
+        NbhdValue,
+        _value_kind_name,
+        antichain,
+        base,
+        state_key,
+    )
+
+    problems = []
+    if not c.carrier:
+        problems.append("carrier is empty")
+    seen = set()
+    for s in c.carrier:
+        if s in seen:
+            problems.append(f"duplicate carrier state {shown(s)}")
+        seen.add(s)
+    carrier = frozenset(c.carrier)
+    missing = [s for s in c.carrier if s not in c.transition]
+    for s in missing:
+        problems.append(f"state {shown(s)} has no transition value")
+    for s in c.transition:
+        if s not in carrier:
+            problems.append(f"transition defined on {shown(s)}, which is not in the carrier")
+    for s in c.carrier:
+        t = c.transition.get(s)
+        if t is None:
+            continue
+        try:
+            vk = _value_kind_name(t)
+        except KindMismatchError:
+            problems.append(f"state {shown(s)}: transition value has unknown type {type(t).__name__}")
+            continue
+        if vk != c.kind.name:
+            problems.append(f"state {shown(s)}: value kind {vk} does not match model kind {c.kind.name}")
+            continue
+        observed = base(t)
+        if not observed <= carrier:
+            stray = [z for z in sorted(observed, key=state_key) if z not in carrier]
+            problems.append(f"state {shown(s)}: mentions states outside the carrier: {shown(stray)}")
+        if isinstance(t, KripkeValue):
+            bad = sorted(t.props - set(c.kind.atoms))
+            if bad:
+                problems.append(f"state {shown(s)}: unknown atoms {shown(bad)}")
+        elif isinstance(t, MultisetValue):
+            for z, w in t.entries:
+                if w == INF:
+                    continue
+                if not isinstance(w, int) or isinstance(w, bool) or w < 0:
+                    problems.append(f"state {shown(s)}: weight {shown(w)} for {shown(z)} is not a natural or infinity")
+                elif w == 0:
+                    problems.append(f"state {shown(s)}: stores an explicit zero weight for {shown(z)}")
+        elif isinstance(t, DistValue):
+            total = Fraction(0)
+            for z, q in t.entries:
+                if not isinstance(q, Fraction) or q <= 0:
+                    problems.append(f"state {shown(s)}: mass {shown(q)} for {shown(z)} is not a positive rational")
+                else:
+                    total += q
+            if total != 1:
+                problems.append(f"state {shown(s)}: mass sum {total} != 1")
+        elif isinstance(t, NbhdValue):
+            if t.minimals != antichain(t.minimals):
+                problems.append(f"state {shown(s)}: minimal sets are not an antichain")
+    if problems:
+        raise ValidationError(problems)
+
+
+def weighted_coupling_reference(s, cells, c, d):
+    """The weighted coupling search as it was before it read per-state marginals.
+
+    For each pair of s in `state_key` order: the plan of `feasible_transport`
+    as first written (marginals scaled per pair, one maximum flow by
+    `ship_reference`, cells read row by row), made a value by `dist_value` or
+    `multiset_value`.  Returns [((x, y), value), ...], or None at the first
+    pair without a plan; an infinite weight raises InfiniteWeightError.
+    """
+    from fractions import Fraction
+    from math import lcm
+
+    from coalsim.errors import InfiniteWeightError
+    from coalsim.values import INF, DistValue, dist_value, multiset_value, state_key
+
+    out = []
+    for x, y in sorted(s.pairs, key=state_key):
+        t, u = c.transition[x], d.transition[y]
+        rows, cols = dict(t.entries), dict(u.entries)
+        if not isinstance(t, DistValue) and (INF in rows.values() or INF in cols.values()):
+            raise InfiniteWeightError(
+                f"coupling search needs finite weights; pair ({x!r}, {y!r}) has an "
+                f"infinite weight"
+            )
+        denom = lcm(*(v.denominator for v in rows.values()), *(v.denominator for v in cols.values()))
+        supply = {k: rows[k].numerator * (denom // rows[k].denominator) for k in sorted(rows, key=state_key)}
+        room = {k: cols[k].numerator * (denom // cols[k].denominator) for k in sorted(cols, key=state_key)}
+        if sum(supply.values()) != sum(room.values()):
+            return None
+        arcs = [(r, k) for r, k in cells if r in supply and k in room]
+        shipped, _ = ship_reference(supply, room, arcs)
+        if shipped is None:
+            return None
+        plan = {(r, k): Fraction(shipped[(r, k)], denom) for r in supply for k in room if shipped.get((r, k))}
+        if isinstance(t, DistValue):
+            out.append(((x, y), dist_value(plan)))
+        else:
+            out.append(((x, y), multiset_value({cell: int(q) for cell, q in plan.items()})))
+    return out

@@ -11,9 +11,13 @@ from coalsim import (
     kripke_kind,
     validate,
 )
+from coalsim.formulas import format_formula
 from coalsim.generators import GeneratorConfig, generate_coalgebra, random_positive_formula, random_relation
+from coalsim.liftings import LambdaSignature, resolve_signature
 from coalsim.modelio import coalgebra_to_dict, dump_json
 from coalsim.values import DISTRIBUTION_KIND, MULTISET_KIND, NEIGHBORHOOD_KIND
+
+from oracle_helpers import random_positive_formula_reference
 
 
 def test_single_deadlocked_state():
@@ -76,3 +80,28 @@ def test_random_relation_in_carriers():
     rng = random.Random(1)
     s = random_relation(rng, c, d)
     assert all(x in c.carrier and y in d.carrier for x, y in s.pairs)
+
+
+def test_positive_formulas_are_those_of_the_first_generator():
+    """Splitting the modalities once per formula changes no draw: the same
+    formulas, and the generator left in the same state."""
+    shapes = [
+        (kripke_kind(("p", "q")), literal)
+        for literal in ("kripke:box,diamond,atoms", "kripke:box", "kripke:atoms", "kripke:diamond,atoms")
+    ] + [
+        (kripke_kind(("p",)), None),
+        (MULTISET_KIND, "graded:auto"),
+        (MULTISET_KIND, "graded:0..0"),
+        (DISTRIBUTION_KIND, "prob:auto-grid"),
+        (NEIGHBORHOOD_KIND, "nbhd:box"),
+    ]
+    for case in range(540):
+        kind, literal = shapes[case % len(shapes)]
+        model = generate_coalgebra(GeneratorConfig(seed=case, kind=kind, max_states=4))
+        sig = LambdaSignature(kind, ()) if literal is None else resolve_signature(literal, [model])
+        max_rank = case % 5
+        rng, reference = random.Random(case), random.Random(case)
+        for _ in range(3):
+            f = random_positive_formula(rng, sig, max_rank)
+            assert format_formula(f) == format_formula(random_positive_formula_reference(reference, sig, max_rank))
+        assert rng.getstate() == reference.getstate()

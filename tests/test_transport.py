@@ -16,7 +16,7 @@ from coalsim import (
 )
 from coalsim.behaviour import certified_equivalence
 from coalsim.generators import GeneratorConfig, generate_coalgebra
-from coalsim.transport import feasible_transport, ship
+from coalsim.transport import feasible_transport, ship, shortfall
 from coalsim.values import relabel
 
 from oracle_helpers import max_flow_reference, ship_reference
@@ -143,6 +143,24 @@ def test_ship_matches_the_flow_on_every_network(monkeypatch):
             )
             seen["stranded"] += any(supply[x] and not ys for x, ys in reach.items())
             seen["unreached"] += bool(room.keys() - {y for _, y in arcs})
+    assert min(seen.values()) >= 50, seen
+
+
+def test_shortfall_is_the_cut_of_the_flow(monkeypatch):
+    """`ship`'s cut, sources in supply order and the amount short, on every
+    network; on block-shaped ones without `ship`, so with no plan and no flow."""
+    ships = _counted(monkeypatch, "ship")
+    seen = dict.fromkeys(("block cut", "block ships", "flow cut", "flow ships", "zero supply cut"), 0)
+    rng = random.Random(67)
+    for _ in range(3000):
+        supply, room, arcs = _block_case(rng)
+        reach = {x: frozenset(y for a, y in arcs if a == x) for x in supply}
+        before = len(ships)
+        cut = shortfall(supply, room, reach)
+        assert cut == ship_reference(supply, room, arcs)[1]
+        path = "block" if len(ships) == before else "flow"
+        seen[f"{path} {'cut' if cut else 'ships'}"] += 1
+        seen["zero supply cut"] += cut is not None and any(not w for w in supply.values())
     assert min(seen.values()) >= 50, seen
 
 
