@@ -4,21 +4,22 @@ and coupling-based relational witnesses.
 Behavioural equivalence is decided by partition refinement on the disjoint
 union of the two carriers: two states share a block at depth k+1 exactly
 when their transition values, relabeled by depth-k block ids, are equal, and
-refinement stops when no block splits.  `n_step_partition` builds the levels
-one by one; `stabilized_partition` reaches the same stable level
-incrementally, re-keying only the predecessors of the states that changed
-block in the round before.  Each level is a
-`coalsim.relations.Partition`, whose blocks are (left states, right states);
-a relation's quotient takes its blocks from `Relation.components`, which
-builds the same type.  For a separating signature the stabilized
-partition's cross relation is both behavioural equivalence and
-Λ-bisimilarity, so `behavioural_equivalence` returns it after two cheap
-certificates on the blocks' spanning pairs (see `certified_partition`):
-they form a bisimulation up to difunctionality, and they give an explicit
-quotient model whose projection maps commute with the transition
-structures.  A failed certificate raises `InternalCheckError`, so a wrong
-answer can never be returned quietly.  The pair-removal fixpoint `greatest_bisimulation` is
-not run here; the property suite compares it with both of these routes.
+refinement stops when no block splits.  One refinement core, `_refine`,
+finds the levels incrementally, re-keying only the predecessors of the
+states that changed block in the round before: `n_step_partition` reads
+level n from it, and `stabilized_partition` runs it until no block splits.
+Each level is a `coalsim.relations.Partition`, whose blocks are (left
+states, right states); a relation's quotient takes its blocks from
+`Relation.components`, which builds the same type.  For a separating
+signature the stabilized partition's cross relation is both behavioural
+equivalence and Λ-bisimilarity, so `behavioural_equivalence` returns it
+after two cheap certificates on the blocks' spanning pairs (see
+`certified_partition`): they form a bisimulation up to difunctionality, and
+they give an explicit quotient model whose projection maps commute with the
+transition structures.  A failed certificate raises `InternalCheckError`,
+so a wrong answer can never be returned quietly.  The pair-removal fixpoint
+`greatest_bisimulation` is not run here; the property suite compares it
+with both of these routes.
 
 Coupling search decides the span-style notion of bisimulation: a relation is
 witnessed by giving, for every related pair, a single transition value over
@@ -33,7 +34,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 from typing import Optional
 
 from .errors import (
@@ -75,52 +75,24 @@ def _same_kind(c: Coalgebra, d: Coalgebra) -> None:
         )
 
 
-def _refinements(c: Coalgebra, d: Coalgebra):
-    """Partitions of the disjoint union at depth 0, 1, 2, ...
+def _refine(c: Coalgebra, d: Coalgebra, rounds: int) -> tuple:
+    """Refine for at most `rounds` rounds; returns (partition, depth).
 
-    Depth 0 is a single block; each step groups states whose transition
-    values agree after replacing every mentioned state by its previous-depth
-    block id.  `relabel` returns neighborhood values in antichain form, so
-    the relabeled values themselves are canonical keys.  Blocks are numbered
-    by first occurrence, left carrier before right carrier.
-    """
-    _same_kind(c, d)
-    part = Partition(c.carrier, d.carrier, ((c.carrier, d.carrier),))
-    while True:
-        yield part
-        groups = {}
-        for side, m, ids in ((0, c, part.left_ids), (1, d, part.right_ids)):
-            for s in m.carrier:
-                key = relabel(m.transition[s], ids)
-                groups.setdefault(key, ([], []))[side].append(s)
-        blocks = tuple((tuple(ls), tuple(rs)) for ls, rs in groups.values())
-        part = Partition(c.carrier, d.carrier, blocks)
-
-
-def n_step_partition(c: Coalgebra, d: Coalgebra, n: int) -> Partition:
-    """Depth-n observational partition of the disjoint union of two models.
-
-    Relabeled-value equality matches equality of depth-n behaviours because
-    all four functors preserve injections.
-    """
-    if n < 0:
-        raise ValidationError(f"depth must be a natural number, got {n}")
-    return next(islice(_refinements(c, d), n, None))
-
-
-def stabilized_partition(c: Coalgebra, d: Coalgebra) -> tuple:
-    """Refine until stable; returns (partition, depth at stabilization).
-
-    The levels are those of `_refinements`, found incrementally in the
-    manner of Paige and Tarjan.  A state's relabelled value can change only
-    when a state in its base changed block, so each round re-keys just the
-    predecessors of the states that moved in the round before.  All members
-    of a block that are not re-keyed still carry the key the block shares,
-    so the block splits off its re-keyed states with other keys; when every
-    member is re-keyed, the largest group keeps the block.  The depth is
-    the number of rounds that split a block; blocks only ever split, so
-    there are fewer than |C|+|D| of them.  The blocks are numbered by first
-    member at the end, left carrier before right carrier.
+    Level 0 is a single block, and two states share a block at level k+1
+    when their transition values agree after replacing every mentioned
+    state by its level-k block id.  `relabel` returns neighborhood values
+    in antichain form, so the relabelled values themselves are the keys.
+    The levels are found incrementally in the manner of Paige and Tarjan.
+    A state's relabelled value can change only when a state in its base
+    changed block, so each round re-keys just the predecessors of the
+    states that moved in the round before.  All members of a block that are
+    not re-keyed still carry the key the block shares, so the block splits
+    off its re-keyed states with other keys; when every member is re-keyed,
+    the largest group keeps the block.  The depth is the number of rounds
+    that split a block, and the partition is level `depth`; it is stable
+    when the depth is below `rounds`.  Blocks only ever split, so fewer
+    than |C|+|D| rounds split one.  The blocks are numbered by first member
+    at the end, left carrier before right carrier.
     """
     _same_kind(c, d)
     nodes, pred = [], []  # the disjoint union, left carrier first
@@ -133,7 +105,7 @@ def stabilized_partition(c: Coalgebra, d: Coalgebra) -> tuple:
     block, key = [0] * len(nodes), [None] * len(nodes)
     size, shared = [len(nodes)], [None]  # per block: members, and the key they all carry
     depth, dirty = 0, range(len(nodes))
-    while True:
+    while depth < rounds:
         rekeyed = {}
         for i in dirty:
             ids, _, t = nodes[i]
@@ -165,6 +137,26 @@ def stabilized_partition(c: Coalgebra, d: Coalgebra) -> tuple:
         out.setdefault(block[i], ([], []))[i >= len(c.carrier)].append(s)
     blocks = tuple((tuple(ls), tuple(rs)) for ls, rs in out.values())
     return Partition(c.carrier, d.carrier, blocks), depth
+
+
+def n_step_partition(c: Coalgebra, d: Coalgebra, n: int) -> Partition:
+    """Depth-n observational partition of the disjoint union of two models.
+
+    Relabeled-value equality matches equality of depth-n behaviours because
+    all four functors preserve injections.
+    """
+    if n < 0:
+        raise ValidationError(f"depth must be a natural number, got {n}")
+    return _refine(c, d, n)[0]
+
+
+def stabilized_partition(c: Coalgebra, d: Coalgebra) -> tuple:
+    """Refine until stable; returns (partition, depth at stabilization).
+
+    Fewer than |C|+|D| rounds split a block, so that many rounds reach the
+    stable level.
+    """
+    return _refine(c, d, len(c.carrier) + len(d.carrier))
 
 
 @dataclass(frozen=True)

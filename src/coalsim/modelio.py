@@ -34,10 +34,8 @@ from .values import (
     MultisetValue,
     NbhdValue,
     coalgebra,
-    dist_value,
     kripke_kind,
     kripke_value,
-    multiset_value,
     nbhd_value,
     state_key,
 )
@@ -92,12 +90,22 @@ def _parse_mass(raw, state):
                 den = int(den)
                 if den:  # "n/d" in ASCII digits: no parse of the whole string
                     return Fraction(int(num), den)
-            return Fraction(raw)
+            q = Fraction(raw)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValidationError(f"mass for {shown(state)} is not a rational: {shown(raw)}") from exc
-    if isinstance(raw, int) and not isinstance(raw, bool):
-        return Fraction(raw)
-    raise ValidationError(f"mass for {shown(state)} must be \"n/d\" or an integer, got {shown(raw)}")
+    elif isinstance(raw, int) and not isinstance(raw, bool):
+        q = Fraction(raw)
+    else:
+        raise ValidationError(f"mass for {shown(state)} must be \"n/d\" or an integer, got {shown(raw)}")
+    if q < 0:
+        raise ValidationError(f"distribution mass for {shown(state)} is negative")
+    return q
+
+
+def _weighted_entries(parse, raw: dict) -> tuple:
+    """A weighted value's entries: each amount parsed, zeros dropped, in `state_key` order."""
+    parsed = ((s, parse(a, s)) for s, a in raw.items())
+    return tuple(sorted(((s, a) for s, a in parsed if a), key=lambda e: state_key(e[0])))
 
 
 def value_from_json(kind_name: str, raw) -> FunctorValue:
@@ -109,11 +117,11 @@ def value_from_json(kind_name: str, raw) -> FunctorValue:
     if kind_name == MULTISET:
         if not isinstance(raw, dict):
             raise ValidationError(f"multiset value must be a weight map, got {shown(raw)}")
-        return multiset_value({s: _parse_weight(w, s) for s, w in raw.items()})
+        return MultisetValue(_weighted_entries(_parse_weight, raw))
     if kind_name == DISTRIBUTION:
         if not isinstance(raw, dict):
             raise ValidationError(f"distribution value must be a mass map, got {shown(raw)}")
-        return dist_value({s: _parse_mass(q, s) for s, q in raw.items()})
+        return DistValue(_weighted_entries(_parse_mass, raw))
     if kind_name == NEIGHBORHOOD:
         if not isinstance(raw, dict) or set(raw) != {"minimals"}:
             raise ValidationError(f"neighborhood value needs minimals, got {shown(raw)}")

@@ -4,11 +4,9 @@ It serves two callers.  The coupling search of `coalsim.behaviour` reads
 each state's `marginal` once per call, its weights in `state_key` order
 scaled to integers by their own common denominator, and `couple` moves one
 marginal onto another at a pair: both are rescaled to the pair's common
-denominator and `ship` fills the table.  `feasible_transport` is the same
-step on rational marginals, converted back to rationals only for the
-cells of the plan it returns.  `coalsim.liftings` decides the weighted
-lifting condition at one pair by `shortfall`: whether all of the supply
-ships and, when it does not, the minimum cut that stops it.
+denominator and `ship` fills the table.  `coalsim.liftings` decides the
+weighted lifting condition at one pair by `shortfall`: whether all of the
+supply ships and, when it does not, the minimum cut that stops it.
 
 `ship` routes integer supplies into sinks of bounded room along allowed
 arcs.  Its answer is the flow of Edmonds-Karp with breadth-first search
@@ -18,15 +16,14 @@ of the arcs, and marginals list their keys in sorted order, so a plan does
 not depend on the order of the cells.  On block-shaped networks (images
 read off partition blocks, a planted functional relation, the product
 C x D), those whose sources' sink sets are pairwise disjoint (`_blocks`,
-the one test for that shape), no flow runs: `ship` writes the flow down by
-the northwest-corner rule, and `shortfall` reads the cut off the blocks'
-totals without building a plan.  Other networks run `_max_flow` on one n*n
-list of residual capacities, called by `ship` alone.
+the one test for that shape), no flow runs: `ship` and `shortfall` read
+the cut off the blocks' totals (`_block_cut`), and when all ships `ship`
+writes the flow down by the northwest-corner rule.  Other networks run
+`_max_flow` on one n*n list of residual capacities, called by `ship` alone.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import lcm
 from typing import Mapping, Optional
 
@@ -110,40 +107,49 @@ def _blocks(supply: Mapping, reach: Mapping) -> Optional[dict]:
     return None
 
 
-def _corner(supply: Mapping, room: Mapping, arcs, groups: dict) -> tuple:
-    """`ship` on groups of sources whose sink sets are pairwise disjoint.
+def _block_cut(supply: Mapping, room: Mapping, groups: dict) -> Optional[tuple]:
+    """The cut of a block-shaped network, or None when every group ships its supply.
+
+    A group of `_blocks` is short by its supply total minus the room of its
+    sinks.  The cut is the positive-supply sources of the short groups, in
+    supply order, with the sum of their shortfalls.  That is the cut of the
+    flow `_corner` writes down, since the northwest-corner rule fills a
+    complete component up to the smaller of its two totals.
+    """
+    short = 0
+    stuck = set()
+    for sinks, sources in groups.items():
+        gap = sum(map(supply.__getitem__, sources)) - sum(map(room.__getitem__, sinks))
+        if gap > 0:
+            short += gap
+            stuck.update(sources)
+    if not short:
+        return None
+    return [x for x, w in supply.items() if w and x in stuck], short
+
+
+def _corner(supply: Mapping, room: Mapping, arcs, groups: dict) -> dict:
+    """`ship` on groups of sources whose sink sets are pairwise disjoint, none short.
 
     Each group and its sinks form a complete bipartite component, filled by
     the northwest-corner rule: sources in supply order, sinks in room order,
     each step shipping as much as both have left.
     """
     shipped = {(a, b): 0 for a, b in arcs}
-    short = 0
-    stuck = set()
     for sinks, sources in groups.items():
         targets = (y for y in room if y in sinks)
         left = 0
-        gap = 0
         for x in sources:
             have = supply[x]
             while have:
                 if not left:
-                    y = next(targets, None)
-                    if y is None:
-                        break
+                    y = next(targets)
                     left = room[y]
-                    continue
                 push = min(have, left)
                 shipped[x, y] += push
                 have -= push
                 left -= push
-            gap += have
-        if gap:
-            short += gap
-            stuck.update(sources)
-    if short:
-        return None, ([x for x, w in supply.items() if w and x in stuck], short)
-    return shipped, None
+    return shipped
 
 
 def ship(supply: Mapping, room: Mapping, arcs) -> tuple:
@@ -164,14 +170,15 @@ def ship(supply: Mapping, room: Mapping, arcs) -> tuple:
     The sources are grouped by the set of sinks their arcs reach.  When
     those sets are pairwise disjoint, as for images that are unions of
     partition blocks or for the couplings of a product relation, each group
-    with its sinks is a complete bipartite component, and no flow runs:
-    `_corner` fills it by the northwest-corner rule.  That is the flow
-    Edmonds-Karp finds.  Components that share no node never interact, and
-    in a complete component the breadth-first search, visiting nodes in
-    order, always augments from the first source with supply left to the
-    first sink with room left.  A short component's positive-supply sources
-    all stay reachable from the source, so they are all on the minimal
-    minimum cut; a component that ships everything puts none there.
+    with its sinks is a complete bipartite component, and no flow runs.
+    Edmonds-Karp would fill each component by the northwest-corner rule:
+    components that share no node never interact, and in a complete
+    component the breadth-first search, visiting nodes in order, always
+    augments from the first source with supply left to the first sink with
+    room left.  A short component's positive-supply sources all stay
+    reachable from the source, so they are all on the minimal minimum cut;
+    a component that ships everything puts none there.  So the cut is
+    `_block_cut`'s, and when there is none `_corner` writes the flow down.
     Otherwise one maximum flow runs on `_flow_network`.
     """
     reach = {x: set() for x in supply}
@@ -179,7 +186,8 @@ def ship(supply: Mapping, room: Mapping, arcs) -> tuple:
         reach[a].add(b)
     groups = _blocks(supply, {x: frozenset(sinks) for x, sinks in reach.items()})
     if groups is not None:
-        return _corner(supply, room, arcs, groups)
+        cut = _block_cut(supply, room, groups)
+        return (None, cut) if cut else (_corner(supply, room, arcs, groups), None)
     n, capacity, edges = _flow_network(supply, room, arcs)
     flow, reached = _max_flow(n, capacity, 0, n - 1)
     short = sum(supply.values()) - sum(flow[(0, i)] for i in range(1, 1 + len(supply)))
@@ -192,26 +200,14 @@ def shortfall(supply: Mapping, room: Mapping, reach: Mapping) -> Optional[tuple]
     """The cut of `ship` on the arcs from each source to its `reach`, or None when all ships.
 
     `reach` maps each source to the frozenset of sinks it may ship to.  On
-    a block-shaped network (`_blocks`) no plan is built: a group is short by
-    its supply minus its sinks' room, and the cut is the positive-supply
-    sources of the short groups, in supply order, with the sum of their
-    shortfalls.  That is the cut `_corner` gives, since the northwest-corner
-    rule fills a complete component up to the smaller of its two totals.
-    Other networks go to `ship`.
+    a block-shaped network (`_blocks`) no plan is built: the cut is
+    `_block_cut`'s, read off the groups' totals.  Other networks go to
+    `ship`.
     """
     groups = _blocks(supply, reach)
     if groups is None:
         return ship(supply, room, [(x, y) for x in supply for y in room if y in reach[x]])[1]
-    short = 0
-    stuck = set()
-    for sinks, sources in groups.items():
-        gap = sum(map(supply.__getitem__, sources)) - sum(map(room.__getitem__, sinks))
-        if gap > 0:
-            short += gap
-            stuck.update(sources)
-    if not short:
-        return None
-    return [x for x, w in supply.items() if w and x in stuck], short
+    return _block_cut(supply, room, groups)
 
 
 def marginal(weights) -> tuple:
@@ -244,29 +240,3 @@ def couple(rows: tuple, cols: tuple, arcs) -> Optional[tuple]:
     if shipped is None:
         return None
     return den, shipped
-
-
-def feasible_transport(
-    rows: Mapping, cols: Mapping, cells
-) -> Optional[dict]:
-    """A nonnegative filling of the allowed cells with the given marginals.
-
-    Marginals are exact rationals (ints or Fractions).  Returns {cell:
-    amount} using exact rationals (zero-amount cells omitted), or None when
-    no filling exists.  Rows and columns with zero marginal are ignored;
-    totals must agree, otherwise the problem is trivially infeasible.  The
-    plan does not depend on the order of the cells: flow nodes are numbered
-    by the sorted rows and columns.  It is `couple` on the two `marginal`s,
-    the step the coupling search takes at each pair.
-    """
-    rows, cols = marginal(rows.items()), marginal(cols.items())
-    found = couple(rows, cols, cells)
-    if found is None:
-        return None
-    den, shipped = found
-    return {
-        (r, c): Fraction(shipped[(r, c)], den)
-        for r, _ in rows[1]
-        for c, _ in cols[1]
-        if shipped.get((r, c))
-    }

@@ -137,6 +137,30 @@ def levels_reference(c, d, sig, both):
         ))
 
 
+def refinements_reference(c, d):
+    """Partitions of the disjoint union at depth 0, 1, 2, ..., level by level.
+
+    Depth 0 is a single block; each step re-keys every state, grouping the
+    states whose transition values agree after replacing every mentioned
+    state by its previous-depth block id.  `relabel` returns neighborhood
+    values in antichain form, so the relabeled values themselves are
+    canonical keys.  Blocks are numbered by first occurrence, left carrier
+    before right carrier.
+    """
+    from coalsim import Partition, relabel
+
+    part = Partition(c.carrier, d.carrier, ((c.carrier, d.carrier),))
+    while True:
+        yield part
+        groups = {}
+        for side, m, ids in ((0, c, part.left_ids), (1, d, part.right_ids)):
+            for s in m.carrier:
+                key = relabel(m.transition[s], ids)
+                groups.setdefault(key, ([], []))[side].append(s)
+        blocks = tuple((tuple(ls), tuple(rs)) for ls, rs in groups.values())
+        part = Partition(c.carrier, d.carrier, blocks)
+
+
 def greatest_fixpoint_reference(c, d, sig, both):
     """The first level of `levels_reference` that repeats: the greatest (bi)simulation."""
     levels = levels_reference(c, d, sig, both)
@@ -635,8 +659,8 @@ def validate_reference(c):
 def weighted_coupling_reference(s, cells, c, d):
     """The weighted coupling search as it was before it read per-state marginals.
 
-    For each pair of s in `state_key` order: the plan of `feasible_transport`
-    as first written (marginals scaled per pair, one maximum flow by
+    For each pair of s in `state_key` order: the transportation plan as
+    first written (marginals scaled per pair, one maximum flow by
     `ship_reference`, cells read row by row), made a value by `dist_value` or
     `multiset_value`.  Returns [((x, y), value), ...], or None at the first
     pair without a plan; an infinite weight raises InfiniteWeightError.

@@ -35,11 +35,11 @@ from coalsim.generators import (
     inflate_coalgebra,
     random_relation,
 )
-from coalsim.transport import feasible_transport
+from coalsim.transport import couple, marginal
 from coalsim.values import INF, relabel
 
 from conftest import dist_model, kripke_model, multiset_model, nbhd_model
-from oracle_helpers import all_relations, nbhd_coupling_reference
+from oracle_helpers import all_relations, nbhd_coupling_reference, refinements_reference
 
 
 def test_zero_step_partition_is_single_block(chain3_vs_chain2):
@@ -355,14 +355,14 @@ def test_stabilized_partition_relation_is_a_bisimulation():
         assert is_bisimulation(part.cross_relation(), c, d, sig).holds
 
 
-def _stabilized_level_by_level(c, d):
-    """The first level of `_refinements` that equals the next one, and its depth."""
-    levels = behaviour._refinements(c, d)
-    prev = next(levels)
-    for depth, part in enumerate(levels):
-        if part.blocks == prev.blocks:
-            return prev, depth
-        prev = part
+def _levels_to_stability(c, d):
+    """The levels of `refinements_reference` up to the first that equals the next one."""
+    levels = refinements_reference(c, d)
+    seen = [next(levels)]
+    for part in levels:
+        if part.blocks == seen[-1].blocks:
+            return seen
+        seen.append(part)
 
 
 def test_incremental_refinement_matches_the_level_by_level_partition():
@@ -378,10 +378,20 @@ def test_incremental_refinement_matches_the_level_by_level_partition():
         b = generate_coalgebra(GeneratorConfig(seed=seed + 57, kind=kind, max_states=cfg.max_states,
                                                allow_infinite=cfg.allow_infinite))
         for c, d in ((a, b), (a, a), (inflate_coalgebra(rng, a), inflate_coalgebra(rng, b))):
-            expected = _stabilized_level_by_level(c, d)
-            assert stabilized_partition(c, d) == expected, (seed, kind.name)
-            depths.add(expected[1])
+            levels = _levels_to_stability(c, d)
+            depth = len(levels) - 1
+            assert stabilized_partition(c, d) == (levels[-1], depth), (seed, kind.name)
+            for n in range(depth + 3):
+                assert n_step_partition(c, d, n) == levels[min(n, depth)], (seed, kind.name, n)
+            depths.add(depth)
     assert {0, 1, 2, 3} <= depths
+
+
+def _path_pair(n):
+    """A path of n states and a copy of it."""
+    c = kripke_model({f"x{i}": [f"x{i + 1}"] if i + 1 < n else [] for i in range(n)})
+    d = kripke_model({f"y{i}": [f"y{i + 1}"] if i + 1 < n else [] for i in range(n)})
+    return c, d
 
 
 def test_refinement_of_a_path_rekeys_only_predecessors_of_moved_states(monkeypatch):
@@ -389,12 +399,23 @@ def test_refinement_of_a_path_rekeys_only_predecessors_of_moved_states(monkeypat
     every state each round would take n * 2n relabels; re-keying only the
     predecessors of the states that moved takes a few per state."""
     n = 60
-    c = kripke_model({f"x{i}": [f"x{i + 1}"] if i + 1 < n else [] for i in range(n)})
-    d = kripke_model({f"y{i}": [f"y{i + 1}"] if i + 1 < n else [] for i in range(n)})
+    c, d = _path_pair(n)
     calls = []
     monkeypatch.setattr(behaviour, "relabel", lambda t, f: calls.append(t) or relabel(t, f))
     part, depth = stabilized_partition(c, d)
     assert depth == n - 1
+    assert part.blocks == tuple(((f"x{i}",), (f"y{i}",)) for i in range(n))
+    assert len(calls) <= 3 * 2 * n
+
+
+def test_deep_n_step_partition_of_a_path_rekeys_only_predecessors_of_moved_states(monkeypatch):
+    """Level n - 1 of the path against its copy is the stable partition, reached with
+    the same few relabels per state, not n - 1 rounds of re-keying every state."""
+    n = 60
+    c, d = _path_pair(n)
+    calls = []
+    monkeypatch.setattr(behaviour, "relabel", lambda t, f: calls.append(t) or relabel(t, f))
+    part = n_step_partition(c, d, n - 1)
     assert part.blocks == tuple(((f"x{i}",), (f"y{i}",)) for i in range(n))
     assert len(calls) <= 3 * 2 * n
 
@@ -423,17 +444,14 @@ def test_successful_up_to_couplings_are_behaviourally_sound():
 
 
 def test_feasible_transport_exactness():
-    plan = feasible_transport(
-        {"a": Fraction(3, 4), "b": Fraction(1, 4)},
-        {"c": Fraction(1, 2), "d": Fraction(1, 2)},
-        {("a", "c"), ("a", "d"), ("b", "d")},
-    )
-    assert plan is not None
-    assert sum(plan.values()) == 1
-    assert plan[("a", "c")] == Fraction(1, 2)
-    assert feasible_transport({"a": 1}, {"c": 1}, set()) is None
-    assert feasible_transport({"a": Fraction(1, 2)}, {"c": 1}, {("a", "c")}) is None
-    assert feasible_transport({}, {}, set()) == {}
+    rows = marginal([("a", Fraction(3, 4)), ("b", Fraction(1, 4))])
+    cols = marginal([("c", Fraction(1, 2)), ("d", Fraction(1, 2))])
+    assert rows == (4, (("a", 3), ("b", 1)))
+    plan = couple(rows, cols, {("a", "c"), ("a", "d"), ("b", "d")})
+    assert plan == (4, {("a", "c"): 2, ("a", "d"): 1, ("b", "d"): 1})
+    assert couple(marginal([("a", 1)]), marginal([("c", 1)]), set()) is None
+    assert couple(marginal([("a", Fraction(1, 2))]), marginal([("c", 1)]), {("a", "c")}) is None
+    assert couple(marginal([]), marginal([]), set()) == (1, {})
 
 
 def _merged(part, i, j):

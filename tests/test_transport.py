@@ -16,7 +16,7 @@ from coalsim import (
 )
 from coalsim.behaviour import certified_equivalence
 from coalsim.generators import GeneratorConfig, generate_coalgebra
-from coalsim.transport import feasible_transport, ship, shortfall
+from coalsim.transport import couple, marginal, ship, shortfall
 from coalsim.values import relabel
 
 from oracle_helpers import max_flow_reference, ship_reference
@@ -194,14 +194,17 @@ def test_feasible_transport_plan_ignores_cell_order():
         marks = [Fraction(0), *cuts, total]
         cols = {f"b{j}": hi - lo for j, (lo, hi) in enumerate(zip(marks, marks[1:]))}
         cells = [(r, c) for r in rows for c in (*cols, "elsewhere") if rng.random() < 0.7]
-        plan = feasible_transport(rows, cols, cells)
+        margins = marginal(rows.items()), marginal(cols.items())
+        plan = couple(*margins, cells)
         for _ in range(3):
             rng.shuffle(cells)
-            assert feasible_transport(rows, cols, cells) == plan
-        assert feasible_transport(rows, cols, set(cells)) == plan
+            assert couple(*margins, cells) == plan
+        assert couple(*margins, set(cells)) == plan
         if plan is not None:
             feasible += 1
-            assert all(q > 0 for q in plan.values())
+            den, shipped = plan
+            assert all(w >= 0 for w in shipped.values())
+            plan = {q: Fraction(w, den) for q, w in shipped.items()}
             for r, v in rows.items():
                 assert sum(q for (x, _), q in plan.items() if x == r) == v
             for c, v in cols.items():
