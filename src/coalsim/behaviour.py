@@ -245,23 +245,11 @@ def certified_partition(
     return part, witness
 
 
-def certified_equivalence(
-    c: Coalgebra, d: Coalgebra, sig: LambdaSignature
-) -> tuple:
-    """All behaviourally equivalent cross pairs and their quotient witness.
-
-    Returns (R, QuotientWitness), R the cross relation of the certified
-    partition (see `certified_partition`).
-    """
-    part, witness = certified_partition(c, d, sig)
-    return part.cross_relation(), witness
-
-
 def behavioural_equivalence(
     c: Coalgebra, d: Coalgebra, sig: LambdaSignature
 ) -> Relation:
-    """All behaviourally equivalent cross pairs, certified (see `certified_equivalence`)."""
-    return certified_equivalence(c, d, sig)[0]
+    """All behaviourally equivalent cross pairs, certified (see `certified_partition`)."""
+    return certified_partition(c, d, sig)[0].cross_relation()
 
 
 @dataclass(frozen=True)

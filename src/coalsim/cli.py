@@ -12,6 +12,7 @@ import argparse
 import functools
 import json
 import sys
+from contextlib import suppress
 
 from .behaviour import (
     certified_partition,
@@ -30,7 +31,6 @@ from .simulation import (
     is_n_bisimulation,
     is_n_simulation,
     is_simulation,
-    level_rows,
     simulation_rows,
 )
 
@@ -125,19 +125,15 @@ def _cmd_greatest(args, bi: bool) -> int:
     c = load_coalgebra(args.left)
     d = load_coalgebra(args.right)
     sig = _signature(args, c, d)
-    if args.n is not None:
-        rows = level_rows(c, d, sig, bi, args.n)
-    elif not bi:
-        rows = simulation_rows(c, d, sig)
-    else:
+    if bi and args.n is None:
         # For a signature that separates the models, Λ-bisimilarity is
         # behavioural equivalence: take the certified partition, which
         # decides separation first and raises before any other work if not.
-        try:
-            rows = certified_partition(c, d, sig)[0].rows()
-        except NotSeparatingError:
-            rows = level_rows(c, d, sig, True)
-    return _emit_rows(args, c.carrier, rows)
+        # Every other answer is a level of the chain on the behavioural
+        # quotients.
+        with suppress(NotSeparatingError):
+            return _emit_rows(args, c.carrier, certified_partition(c, d, sig)[0].rows())
+    return _emit_rows(args, c.carrier, simulation_rows(c, d, sig, bi, args.n))
 
 
 def _cmd_nstep(args) -> int:

@@ -66,7 +66,7 @@ from .simulation import (
     is_n_bisimulation,
     is_n_simulation,
     is_simulation,
-    level_rows,
+    simulation_rows,
 )
 from .values import (
     DISTRIBUTION,
@@ -504,7 +504,10 @@ def _prop_nstep_is_n_bisim(trial, seed):
 
 def _prop_quotient_simulation(trial, seed):
     """On every kind, inflated models under their auto signature or a few
-    random modalities, which need not separate them."""
+    random modalities, which need not separate them: the quotient route in
+    one direction and in both, at depths 0-3 and at the limit, against the
+    direct chain.  Each round before the simulation chain's limit drops a
+    pair, so its level |C|·|D| is that limit."""
     for kind in KIND_POOL:
         rng, c, d = _models(seed + trial, kind, max_states=4, allow_infinite=True)
         c, d = inflate_coalgebra(rng, c), inflate_coalgebra(rng, c if rng.random() < 0.5 else d)
@@ -513,13 +516,20 @@ def _prop_quotient_simulation(trial, seed):
         else:
             picked = (_random_modality(rng, kind) for _ in range(rng.randint(1, 3)))
             sig = LambdaSignature(kind, tuple(dict.fromkeys(picked)))
-        quotient = greatest_simulation(c, d, sig)
-        direct = rows_relation(c.carrier, d.carrier, level_rows(c, d, sig, False))
-        if quotient.pairs != direct.pairs:
-            return _instance_doc(
-                c, d, signature=[m.token() for m in sig.modalities],
-                quotient=relation_to_dict(quotient), direct=relation_to_dict(direct),
-            )
+        direct = {
+            (False, None): greatest_n_simulation(c, d, sig, len(c.carrier) * len(d.carrier)),
+            (True, None): greatest_bisimulation(c, d, sig),
+        }
+        for n in range(4):
+            direct[False, n] = greatest_n_simulation(c, d, sig, n)
+            direct[True, n] = greatest_n_bisimulation(c, d, sig, n)
+        for (both, n), expected in direct.items():
+            quotient = rows_relation(c.carrier, d.carrier, simulation_rows(c, d, sig, both, n))
+            if quotient.pairs != expected.pairs:
+                return _instance_doc(
+                    c, d, signature=[m.token() for m in sig.modalities], both=both, depth=n,
+                    quotient=relation_to_dict(quotient), direct=relation_to_dict(expected),
+                )
     return None
 
 

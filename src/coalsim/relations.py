@@ -183,7 +183,7 @@ class Partition:
 
         Per block: each left state with the first right state, and the first
         left state with each right state.  Their difunctional closure is the
-        cross relation, so `certified_equivalence` checks them up to it.
+        cross relation, so `certified_partition` checks them up to it.
         """
         out = []
         for lefts, rights in self.blocks:

@@ -17,23 +17,22 @@ Henzinger and Kopke's simulation algorithm, and drops all failures at once;
 the depth-n answers read level n and the greatest (bi)simulation is the
 first level that drops nothing.
 
-The greatest simulation is decided on the behavioural quotients
-(`simulation_rows`), as Bustan and Grumberg do for Kripke structures: the
-chain runs on one-sided quotients of C and D by the stabilized partition of
-`coalsim.behaviour`, and each left block's answer is expanded to its states.
-That is exact for every monotone signature, separating or not: the quotient
-maps are coalgebra morphisms, whose graphs are Λ-bisimulations, and
-Λ-simulations compose, so the greatest simulation is a union of products of
-behavioural-equivalence classes.  The route only gains where the partition
-merges states; when it merges no two states of one side, the quotients are
-C and D themselves and the chain runs on them directly.  The greatest
-bisimulation and the
-depth-n levels stay on the direct chain: for signatures that separate the
-models, bisimilarity is decided by the certified partition of
-`coalsim.behaviour` instead, and `greatest_bisimulation` is the independent
-oracle the property suite compares that partition against.  Answers for the
-command line come as rows (`coalsim.relations.image_rows`), never as sorted
-pair sets.
+Every greatest and depth-n (bi)simulation the command line prints is
+decided on the behavioural quotients (`simulation_rows`), as Bustan and
+Grumberg do for Kripke structures: the chain runs on one-sided quotients of
+C and D by the stabilized partition of `coalsim.behaviour`, and each left
+block's answer is expanded to its states.  That is exact for every monotone
+signature, separating or not, in one direction or both and at every depth:
+the quotient maps are coalgebra morphisms, whose graphs are
+Λ-bisimulations, and depth-k Λ-(bi)simulations compose, so every level of
+the chain is a union of products of behavioural-equivalence classes.  The
+route only gains where the partition merges states; when it merges no two
+states of one side, the quotients are C and D themselves and the chain runs
+on them directly.  The library's `greatest_bisimulation`, and its depth-n
+functions, stay on the direct chain on C × D: they are the independent
+references the property suite compares the quotient route and the certified
+partition of `coalsim.behaviour` against.  Answers for the command line come
+as rows (`coalsim.relations.image_rows`), never as sorted pair sets.
 """
 
 from __future__ import annotations
@@ -277,13 +276,15 @@ def _levels(c: Coalgebra, d: Coalgebra, sig: LambdaSignature, both: bool):
                     cimg[y].discard(x)
 
 
+def _check_depth(n) -> None:
+    if n is not None and n < 0:
+        raise ValidationError(f"depth must be a natural number, got {n}")
+
+
 def _limit(c, d, sig, both: bool, n=None) -> dict:
     """Level n of the chain, or its limit when n is None, as images."""
-    if n is not None:
-        if n < 0:
-            raise ValidationError(f"depth must be a natural number, got {n}")
-        n += 1
-    *_, img = islice(_levels(c, d, sig, both), n)
+    _check_depth(n)
+    *_, img = islice(_levels(c, d, sig, both), None if n is None else n + 1)
     return img
 
 
@@ -293,11 +294,6 @@ def _level(c, d, sig, both: bool, n=None) -> Relation:
     return Relation(c.carrier, d.carrier, frozenset((x, y) for x in c.carrier for y in img[x]))
 
 
-def level_rows(c, d, sig, both: bool, n=None) -> dict:
-    """Level n of the direct chain, or its limit when n is None, as rows."""
-    return image_rows(_limit(c, d, sig, both, n), d.carrier)
-
-
 def _quotient(m: Coalgebra, ids: dict, members: dict) -> Coalgebra:
     """The model on block ids: each block's value is its first member's, relabelled by ids."""
     return Coalgebra(m.kind, tuple(members), {
@@ -305,30 +301,35 @@ def _quotient(m: Coalgebra, ids: dict, members: dict) -> Coalgebra:
     })
 
 
-def simulation_rows(c: Coalgebra, d: Coalgebra, sig: LambdaSignature) -> dict:
-    """The greatest simulation as rows, decided on the behavioural quotients.
+def simulation_rows(
+    c: Coalgebra, d: Coalgebra, sig: LambdaSignature, both: bool = False, n=None
+) -> dict:
+    """Level n of the chain, or its limit when n is None, as rows, decided on
+    the behavioural quotients; in both directions when `both`.
 
     Q_C has a state for each block of the stabilized partition with left
     states, Q_D one for each block with right states, and a block's value is
     its first member's value relabelled by block ids; members of a block
     agree on it because the partition is stable.  The quotient maps are
-    morphisms, so x is simulated by y exactly when x's block is simulated by
-    y's block under the same signature.  The chain runs on Q_C × Q_D, and
-    each left state gets its block's row, one shared tuple per block.  When
-    no block holds two states of one side, Q_C and Q_D are C and D up to
-    renaming, so the chain runs on C × D and no quotient is built.
+    morphisms, so x and y are related at level n exactly when their blocks
+    are, under the same signature.  The chain runs on Q_C × Q_D, and each
+    left state gets its block's row, one shared tuple per block.  When no
+    block holds two states of one side, Q_C and Q_D are C and D up to
+    renaming, so the chain runs on C × D and no quotient is built.  The
+    depth and the kinds are checked before the partition is refined.
     """
     from .behaviour import stabilized_partition  # behaviour imports this module
 
+    _check_depth(n)
     _check_kinds(c, d, sig)
     part, _ = stabilized_partition(c, d)
     blocks = part.blocks
     lefts = {i: ls for i, (ls, _) in enumerate(blocks) if ls}
     rights = {i: rs for i, (_, rs) in enumerate(blocks) if rs}
     if len(lefts) == len(c.carrier) and len(rights) == len(d.carrier):
-        return level_rows(c, d, sig, False)  # nothing merges: the quotients are C and D
+        return image_rows(_limit(c, d, sig, both, n), d.carrier)  # the quotients are C and D
     qc, qd = _quotient(c, part.left_ids, lefts), _quotient(d, part.right_ids, rights)
-    *_, img = _levels(qc, qd, sig, False)
+    img = _limit(qc, qd, sig, both, n)
     row = image_rows({i: [y for j in img[i] for y in blocks[j][1]] for i in qc.carrier}, d.carrier)
     return {x: row[i] for x, i in part.left_ids.items()}
 

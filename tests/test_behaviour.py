@@ -517,11 +517,12 @@ def test_corrupted_partition_is_caught_by_the_certificate(monkeypatch):
         behavioural_equivalence(c, d, sig)
 
 
-def test_certified_equivalence_reuses_its_quotient_witness():
+def test_certified_partition_reuses_its_quotient_witness():
     c = kripke_model({"x0": ["x1"], "x1": ["x0"]})
     d = kripke_model({"y": ["y"]})
     sig = auto_signature(c, d)
-    rel, witness = behaviour.certified_equivalence(c, d, sig)
+    part, witness = behaviour.certified_partition(c, d, sig)
+    rel = part.cross_relation()
     assert rel.pairs == behavioural_equivalence(c, d, sig).pairs
     assert witness.to_dict() == quotient_witness(rel, c, d).to_dict()
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 import sys
@@ -18,7 +19,7 @@ from coalsim import (
     resolve_signature,
     satisfies,
 )
-from coalsim.behaviour import certified_equivalence
+from coalsim.behaviour import certified_partition
 from coalsim.generators import (
     GeneratorConfig,
     generate_coalgebra,
@@ -631,10 +632,12 @@ def _legacy_relation(argv):
     c, d = load_coalgebra(first), load_coalgebra(rest[0])
     literal = argv[argv.index("--sig") + 1] if "--sig" in argv else None
     sig = resolve_signature(literal, [c, d]) if literal else auto_signature(c, d)
+    if "--n" in argv:
+        return _level(c, d, sig, command == "greatest-bisim", int(argv[argv.index("--n") + 1]))
     if command == "greatest-sim":
         return _level(c, d, sig, False)
     try:
-        return certified_equivalence(c, d, sig)[0]
+        return certified_partition(c, d, sig)[0].cross_relation()
     except NotSeparatingError:
         if command == "behavioural":
             raise
@@ -659,9 +662,10 @@ def _legacy_bytes(argv):
 def test_relation_answers_print_from_rows_with_the_legacy_bytes(
     run, tmp_path, kind, cfg, literal, exits
 ):
-    """greatest-sim (quotient route), greatest-bisim, behavioural and closure print
-    rows; their bytes and exit codes equal those of the pair sets of the direct
-    chain and the certified relation, printed in `sorted_pairs` order."""
+    """greatest-sim and greatest-bisim, with and without --n, behavioural and
+    closure print rows; their bytes and exit codes equal those of the pair sets
+    of the direct chain and the certified relation, printed in `sorted_pairs`
+    order."""
     argvs = []
     for seed in range(8):
         rng = random.Random(seed)
@@ -674,8 +678,9 @@ def test_relation_answers_print_from_rows_with_the_legacy_bytes(
         rel = write(tmp_path, f"r{seed}.json", relation_to_dict(random_relation(rng, c, d, 0.1)))
         sigs = [(), ("--sig", literal)] if literal else [()]
         for extra in ((), ("--json",)):
-            for sig in sigs:
-                argvs += [("greatest-sim", cp, dp, *sig, *extra), ("greatest-bisim", cp, dp, *sig, *extra)]
+            for sig, depth in itertools.product(sigs, ((), ("--n", "0"), ("--n", "2"))):
+                argvs += [(command, cp, dp, *sig, *depth, *extra)
+                          for command in ("greatest-sim", "greatest-bisim")]
             argvs += [("behavioural", cp, dp, *extra), ("behavioural", dp, dp, *extra),
                       ("closure", rel, *extra)]
     codes = set()

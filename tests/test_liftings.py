@@ -34,7 +34,7 @@ from coalsim import (
     values_equal,
 )
 from coalsim.oracles import brute_force_simulation_oracle, distinguishing_pair, is_lambda_homomorphism, lambda_leq
-from coalsim.behaviour import certified_equivalence
+from coalsim.behaviour import certified_partition
 from coalsim.liftings import _separation_gap, graded_bound, prob_grid
 from coalsim.values import INF
 
@@ -308,7 +308,7 @@ def test_graded_grid_with_a_gap_is_not_separating():
     with pytest.raises(NotSeparatingError, match="misses index 1; weights reach 5"):
         ensure_separating(sig, c, d)
     with pytest.raises(NotSeparatingError):
-        certified_equivalence(c, d, sig)
+        certified_partition(c, d, sig)
     ensure_separating(resolve_signature("graded:auto", [c, d]), c, d)
 
 
@@ -348,7 +348,7 @@ def test_diamond_only_kripke_signature_does_not_separate():
         ensure_separating(sig, c, d)
     # The greatest-bisim route: the certified partition, or the fixpoint when it refuses.
     try:
-        route = certified_equivalence(c, d, sig)[0]
+        route = certified_partition(c, d, sig)[0].cross_relation()
     except NotSeparatingError:
         route = greatest_bisimulation(c, d, sig)
     assert route.pairs == greatest_bisimulation(c, d, sig).pairs == {("x", "y")}

@@ -35,6 +35,7 @@ from coalsim.properties import PROPERTIES, run_property_suite
 from coalsim import behaviour, simulation
 from coalsim.errors import BudgetError, KindMismatchError, ValidationError
 from coalsim.liftings import LambdaSignature, at_least, more_than
+from coalsim.relations import rows_relation
 from coalsim.simulation import _level, _level_one
 from coalsim.values import DISTRIBUTION_KIND, MULTISET_KIND, NEIGHBORHOOD_KIND
 
@@ -588,9 +589,47 @@ def test_quotient_route_checks_kinds_before_any_partition_work(monkeypatch):
         greatest_simulation(c, d, auto_signature(c))
     with pytest.raises(KindMismatchError, match="signature kind multiset does not match"):
         greatest_simulation(c, c, auto_signature(d))
+    for both in (False, True):
+        with pytest.raises(ValidationError, match="depth must be a natural number, got -1"):
+            simulation.simulation_rows(c, c, auto_signature(c), both, n=-1)
     monkeypatch.undo()
     with pytest.raises(KindMismatchError, match="cannot compare a kripke model with a multiset"):
         behaviour.stabilized_partition(c, d)
+
+
+def test_hub_chain_bisimulation_on_the_quotient_makes_few_pair_checks(monkeypatch):
+    """A chain x0 -> ... -> x29 with an atom on x29, and 30 hubs that see every
+    chain state, on both sides.  `kripke:box,diamond` leaves the atom out, so
+    it does not separate, and the greatest bisimulation is a chain answer.  The
+    hubs are one quotient state; the direct chain made 54,758 pair checks here."""
+    n = 30
+
+    def hub_chain(prefix):
+        chain = [f"{prefix}{i}" for i in range(n)]
+        succ = {s: chain[i + 1 : i + 2] for i, s in enumerate(chain)}
+        succ.update({f"{prefix}h{j}": chain for j in range(n)})
+        return kripke_model(succ, atoms=["p"], props={chain[-1]: ["p"]})
+
+    c, d = hub_chain("x"), hub_chain("y")
+    sig = resolve_signature("kripke:box,diamond", [c, d])
+    expected = _level(c, d, sig, True)
+    checks = 0
+    real = simulation.lifting_check
+
+    def counted(sig):
+        ok = real(sig)
+
+        def check(t, u, img):
+            nonlocal checks
+            checks += 1
+            return ok(t, u, img)
+
+        return check
+
+    monkeypatch.setattr(simulation, "lifting_check", counted)
+    rows = simulation.simulation_rows(c, d, sig, True)
+    assert rows_relation(c.carrier, d.carrier, rows) == expected
+    assert checks <= 2000, checks
 
 
 def test_quotient_bases_stay_within_the_exhaustive_bound(monkeypatch):
