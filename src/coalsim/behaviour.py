@@ -42,6 +42,7 @@ from .errors import (
     KindMismatchError,
     QuotientUndefined,
     ValidationError,
+    shown,
 )
 from .liftings import LambdaSignature, ensure_separating
 from .relations import Partition, Relation, difunctional_closure
@@ -49,10 +50,7 @@ from .simulation import is_bisimulation_up_to_difunctionality
 from .transport import couple, marginal
 from .values import (
     DISTRIBUTION,
-    INF,
-    KRIPKE,
     MULTISET,
-    NEIGHBORHOOD,
     Coalgebra,
     DistValue,
     FunctorValue,
@@ -277,21 +275,14 @@ def verify_coupling(
     coupling: Coupling, s: Relation, c: Coalgebra, d: Coalgebra
 ) -> bool:
     """Do both projections of every coupling value recover the endpoint values?"""
-    carried = {p for p, _ in coupling.values}
-    if carried != set(s.pairs):
+    if {p for p, _ in coupling.values} != s.pairs:
         return False
-    p1 = {}
-    p2 = {}
-    for p, v in coupling.values:
-        for q in base(v):
-            p1[q] = q[0]
-            p2[q] = q[1]
-    for (x, y), v in coupling.values:
-        if not values_equal(relabel(v, p1), c.transition[x]):
-            return False
-        if not values_equal(relabel(v, p2), d.transition[y]):
-            return False
-    return True
+    cells = {q for _, v in coupling.values for q in base(v)}
+    p1, p2 = {q: q[0] for q in cells}, {q: q[1] for q in cells}
+    return all(
+        values_equal(relabel(v, p1), c.transition[x]) and values_equal(relabel(v, p2), d.transition[y])
+        for (x, y), v in coupling.values
+    )
 
 
 def _cell_index(cells) -> tuple:
@@ -334,13 +325,6 @@ def _canonical_coupling(t, u, by_left, by_right) -> FunctorValue:
     ))
 
 
-def _marginal(t) -> Optional[tuple]:
-    """The `marginal` of a weighted value, or None when it holds an infinite weight."""
-    if isinstance(t, MultisetValue) and any(w == INF for _, w in t.entries):
-        return None
-    return marginal(t.entries)
-
-
 def _weighted_coupling(rows, cols, by_left, rank, kind) -> Optional[FunctorValue]:
     """A transportation plan of one marginal onto another over the cells, or None.
 
@@ -362,45 +346,41 @@ def _weighted_coupling(rows, cols, by_left, rank, kind) -> Optional[FunctorValue
 def _coupling_check(s: Relation, cell_pairs, c, d) -> Optional[Coupling]:
     """Coupling values for the pairs of s over the given cells, verified, or None.
 
-    Each pair's value is checked once against both projections.  A failed
-    check means no coupling exists for a Kripke or neighborhood candidate,
-    and a bug for a transportation plan, which raises InternalCheckError.
-    For weighted kinds each state's `marginal` is computed once per call;
-    a pair whose values hold an infinite weight raises InfiniteWeightError
-    when it is reached.
+    Each pair gets one candidate value, and `verify_coupling` checks them
+    all once.  A failed check means no coupling exists for Kripke or
+    neighborhood candidates, and a bug for transportation plans, which
+    raises InternalCheckError.  For weighted kinds each state's `marginal`
+    is computed once per call; a pair whose values hold an infinite weight
+    raises InfiniteWeightError when it is reached.
     """
     _same_kind(c, d)
     kind = c.kind.name
-    p1 = {q: q[0] for q in cell_pairs}
-    p2 = {q: q[1] for q in cell_pairs}
+    weighted = kind in (MULTISET, DISTRIBUTION)
     by_left, by_right = _cell_index(cell_pairs)
     pairs = sorted(s.pairs, key=state_key)
-    if kind in (MULTISET, DISTRIBUTION):
+    if weighted:
         rank = {q: i for i, q in enumerate(sorted(cell_pairs, key=state_key))}.__getitem__
-        rows = {x: _marginal(c.transition[x]) for x in {x for x, _ in pairs}}
-        cols = {y: _marginal(d.transition[y]) for y in {y for _, y in pairs}}
+        rows = {x: marginal(c.transition[x].entries) for x in {x for x, _ in pairs}}
+        cols = {y: marginal(d.transition[y].entries) for y in {y for _, y in pairs}}
     out = []
     for x, y in pairs:
-        t, u = c.transition[x], d.transition[y]
-        if kind in (KRIPKE, NEIGHBORHOOD):
-            v = _canonical_coupling(t, u, by_left, by_right)
-        elif kind in (MULTISET, DISTRIBUTION):
-            if rows[x] is None or cols[y] is None:
-                raise InfiniteWeightError(
-                    f"coupling search needs finite weights; pair ({x!r}, {y!r}) has an "
-                    f"infinite weight"
-                )
+        if not weighted:
+            v = _canonical_coupling(c.transition[x], d.transition[y], by_left, by_right)
+        elif rows[x] is None or cols[y] is None:
+            raise InfiniteWeightError(
+                f"coupling search needs finite weights; pair ({shown(x)}, {shown(y)}) has an infinite weight"
+            )
+        else:
             v = _weighted_coupling(rows[x], cols[y], by_left, rank, kind)
             if v is None:
                 return None
-        else:
-            raise KindMismatchError(f"unknown kind {kind!r}")
-        if not (values_equal(relabel(v, p1), t) and values_equal(relabel(v, p2), u)):
-            if kind in (KRIPKE, NEIGHBORHOOD):
-                return None
-            raise InternalCheckError("constructed coupling fails its projection equations")
         out.append(((x, y), v))
-    return Coupling(tuple(out))
+    coupling = Coupling(tuple(out))
+    if verify_coupling(coupling, s, c, d):
+        return coupling
+    if weighted:
+        raise InternalCheckError("constructed coupling fails its projection equations")
+    return None
 
 
 def t_bisimulation_check(

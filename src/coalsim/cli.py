@@ -73,17 +73,15 @@ def _emit_rows(args, left, rows) -> int:
 
 
 def _emit_report(args, report):
-    violations = report.violations  # listed before any output, which a BudgetError would cut
+    # Rendered whole before any output, which a BudgetError would cut.
     if args.json:
         sys.stdout.write(dump_json(report.to_dict()))
     else:
-        print("holds" if report.holds else "fails")
-        for v in violations:
+        lines = ["holds" if report.holds else "fails"]
+        for v in report.violations:
             wit = ",".join(str(s) for s in sorted(v.witness, key=repr))
-            print(
-                f"violation [{v.direction}] {v.left} {v.right} "
-                f"{v.modality.token()} {{{wit}}}"
-            )
+            lines.append(f"violation [{v.direction}] {v.left} {v.right} {v.modality.token()} {{{wit}}}")
+        sys.stdout.write("\n".join(lines) + "\n")
     return 0 if report.holds else 1
 
 

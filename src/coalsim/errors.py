@@ -1,5 +1,7 @@
 """Exception types shared across the package, and how their messages echo input."""
 
+import sys
+
 ECHO_LIMIT = 200  # the longest repr of an input value that a message echoes whole
 PROBLEM_LIMIT = 10  # the most problems a ValidationError message lists
 
@@ -9,9 +11,19 @@ def clipped(text: str) -> str:
     return text if len(text) <= ECHO_LIMIT else f"{text[:ECHO_LIMIT]}... ({len(text)} characters)"
 
 
+def as_text(value, render=str) -> str:
+    """render(value), the one path by which printed or echoed numbers become text: an
+    int past Python's limit on digits (4300 by default) raises BudgetError, not ValueError."""
+    try:
+        return render(value)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise BudgetError(f"a number has more than {limit} digits, the most Python converts to text") from None
+
+
 def shown(value) -> str:
     """The repr of an input value, `clipped`."""
-    return clipped(repr(value))
+    return clipped(as_text(value, repr))
 
 
 class CoalsimError(Exception):
@@ -55,7 +67,7 @@ class UnknownModalityError(ParseError):
 
 
 class BudgetError(CoalsimError):
-    """An exhaustive enumeration bound was exceeded."""
+    """An exhaustive enumeration bound, or another named size limit, was exceeded."""
 
 
 class InfiniteWeightError(CoalsimError):

@@ -37,7 +37,7 @@ from itertools import islice
 from math import ceil, floor, lcm
 from typing import Iterator, Optional, Sequence
 
-from .errors import BudgetError, KindMismatchError, NotSeparatingError, ValidationError, clipped, shown
+from .errors import BudgetError, KindMismatchError, NotSeparatingError, ValidationError, as_text, clipped, shown
 from .transport import shortfall
 from .values import (
     DISTRIBUTION,
@@ -52,6 +52,7 @@ from .values import (
     KripkeValue,
     MultisetValue,
     NbhdValue,
+    VALUE_TYPES,
     base,
     measure,
     state_key,
@@ -133,9 +134,9 @@ class Modality:
         if self.op == "diamond_gt":
             return f"<{self.index}>"
         if self.op == "at_least":
-            return f"L({self.bound})"
+            return f"L({as_text(self.bound)})"
         if self.op == "more_than":
-            return f"M({self.bound})"
+            return f"M({as_text(self.bound)})"
         if self.op == "nbhd_box":
             return "[m]"
         return self.name
@@ -326,6 +327,8 @@ def resolve_signature(literal: str, models: Sequence[Coalgebra]) -> LambdaSignat
             bound = graded_bound(models)
         elif spec.startswith("0.."):
             try:
+                if not (spec[3:].isascii() and spec[3:].isdigit()):
+                    raise ValueError("K is not a natural number in ASCII digits")
                 bound = int(spec[3:])
             except ValueError as exc:
                 raise ValidationError(f"malformed signature literal {shown(literal)}: {exc}") from exc
@@ -388,7 +391,7 @@ def _separation_gap(sig: LambdaSignature, models) -> Optional[str]:
         have = {_scaled(m.bound, den) for m in sig.modalities if den % m.bound.denominator == 0}
         missing = sorted(sums - have)
         if missing:
-            masses = [str(Fraction(s, den)) for s in missing]
+            masses = [as_text(Fraction(s, den)) for s in missing]
             return clipped(f"probability grid misses realized masses {masses}")
     return None
 
@@ -577,9 +580,6 @@ def hall_violator(t, u, img) -> Optional[tuple]:
     return frozenset(sources), a, a - short
 
 
-_VALUE_TYPES = {KRIPKE: KripkeValue, MULTISET: MultisetValue, DISTRIBUTION: DistValue, NEIGHBORHOOD: NbhdValue}
-
-
 def _holds(t, u, img) -> bool:
     return True
 
@@ -616,7 +616,7 @@ def lifting_check(sig: LambdaSignature):
     _max_base()
     if not sig.modalities:
         return _holds
-    kind = _VALUE_TYPES[sig.kind.name]
+    kind = VALUE_TYPES[sig.kind.name]
     if kind is KripkeValue:
         atoms = frozenset(m.name for m in sig.modalities if m.op == "atom")
         diamond, box = DIAMOND in sig.modalities, BOX in sig.modalities

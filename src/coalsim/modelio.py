@@ -18,7 +18,7 @@ import json
 from fractions import Fraction
 from typing import Callable
 
-from .errors import ValidationError, shown
+from .errors import ValidationError, as_text, shown
 from .relations import Relation, relation
 from .values import (
     DISTRIBUTION,
@@ -33,19 +33,13 @@ from .values import (
     KripkeValue,
     MultisetValue,
     NbhdValue,
+    VALUE_TYPES,
     coalgebra,
     kripke_kind,
     kripke_value,
     nbhd_value,
     state_key,
 )
-
-_PLAIN_KINDS = {
-    MULTISET: FunctorKind(MULTISET),
-    DISTRIBUTION: FunctorKind(DISTRIBUTION),
-    NEIGHBORHOOD: FunctorKind(NEIGHBORHOOD),
-}
-
 
 def _states(raw, where: str) -> list:
     """A JSON list of state labels; a label is a string or a non-bool integer."""
@@ -90,6 +84,9 @@ def _parse_mass(raw, state):
                 den = int(den)
                 if den:  # "n/d" in ASCII digits: no parse of the whole string
                     return Fraction(int(num), den)
+            _, e, exponent = raw.lower().partition("e")
+            if e and abs(int(exponent)) > 4300:  # Python's default digit limit; 10**e is not built
+                raise ValueError("exponent too large")
             q = Fraction(raw)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValidationError(f"mass for {shown(state)} is not a rational: {shown(raw)}") from exc
@@ -145,7 +142,7 @@ def value_to_json(v: FunctorValue, label: Callable = str):
             ]
         }
     if isinstance(v, DistValue):
-        return {"entries": [[label(s), str(q)] for s, q in v.entries]}
+        return {"entries": [[label(s), as_text(q)] for s, q in v.entries]}
     if isinstance(v, NbhdValue):
         return {
             "minimals": sorted(
@@ -163,14 +160,14 @@ def coalgebra_from_dict(doc: dict) -> Coalgebra:
         if field not in doc:
             raise ValidationError(f"model document misses the {field!r} field")
     name = doc["functor"]
+    if not (isinstance(name, str) and name in VALUE_TYPES):
+        raise ValidationError(f"unknown functor {shown(name)}")
     if name == KRIPKE:
         kind = kripke_kind(_strings(doc.get("atoms", []), "atoms"))
-    elif isinstance(name, str) and name in _PLAIN_KINDS:
-        if "atoms" in doc:
-            raise ValidationError(f"functor {shown(name)} takes no atom vocabulary")
-        kind = _PLAIN_KINDS[name]
+    elif "atoms" in doc:
+        raise ValidationError(f"functor {shown(name)} takes no atom vocabulary")
     else:
-        raise ValidationError(f"unknown functor {shown(name)}")
+        kind = FunctorKind(name)
     states = _states(doc["states"], "states")
     transition = doc["transition"]
     if not isinstance(transition, dict):
@@ -232,4 +229,4 @@ def relation_to_dict(s: Relation) -> dict:
 
 def dump_json(doc) -> str:
     """Canonical JSON text: sorted keys, stable separators, trailing newline."""
-    return json.dumps(doc, sort_keys=True, separators=(", ", ": ")) + "\n"
+    return as_text(doc, lambda d: json.dumps(d, sort_keys=True, separators=(", ", ": "))) + "\n"

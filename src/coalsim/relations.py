@@ -174,9 +174,7 @@ class Partition:
 
     def cross_relation(self) -> Relation:
         """The difunctional relation of the blocks: left × right, block by block."""
-        return Relation(self.left, self.right, frozenset(
-            (x, y) for lefts, rights in self.blocks for x in lefts for y in rights
-        ))
+        return rows_relation(self.left, self.right, self.rows())
 
     def spanning_pairs(self) -> list:
         """At most |C|+|D| cross pairs that decide the bisimulation condition.

@@ -290,8 +290,7 @@ def _limit(c, d, sig, both: bool, n=None) -> dict:
 
 def _level(c, d, sig, both: bool, n=None) -> Relation:
     """Level n of the chain, or its limit when n is None."""
-    img = _limit(c, d, sig, both, n)
-    return Relation(c.carrier, d.carrier, frozenset((x, y) for x in c.carrier for y in img[x]))
+    return rows_relation(c.carrier, d.carrier, _limit(c, d, sig, both, n))
 
 
 def _quotient(m: Coalgebra, ids: dict, members: dict) -> Coalgebra:

@@ -2,7 +2,8 @@
 
 It serves two callers.  The coupling search of `coalsim.behaviour` reads
 each state's `marginal` once per call, its weights in `state_key` order
-scaled to integers by their own common denominator, and `couple` moves one
+scaled to integers by their own common denominator, or None when one weight
+is infinite, which no integer transport carries; `couple` moves one
 marginal onto another at a pair: both are rescaled to the pair's common
 denominator and `ship` fills the table.  `coalsim.liftings` decides the
 weighted lifting condition at one pair by `shortfall`: whether all of the
@@ -18,8 +19,9 @@ read off partition blocks, a planted functional relation, the product
 C x D), those whose sources' sink sets are pairwise disjoint (`_blocks`,
 the one test for that shape), no flow runs: `ship` and `shortfall` read
 the cut off the blocks' totals (`_block_cut`), and when all ships `ship`
-writes the flow down by the northwest-corner rule.  Other networks run
-`_max_flow` on one n*n list of residual capacities, called by `ship` alone.
+writes the flow down by the northwest-corner rule.  Each of the two tests
+the shape once; other networks go straight to `_flow`, which runs
+`_max_flow` on one n*n list of residual capacities.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from __future__ import annotations
 from math import lcm
 from typing import Mapping, Optional
 
-from .values import state_key
+from .values import INF, state_key
 
 
 def _max_flow(n: int, capacity: dict, source: int, sink: int) -> tuple:
@@ -90,6 +92,16 @@ def _flow_network(supply: Mapping, room: Mapping, arcs) -> tuple:
     edges = {(src_id[a], dst_id[b]): (a, b) for a, b in arcs}
     capacity.update((e, total) for e in edges)
     return n, capacity, edges
+
+
+def _flow(supply: Mapping, room: Mapping, arcs) -> tuple:
+    """`ship`'s (shipped, cut) from one maximum flow on `_flow_network`, for any network."""
+    n, capacity, edges = _flow_network(supply, room, arcs)
+    flow, reached = _max_flow(n, capacity, 0, n - 1)
+    short = sum(supply.values()) - sum(flow[(0, i)] for i in range(1, 1 + len(supply)))
+    if short:
+        return None, ([k for i, k in enumerate(supply, 1) if i in reached], short)
+    return {arc: flow[e] for e, arc in edges.items()}, None
 
 
 def _blocks(supply: Mapping, reach: Mapping) -> Optional[dict]:
@@ -179,21 +191,16 @@ def ship(supply: Mapping, room: Mapping, arcs) -> tuple:
     reachable from the source, so they are all on the minimal minimum cut;
     a component that ships everything puts none there.  So the cut is
     `_block_cut`'s, and when there is none `_corner` writes the flow down.
-    Otherwise one maximum flow runs on `_flow_network`.
+    Otherwise `_flow` runs one maximum flow.
     """
     reach = {x: set() for x in supply}
     for a, b in arcs:
         reach[a].add(b)
     groups = _blocks(supply, {x: frozenset(sinks) for x, sinks in reach.items()})
-    if groups is not None:
-        cut = _block_cut(supply, room, groups)
-        return (None, cut) if cut else (_corner(supply, room, arcs, groups), None)
-    n, capacity, edges = _flow_network(supply, room, arcs)
-    flow, reached = _max_flow(n, capacity, 0, n - 1)
-    short = sum(supply.values()) - sum(flow[(0, i)] for i in range(1, 1 + len(supply)))
-    if short:
-        return None, ([k for i, k in enumerate(supply, 1) if i in reached], short)
-    return {arc: flow[e] for e, arc in edges.items()}, None
+    if groups is None:
+        return _flow(supply, room, arcs)
+    cut = _block_cut(supply, room, groups)
+    return (None, cut) if cut else (_corner(supply, room, arcs, groups), None)
 
 
 def shortfall(supply: Mapping, room: Mapping, reach: Mapping) -> Optional[tuple]:
@@ -201,23 +208,26 @@ def shortfall(supply: Mapping, room: Mapping, reach: Mapping) -> Optional[tuple]
 
     `reach` maps each source to the frozenset of sinks it may ship to.  On
     a block-shaped network (`_blocks`) no plan is built: the cut is
-    `_block_cut`'s, read off the groups' totals.  Other networks go to
-    `ship`.
+    `_block_cut`'s, read off the groups' totals.  Other networks run the
+    maximum flow of `_flow`, without testing their shape again.
     """
     groups = _blocks(supply, reach)
     if groups is None:
-        return ship(supply, room, [(x, y) for x in supply for y in room if y in reach[x]])[1]
+        return _flow(supply, room, [(x, y) for x in supply for y in room if y in reach[x]])[1]
     return _block_cut(supply, room, groups)
 
 
-def marginal(weights) -> tuple:
+def marginal(weights) -> Optional[tuple]:
     """(den, items): the positive weights of (key, weight) pairs, as integers.
 
-    Weights are ints or Fractions; den is the least common multiple of their
-    denominators, and items lists (key, weight times den) in `state_key`
-    order of the keys.
+    Weights are ints, Fractions or INF; den is the least common multiple of
+    their denominators, and items lists (key, weight times den) in
+    `state_key` order of the keys.  An infinite weight has no integer
+    transport, so a list holding one gives None.
     """
     items = sorted(((k, w) for k, w in weights if w), key=lambda kw: state_key(kw[0]))
+    if any(w == INF for _, w in items):
+        return None
     den = lcm(*(w.denominator for _, w in items))
     return den, tuple((k, w.numerator * (den // w.denominator)) for k, w in items)
 

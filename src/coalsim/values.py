@@ -19,7 +19,7 @@ from math import lcm
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from .errors import KindMismatchError, ValidationError, shown
+from .errors import KindMismatchError, ValidationError, as_text, shown
 
 INF = float("inf")
 
@@ -28,36 +28,11 @@ MULTISET = "multiset"
 DISTRIBUTION = "distribution"
 NEIGHBORHOOD = "neighborhood"
 
-_KIND_NAMES = (KRIPKE, MULTISET, DISTRIBUTION, NEIGHBORHOOD)
-
 
 def state_key(x):
     # Deterministic sort key for state labels of any hashable type
     # (strings, ints, pairs); independent of PYTHONHASHSEED.
     return repr(x)
-
-
-@dataclass(frozen=True)
-class FunctorKind:
-    """One of the four supported functors; Kripke carries its atom vocabulary."""
-
-    name: str
-    atoms: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        if self.name not in _KIND_NAMES:
-            raise ValidationError(f"unknown functor kind {self.name!r}")
-        if self.atoms and self.name != KRIPKE:
-            raise ValidationError(f"functor kind {self.name!r} carries no atom vocabulary")
-
-
-def kripke_kind(atoms: Iterable[str] = ()) -> FunctorKind:
-    return FunctorKind(KRIPKE, tuple(atoms))
-
-
-MULTISET_KIND = FunctorKind(MULTISET)
-DISTRIBUTION_KIND = FunctorKind(DISTRIBUTION)
-NEIGHBORHOOD_KIND = FunctorKind(NEIGHBORHOOD)
 
 
 @dataclass(frozen=True)
@@ -92,6 +67,34 @@ class NbhdValue:
 
 
 FunctorValue = KripkeValue | MultisetValue | DistValue | NbhdValue
+
+# The one table of which value class belongs to which kind.
+VALUE_TYPES = MappingProxyType(
+    {KRIPKE: KripkeValue, MULTISET: MultisetValue, DISTRIBUTION: DistValue, NEIGHBORHOOD: NbhdValue}
+)
+
+
+@dataclass(frozen=True)
+class FunctorKind:
+    """One of the four supported functors; Kripke carries its atom vocabulary."""
+
+    name: str
+    atoms: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        if not (isinstance(self.name, str) and self.name in VALUE_TYPES):
+            raise ValidationError(f"unknown functor kind {self.name!r}")
+        if self.atoms and self.name != KRIPKE:
+            raise ValidationError(f"functor kind {self.name!r} carries no atom vocabulary")
+
+
+def kripke_kind(atoms: Iterable[str] = ()) -> FunctorKind:
+    return FunctorKind(KRIPKE, tuple(atoms))
+
+
+MULTISET_KIND = FunctorKind(MULTISET)
+DISTRIBUTION_KIND = FunctorKind(DISTRIBUTION)
+NEIGHBORHOOD_KIND = FunctorKind(NEIGHBORHOOD)
 
 
 def kripke_value(props: Iterable = (), succ: Iterable = ()) -> KripkeValue:
@@ -164,18 +167,6 @@ def coalgebra(kind: FunctorKind, carrier: Iterable, transition: Mapping) -> Coal
     return c
 
 
-def _value_kind_name(value: FunctorValue) -> str:
-    if isinstance(value, KripkeValue):
-        return KRIPKE
-    if isinstance(value, MultisetValue):
-        return MULTISET
-    if isinstance(value, DistValue):
-        return DISTRIBUTION
-    if isinstance(value, NbhdValue):
-        return NEIGHBORHOOD
-    raise KindMismatchError(f"not a transition value: {value!r}")
-
-
 def _kripke_ok(t, carrier, atoms) -> bool:
     return type(t) is KripkeValue and t.succ <= carrier and t.props <= atoms
 
@@ -214,9 +205,8 @@ _VALUE_OK = {KRIPKE: _kripke_ok, MULTISET: _multiset_ok, DISTRIBUTION: _dist_ok,
 def _value_problems(c: Coalgebra, s, t, carrier: frozenset) -> list:
     """Every problem of the transition value t of state s, in report order."""
     problems = []
-    try:
-        vk = _value_kind_name(t)
-    except KindMismatchError:
+    vk = next((k for k, cls in VALUE_TYPES.items() if isinstance(t, cls)), None)
+    if vk is None:
         return [f"state {shown(s)}: transition value has unknown type {type(t).__name__}"]
     if vk != c.kind.name:
         return [f"state {shown(s)}: value kind {vk} does not match model kind {c.kind.name}"]
@@ -244,7 +234,7 @@ def _value_problems(c: Coalgebra, s, t, carrier: frozenset) -> list:
             else:
                 total += q
         if total != 1:
-            problems.append(f"state {shown(s)}: mass sum {total} != 1")
+            problems.append(f"state {shown(s)}: mass sum {as_text(total)} != 1")
     elif isinstance(t, NbhdValue):
         if t.minimals != antichain(t.minimals):
             problems.append(f"state {shown(s)}: minimal sets are not an antichain")
@@ -294,15 +284,10 @@ def base(t: FunctorValue) -> frozenset:
     """
     if isinstance(t, KripkeValue):
         return t.succ
-    if isinstance(t, MultisetValue):
-        return frozenset(s for s, _ in t.entries)
-    if isinstance(t, DistValue):
+    if isinstance(t, (MultisetValue, DistValue)):
         return frozenset(s for s, _ in t.entries)
     if isinstance(t, NbhdValue):
-        out = set()
-        for m in t.minimals:
-            out |= m
-        return frozenset(out)
+        return frozenset().union(*t.minimals)
     raise KindMismatchError(f"not a transition value: {t!r}")
 
 

@@ -553,8 +553,8 @@ def _value_from_json_reference(kind_name, raw):
 
 def coalgebra_from_dict_reference(doc):
     from coalsim.errors import ValidationError, shown
-    from coalsim.modelio import _PLAIN_KINDS, _strings
-    from coalsim.values import KRIPKE, Coalgebra, kripke_kind
+    from coalsim.modelio import _strings
+    from coalsim.values import DISTRIBUTION, KRIPKE, MULTISET, NEIGHBORHOOD, Coalgebra, FunctorKind, kripke_kind
 
     if not isinstance(doc, dict):
         raise ValidationError("model document must be a JSON object")
@@ -564,10 +564,10 @@ def coalgebra_from_dict_reference(doc):
     name = doc["functor"]
     if name == KRIPKE:
         kind = kripke_kind(_strings(doc.get("atoms", []), "atoms"))
-    elif isinstance(name, str) and name in _PLAIN_KINDS:
+    elif name in (MULTISET, DISTRIBUTION, NEIGHBORHOOD):
         if "atoms" in doc:
             raise ValidationError(f"functor {shown(name)} takes no atom vocabulary")
-        kind = _PLAIN_KINDS[name]
+        kind = FunctorKind(name)
     else:
         raise ValidationError(f"unknown functor {shown(name)}")
     states = _states_reference(doc["states"], "states")
@@ -584,14 +584,17 @@ def validate_reference(c):
     """Check every structural invariant of a model; raise a full report on failure."""
     from fractions import Fraction
 
-    from coalsim.errors import KindMismatchError, ValidationError, shown
+    from coalsim.errors import ValidationError, shown
     from coalsim.values import (
+        DISTRIBUTION,
         INF,
+        KRIPKE,
+        MULTISET,
+        NEIGHBORHOOD,
         DistValue,
         KripkeValue,
         MultisetValue,
         NbhdValue,
-        _value_kind_name,
         antichain,
         base,
         state_key,
@@ -616,9 +619,15 @@ def validate_reference(c):
         t = c.transition.get(s)
         if t is None:
             continue
-        try:
-            vk = _value_kind_name(t)
-        except KindMismatchError:
+        if isinstance(t, KripkeValue):
+            vk = KRIPKE
+        elif isinstance(t, MultisetValue):
+            vk = MULTISET
+        elif isinstance(t, DistValue):
+            vk = DISTRIBUTION
+        elif isinstance(t, NbhdValue):
+            vk = NEIGHBORHOOD
+        else:
             problems.append(f"state {shown(s)}: transition value has unknown type {type(t).__name__}")
             continue
         if vk != c.kind.name:

@@ -454,6 +454,33 @@ def test_feasible_transport_exactness():
     assert couple(marginal([]), marginal([]), set()) == (1, {})
 
 
+def test_marginal_refuses_infinite_weights():
+    assert marginal([("a", 2), ("b", INF)]) is None
+    assert marginal([("b", INF), ("a", 0)]) is None
+    assert marginal([("b", 2), ("a", 0)]) == (1, (("b", 2),))
+
+
+def test_a_plan_failing_its_projections_is_a_bug(monkeypatch):
+    """A transportation plan passes `verify_coupling` by construction, so a
+    plan with one unit moved to another cell raises InternalCheckError."""
+    real = behaviour.couple
+
+    def skewed(rows, cols, arcs):
+        den, shipped = real(rows, cols, arcs)
+        source = next(q for q, w in shipped.items() if w)
+        target = next(q for q in shipped if q[1] != source[1])
+        return den, {**shipped, source: shipped[source] - 1, target: shipped[target] + 1}
+
+    monkeypatch.setattr(behaviour, "couple", skewed)
+    for c in (
+        multiset_model({"a": {"a": 1, "b": 1}, "b": {"a": 1, "b": 1}}),
+        dist_model({"a": {"a": "1/2", "b": "1/2"}, "b": {"a": "1/2", "b": "1/2"}}),
+    ):
+        s = relation(c.carrier, c.carrier, [(x, y) for x in c.carrier for y in c.carrier])
+        with pytest.raises(InternalCheckError, match="constructed coupling fails its projection equations"):
+            t_bisimulation_check(s, c, c)
+
+
 def _merged(part, i, j):
     """The partition with blocks i and j merged into one."""
     rest = tuple(b for k, b in enumerate(part.blocks) if k not in (i, j))

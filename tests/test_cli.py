@@ -295,6 +295,17 @@ def _kripke_doc(states, succ=()):
     return {"functor": "kripke", "states": states, "transition": transition}
 
 
+def _one_mass(mass):
+    return {"functor": "distribution", "states": ["a"], "transition": {"a": {"a": mass}}}
+
+
+def _two_masses(s, t, den):
+    return {"functor": "distribution", "states": [s, t],
+            "transition": {s: {s: f"1/{den}", t: f"{den - 1}/{den}"}, t: {t: 1}}}
+
+
+_P2, _Q2 = 2 * (10**3000 + 1), 2 * (10**3000 + 3)  # each pair of masses over one sums to 1/2
+
 BAD_FILES = {
     "rel": {"pairs": [["x", "x"]]},
     "pairs_int": {"pairs": 5},
@@ -326,6 +337,23 @@ BAD_FILES = {
     "prop_long": {"functor": "kripke", "atoms": ["p"], "states": ["a"],
                   "transition": {"a": {"props": ["p" * 20000], "succ": []}}},
     "pair_state_long": {"pairs": [["x", "y" * 20000]]},
+    "mass_exponent": _one_mass("1e100000"),
+    "mass_exponent_huge": _one_mass("1e10000000"),
+    "mass_sum_long": {"functor": "distribution", "states": ["a", "b"],
+                      "transition": {"a": {"a": "1/" + "9" * 4000, "b": "1/" + "9" * 3999},
+                                     "b": {"b": 1}}},
+    # Masses with coprime 3,001-digit denominators: the coupling's cells need about 6,000 digits.
+    "coprime_left": _two_masses("x", "z", 10**3000 + 1),
+    "coprime_right": _two_masses("y", "w", 10**3000 + 3),
+    "coprime_rel": {"pairs": [["x", "y"], ["x", "w"], ["z", "y"], ["z", "w"]]},
+    # One value over both denominators: some subset masses, and so some
+    # thresholds of the auto grid, need about 6,000 digits.
+    "bound_long": {"functor": "distribution", "states": ["x", "a", "b", "e", "f"],
+                   "transition": {"x": {"a": f"1/{_P2}", "b": f"{_P2 // 2 - 1}/{_P2}",
+                                        "e": f"1/{_Q2}", "f": f"{_Q2 // 2 - 1}/{_Q2}"},
+                                  **{s: {s: 1} for s in "abef"}}},
+    "bound_point": {"functor": "distribution", "states": ["y"], "transition": {"y": {"y": 1}}},
+    "bound_rel": {"pairs": [["x", "y"]]},
 }
 
 BAD_INPUTS = [
@@ -389,6 +417,27 @@ BAD_INPUTS = [
     ("prob-spec-too-long", {}, ("eval", "{dist}", "a", "true", "--sig", "prob:" + "z" * 5000),
      "malformed probabilistic signature 'prob:zzzz"),
     ("file-name-too-long", {}, ("eval", "{dir}/" + "f" * 5000, "a", "true"), "fff"),
+    ("mass-exponent-too-large", {}, ("nstep", "{mass_exponent}", "{mass_exponent}", "--n", "1"),
+     "is not a rational: '1e100000'"),
+    ("mass-exponent-far-too-large", {},
+     ("nstep", "{mass_exponent_huge}", "{mass_exponent_huge}", "--n", "1"),
+     "is not a rational: '1e10000000'"),
+    ("mass-sum-too-long", {}, ("nstep", "{mass_sum_long}", "{mass_sum_long}", "--n", "1"),
+     "more than 4300 digits"),
+    ("coupling-mass-too-long", {},
+     ("tbisim", "{coprime_left}", "{coprime_right}", "{coprime_rel}", "--json"),
+     "more than 4300 digits"),
+    ("violation-bound-too-long", {}, ("check-sim", "{bound_long}", "{bound_point}", "{bound_rel}"),
+     "more than 4300 digits"),
+    ("graded-bound-negative", {}, ("greatest-sim", "{multiset}", "{multiset}", "--sig", "graded:0..-1"),
+     "malformed signature literal 'graded:0..-1'"),
+    ("graded-bound-signed", {}, ("greatest-sim", "{multiset}", "{multiset}", "--sig", "graded:0..+2"),
+     "malformed signature literal 'graded:0..+2'"),
+    ("graded-bound-spaced", {}, ("greatest-sim", "{multiset}", "{multiset}", "--sig", "graded:0.. 3"),
+     "malformed signature literal 'graded:0.. 3'"),
+    ("graded-bound-underscored", {},
+     ("greatest-sim", "{multiset}", "{multiset}", "--sig", "graded:0..1_0"),
+     "malformed signature literal 'graded:0..1_0'"),
 ]
 
 
@@ -406,6 +455,19 @@ def test_bad_input_exit_two(run, tmp_path, monkeypatch, loop_model, env, argv, e
     assert code == 2 and out == ""
     assert err.startswith("error: ") and expect in err
     assert len(err) < 500  # a long input value is echoed cut short
+
+
+def test_infinite_weight_error_cuts_both_labels(run, tmp_path):
+    """The coupling search's error echoes the pair, each label cut short; the
+    line holds two echoed values, so it gets twice the table's bound."""
+    label = "l" * 20000
+    model = write(tmp_path, "m.json", {"functor": "multiset", "states": [label],
+                                       "transition": {label: {label: "inf"}}})
+    rel = write(tmp_path, "r.json", {"pairs": [[label, label]]})
+    code, out, err = run("tbisim", model, model, rel)
+    assert code == 2 and out == ""
+    assert err.startswith("error: coupling search needs finite weights; pair ('llll")
+    assert err.count("... (20002 characters)") == 2 and err.count("\n") == 1 and len(err) < 1000
 
 
 @pytest.mark.skipif(

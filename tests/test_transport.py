@@ -148,20 +148,40 @@ def test_ship_matches_the_flow_on_every_network(monkeypatch):
 
 def test_shortfall_is_the_cut_of_the_flow(monkeypatch):
     """`ship`'s cut, sources in supply order and the amount short, on every
-    network; on block-shaped ones without `ship`, so with no plan and no flow."""
-    ships = _counted(monkeypatch, "ship")
+    network; on block-shaped ones without `_flow`, so with no plan and no flow."""
+    flows = _counted(monkeypatch, "_flow")
     seen = dict.fromkeys(("block cut", "block ships", "flow cut", "flow ships", "zero supply cut"), 0)
     rng = random.Random(67)
     for _ in range(3000):
         supply, room, arcs = _block_case(rng)
         reach = {x: frozenset(y for a, y in arcs if a == x) for x in supply}
-        before = len(ships)
+        before = len(flows)
         cut = shortfall(supply, room, reach)
         assert cut == ship_reference(supply, room, arcs)[1]
-        path = "block" if len(ships) == before else "flow"
+        path = "block" if len(flows) == before else "flow"
         seen[f"{path} {'cut' if cut else 'ships'}"] += 1
         seen["zero supply cut"] += cut is not None and any(not w for w in supply.values())
     assert min(seen.values()) >= 50, seen
+
+
+def test_each_call_tests_the_block_shape_once(monkeypatch):
+    """`ship` and `shortfall` run `_blocks` once per call, on block-shaped
+    networks and on the others, which go straight to the flow; their plans
+    and cuts match one maximum flow by `max_flow_reference`."""
+    blocks = _counted(monkeypatch, "_blocks")
+    flows = _counted(monkeypatch, "_flow")
+    rng = random.Random(71)
+    for _ in range(1000):
+        supply, room, arcs = _block_case(rng)
+        reach = {x: frozenset(y for a, y in arcs if a == x) for x in supply}
+        expected = ship_reference(supply, room, arcs)
+        blocks.clear()
+        assert ship(supply, room, arcs) == expected
+        assert len(blocks) == 1
+        blocks.clear()
+        assert shortfall(supply, room, reach) == expected[1]
+        assert len(blocks) == 1
+    assert len(flows) > 200
 
 
 def _renamed(c):

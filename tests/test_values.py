@@ -43,6 +43,16 @@ def test_validate_rejects_bad_mass_sum():
         validate(c)
 
 
+def test_validate_names_a_value_of_unknown_type_or_of_another_kind():
+    c = Coalgebra(MULTISET_KIND, ["a", "b"], {"a": "not a value", "b": kripke_value((), ["a"])})
+    with pytest.raises(ValidationError) as caught:
+        validate(c)
+    assert caught.value.violations == [
+        "state 'a': transition value has unknown type str",
+        "state 'b': value kind kripke does not match model kind multiset",
+    ]
+
+
 def test_validate_rejects_non_antichain():
     v = nbhd_value([["a"], ["a", "b"]])
     c = Coalgebra(NEIGHBORHOOD_KIND, ("a", "b"), {"a": v, "b": nbhd_value([])})
