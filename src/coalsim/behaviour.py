@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional
 
 from .errors import (
@@ -50,6 +51,7 @@ from .simulation import is_bisimulation_up_to_difunctionality
 from .transport import couple, marginal
 from .values import (
     DISTRIBUTION,
+    INF,
     MULTISET,
     Coalgebra,
     DistValue,
@@ -271,18 +273,49 @@ class Coupling:
         }
 
 
-def verify_coupling(
-    coupling: Coupling, s: Relation, c: Coalgebra, d: Coalgebra
-) -> bool:
-    """Do both projections of every coupling value recover the endpoint values?"""
-    if {p for p, _ in coupling.values} != s.pairs:
+def verify_coupling(coupling: Coupling, s: Relation, c: Coalgebra, d: Coalgebra, cells=None) -> bool:
+    """Is the coupling one value per pair of s, over the allowed cells, with
+    projections that recover the endpoint values?
+
+    The allowed cells are `cells`, by default the pairs of s; the up-to check
+    passes the difunctional closure it coupled over.  Weighted values are
+    checked by exact sums (`_sums_match`), the others by relabelling along
+    both projections.
+    """
+    _same_kind(c, d)
+    cells = s.pairs if cells is None else cells
+    values = coupling.values
+    if len(values) != len(s.pairs) or {p for p, _ in values} != s.pairs:
         return False
-    cells = {q for _, v in coupling.values for q in base(v)}
-    p1, p2 = {q: q[0] for q in cells}, {q: q[1] for q in cells}
+    if not all(type(v) is type(c.transition[x]) and base(v) <= cells for (x, _), v in values):
+        return False
+    if c.kind.name in (MULTISET, DISTRIBUTION):
+        return all(_sums_match(v, c.transition[x], d.transition[y]) for (x, y), v in values)
+    used = {q for _, v in values for q in base(v)}
+    p1, p2 = {q: q[0] for q in used}, {q: q[1] for q in used}
     return all(
         values_equal(relabel(v, p1), c.transition[x]) and values_equal(relabel(v, p2), d.transition[y])
-        for (x, y), v in coupling.values
+        for (x, y), v in values
     )
+
+
+def _sums_match(v, t, u) -> bool:
+    """Do the weights of v, a value over cells, sum to t and to u along the two projections?
+
+    Masses are scaled to integers over one common denominator; an infinite
+    multiset weight absorbs every sum it enters.
+    """
+    entries = (v.entries, t.entries, u.entries)
+    if isinstance(v, DistValue):
+        den = lcm(*(w.denominator for part in entries for _, w in part))
+        entries = [[(k, w.numerator * (den // w.denominator)) for k, w in part] for part in entries]
+    left, right = {}, {}
+    for (a, b), w in entries[0]:
+        prev = left.get(a, 0)
+        left[a] = INF if INF in (prev, w) else prev + w
+        prev = right.get(b, 0)
+        right[b] = INF if INF in (prev, w) else prev + w
+    return left == dict(entries[1]) and right == dict(entries[2])
 
 
 def _cell_index(cells) -> tuple:
@@ -325,24 +358,6 @@ def _canonical_coupling(t, u, by_left, by_right) -> FunctorValue:
     ))
 
 
-def _weighted_coupling(rows, cols, by_left, rank, kind) -> Optional[FunctorValue]:
-    """A transportation plan of one marginal onto another over the cells, or None.
-
-    `by_left` indexes the cells by their left states, and only the cells in
-    the rows' support are passed on, sorted by `rank`, their position in
-    `state_key` order.  `couple` lists the plan's cells in that order, so its
-    value is built in canonical entry order, with no validation.
-    """
-    arcs = sorted((q for r, _ in rows[1] for q in by_left.get(r, ())), key=rank)
-    found = couple(rows, cols, arcs)
-    if found is None:
-        return None
-    den, shipped = found
-    if kind == DISTRIBUTION:
-        return DistValue(tuple((q, Fraction(w, den)) for q, w in shipped.items() if w))
-    return MultisetValue(tuple((q, w) for q, w in shipped.items() if w))
-
-
 def _coupling_check(s: Relation, cell_pairs, c, d) -> Optional[Coupling]:
     """Coupling values for the pairs of s over the given cells, verified, or None.
 
@@ -350,18 +365,22 @@ def _coupling_check(s: Relation, cell_pairs, c, d) -> Optional[Coupling]:
     all once.  A failed check means no coupling exists for Kripke or
     neighborhood candidates, and a bug for transportation plans, which
     raises InternalCheckError.  For weighted kinds each state's `marginal`
-    is computed once per call; a pair whose values hold an infinite weight
-    raises InfiniteWeightError when it is reached.
+    and each left state's allowed right states are computed once per call;
+    a pair whose values hold an infinite weight raises InfiniteWeightError
+    when it is reached.
     """
     _same_kind(c, d)
     kind = c.kind.name
     weighted = kind in (MULTISET, DISTRIBUTION)
-    by_left, by_right = _cell_index(cell_pairs)
     pairs = sorted(s.pairs, key=state_key)
     if weighted:
-        rank = {q: i for i, q in enumerate(sorted(cell_pairs, key=state_key))}.__getitem__
+        allowed = {}
+        for x, y in cell_pairs:
+            allowed.setdefault(x, set()).add(y)
         rows = {x: marginal(c.transition[x].entries) for x in {x for x, _ in pairs}}
         cols = {y: marginal(d.transition[y].entries) for y in {y for _, y in pairs}}
+    else:
+        by_left, by_right = _cell_index(cell_pairs)
     out = []
     for x, y in pairs:
         if not weighted:
@@ -371,12 +390,16 @@ def _coupling_check(s: Relation, cell_pairs, c, d) -> Optional[Coupling]:
                 f"coupling search needs finite weights; pair ({shown(x)}, {shown(y)}) has an infinite weight"
             )
         else:
-            v = _weighted_coupling(rows[x], cols[y], by_left, rank, kind)
-            if v is None:
+            # `couple` lists a plan's positive cells in `state_key` order, the canonical entry order.
+            found = couple(rows[x], cols[y], allowed)
+            if found is None:
                 return None
+            den, plan = found
+            v = (DistValue(tuple((q, Fraction(w, den)) for q, w in plan.items())) if kind == DISTRIBUTION
+                 else MultisetValue(tuple(plan.items())))
         out.append(((x, y), v))
     coupling = Coupling(tuple(out))
-    if verify_coupling(coupling, s, c, d):
+    if verify_coupling(coupling, s, c, d, cell_pairs):
         return coupling
     if weighted:
         raise InternalCheckError("constructed coupling fails its projection equations")

@@ -19,10 +19,9 @@ compiles it, once per signature, into a predicate for one pair of the
 signature's kind, exact for every signature, and `lifting_violations`
 lists the failures for reports.  For multisets and distributions the pair
 check is Gale's supply-demand condition, decided on integers by
-`hall_violator`: from the blocks' totals when the sources' sink sets are
-pairwise disjoint, otherwise by one maximum flow, both through
-`coalsim.transport.shortfall`, which alone calls `ship` here.  This module
-is also the one place the engine enumerates subsets, behind the gate
+`hall_violator` through one maximum flow from a greedy fill
+(`coalsim.transport.shortfall`), whose minimum cut is the violator.  This
+module is also the one place the engine enumerates subsets, behind the gate
 `exhaustive_base`: `subsets` for Kripke and neighborhood values, one table
 of masses over bitmasks for weighted ones.
 """
@@ -547,10 +546,11 @@ def hall_violator(t, u, img) -> Optional[tuple]:
       condition: by max-flow min-cut, it holds exactly when the flow from
       the sources (supplies t(x)) along S into the sinks (capacities u(y))
       ships all of t's remaining weight, and otherwise A is the minimum
-      cut's sources (`coalsim.transport.shortfall`).  When the sources'
-      sink sets are pairwise disjoint that is decided from block totals,
-      with no flow.  For distributions this is the Jonsson-Larsen
-      simulation check by max-flow.
+      cut's sources (`coalsim.transport.shortfall`).  The flow starts from
+      the greedy fill, which is already maximal when any two sources' sink
+      sets are equal or disjoint, as for images read off partition blocks;
+      elsewhere a few augmenting paths finish it.  For distributions this
+      is the Jonsson-Larsen simulation check by max-flow.
     """
     if isinstance(t, DistValue):
         den = lcm(*(q.denominator for _, q in t.entries), *(q.denominator for _, q in u.entries))
@@ -601,11 +601,12 @@ def lifting_check(sig: LambdaSignature):
       successor's image meet u's successors, and `[]` that each successor
       of u lie in some successor's image.
     - Multisets and distributions: a threshold can fail at a set A only
-      where t(A) > u(S[A]); with no such set (`hall_violator`) every
-      threshold holds.  Otherwise the violator A, with a = t(A) and b =
-      u(S[A]), fails <b>, L(a) and M(b); a grid resolved on the models holds
-      one of them, and only a grid holding none is searched
-      (`_pair_ok_generic`).
+      where t(A) > u(S[A]); with no such set every threshold holds.
+      `hall_violator` decides that by one maximum flow from a greedy fill,
+      and otherwise returns the minimal minimum cut's sources as A.  That
+      violator, with a = t(A) and b = u(S[A]), fails <b>, L(a) and M(b); a
+      grid resolved on the models holds one of them, and only a grid
+      holding none is searched (`_pair_ok_generic`).
     - Neighborhoods: each minimal set's image belongs to u.
 
     A signature without modalities always holds; otherwise values not of

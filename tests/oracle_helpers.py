@@ -397,22 +397,34 @@ def max_flow_reference(n: int, capacity: dict, source: int, sink: int) -> tuple:
                 flow[(e[1], e[0])] -= push
 
 
-def ship_reference(supply, room, arcs) -> tuple:
-    """`coalsim.transport.ship` as it was before its flow-free path: one
-    maximum flow on every network, by `max_flow_reference`."""
+def flow_network_reference(supply, room, arcs) -> tuple:
+    """The network `coalsim.transport.ship` once solved by maximum flow, as
+    (n, capacity, edges).
+
+    Node 0 is the source and node n-1 the sink; sources are numbered from 1
+    in the order of `supply`, then sinks in the order of `room`.  Each arc
+    gets the whole supply as its capacity, which no flow can fill, and
+    `edges` maps its node pair back to the arc, in arc order.
+    """
     total = sum(supply.values())
     src_id = {k: 1 + i for i, k in enumerate(supply)}
     dst_id = {k: 1 + len(supply) + i for i, k in enumerate(room)}
     n = 2 + len(supply) + len(room)
-    source, sink = 0, n - 1
-    capacity = {(source, src_id[k]): v for k, v in supply.items()}
-    capacity.update(((dst_id[k], sink), v) for k, v in room.items())
+    capacity = {(0, i): v for i, v in zip(src_id.values(), supply.values())}
+    capacity.update(((dst_id[k], n - 1), v) for k, v in room.items())
     edges = {(src_id[a], dst_id[b]): (a, b) for a, b in arcs}
     capacity.update((e, total) for e in edges)
-    flow, reached = max_flow_reference(n, capacity, source, sink)
-    short = total - sum(flow[(source, i)] for i in src_id.values())
+    return n, capacity, edges
+
+
+def ship_reference(supply, room, arcs) -> tuple:
+    """`coalsim.transport.ship` as it was before its flow-free path: one
+    maximum flow on every network, by `max_flow_reference`."""
+    n, capacity, edges = flow_network_reference(supply, room, arcs)
+    flow, reached = max_flow_reference(n, capacity, 0, n - 1)
+    short = sum(supply.values()) - sum(flow[(0, i)] for i in range(1, 1 + len(supply)))
     if short:
-        return None, ([k for k, i in src_id.items() if i in reached], short)
+        return None, ([k for i, k in enumerate(supply, 1) if i in reached], short)
     return {arc: flow[e] for e, arc in edges.items()}, None
 
 

@@ -29,6 +29,7 @@ from coalsim import (
     values_equal,
     verify_coupling,
 )
+from coalsim.behaviour import Coupling
 from coalsim.generators import (
     GeneratorConfig,
     generate_coalgebra,
@@ -36,7 +37,8 @@ from coalsim.generators import (
     random_relation,
 )
 from coalsim.transport import couple, marginal
-from coalsim.values import INF, relabel
+from coalsim.relations import difunctional_closure
+from coalsim.values import INF, DistValue, MultisetValue, relabel
 
 from conftest import dist_model, kripke_model, multiset_model, nbhd_model
 from oracle_helpers import all_relations, nbhd_coupling_reference, refinements_reference
@@ -447,11 +449,78 @@ def test_feasible_transport_exactness():
     rows = marginal([("a", Fraction(3, 4)), ("b", Fraction(1, 4))])
     cols = marginal([("c", Fraction(1, 2)), ("d", Fraction(1, 2))])
     assert rows == (4, (("a", 3), ("b", 1)))
-    plan = couple(rows, cols, {("a", "c"), ("a", "d"), ("b", "d")})
+    plan = couple(rows, cols, {"a": {"c", "d"}, "b": {"d"}})
     assert plan == (4, {("a", "c"): 2, ("a", "d"): 1, ("b", "d"): 1})
-    assert couple(marginal([("a", 1)]), marginal([("c", 1)]), set()) is None
-    assert couple(marginal([("a", Fraction(1, 2))]), marginal([("c", 1)]), {("a", "c")}) is None
-    assert couple(marginal([]), marginal([]), set()) == (1, {})
+    assert list(plan[1]) == [("a", "c"), ("a", "d"), ("b", "d")]
+    assert couple(rows, cols, {"a": {"c", "d", "e"}, "b": {"c", "d"}}) == (4, {("a", "c"): 2, ("a", "d"): 1, ("b", "d"): 1})
+    assert couple(marginal([("a", 1)]), marginal([("c", 1)]), {}) is None
+    assert couple(marginal([("a", 1)]), marginal([("c", 1)]), {"b": {"c"}}) is None
+    assert couple(marginal([("a", Fraction(1, 2))]), marginal([("c", 1)]), {"a": {"c"}}) is None
+    assert couple(marginal([]), marginal([]), {}) == (1, {})
+
+
+def test_verify_coupling_rejects_cells_outside_the_relation():
+    """A value may only use the allowed cells: here (b, y), which s lacks."""
+    c = multiset_model({"a": {"b": 1}, "b": {}})
+    d = multiset_model({"x": {"y": 1}, "y": {}})
+    s = relation(c.carrier, d.carrier, [("a", "x")])
+    assert t_bisimulation_check(s, c, d) is None
+    forged = Coupling(((("a", "x"), MultisetValue(((("b", "y"), 1),))),))
+    assert not verify_coupling(forged, s, c, d)
+    assert verify_coupling(forged, s, c, d, frozenset({("a", "x"), ("b", "y")}))
+
+
+def test_verify_coupling_rejects_a_pair_listed_twice():
+    """Each pair of s needs exactly one value."""
+    c = multiset_model({"a": {"b": 1}, "b": {}})
+    d = multiset_model({"x": {"y": 1}, "y": {}})
+    s = relation(c.carrier, d.carrier, [("a", "x"), ("b", "y")])
+    coupling = t_bisimulation_check(s, c, d)
+    assert coupling is not None and verify_coupling(coupling, s, c, d)
+    assert not verify_coupling(Coupling(coupling.values + coupling.values[:1]), s, c, d)
+    assert not verify_coupling(Coupling(coupling.values[:1]), s, c, d)
+
+
+def test_up_to_couplings_are_checked_over_the_difunctional_closure():
+    """The up-to check couples a over x through (b2, y2), which only the
+    closure holds, so it verifies over the closure and not over s."""
+    c = multiset_model({"a": {"b2": 1}, "b": {}, "b2": {}})
+    d = multiset_model({"x": {"y2": 1}, "y": {}, "y2": {}})
+    s = relation(c.carrier, d.carrier, [("a", "x"), ("b", "y"), ("b", "y2"), ("b2", "y")])
+    assert t_bisimulation_check(s, c, d) is None
+    coupling = t_bisim_up_to_difunctionality_check(s, c, d)
+    assert coupling is not None
+    assert dict(coupling.values)[("a", "x")] == MultisetValue(((("b2", "y2"), 1),))
+    assert verify_coupling(coupling, s, c, d, difunctional_closure(s).pairs)
+    assert not verify_coupling(coupling, s, c, d)
+
+
+def test_weighted_projections_are_exact_sums_with_infinity_absorbing():
+    c = multiset_model({"a": {"b": INF}, "b": {}})
+    d = multiset_model({"x": {"y": INF, "y2": 1}, "y": {}, "y2": {}})
+    s = relation(c.carrier, d.carrier, [("a", "x"), ("b", "y"), ("b", "y2")])
+    empty = MultisetValue(())
+
+    def coupled(*cells):
+        return Coupling(((("a", "x"), MultisetValue(cells)), (("b", "y"), empty), (("b", "y2"), empty)))
+
+    assert verify_coupling(coupled((("b", "y"), INF), (("b", "y2"), 1)), s, c, d)
+    assert not verify_coupling(coupled((("b", "y"), INF), (("b", "y2"), 2)), s, c, d)
+    assert not verify_coupling(coupled((("b", "y"), 5), (("b", "y2"), 1)), s, c, d)
+    left = dist_model({"a": {"b": "1/3", "c": "2/3"}, "b": {"b": 1}, "c": {"c": 1}})
+    right = dist_model({"x": {"y": "1/2", "z": "1/2"}, "y": {"y": 1}, "z": {"z": 1}})
+    s = relation(left.carrier, right.carrier, [("a", "x"), ("b", "y"), ("b", "z"), ("c", "y"), ("c", "z")])
+    coupling = t_bisimulation_check(s, left, right)
+    assert coupling is not None and verify_coupling(coupling, s, left, right)
+    pair, rest = ("a", "x"), coupling.values[1:]
+    assert coupling.values[0][0] == pair
+
+    def at_a(*cells):
+        return Coupling(((pair, DistValue(tuple((q, Fraction(w)) for q, w in cells))), *rest))
+
+    assert verify_coupling(at_a((("b", "y"), "1/3"), (("c", "y"), "1/6"), (("c", "z"), "1/2")), s, left, right)
+    assert verify_coupling(at_a((("b", "z"), "1/3"), (("c", "y"), "1/2"), (("c", "z"), "1/6")), s, left, right)
+    assert not verify_coupling(at_a((("b", "y"), "1/3"), (("c", "z"), "2/3")), s, left, right)
 
 
 def test_marginal_refuses_infinite_weights():
@@ -465,9 +534,9 @@ def test_a_plan_failing_its_projections_is_a_bug(monkeypatch):
     plan with one unit moved to another cell raises InternalCheckError."""
     real = behaviour.couple
 
-    def skewed(rows, cols, arcs):
-        den, shipped = real(rows, cols, arcs)
-        source = next(q for q, w in shipped.items() if w)
+    def skewed(rows, cols, allowed):
+        den, shipped = real(rows, cols, allowed)
+        source = next(iter(shipped))
         target = next(q for q in shipped if q[1] != source[1])
         return den, {**shipped, source: shipped[source] - 1, target: shipped[target] + 1}
 

@@ -95,22 +95,26 @@ def _network(t, u, img):
     return reach
 
 
-def _counted(monkeypatch, name):
-    calls = []
-    real = getattr(transport, name)
+def _paths(monkeypatch):
+    """Wrap transport._augment; returns the list that each augmenting path it pushes appends to."""
+    pushed = []
+    real = transport._augment
 
     def call(*args):
-        calls.append(args)
-        return real(*args)
+        reached = real(*args)
+        if reached is None:
+            pushed.append(1)
+        return reached
 
-    monkeypatch.setattr(transport, name, call)
-    return calls
+    monkeypatch.setattr(transport, "_augment", call)
+    return pushed
 
 
 def test_hall_violator_matches_the_flow_reference(monkeypatch):
-    """Cut and masses, with their types, as the maximum flow found them; no flow on blocks."""
-    ships = _counted(monkeypatch, "ship")
-    flows = _counted(monkeypatch, "_max_flow")
+    """Cut and masses, with their types, as the maximum flow found them; on
+    blocks the greedy fill leaves no augmenting path."""
+    paths = _paths(monkeypatch)
+    augmented = 0
     seen = dict.fromkeys((
         "infinite source", "infinite source covered", "no supply", "block holds",
         "block cut", "flow holds", "flow cut", "mixed denominators", "empty image",
@@ -118,7 +122,7 @@ def test_hall_violator_matches_the_flow_reference(monkeypatch):
     rng = random.Random(71)
     for trial in range(4000):
         t, u, img = _triple(rng, trial)
-        before = len(ships), len(flows)
+        before = len(paths)
         cut = hall_violator(t, u, img)
         expected = hall_violator_reference(t, u, img)
         assert cut == expected, (t, u, img)
@@ -137,14 +141,16 @@ def test_hall_violator_matches_the_flow_reference(monkeypatch):
             continue
         sinks = list(reach.values())
         block = all(a == b or not a & b for a, b in combinations(sinks, 2))
-        ran = (len(ships), len(flows)) != before
-        assert ran != block
+        if block:
+            assert len(paths) == before
+        augmented += len(paths) > before
         seen[("block " if block else "flow ") + ("cut" if cut else "holds")] += 1
         seen["mixed denominators"] += isinstance(t, DistValue) and len(
             {q.denominator for _, q in t.entries + u.entries}
         ) > 1
         seen["empty image"] += any(not ys for ys in sinks)
     assert min(seen.values()) >= 50, seen
+    assert augmented >= 50, augmented  # pairs the fill left a path in: 133 to 167 over 30 hash seeds
 
 
 def _shapes():
