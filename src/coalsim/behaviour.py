@@ -34,7 +34,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Optional
 
 from .errors import (
@@ -48,7 +47,7 @@ from .errors import (
 from .liftings import LambdaSignature, ensure_separating
 from .relations import Partition, Relation, difunctional_closure
 from .simulation import is_bisimulation_up_to_difunctionality
-from .transport import couple, marginal
+from .transport import couple
 from .values import (
     DISTRIBUTION,
     INF,
@@ -61,6 +60,7 @@ from .values import (
     NbhdValue,
     antichain,
     base,
+    integer_weights,
     predecessors,
     relabel,
     state_key,
@@ -302,20 +302,18 @@ def verify_coupling(coupling: Coupling, s: Relation, c: Coalgebra, d: Coalgebra,
 def _sums_match(v, t, u) -> bool:
     """Do the weights of v, a value over cells, sum to t and to u along the two projections?
 
-    Masses are scaled to integers over one common denominator; an infinite
-    multiset weight absorbs every sum it enters.
+    All three are read as integers over one common denominator
+    (`integer_weights`); an infinite multiset weight absorbs every sum it
+    enters.
     """
-    entries = (v.entries, t.entries, u.entries)
-    if isinstance(v, DistValue):
-        den = lcm(*(w.denominator for part in entries for _, w in part))
-        entries = [[(k, w.numerator * (den // w.denominator)) for k, w in part] for part in entries]
+    _, (cells, left_w, right_w) = integer_weights(v, t, u)
     left, right = {}, {}
-    for (a, b), w in entries[0]:
+    for (a, b), w in cells.items():
         prev = left.get(a, 0)
         left[a] = INF if INF in (prev, w) else prev + w
         prev = right.get(b, 0)
         right[b] = INF if INF in (prev, w) else prev + w
-    return left == dict(entries[1]) and right == dict(entries[2])
+    return left == left_w and right == right_w
 
 
 def _cell_index(cells) -> tuple:
@@ -364,10 +362,10 @@ def _coupling_check(s: Relation, cell_pairs, c, d) -> Optional[Coupling]:
     Each pair gets one candidate value, and `verify_coupling` checks them
     all once.  A failed check means no coupling exists for Kripke or
     neighborhood candidates, and a bug for transportation plans, which
-    raises InternalCheckError.  For weighted kinds each state's `marginal`
-    and each left state's allowed right states are computed once per call;
-    a pair whose values hold an infinite weight raises InfiniteWeightError
-    when it is reached.
+    raises InternalCheckError.  For weighted kinds each left state's
+    allowed right states are computed once per call, and a pair whose
+    values hold an infinite weight raises InfiniteWeightError when it is
+    reached.
     """
     _same_kind(c, d)
     kind = c.kind.name
@@ -377,21 +375,18 @@ def _coupling_check(s: Relation, cell_pairs, c, d) -> Optional[Coupling]:
         allowed = {}
         for x, y in cell_pairs:
             allowed.setdefault(x, set()).add(y)
-        rows = {x: marginal(c.transition[x].entries) for x in {x for x, _ in pairs}}
-        cols = {y: marginal(d.transition[y].entries) for y in {y for _, y in pairs}}
     else:
         by_left, by_right = _cell_index(cell_pairs)
     out = []
     for x, y in pairs:
         if not weighted:
             v = _canonical_coupling(c.transition[x], d.transition[y], by_left, by_right)
-        elif rows[x] is None or cols[y] is None:
-            raise InfiniteWeightError(
-                f"coupling search needs finite weights; pair ({shown(x)}, {shown(y)}) has an infinite weight"
-            )
         else:
-            # `couple` lists a plan's positive cells in `state_key` order, the canonical entry order.
-            found = couple(rows[x], cols[y], allowed)
+            try:
+                # `couple` lists a plan's positive cells in `state_key` order, the canonical entry order.
+                found = couple(c.transition[x], d.transition[y], allowed)
+            except InfiniteWeightError as exc:
+                raise InfiniteWeightError(f"{exc}; pair ({shown(x)}, {shown(y)}) has an infinite weight") from None
             if found is None:
                 return None
             den, plan = found

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import islice
-from math import ceil, floor, lcm
+from math import ceil, floor, gcd
 from typing import Iterator, Optional, Sequence
 
 from .errors import BudgetError, KindMismatchError, NotSeparatingError, ValidationError, as_text, clipped, shown
@@ -53,6 +53,7 @@ from .values import (
     NbhdValue,
     VALUE_TYPES,
     base,
+    integer_weights,
     measure,
     state_key,
 )
@@ -250,23 +251,17 @@ def graded_bound(models: Sequence[Coalgebra]) -> int:
 def _subset_sums(models: Sequence[Coalgebra]) -> tuple:
     """(den, sums): every subset mass realized by a distribution of the models, times den.
 
-    den is the common denominator of all masses, and each distinct list of
-    masses (kept as sorted numerator-denominator pairs, which compare as
-    integers) has its subset sums collected entry by entry, so the cost is
-    bounded by support size times grid size, not by 2^support.  As soon as
-    one value's sums or all of them pass MAX_PROB_GRID, BudgetError is
-    raised.
+    den is the common denominator of all masses (`integer_weights`), and
+    each distinct list of scaled masses, sorted, has its subset sums
+    collected entry by entry, so the cost is bounded by support size times
+    grid size, not by 2^support.  As soon as one value's sums or all of
+    them pass MAX_PROB_GRID, BudgetError is raised.
     """
-    lists = dict.fromkeys(
-        tuple(sorted((q.numerator, q.denominator) for _, q in t.entries))
-        for c in models for t in c.transition.values()
-    )
-    den = lcm(*(b for masses in lists for _, b in masses))
+    den, rows = integer_weights(*(t for c in models for t in c.transition.values()))
     grid = {0, den}
-    for masses in lists:
+    for masses in dict.fromkeys(tuple(sorted(row.values())) for row in rows):
         sums = {0}
-        for a, b in masses:
-            w = a * (den // b)
+        for w in masses:
             sums |= {s + w for s in sums}
             if len(sums) > MAX_PROB_GRID:
                 raise _grid_budget()
@@ -368,8 +363,9 @@ def _separation_gap(sig: LambdaSignature, models) -> Optional[str]:
     Kripke values are separated by [] or <> together with every atom of the
     vocabulary, neighborhood values by [m], and weighted values by a grid
     holding every threshold the models realize: each index up to
-    `graded_bound`, each subset mass of `_subset_sums`, compared as integers
-    over its common denominator, so no sorted grid of fractions is built.
+    `graded_bound`, each subset mass of `_subset_sums`, reduced to lowest
+    terms and compared with the grid's bounds as integer pairs, so no
+    sorted grid of fractions is built.
     """
     if sig.kind.name == KRIPKE:
         if BOX not in sig.modalities and DIAMOND not in sig.modalities:
@@ -387,8 +383,8 @@ def _separation_gap(sig: LambdaSignature, models) -> Optional[str]:
             return f"graded grid misses index {gap}; weights reach {need}"
     if sig.kind.name == DISTRIBUTION:
         den, sums = _subset_sums(models)
-        have = {_scaled(m.bound, den) for m in sig.modalities if den % m.bound.denominator == 0}
-        missing = sorted(sums - have)
+        have = {(m.bound.numerator, m.bound.denominator) for m in sig.modalities}
+        missing = sorted(s for s in sums if (s // gcd(s, den), den // gcd(s, den)) not in have)
         if missing:
             masses = [as_text(Fraction(s, den)) for s in missing]
             return clipped(f"probability grid misses realized masses {masses}")
@@ -426,19 +422,10 @@ def _misses(t, u, img, sig):
                 yield m, a
 
 
-def _denominator(t, u) -> int:
-    """The least common denominator of two weighted values' finite weights."""
-    return lcm(*(w.denominator for _, w in (*t.entries, *u.entries) if w != INF))
-
-
-def _scaled(w, den: int) -> int:
-    """A finite weight times den, a multiple of its denominator."""
-    return w.numerator * (den // w.denominator)
-
-
-def _deficits(t, u, img, items, den) -> list:
+def _deficits(tw, uw, img, items) -> list:
     """One mass table: (mask, t(A), u(S[A])) for each A ⊆ items with
-    t(A) > u(S[A]), in `subsets` order, masses scaled by `den`.
+    t(A) > u(S[A]), in `subsets` order, from the integer rows tw and uw of
+    t and u (`integer_weights`).
 
     Bit i of a mask stands for items[i].  t(A) is t(A minus its lowest
     item) plus that item's weight; S[A] is a bitmask over u's support, ORed
@@ -446,24 +433,23 @@ def _deficits(t, u, img, items, den) -> list:
     Infinite weights are masks of their own, so no sum meets infinity: an A
     holding one has t(A) = INF, an S[A] holding one is never short.
     """
-    tw, uw = dict(t.entries), [w for _, w in u.entries]
-    t_scaled = [0 if tw[x] == INF else _scaled(tw[x], den) for x in items]
-    u_scaled = [0 if w == INF else _scaled(w, den) for w in uw]
+    t_finite = [0 if tw[x] == INF else tw[x] for x in items]
+    u_finite = [0 if w == INF else w for w in uw.values()]
     t_inf = sum(1 << i for i, x in enumerate(items) if tw[x] == INF)
-    u_inf = sum(1 << j for j, w in enumerate(uw) if w == INF)
-    images = [sum(1 << j for j, (y, _) in enumerate(u.entries) if y in img[x]) for x in items]
+    u_inf = sum(1 << j for j, w in enumerate(uw.values()) if w == INF)
+    images = [sum(1 << j for j, y in enumerate(uw) if y in img[x]) for x in items]
     t_mass, s_mask, u_mass = [0] * (1 << len(items)), [0] * (1 << len(items)), {0: 0}
     table = []
     for mask in range(1, 1 << len(items)):
         low = mask & -mask
         i = low.bit_length() - 1
-        ta = t_mass[mask] = t_mass[mask ^ low] + t_scaled[i]
+        ta = t_mass[mask] = t_mass[mask ^ low] + t_finite[i]
         sa = s_mask[mask] = s_mask[mask ^ low] | images[i]
         if sa & u_inf:
             continue
         ub = u_mass.get(sa)
         if ub is None:
-            ub = u_mass[sa] = sum(w for j, w in enumerate(u_scaled) if sa >> j & 1)
+            ub = u_mass[sa] = sum(w for j, w in enumerate(u_finite) if sa >> j & 1)
         if mask & t_inf:
             ta = INF
         if ta > ub:
@@ -482,15 +468,15 @@ def _weighted_misses(t, u, img, sig):
     is listed with it, and BudgetError is raised only when it fails none,
     which a grid holding the models' thresholds rules out.
     """
-    den = _denominator(t, u)
-    beyond = len(t.entries) > _max_base()
+    den, (tw, uw) = integer_weights(t, u)
+    beyond = len(tw) > _max_base()
     if beyond:
-        cut = hall_violator(t, u, img)
-        table = [(cut[0], cut[1] * den, cut[2] * den)] if cut else []
+        cut = _violator(tw, uw, img)
+        table = [cut] if cut else []
         members = frozenset
     else:
         items = exhaustive_base(base(t), "value base")
-        table = _deficits(t, u, img, items, den)
+        table = _deficits(tw, uw, img, items)
 
         def members(mask):
             return frozenset(x for i, x in enumerate(items) if mask >> i & 1)
@@ -540,32 +526,38 @@ def hall_violator(t, u, img) -> Optional[tuple]:
     - A source whose image reaches an infinite sink satisfies every A that
       contains it, since then u(S[A]) is infinite; drop it.
     - The remaining sources have finite weight and images among u's finite
-      sinks only.  On integers (multiset weights as they are, distribution
-      masses scaled by their common denominator, which hold no infinite
-      mass), the condition on all their subsets A is Gale's supply-demand
-      condition: by max-flow min-cut, it holds exactly when the flow from
-      the sources (supplies t(x)) along S into the sinks (capacities u(y))
-      ships all of t's remaining weight, and otherwise A is the minimum
-      cut's sources (`coalsim.transport.shortfall`).  The flow starts from
+      sinks only.  On integers (`integer_weights`: multiset weights as
+      they are, distribution masses over their common denominator, which
+      hold no infinite mass), the condition on all their subsets A is
+      Gale's supply-demand condition: by max-flow min-cut, it holds
+      exactly when the flow from the sources (supplies t(x)) along S into
+      the sinks (capacities u(y)) ships all of t's remaining weight, and
+      otherwise A is the minimum cut's sources
+      (`coalsim.transport.shortfall`).  The flow starts from
       the greedy fill, which is already maximal when any two sources' sink
       sets are equal or disjoint, as for images read off partition blocks;
       elsewhere a few augmenting paths finish it.  For distributions this
       is the Jonsson-Larsen simulation check by max-flow.
     """
-    if isinstance(t, DistValue):
-        den = lcm(*(q.denominator for _, q in t.entries), *(q.denominator for _, q in u.entries))
-        supply = {x: q.numerator * (den // q.denominator) for x, q in t.entries}
-        room = {y: q.numerator * (den // q.denominator) for y, q in u.entries}
-    else:
-        den = 1
-        room = {y: w for y, w in u.entries if w != INF}
-        unbounded = frozenset(y for y, w in u.entries if w == INF) if len(room) < len(u.entries) else ()
+    den, (tw, uw) = integer_weights(t, u)
+    cut = _violator(tw, uw, img)
+    if cut is None or den == 1:
+        return cut
+    a, ta, ub = cut
+    return a, Fraction(ta, den), Fraction(ub, den)
+
+
+def _violator(tw, uw, img) -> Optional[tuple]:
+    """`hall_violator` on the integer rows tw and uw of t and u: (A, t(A), u(S[A])), or None."""
+    room, supply = {y: w for y, w in uw.items() if w != INF}, tw
+    if len(room) < len(uw) or INF in tw.values():
+        unbounded = frozenset(uw.keys() - room.keys())
         supply = {}
-        for x, w in t.entries:
-            if unbounded and not unbounded.isdisjoint(img[x]):
+        for x, w in tw.items():
+            if not unbounded.isdisjoint(img[x]):
                 continue
             if w == INF:
-                return frozenset((x,)), INF, sum(v for y, v in u.entries if y in img[x])
+                return frozenset((x,)), INF, sum(v for y, v in room.items() if y in img[x])
             supply[x] = w
     if not supply:
         return None
@@ -575,8 +567,6 @@ def hall_violator(t, u, img) -> Optional[tuple]:
         return None
     sources, short = cut  # the cut's capacity is what shipped: u(S[A]) = t(A) - short
     a = sum(map(supply.__getitem__, sources))
-    if den != 1:
-        a, short = Fraction(a, den), Fraction(short, den)
     return frozenset(sources), a, a - short
 
 

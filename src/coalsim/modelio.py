@@ -34,6 +34,7 @@ from .values import (
     MultisetValue,
     NbhdValue,
     VALUE_TYPES,
+    canonical_entries,
     coalgebra,
     kripke_kind,
     kripke_value,
@@ -99,12 +100,6 @@ def _parse_mass(raw, state):
     return q
 
 
-def _weighted_entries(parse, raw: dict) -> tuple:
-    """A weighted value's entries: each amount parsed, zeros dropped, in `state_key` order."""
-    parsed = ((s, parse(a, s)) for s, a in raw.items())
-    return tuple(sorted(((s, a) for s, a in parsed if a), key=lambda e: state_key(e[0])))
-
-
 def value_from_json(kind_name: str, raw) -> FunctorValue:
     if kind_name == KRIPKE:
         if not isinstance(raw, dict) or set(raw) - {"props", "succ"}:
@@ -114,11 +109,11 @@ def value_from_json(kind_name: str, raw) -> FunctorValue:
     if kind_name == MULTISET:
         if not isinstance(raw, dict):
             raise ValidationError(f"multiset value must be a weight map, got {shown(raw)}")
-        return MultisetValue(_weighted_entries(_parse_weight, raw))
+        return MultisetValue(canonical_entries({s: w for s, a in raw.items() if (w := _parse_weight(a, s))}))
     if kind_name == DISTRIBUTION:
         if not isinstance(raw, dict):
             raise ValidationError(f"distribution value must be a mass map, got {shown(raw)}")
-        return DistValue(_weighted_entries(_parse_mass, raw))
+        return DistValue(canonical_entries({s: q for s, a in raw.items() if (q := _parse_mass(a, s))}))
     if kind_name == NEIGHBORHOOD:
         if not isinstance(raw, dict) or set(raw) != {"minimals"}:
             raise ValidationError(f"neighborhood value needs minimals, got {shown(raw)}")

@@ -1,19 +1,17 @@
 """Exact integer transport, for couplings and for one-step pair checks.
 
-It serves two callers.  The coupling search of `coalsim.behaviour` reads
-each state's `marginal` once per call, its weights in `state_key` order
-scaled to integers by their own common denominator, or None when one weight
-is infinite, which no integer transport carries; `couple` moves one
-marginal onto another at a pair: both are rescaled to the pair's common
-denominator and the allowed cells of each row bound where its weight may go.
-`coalsim.liftings` decides the weighted lifting condition at one pair by
-`shortfall`: whether all of the supply ships and, when it does not, the
-minimum cut that stops it.
+It serves two callers.  The coupling search of `coalsim.behaviour` asks
+`couple` for a plan at each pair: it moves one value's weights onto the
+other's, both read as integers over their common denominator by
+`coalsim.values.integer_weights`, and the allowed cells of each row bound
+where its weight may go.  `coalsim.liftings` decides the weighted lifting
+condition at one pair by `shortfall`: whether all of the supply ships and,
+when it does not, the minimum cut that stops it.
 
 Every network here is bipartite: sources with integer supply, sinks with
 integer room, and arcs of unbounded capacity from sources to sinks.  One
-core, `_solve`, finds a maximum flow on any of them, for `ship`, `couple`
-and `shortfall`.  It keeps the flow per sink and has one augmenting
+core, `_solve`, finds a maximum flow on any of them, for `couple` and
+`shortfall`.  It keeps the flow per sink and has one augmenting
 routine, `_augment`.  The flow has two starts: the greedy fill ships each
 source, in supply order, into the sinks of its row, each step as much as
 both have left, and the zero start ships nothing.  From either start,
@@ -26,28 +24,28 @@ the sources that the last search reached are the cut.
   network are the same for every maximum flow: the source side of the
   minimal minimum cut.  So its answer depends neither on the start nor on
   the order of the rows, and the fill leaves few paths to find.
-- `ship` and `couple` return a plan, which must depend on the network
-  alone.  Their rows list each source's sinks in room order, and the
-  search visits nodes as Edmonds-Karp does: sources in supply order, sinks
-  in room order.  On a block-shaped network, where no sink lies in two
+- `couple` returns a plan, which must depend on the network alone.  Its
+  rows list each source's sinks in room order, and the search visits
+  nodes as Edmonds-Karp does: sources in supply order, sinks in room
+  order.  On a block-shaped network, where no sink lies in two
   distinct sink sets (images read off partition blocks, a planted
   functional relation, the product C x D), each group of sources with its
   sinks is a complete bipartite component, and the fill is the
   northwest-corner rule in each.  That is the flow Edmonds-Karp finds
   there: components that share no node never interact, and in a complete
   component its search always augments from the first source with supply
-  left to the first sink with room left.  So they start from the fill, and
-  no augmenting path is left.  On every other network they start from
+  left to the first sink with room left.  So it starts from the fill, and
+  no augmenting path is left.  On every other network it starts from
   zero, and `_augment` replays Edmonds-Karp's augmenting paths one by
   one, so the plan is Edmonds-Karp's flow on the whole network.
 """
 
 from __future__ import annotations
 
-from math import lcm
 from typing import Mapping, Optional
 
-from .values import INF, state_key
+from .errors import InfiniteWeightError
+from .values import INF, integer_weights
 
 
 def _augment(left: list, free: dict, rows: list, into: dict) -> Optional[list]:
@@ -145,71 +143,38 @@ def _solve(supply: Mapping, room: Mapping, reach: Mapping, plan: bool) -> tuple:
     return None, (((x, y), into[y][i]) for i, x in enumerate(supply) for y in rows[i] if into[y].get(i))
 
 
-def ship(supply: Mapping, room: Mapping, arcs) -> tuple:
-    """Ship every source's whole supply into the sinks along the arcs.
+def shortfall(supply: Mapping, room: Mapping, reach: Mapping) -> Optional[tuple]:
+    """The minimum cut that stops the supplies shipping into the rooms, or None when all ships.
 
     `supply` maps sources to natural amounts, `room` maps sinks to natural
-    capacities, and `arcs` lists the allowed (source, sink) pairs, of
-    unbounded capacity, with both ends among those keys.  Sources and sinks
-    are separate nodes even when their labels coincide, numbered in the
-    order of the mappings.  Returns (shipped, cut) from one maximum flow:
-    ({arc: amount}, None) when all of the supply ships, every arc listed
-    once in arc order, otherwise (None, (sources, short)): the sources on
-    the minimal minimum cut's source side, in supply order, and the amount
-    left unshipped.  No arc is saturated then, so the cut's capacity, the
-    amount shipped, is the supply outside it plus the room of the sinks its
-    sources reach, and their supply exceeds that room by `short`.  The flow
-    is Edmonds-Karp's, visiting neighbours in node order (module docstring).
-    """
-    reach = {x: [] for x in supply}
-    for a, b in arcs:
-        reach[a].append(b)
-    cut, cells = _solve(supply, room, {x: frozenset(ys) for x, ys in reach.items()}, True)
-    if cut:
-        return None, cut
-    plan = dict(cells)
-    return {arc: plan.get(arc, 0) for arc in arcs}, None
-
-
-def shortfall(supply: Mapping, room: Mapping, reach: Mapping) -> Optional[tuple]:
-    """The cut of `ship` on the arcs from each source to its `reach`, or None when all ships.
-
-    `reach` maps each source to the frozenset of sinks it may ship to.  The
-    flow starts from the greedy fill whatever the network's shape, since
-    the cut is the same for every maximum flow, and no plan is built.
+    capacities, and `reach` maps each source to the frozenset of sinks it
+    may ship to, along arcs of unbounded capacity.  The cut is (sources,
+    short): the sources on the minimal minimum cut's source side, in supply
+    order, and the amount left unshipped.  No arc is saturated then, so the
+    cut's capacity, the amount shipped, is the supply outside it plus the
+    room of the sinks its sources reach, and their supply exceeds that room
+    by `short`.  The flow starts from the greedy fill whatever the
+    network's shape, since the cut is the same for every maximum flow, and
+    no plan is built.
     """
     return _solve(supply, room, reach, False)[0]
 
 
-def marginal(weights) -> Optional[tuple]:
-    """(den, items): the positive weights of (key, weight) pairs, as integers.
+def couple(t, u, allowed: Mapping) -> Optional[tuple]:
+    """A plan moving the weights of t onto those of u within the allowed cells, or None.
 
-    Weights are ints, Fractions or INF; den is the least common multiple of
-    their denominators, and items lists (key, weight times den) in
-    `state_key` order of the keys.  An infinite weight has no integer
-    transport, so a list holding one gives None.
+    t and u are weighted values of one kind, read as integers over their
+    common denominator den (`integer_weights`); `allowed` maps a state of
+    t to the set of states of u it may be paired with, and a state it
+    lacks has none.  Returns (den, {(x, y): amount}) with the positive
+    amounts of Edmonds-Karp's flow only, x in t's entry order and each x's
+    y in u's, which is the cells' `state_key` order, or None when the
+    totals differ or not all of t ships.  An infinite weight has no
+    integer transport and raises InfiniteWeightError.
     """
-    items = sorted(((k, w) for k, w in weights if w), key=lambda kw: state_key(kw[0]))
-    if any(w == INF for _, w in items):
-        return None
-    den = lcm(*(w.denominator for _, w in items))
-    return den, tuple((k, w.numerator * (den // w.denominator)) for k, w in items)
-
-
-def couple(rows: tuple, cols: tuple, allowed: Mapping) -> Optional[tuple]:
-    """A plan moving one `marginal` onto another within the allowed cells, or None.
-
-    Both marginals are rescaled to their common denominator den; `allowed`
-    maps a row key to the set of column keys it may be paired with, and a
-    key it lacks has none.  Returns (den, {(row, column): amount})
-    with the positive amounts of `ship`'s plan only, rows in order and each
-    row's columns in order, which is the cells' `state_key` order, or None
-    when the totals differ or not all of the rows ship.
-    """
-    (row_den, row_items), (col_den, col_items) = rows, cols
-    den = lcm(row_den, col_den)
-    supply = {k: w * (den // row_den) for k, w in row_items}
-    room = {k: w * (den // col_den) for k, w in col_items}
+    den, (supply, room) = integer_weights(t, u)
+    if den == 1 and (INF in supply.values() or INF in room.values()):  # only multisets hold INF
+        raise InfiniteWeightError("coupling search needs finite weights")
     if sum(supply.values()) != sum(room.values()):
         return None
     sinks, none = frozenset(room), frozenset()

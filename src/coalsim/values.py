@@ -43,14 +43,16 @@ class KripkeValue:
 
 @dataclass(frozen=True)
 class MultisetValue:
-    """Finite-support weight map; entries are (state, weight) sorted, no zeros."""
+    """Finite-support weight map; entries are (state, weight), each state once
+    in `state_key` order, no zeros."""
 
     entries: tuple
 
 
 @dataclass(frozen=True)
 class DistValue:
-    """Finite-support probability mass map; entries are (state, Fraction) sorted."""
+    """Finite-support probability mass map; entries are (state, Fraction), each
+    state once in `state_key` order, no zeros."""
 
     entries: tuple
 
@@ -101,7 +103,8 @@ def kripke_value(props: Iterable = (), succ: Iterable = ()) -> KripkeValue:
     return KripkeValue(frozenset(props), frozenset(succ))
 
 
-def _entries(weights: dict) -> tuple:
+def canonical_entries(weights: Mapping) -> tuple:
+    """The one builder of canonical weighted entries: a map's items in `state_key` order."""
     return tuple(sorted(weights.items(), key=lambda kv: state_key(kv[0])))
 
 
@@ -117,7 +120,7 @@ def multiset_value(weights: Mapping) -> MultisetValue:
             raise ValidationError(f"multiset weight for {s!r} is negative")
         if w > 0:
             cleaned[s] = w
-    return MultisetValue(_entries(cleaned))
+    return MultisetValue(canonical_entries(cleaned))
 
 
 def dist_value(mass: Mapping) -> DistValue:
@@ -129,7 +132,7 @@ def dist_value(mass: Mapping) -> DistValue:
             raise ValidationError(f"distribution mass for {s!r} is negative")
         if q.numerator:
             cleaned[s] = q
-    return DistValue(_entries(cleaned))
+    return DistValue(canonical_entries(cleaned))
 
 
 def nbhd_value(minimals: Iterable[Iterable]) -> NbhdValue:
@@ -171,13 +174,40 @@ def _kripke_ok(t, carrier, atoms) -> bool:
     return type(t) is KripkeValue and t.succ <= carrier and t.props <= atoms
 
 
+def integer_weights(*values) -> tuple:
+    """(den, rows): the weights of weighted values of one kind, as integers over den.
+
+    Each row maps one value's states to its weights, in entry order.
+    Multiset weights are integers already: den is 1 and a row holds the
+    weights as they are, INF kept.  Distribution masses are scaled to
+    integers over den, the least common denominator of all the given
+    values' masses.  The kind is read once, off the first value, so no
+    distribution mass is ever compared with INF.
+    """
+    if not values or type(values[0]) is MultisetValue:
+        return 1, [dict(t.entries) for t in values]
+    den = lcm(*[q.denominator for t in values for _, q in t.entries])
+    return den, [{z: q.numerator * (den // q.denominator) for z, q in t.entries} for t in values]
+
+
+def _canonical(entries) -> bool:
+    """Do weighted entries list each state once, in `state_key` order?"""
+    last = ""  # below every key: no repr is empty
+    for z, _ in entries:
+        key = state_key(z)
+        if key <= last:
+            return False
+        last = key
+    return True
+
+
 def _multiset_ok(t, carrier, atoms) -> bool:
     if type(t) is not MultisetValue:
         return False
     for z, w in t.entries:
         if z not in carrier or not (type(w) is int and w > 0 or w == INF):
             return False
-    return True
+    return _canonical(t.entries)
 
 
 def _dist_ok(t, carrier, atoms) -> bool:
@@ -186,8 +216,8 @@ def _dist_ok(t, carrier, atoms) -> bool:
     for z, q in t.entries:
         if z not in carrier or type(q) is not Fraction or q.numerator <= 0:
             return False
-    den = lcm(*(q.denominator for _, q in t.entries))
-    return sum(q.numerator * (den // q.denominator) for _, q in t.entries) == den
+    den, (row,) = integer_weights(t)
+    return sum(row.values()) == den and _canonical(t.entries)
 
 
 def _nbhd_ok(t, carrier, atoms) -> bool:
@@ -238,6 +268,13 @@ def _value_problems(c: Coalgebra, s, t, carrier: frozenset) -> list:
     elif isinstance(t, NbhdValue):
         if t.minimals != antichain(t.minimals):
             problems.append(f"state {shown(s)}: minimal sets are not an antichain")
+    if isinstance(t, (MultisetValue, DistValue)) and not _canonical(t.entries):
+        states = [z for z, _ in t.entries]
+        twice = [z for z in sorted(set(states), key=state_key) if states.count(z) > 1]
+        if twice:
+            problems.append(f"state {shown(s)}: lists {shown(twice)} more than once")
+        else:
+            problems.append(f"state {shown(s)}: entries are not in state_key order")
     return problems
 
 
@@ -245,8 +282,10 @@ def validate(c: Coalgebra) -> None:
     """Check every structural invariant of a model; raise a full report on failure.
 
     Each transition value passes one predicate of its kind, which checks
-    its base and atoms by subset tests, its weights by type, and its masses
-    as integers over their common denominator.  Only a value that fails it
+    its base and atoms by subset tests, its weights by type, its masses as
+    integers over their common denominator (`integer_weights`), and that
+    weighted entries list each state once, in `state_key` order, which
+    every sum over a value relies on.  Only a value that fails it
     is examined again, by `_value_problems`, to word its problems.
     """
     problems = []
@@ -319,13 +358,13 @@ def relabel(t: FunctorValue, f: Mapping) -> FunctorValue:
                 k = f[s]
                 prev = acc.get(k, 0)
                 acc[k] = INF if (prev == INF or w == INF) else prev + w
-            return MultisetValue(_entries(acc))
+            return MultisetValue(canonical_entries(acc))
         if isinstance(t, DistValue):
             acc = {}
             for s, q in t.entries:
                 k = f[s]
                 acc[k] = acc[k] + q if k in acc else q
-            return DistValue(_entries(acc))
+            return DistValue(canonical_entries(acc))
         if isinstance(t, NbhdValue):
             return NbhdValue(antichain(frozenset([f[s] for s in m]) for m in t.minimals))
     except KeyError:

@@ -398,7 +398,7 @@ def max_flow_reference(n: int, capacity: dict, source: int, sink: int) -> tuple:
 
 
 def flow_network_reference(supply, room, arcs) -> tuple:
-    """The network `coalsim.transport.ship` once solved by maximum flow, as
+    """The network a transport plan once was solved on by maximum flow, as
     (n, capacity, edges).
 
     Node 0 is the source and node n-1 the sink; sources are numbered from 1
@@ -418,8 +418,9 @@ def flow_network_reference(supply, room, arcs) -> tuple:
 
 
 def ship_reference(supply, room, arcs) -> tuple:
-    """`coalsim.transport.ship` as it was before its flow-free path: one
-    maximum flow on every network, by `max_flow_reference`."""
+    """A transport plan as `ship` (since folded into `transport._solve`)
+    gave it before its flow-free path: one maximum flow on every network,
+    by `max_flow_reference`."""
     n, capacity, edges = flow_network_reference(supply, room, arcs)
     flow, reached = max_flow_reference(n, capacity, 0, n - 1)
     short = sum(supply.values()) - sum(flow[(0, i)] for i in range(1, 1 + len(supply)))
@@ -430,11 +431,9 @@ def ship_reference(supply, room, arcs) -> tuple:
 
 def hall_violator_reference(t, u, img):
     """`coalsim.liftings.hall_violator` as it was before it decided on block
-    totals: infinite weights scanned on both kinds, masses scaled per pair,
-    and one maximum flow on every network, by `ship_reference`."""
-    from fractions import Fraction
-
-    from coalsim.liftings import _denominator, _scaled
+    totals: infinite weights scanned on both kinds, and one maximum flow on
+    every network, by `ship_reference`, run on the weights themselves
+    (masses as exact `Fraction`s, never scaled to integers)."""
     from coalsim.values import INF
 
     unbounded = frozenset(y for y, w in u.entries if w == INF)
@@ -448,16 +447,13 @@ def hall_violator_reference(t, u, img):
     if not supply:
         return None
     room = {y: w for y, w in u.entries if w != INF}
-    den = _denominator(t, u)
-    supply = {x: _scaled(w, den) for x, w in supply.items()}
-    room = {y: _scaled(w, den) for y, w in room.items()}
     _, cut = ship_reference(supply, room, [(x, y) for x in supply for y in room if y in img[x]])
     if cut is None:
         return None
     sources, short = cut  # the cut's capacity is what shipped: u(S[A]) = t(A) - short
     a = sum(map(supply.get, sources))
-    if den != 1:
-        a, short = Fraction(a, den), Fraction(short, den)
+    if all(w == INF or w.denominator == 1 for _, w in (*t.entries, *u.entries)):
+        a, short = int(a), int(short)  # whole weights give whole masses, as ints
     return frozenset(sources), a, a - short
 
 
@@ -593,7 +589,10 @@ def coalgebra_from_dict_reference(doc):
 
 
 def validate_reference(c):
-    """Check every structural invariant of a model; raise a full report on failure."""
+    """Check every structural invariant of a model; raise a full report on failure.
+
+    As first written, plus the check that weighted entries list each state
+    once, in `state_key` order, worded after every other problem of the value."""
     from fractions import Fraction
 
     from coalsim.errors import ValidationError, shown
@@ -673,6 +672,13 @@ def validate_reference(c):
         elif isinstance(t, NbhdValue):
             if t.minimals != antichain(t.minimals):
                 problems.append(f"state {shown(s)}: minimal sets are not an antichain")
+        if isinstance(t, (MultisetValue, DistValue)):
+            states = [z for z, _ in t.entries]
+            twice = sorted({z for z in states if states.count(z) > 1}, key=state_key)
+            if twice:
+                problems.append(f"state {shown(s)}: lists {shown(twice)} more than once")
+            elif states != sorted(states, key=state_key):
+                problems.append(f"state {shown(s)}: entries are not in state_key order")
     if problems:
         raise ValidationError(problems)
 

@@ -36,9 +36,9 @@ from coalsim.generators import (
     inflate_coalgebra,
     random_relation,
 )
-from coalsim.transport import couple, marginal
+from coalsim.transport import couple
 from coalsim.relations import difunctional_closure
-from coalsim.values import INF, DistValue, MultisetValue, relabel
+from coalsim.values import INF, DistValue, MultisetValue, dist_value, integer_weights, multiset_value, relabel
 
 from conftest import dist_model, kripke_model, multiset_model, nbhd_model
 from oracle_helpers import all_relations, nbhd_coupling_reference, refinements_reference
@@ -446,17 +446,19 @@ def test_successful_up_to_couplings_are_behaviourally_sound():
 
 
 def test_feasible_transport_exactness():
-    rows = marginal([("a", Fraction(3, 4)), ("b", Fraction(1, 4))])
-    cols = marginal([("c", Fraction(1, 2)), ("d", Fraction(1, 2))])
-    assert rows == (4, (("a", 3), ("b", 1)))
-    plan = couple(rows, cols, {"a": {"c", "d"}, "b": {"d"}})
+    t = dist_value({"b": Fraction(1, 4), "a": Fraction(3, 4)})
+    u = dist_value({"c": Fraction(1, 2), "d": Fraction(1, 2)})
+    assert integer_weights(t, u) == (4, [{"a": 3, "b": 1}, {"c": 2, "d": 2}])
+    plan = couple(t, u, {"a": {"c", "d"}, "b": {"d"}})
     assert plan == (4, {("a", "c"): 2, ("a", "d"): 1, ("b", "d"): 1})
     assert list(plan[1]) == [("a", "c"), ("a", "d"), ("b", "d")]
-    assert couple(rows, cols, {"a": {"c", "d", "e"}, "b": {"c", "d"}}) == (4, {("a", "c"): 2, ("a", "d"): 1, ("b", "d"): 1})
-    assert couple(marginal([("a", 1)]), marginal([("c", 1)]), {}) is None
-    assert couple(marginal([("a", 1)]), marginal([("c", 1)]), {"b": {"c"}}) is None
-    assert couple(marginal([("a", Fraction(1, 2))]), marginal([("c", 1)]), {"a": {"c"}}) is None
-    assert couple(marginal([]), marginal([]), {}) == (1, {})
+    assert couple(t, u, {"a": {"c", "d", "e"}, "b": {"c", "d"}}) == (4, {("a", "c"): 2, ("a", "d"): 1, ("b", "d"): 1})
+    one, other = multiset_value({"a": 1}), multiset_value({"c": 1})
+    assert couple(one, other, {}) is None
+    assert couple(one, other, {"b": {"c"}}) is None
+    assert couple(dist_value({"a": Fraction(1, 2)}), dist_value({"c": 1}), {"a": {"c"}}) is None
+    assert couple(multiset_value({}), multiset_value({}), {}) == (1, {})
+    assert couple(dist_value({}), dist_value({}), {}) == (1, {})
 
 
 def test_verify_coupling_rejects_cells_outside_the_relation():
@@ -523,10 +525,15 @@ def test_weighted_projections_are_exact_sums_with_infinity_absorbing():
     assert not verify_coupling(at_a((("b", "y"), "1/3"), (("c", "z"), "2/3")), s, left, right)
 
 
-def test_marginal_refuses_infinite_weights():
-    assert marginal([("a", 2), ("b", INF)]) is None
-    assert marginal([("b", INF), ("a", 0)]) is None
-    assert marginal([("b", 2), ("a", 0)]) == (1, (("b", 2),))
+def test_couple_refuses_infinite_weights():
+    """`integer_weights` keeps an infinite multiset weight, and `couple`
+    refuses it on either side, whatever the totals and allowed cells."""
+    finite, infinite = multiset_value({"b": 2, "a": 0}), multiset_value({"a": 2, "b": INF})
+    assert integer_weights(finite, infinite) == (1, [{"b": 2}, {"a": 2, "b": INF}])
+    for t, u in ((finite, infinite), (infinite, finite), (infinite, infinite)):
+        with pytest.raises(InfiniteWeightError, match="coupling search needs finite weights"):
+            couple(t, u, {"a": {"a", "b"}, "b": {"a", "b"}})
+    assert couple(finite, finite, {"b": {"b"}}) == (1, {("b", "b"): 2})
 
 
 def test_a_plan_failing_its_projections_is_a_bug(monkeypatch):
@@ -534,8 +541,8 @@ def test_a_plan_failing_its_projections_is_a_bug(monkeypatch):
     plan with one unit moved to another cell raises InternalCheckError."""
     real = behaviour.couple
 
-    def skewed(rows, cols, allowed):
-        den, shipped = real(rows, cols, allowed)
+    def skewed(t, u, allowed):
+        den, shipped = real(t, u, allowed)
         source = next(iter(shipped))
         target = next(q for q in shipped if q[1] != source[1])
         return den, {**shipped, source: shipped[source] - 1, target: shipped[target] + 1}

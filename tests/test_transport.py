@@ -1,7 +1,7 @@
-"""The one transport core and `ship` against Edmonds-Karp as first written,
-the greedy fill that leaves block-shaped networks no augmenting path, plans
-that do not depend on the order of the cells, and a large network solved in
-little memory."""
+"""The one transport core against Edmonds-Karp as first written, the greedy
+fill that leaves block-shaped networks no augmenting path, plans that do not
+depend on the order of the cells, and a large network solved in little
+memory."""
 
 import random
 import tracemalloc
@@ -20,8 +20,8 @@ from coalsim import (
 from coalsim.behaviour import certified_partition
 from coalsim.generators import GeneratorConfig, generate_coalgebra
 from coalsim.liftings import hall_violator
-from coalsim.transport import couple, marginal, ship, shortfall
-from coalsim.values import relabel, state_key
+from coalsim.transport import couple, shortfall
+from coalsim.values import dist_value, relabel, state_key
 
 from oracle_helpers import flow_network_reference, hall_violator_reference, max_flow_reference, ship_reference
 
@@ -65,6 +65,16 @@ def _reach(supply, arcs):
     for a, b in arcs:
         reach[a].add(b)
     return {x: frozenset(ys) for x, ys in reach.items()}
+
+
+def _ship(supply, room, arcs):
+    """The plan of `_solve` on the arcs, in the form of `ship_reference`:
+    ({arc: amount}, None), every arc listed once in arc order, or (None, cut)."""
+    cut, cells = transport._solve(supply, room, _reach(supply, arcs), True)
+    if cut:
+        return None, cut
+    plan = dict(cells)
+    return {arc: plan.get(arc, 0) for arc in arcs}, None
 
 
 def _block_shaped(reach):
@@ -179,7 +189,7 @@ def test_ship_matches_the_flow_on_every_network(monkeypatch):
     for _ in range(3000):
         supply, room, arcs = _block_case(rng)
         before = len(paths)
-        shipped, cut = ship(supply, room, arcs)
+        shipped, cut = _ship(supply, room, arcs)
         expected_shipped, expected_cut = ship_reference(supply, room, arcs)
         assert cut == expected_cut
         assert shipped == expected_shipped
@@ -204,7 +214,7 @@ def test_ship_matches_the_flow_on_every_network(monkeypatch):
 
 
 def test_shortfall_is_the_cut_of_the_flow(monkeypatch):
-    """`ship`'s cut, sources in supply order and the amount short, on every
+    """The plan's cut, sources in supply order and the amount short, on every
     network, from the greedy fill; on block-shaped ones the fill is a
     maximum flow, so no augmenting path is left."""
     paths = _paths(monkeypatch)
@@ -230,8 +240,8 @@ def test_shortfall_is_the_cut_of_the_flow(monkeypatch):
 
 
 def test_each_call_solves_one_network(monkeypatch):
-    """`ship` and `shortfall` solve one network per call, on block-shaped
-    networks and on the others, and only `ship` asks for Edmonds-Karp's
+    """A plan and `shortfall` solve one network per call, on block-shaped
+    networks and on the others, and only the plan asks for Edmonds-Karp's
     flow; their plans and cuts match one maximum flow by
     `max_flow_reference`."""
     solves = _counted(monkeypatch, "_solve")
@@ -242,7 +252,7 @@ def test_each_call_solves_one_network(monkeypatch):
         reach = _reach(supply, arcs)
         expected = ship_reference(supply, room, arcs)
         solves.clear()
-        assert ship(supply, room, arcs) == expected
+        assert _ship(supply, room, arcs) == expected
         assert [args[3] for args in solves] == [True]
         solves.clear()
         assert shortfall(supply, room, reach) == expected[1]
@@ -258,7 +268,7 @@ def test_any_hashable_labels_sources_and_sinks():
         ({None: 2, -1: 1}, {None: 1, -1: 2}, [(None, None), (None, -1), (-1, None)]),
     ):
         expected = ship_reference(supply, room, arcs)
-        assert ship(supply, room, arcs) == expected
+        assert _ship(supply, room, arcs) == expected
         assert shortfall(supply, room, _reach(supply, arcs)) == expected[1]
 
 
@@ -302,14 +312,14 @@ def test_feasible_transport_plan_ignores_cell_order():
         marks = [Fraction(0), *cuts, total]
         cols = {f"b{j}": hi - lo for j, (lo, hi) in enumerate(zip(marks, marks[1:]))}
         cells = [(r, c) for r in rows for c in (*cols, "elsewhere") if rng.random() < 0.7]
-        margins = marginal(rows.items()), marginal(cols.items())
-        plan = couple(*margins, _allowed(cells))
+        values = dist_value(rows), dist_value(cols)
+        plan = couple(*values, _allowed(cells))
         for _ in range(3):
             rng.shuffle(cells)
-            again = couple(*margins, _allowed(cells))
+            again = couple(*values, _allowed(cells))
             assert again == plan
             assert plan is None or list(again[1]) == list(plan[1])
-        assert couple(*margins, _allowed(set(cells))) == plan
+        assert couple(*values, _allowed(set(cells))) == plan
         if plan is not None:
             feasible += 1
             den, shipped = plan
@@ -326,7 +336,7 @@ def test_feasible_transport_plan_ignores_cell_order():
 
 def test_a_thousand_sources_on_overlapping_sink_pairs_fit_in_little_memory():
     """Source i may ship to sinks i and i+1 (mod 1,000) of 1,000 + 1,000
-    states, so the network is not block-shaped.  `hall_violator` and `ship`
+    states, so the network is not block-shaped.  `hall_violator` and a plan
     each stay below 4 MiB of traced memory (an n*n residual list took
     32 MiB).  Their answers match the references and are checked here
     directly as well."""
@@ -343,7 +353,7 @@ def test_a_thousand_sources_on_overlapping_sink_pairs_fit_in_little_memory():
         cut = hall_violator(t, u, img)
         violator_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
-        shipped, short = ship(supply, room, arcs)
+        shipped, short = _ship(supply, room, arcs)
         ship_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

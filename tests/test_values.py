@@ -13,20 +13,25 @@ from coalsim import (
     KindMismatchError,
     ValidationError,
     antichain,
+    auto_signature,
     base,
     coalgebra,
     dist_value,
     kripke_kind,
     kripke_value,
     multiset_value,
+    is_simulation,
     nbhd_value,
     relabel,
+    relation,
     satisfies,
     validate,
     values_equal,
 )
 from coalsim.generators import EnumerationBudget, enumerate_values
 from coalsim.liftings import BOX, DIAMOND, NBHD_BOX, diamond_gt, at_least
+from coalsim.oracles import brute_force_simulation_oracle
+from coalsim.values import DistValue, MultisetValue
 
 from oracle_helpers import all_subsets, nbhd_relabel_oracle
 
@@ -58,6 +63,27 @@ def test_validate_rejects_non_antichain():
     c = Coalgebra(NEIGHBORHOOD_KIND, ("a", "b"), {"a": v, "b": nbhd_value([])})
     with pytest.raises(ValidationError, match="not an antichain"):
         validate(c)
+
+
+def test_validate_rejects_weighted_entries_listing_a_state_twice_or_out_of_order():
+    """A value listing a state twice was accepted, and then the pair check
+    kept its last weight while `measure` summed them: here x -> {a: 1, a: 2}
+    passed as simulated by y -> {b: 2} although the oracle, reading 3,
+    disagrees.  Such values are rejected now, and so are entries out of
+    `state_key` order; the canonical value gets the oracle's verdict."""
+    twice = MultisetValue((("a", 1), ("a", 2)))
+    with pytest.raises(ValidationError, match=r"state 'x': lists \['a'\] more than once"):
+        coalgebra(MULTISET_KIND, ["x", "a"], {"x": twice, "a": MultisetValue(())})
+    swapped = DistValue((("b", Fraction(1, 2)), ("a", Fraction(1, 2))))
+    with pytest.raises(ValidationError, match="state 'x': entries are not in state_key order"):
+        coalgebra(DISTRIBUTION_KIND, ["x", "a", "b"], {"x": swapped, "a": dist_value({"a": 1}),
+                                                       "b": dist_value({"b": 1})})
+    c = coalgebra(MULTISET_KIND, ["x", "a"], {"x": multiset_value({"a": 3}), "a": multiset_value({})})
+    d = coalgebra(MULTISET_KIND, ["y", "b"], {"y": multiset_value({"b": 2}), "b": multiset_value({})})
+    s = relation(c.carrier, d.carrier, [("x", "y"), ("a", "b")])
+    sig = auto_signature(c, d)
+    assert is_simulation(s, c, d, sig).holds is False
+    assert brute_force_simulation_oracle(s, c, d, sig) is False
 
 
 def test_validate_rejects_stray_states_and_missing_transitions():

@@ -1,6 +1,6 @@
 """The one-step kernels against their first implementations and the oracle:
 `hall_violator` on integers and block totals, the per-kind `lifting_check`,
-and couplings read from per-state marginals."""
+and couplings planned pair by pair by `transport.couple`."""
 
 import random
 import re
