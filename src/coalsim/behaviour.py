@@ -13,18 +13,19 @@ states, right states); a relation's quotient takes its blocks from
 `Relation.components`, which builds the same type.  For a separating
 signature the stabilized partition's cross relation is both behavioural
 equivalence and Λ-bisimilarity, so `behavioural_equivalence` returns it
-after two cheap certificates on the blocks' spanning pairs (see
-`certified_partition`): they form a bisimulation up to difunctionality, and
-they give an explicit quotient model whose projection maps commute with the
-transition structures.  A failed certificate raises `InternalCheckError`,
-so a wrong answer can never be returned quietly.  The pair-removal fixpoint
-`greatest_bisimulation` is not run here; the property suite compares it
-with both of these routes.
+after two cheap certificates on the components of the blocks' spanning
+pairs, found once (see `certified_partition`): the pairs form a bisimulation
+up to difunctionality, and the components give an explicit quotient model
+whose projection maps commute with the transition structures.  A failed
+certificate raises `InternalCheckError`, so a wrong answer can never be
+returned quietly.  The pair-removal fixpoint `greatest_bisimulation` is not
+run here; the property suite compares it with both of these routes.
 
 Coupling search decides the span-style notion of bisimulation: a relation is
 witnessed by giving, for every related pair, a single transition value over
-the pairs whose two projections recover the related states' values.  For
-all four kinds the decision is exact and polynomial: Kripke and
+the pairs whose two projections recover the related states' values.  It
+reads the relation, or its difunctional closure, as image maps, as the
+Λ-checks do, and is exact and polynomial for all four kinds: Kripke and
 neighborhood couplings have one canonical candidate that exists exactly when
 some coupling does (see `_canonical_coupling`), and weighted kinds reduce to
 exact transportation feasibility.
@@ -45,13 +46,14 @@ from .errors import (
     shown,
 )
 from .liftings import LambdaSignature, ensure_separating
-from .relations import Partition, Relation, difunctional_closure
-from .simulation import is_bisimulation_up_to_difunctionality
+from .relations import Partition, Relation
+from .simulation import bisimulation_report
 from .transport import couple
 from .values import (
     DISTRIBUTION,
     INF,
     MULTISET,
+    NEIGHBORHOOD,
     Coalgebra,
     DistValue,
     FunctorValue,
@@ -176,8 +178,8 @@ class QuotientWitness:
         kappa_left, kappa_right = self.partition.left_ids, self.partition.right_ids
         return {
             **self.partition.to_dict(),
-            "kappa_left": {str(s): f"b{i}" for s, i in sorted(kappa_left.items())},
-            "kappa_right": {str(s): f"b{i}" for s, i in sorted(kappa_right.items())},
+            "kappa_left": {str(s): f"b{kappa_left[s]}" for s in sorted(kappa_left, key=state_key)},
+            "kappa_right": {str(s): f"b{kappa_right[s]}" for s in sorted(kappa_right, key=state_key)},
             "structure": {
                 f"b{i}": value_to_json(v, label=lambda b: f"b{b}")
                 for i, v in sorted(self.structure.items())
@@ -197,7 +199,11 @@ def quotient_witness(s: Relation, c: Coalgebra, d: Coalgebra) -> QuotientWitness
     """
     _same_kind(c, d)
     # Blocks in the models' carrier order, whatever order s lists its carriers in.
-    part = Relation(c.carrier, d.carrier, s.pairs).components()
+    return _quotient_witness(Relation(c.carrier, d.carrier, s.pairs).components(), c, d)
+
+
+def _quotient_witness(part: Partition, c: Coalgebra, d: Coalgebra) -> QuotientWitness:
+    """`quotient_witness` on the blocks of a partition of the models' carriers."""
     structure = {}
     for i, blk in enumerate(part.blocks):
         values = [("left", x, relabel(c.transition[x], part.left_ids)) for x in blk[0]]
@@ -222,12 +228,12 @@ def certified_partition(
 
     (a) R is a Λ-bisimulation: the partition's spanning pairs, |C|+|D| of
         them instead of |R|, form a bisimulation up to difunctionality
-        (`is_bisimulation_up_to_difunctionality`).  That suffices because
+        (images from their components).  That suffices because
         they join every left state of a two-sided block to every right state
         of it by a path, and join nothing else, so their difunctional
         closure is R, the union of each block's left × right states.
-    (b) The quotient construction on the spanning pairs succeeds.  Their
-        components are R's: the two-sided blocks, and singletons for the rest.
+    (b) The quotient construction on the same components, found once,
+        succeeds.  They are R's: the two-sided blocks, and singletons.
 
     Returns (Partition, QuotientWitness); the command line prints R from the
     partition's rows.  A signature that does not separate the models raises
@@ -236,10 +242,11 @@ def certified_partition(
     ensure_separating(sig, c, d)
     part, _ = stabilized_partition(c, d)
     spanning = Relation(c.carrier, d.carrier, frozenset(part.spanning_pairs()))
-    if not is_bisimulation_up_to_difunctionality(spanning, c, d, sig).holds:
+    components = spanning.components()
+    if not bisimulation_report(spanning, c, d, sig, *components.images()).holds:
         raise InternalCheckError("stabilized partition is not a bisimulation")
     try:
-        witness = quotient_witness(spanning, c, d)
+        witness = _quotient_witness(components, c, d)
     except QuotientUndefined as exc:
         raise InternalCheckError(f"quotient construction failed: {exc}") from exc
     return part, witness
@@ -273,25 +280,27 @@ class Coupling:
         }
 
 
-def verify_coupling(coupling: Coupling, s: Relation, c: Coalgebra, d: Coalgebra, cells=None) -> bool:
+def verify_coupling(coupling: Coupling, s: Relation, c: Coalgebra, d: Coalgebra, img=None) -> bool:
     """Is the coupling one value per pair of s, over the allowed cells, with
     projections that recover the endpoint values?
 
-    The allowed cells are `cells`, by default the pairs of s; the up-to check
-    passes the difunctional closure it coupled over.  Weighted values are
-    checked by exact sums (`_sums_match`), the others by relabelling along
-    both projections.
+    A cell (x, y) is allowed when y is in `img[x]`: the images under s by
+    default, of its difunctional closure for the up-to check.  Each distinct
+    cell used is checked once; weighted values by exact sums (`_sums_match`),
+    the others by relabelling along both projections.
     """
     _same_kind(c, d)
-    cells = s.pairs if cells is None else cells
+    img = s.left_images() if img is None else img
     values = coupling.values
     if len(values) != len(s.pairs) or {p for p, _ in values} != s.pairs:
         return False
-    if not all(type(v) is type(c.transition[x]) and base(v) <= cells for (x, _), v in values):
+    if not all(type(v) is type(c.transition[x]) for (x, _), v in values):
+        return False
+    used = {q for _, v in values for q in base(v)}
+    if not all(type(q) is tuple and len(q) == 2 and q[1] in img.get(q[0], ()) for q in used):
         return False
     if c.kind.name in (MULTISET, DISTRIBUTION):
         return all(_sums_match(v, c.transition[x], d.transition[y]) for (x, y), v in values)
-    used = {q for _, v in values for q in base(v)}
     p1, p2 = {q: q[0] for q in used}, {q: q[1] for q in used}
     return all(
         values_equal(relabel(v, p1), c.transition[x]) and values_equal(relabel(v, p2), d.transition[y])
@@ -316,25 +325,17 @@ def _sums_match(v, t, u) -> bool:
     return left == left_w and right == right_w
 
 
-def _cell_index(cells) -> tuple:
-    """The cells indexed by their left states and by their right states."""
-    by_left, by_right = {}, {}
-    for q in cells:
-        by_left.setdefault(q[0], []).append(q)
-        by_right.setdefault(q[1], []).append(q)
-    return by_left, by_right
-
-
-def _canonical_coupling(t, u, by_left, by_right) -> FunctorValue:
+def _canonical_coupling(t, u, img, rows, cols) -> FunctorValue:
     """The one Kripke or neighborhood coupling candidate of t and u over the cells.
 
-    `by_left` and `by_right` index the cells by their left and right states.
-    The candidate is a coupling exactly when relabelling it along the two
-    projections gives back t and u, and otherwise none exists.
+    The cells are R = {(x, y) : y ∈ img[x]}; `rows` and `cols` map left and
+    right states to their cells.  The candidate is a coupling exactly when
+    relabelling it along the two projections gives back t and u, and
+    otherwise none exists.
 
-    Kripke: the candidate R ∩ (succ t × succ u), R the cells, is the largest
-    set of cells inside both successor sets; every coupling is a subset of
-    it, and projections only shrink when cells are dropped.
+    Kripke: the candidate R ∩ (succ t × succ u) is the largest set of cells
+    inside both successor sets; every coupling is a subset of it, and
+    projections only shrink when cells are dropped.
 
     Neighborhood: the candidate is the antichain of R ∩ (X×D) for X ∈ min t
     and R ∩ (C×Y) for Y ∈ min u.  `relabel` pushes a family forward by
@@ -348,43 +349,40 @@ def _canonical_coupling(t, u, by_left, by_right) -> FunctorValue:
     """
     if isinstance(t, KripkeValue):
         return KripkeValue(t.props, frozenset(
-            q for x in t.succ for q in by_left.get(x, ()) if q[1] in u.succ
+            (x, y) for x in t.succ for y in u.succ.intersection(img.get(x, ()))
         ))
     return NbhdValue(antichain(
-        [[q for x in m for q in by_left.get(x, ())] for m in t.minimals]
-        + [[q for y in m for q in by_right.get(y, ())] for m in u.minimals]
+        [[q for x in m for q in rows.get(x, ())] for m in t.minimals]
+        + [[q for y in m for q in cols.get(y, ())] for m in u.minimals]
     ))
 
 
-def _coupling_check(s: Relation, cell_pairs, c, d) -> Optional[Coupling]:
-    """Coupling values for the pairs of s over the given cells, verified, or None.
+def _coupling_check(s: Relation, img: dict, cimg, c, d) -> Optional[Coupling]:
+    """Coupling values for the pairs of s over the cells (x, y) with y in img[x], verified, or None.
 
     Each pair gets one candidate value, and `verify_coupling` checks them
     all once.  A failed check means no coupling exists for Kripke or
     neighborhood candidates, and a bug for transportation plans, which
-    raises InternalCheckError.  For weighted kinds each left state's
-    allowed right states are computed once per call, and a pair whose
-    values hold an infinite weight raises InfiniteWeightError when it is
-    reached.
+    raises InternalCheckError.  Weighted pairs hand img to `couple`, and
+    one with an infinite weight raises InfiniteWeightError when reached.
+    Neighborhood candidates read `cimg`, the converse images, and build
+    each state's cells once.
     """
     _same_kind(c, d)
     kind = c.kind.name
     weighted = kind in (MULTISET, DISTRIBUTION)
-    pairs = sorted(s.pairs, key=state_key)
-    if weighted:
-        allowed = {}
-        for x, y in cell_pairs:
-            allowed.setdefault(x, set()).add(y)
-    else:
-        by_left, by_right = _cell_index(cell_pairs)
+    rows = cols = None
+    if kind == NEIGHBORHOOD:
+        rows = {x: [(x, y) for y in ys] for x, ys in img.items()}
+        cols = {y: [(x, y) for x in xs] for y, xs in cimg.items()}
     out = []
-    for x, y in pairs:
+    for x, y in sorted(s.pairs, key=state_key):
         if not weighted:
-            v = _canonical_coupling(c.transition[x], d.transition[y], by_left, by_right)
+            v = _canonical_coupling(c.transition[x], d.transition[y], img, rows, cols)
         else:
             try:
                 # `couple` lists a plan's positive cells in `state_key` order, the canonical entry order.
-                found = couple(c.transition[x], d.transition[y], allowed)
+                found = couple(c.transition[x], d.transition[y], img)
             except InfiniteWeightError as exc:
                 raise InfiniteWeightError(f"{exc}; pair ({shown(x)}, {shown(y)}) has an infinite weight") from None
             if found is None:
@@ -394,7 +392,7 @@ def _coupling_check(s: Relation, cell_pairs, c, d) -> Optional[Coupling]:
                  else MultisetValue(tuple(plan.items())))
         out.append(((x, y), v))
     coupling = Coupling(tuple(out))
-    if verify_coupling(coupling, s, c, d, cell_pairs):
+    if verify_coupling(coupling, s, c, d, img):
         return coupling
     if weighted:
         raise InternalCheckError("constructed coupling fails its projection equations")
@@ -412,13 +410,14 @@ def t_bisimulation_check(
     neighborhood pair has a coupling exactly when every minimal set of its
     left value lies within dom S with its S-image in the right value, and
     every minimal set of the right value lies within ran S with its
-    S-preimage in the left value.
+    S-preimage in the left value.  Only neighborhoods read converse images.
     """
-    return _coupling_check(s, s.pairs, c, d)
+    cimg = s.converse().left_images() if c.kind.name == NEIGHBORHOOD else None
+    return _coupling_check(s, s.left_images(), cimg, c, d)
 
 
 def t_bisim_up_to_difunctionality_check(
     s: Relation, c: Coalgebra, d: Coalgebra
 ) -> Optional[Coupling]:
-    """Coupling search with values over the difunctional closure of the relation."""
-    return _coupling_check(s, difunctional_closure(s).pairs, c, d)
+    """Coupling search over the difunctional closure, whose images are the blocks of `components()`."""
+    return _coupling_check(s, *s.components().images(), c, d)

@@ -410,14 +410,27 @@ def _misses(t, u, img, sig):
     per modality in signature order, each in `subsets` order.  A nullary
     modality observes only the empty set, any other each subset of base(t),
     gated by `exhaustive_base`; weighted values are listed from their mass
-    table instead (`_weighted_misses`).
+    table instead (`_weighted_misses`).  Kripke pairs try fewer sets and no
+    gate: t satisfies `[]` only at A = succ t, and `<>` fails only at the
+    subsets of Z = {x ∈ succ t : S[x] ∩ succ u = ∅}, which come in the same
+    relative order by masks over Z.
     """
     if isinstance(t, (MultisetValue, DistValue)):
         yield from _weighted_misses(t, u, img, sig)
         return
-    items = exhaustive_base(base(t), "value base")
+    kripke = isinstance(t, KripkeValue) and isinstance(u, KripkeValue)
+    if kripke:
+        z = [x for x in sorted(t.succ, key=state_key) if img[x].isdisjoint(u.succ)]
+    else:
+        items = exhaustive_base(base(t), "value base")
     for m in sig.modalities:
-        for a in (frozenset(),) if m.nullary else subsets(items):
+        if m.nullary:
+            observed = (frozenset(),)
+        elif kripke:
+            observed = (t.succ,) if m.op == "box" else subsets(z)
+        else:
+            observed = subsets(items)
+        for a in observed:
             if satisfies(t, m, a) and not satisfies(u, m, _image(a, img)):
                 yield m, a
 

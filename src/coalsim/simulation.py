@@ -142,7 +142,7 @@ def is_simulation(
     return SimulationReport(sig, [_stream("forward", s, c, d, sig, s.left_images())])
 
 
-def _bisimulation_report(s, c, d, sig, img: dict, cimg: dict) -> SimulationReport:
+def bisimulation_report(s, c, d, sig, img: dict, cimg: dict) -> SimulationReport:
     """Both directions at the pairs of s, images from img and, backward, cimg."""
     _check_setup(s, c, d, sig)
     return SimulationReport(sig, [
@@ -155,7 +155,7 @@ def is_bisimulation(
     s: Relation, c: Coalgebra, d: Coalgebra, sig: LambdaSignature
 ) -> SimulationReport:
     """Simulation condition for the relation and its converse, reports merged."""
-    return _bisimulation_report(s, c, d, sig, s.left_images(), s.converse().left_images())
+    return bisimulation_report(s, c, d, sig, s.left_images(), s.converse().left_images())
 
 
 def _level_one(c: Coalgebra, d: Coalgebra, sig: LambdaSignature, both: bool) -> dict:
@@ -398,4 +398,4 @@ def is_bisimulation_up_to_difunctionality(
     R[R⁻¹[R[A]]] = R[A], and so on to y: the forward condition holds at
     (x, y).  The backward condition at (y, x) runs the path from y's end.
     """
-    return _bisimulation_report(s, c, d, sig, *s.components().images())
+    return bisimulation_report(s, c, d, sig, *s.components().images())

@@ -3,8 +3,8 @@
 It serves two callers.  The coupling search of `coalsim.behaviour` asks
 `couple` for a plan at each pair: it moves one value's weights onto the
 other's, both read as integers over their common denominator by
-`coalsim.values.integer_weights`, and the allowed cells of each row bound
-where its weight may go.  `coalsim.liftings` decides the weighted lifting
+`coalsim.values.integer_weights`, and each source's image under the
+relation bounds where its weight may go.  `coalsim.liftings` decides the weighted lifting
 condition at one pair by `shortfall`: whether all of the supply ships and,
 when it does not, the minimum cut that stops it.
 
@@ -165,8 +165,8 @@ def couple(t, u, allowed: Mapping) -> Optional[tuple]:
 
     t and u are weighted values of one kind, read as integers over their
     common denominator den (`integer_weights`); `allowed` maps a state of
-    t to the set of states of u it may be paired with, and a state it
-    lacks has none.  Returns (den, {(x, y): amount}) with the positive
+    t to the set of states of u it may be paired with, its image under a
+    relation, and a state it lacks has none.  Returns (den, {(x, y): amount}) with the positive
     amounts of Edmonds-Karp's flow only, x in t's entry order and each x's
     y in u's, which is the cells' `state_key` order, or None when the
     totals differ or not all of t ships.  An infinite weight has no

@@ -722,3 +722,53 @@ def weighted_coupling_reference(s, cells, c, d):
         else:
             out.append(((x, y), multiset_value({cell: int(q) for cell, q in plan.items()})))
     return out
+
+
+def coupling_reference(s, cells, c, d):
+    """The coupling search over an explicit set of cells, as it was before it read images.
+
+    For each pair of s in `state_key` order: Kripke and neighborhood pairs
+    take the canonical candidate built from the cells indexed by their left
+    and right states, and weighted pairs take the plan of `couple` with each
+    left state's allowed right states gathered from the cells.  Returns
+    [((x, y), value), ...] when every value's projections give back the
+    pair's values, else None; an infinite weight raises InfiniteWeightError.
+    """
+    from fractions import Fraction
+
+    from coalsim import relabel, values_equal
+    from coalsim.transport import couple
+    from coalsim.values import DistValue, KripkeValue, MultisetValue, NbhdValue, antichain, base, state_key
+
+    by_left, by_right = {}, {}
+    for q in cells:
+        by_left.setdefault(q[0], []).append(q)
+        by_right.setdefault(q[1], []).append(q)
+    out = []
+    for x, y in sorted(s.pairs, key=state_key):
+        t, u = c.transition[x], d.transition[y]
+        if isinstance(t, KripkeValue):
+            v = KripkeValue(t.props, frozenset(
+                q for z in t.succ for q in by_left.get(z, ()) if q[1] in u.succ
+            ))
+        elif isinstance(t, NbhdValue):
+            v = NbhdValue(antichain(
+                [[q for z in m for q in by_left.get(z, ())] for m in t.minimals]
+                + [[q for w in m for q in by_right.get(w, ())] for m in u.minimals]
+            ))
+        else:
+            found = couple(t, u, {z: {q[1] for q in qs} for z, qs in by_left.items()})
+            if found is None:
+                return None
+            den, plan = found
+            if isinstance(t, DistValue):
+                v = DistValue(tuple((q, Fraction(w, den)) for q, w in plan.items()))
+            else:
+                v = MultisetValue(tuple(plan.items()))
+            out.append(((x, y), v))
+            continue
+        p1, p2 = {q: q[0] for q in base(v)}, {q: q[1] for q in base(v)}
+        if not (values_equal(relabel(v, p1), t) and values_equal(relabel(v, p2), u)):
+            return None
+        out.append(((x, y), v))
+    return out

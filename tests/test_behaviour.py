@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -37,8 +38,11 @@ from coalsim.generators import (
     random_relation,
 )
 from coalsim.transport import couple
-from coalsim.relations import difunctional_closure
-from coalsim.values import INF, DistValue, MultisetValue, dist_value, integer_weights, multiset_value, relabel
+from coalsim.modelio import dump_json
+from coalsim.relations import Relation, difunctional_closure
+from coalsim.values import (
+    INF, DistValue, MultisetValue, coalgebra, dist_value, integer_weights, kripke_value, multiset_value, relabel,
+)
 
 from conftest import dist_model, kripke_model, multiset_model, nbhd_model
 from oracle_helpers import all_relations, nbhd_coupling_reference, refinements_reference
@@ -244,11 +248,13 @@ def test_canonical_nbhd_coupling_agrees_with_the_reference_search():
         cells = sorted(s.pairs, key=repr)
         p1 = {q: q[0] for q in cells}
         p2 = {q: q[1] for q in cells}
-        by_left, by_right = behaviour._cell_index(cells)
+        img, cimg = s.left_images(), s.converse().left_images()
+        rows = {x: [(x, y) for y in ys] for x, ys in img.items()}
+        cols = {y: [(x, y) for x in xs] for y, xs in cimg.items()}
         coupled = True
         for x, y in cells:
             t, u = c.transition[x], d.transition[y]
-            v = behaviour._canonical_coupling(t, u, by_left, by_right)
+            v = behaviour._canonical_coupling(t, u, img, rows, cols)
             found = values_equal(relabel(v, p1), t) and values_equal(relabel(v, p2), u)
             assert found == (nbhd_coupling_reference(t, u, cells) is not None), (c, d, s)
             verdicts.add(found)
@@ -469,7 +475,7 @@ def test_verify_coupling_rejects_cells_outside_the_relation():
     assert t_bisimulation_check(s, c, d) is None
     forged = Coupling(((("a", "x"), MultisetValue(((("b", "y"), 1),))),))
     assert not verify_coupling(forged, s, c, d)
-    assert verify_coupling(forged, s, c, d, frozenset({("a", "x"), ("b", "y")}))
+    assert verify_coupling(forged, s, c, d, {"a": {"x"}, "b": {"y"}})
 
 
 def test_verify_coupling_rejects_a_pair_listed_twice():
@@ -493,8 +499,27 @@ def test_up_to_couplings_are_checked_over_the_difunctional_closure():
     coupling = t_bisim_up_to_difunctionality_check(s, c, d)
     assert coupling is not None
     assert dict(coupling.values)[("a", "x")] == MultisetValue(((("b2", "y2"), 1),))
-    assert verify_coupling(coupling, s, c, d, difunctional_closure(s).pairs)
+    assert verify_coupling(coupling, s, c, d, difunctional_closure(s).left_images())
     assert not verify_coupling(coupling, s, c, d)
+
+
+def test_up_to_coupling_builds_no_closure_pairs():
+    """A zigzag between two 1,000-state cycles has one closure block of a
+    million pairs; the up-to search reads that block's images instead, so
+    its traced peak stays under 8 MiB (about 100 MiB over the pairs)."""
+    n = 1000
+    c = kripke_model({f"x{i}": [f"x{(i + 1) % n}"] for i in range(n)})
+    d = kripke_model({f"y{i}": [f"y{(i + 1) % n}"] for i in range(n)})
+    zigzag = [(f"x{i}", f"y{i}") for i in range(n)] + [(f"x{i + 1}", f"y{i}") for i in range(n - 1)]
+    s = relation(c.carrier, d.carrier, zigzag)
+    tracemalloc.start()
+    try:
+        coupling = t_bisim_up_to_difunctionality_check(s, c, d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert coupling is not None and len(coupling.values) == 2 * n - 1
+    assert peak <= 8 * 2**20, peak
 
 
 def test_weighted_projections_are_exact_sums_with_infinity_absorbing():
@@ -628,6 +653,34 @@ def test_certified_partition_reuses_its_quotient_witness():
     rel = part.cross_relation()
     assert rel.pairs == behavioural_equivalence(c, d, sig).pairs
     assert witness.to_dict() == quotient_witness(rel, c, d).to_dict()
+
+
+def test_quotient_witness_dict_takes_mixed_labels():
+    """A library model may mix int and str labels; the witness lists them in `state_key` order."""
+    c = coalgebra(kripke_kind(), [1, "a"], {1: kripke_value((), ["a"]), "a": kripke_value((), [1])})
+    d = kripke_model({"y": ["y"]})
+    _, witness = behaviour.certified_partition(c, d, auto_signature(c, d))
+    doc = witness.to_dict()
+    assert list(doc["kappa_left"].items()) == [("a", "b0"), ("1", "b0")]
+    assert doc["kappa_right"] == {"y": "b0"}
+    assert dump_json(doc).startswith('{"blocks": [{"left": [1, "a"], "right": ["y"]}], "kappa_left": {"1": "b0"')
+
+
+def test_certified_partition_finds_the_spanning_components_once(monkeypatch):
+    """Both certificates read one union-find of the spanning pairs, and both still run."""
+    calls, reports = [], []
+    components = Relation.components
+    report = behaviour.bisimulation_report
+    monkeypatch.setattr(Relation, "components", lambda s: calls.append(s) or components(s))
+    monkeypatch.setattr(behaviour, "bisimulation_report", lambda *a: reports.append(a) or report(*a))
+    for kind in (kripke_kind(("p",)), NEIGHBORHOOD_KIND, multiset_model({"u": {}}).kind):
+        c = generate_coalgebra(GeneratorConfig(seed=3, kind=kind, max_states=5))
+        d = generate_coalgebra(GeneratorConfig(seed=8, kind=kind, max_states=5))
+        calls.clear()
+        reports.clear()
+        part, witness = behaviour.certified_partition(c, d, auto_signature(c, d))
+        assert len(calls) == 1 and len(reports) == 1
+        assert witness.partition == components(calls[0])
 
 
 def test_nstep_partition_rejects_negative_depth(chain3_vs_chain2):

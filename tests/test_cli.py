@@ -162,6 +162,27 @@ def test_check_sim_and_greatest_commands(run, tmp_path):
     assert code == 0
 
 
+def test_check_sim_lists_a_failing_kripke_pair_past_the_exhaustive_bound(run, tmp_path):
+    """x has 17 successors and y none: the check fails with exit 1 and lists
+    its first 100 violations instead of exiting 2 on the subset budget."""
+    zs = [f"z{i}" for i in range(17)]
+    c = write(tmp_path, "c.json", {
+        "functor": "kripke", "states": ["x", *zs],
+        "transition": {"x": {"props": [], "succ": zs}, **{z: {"props": [], "succ": []} for z in zs}},
+    })
+    d = write(tmp_path, "d.json", {
+        "functor": "kripke", "states": ["y"], "transition": {"y": {"props": [], "succ": []}},
+    })
+    rel = write(tmp_path, "rel.json", {"pairs": [["x", "y"]]})
+    code, out, _ = run("check-sim", c, d, rel, "--json")
+    violations = json.loads(out)["violations"]
+    assert code == 1 and len(violations) == 100
+    assert violations[:2] == [
+        {"direction": "forward", "left": "x", "right": "y", "modality": "<>", "witness": [w]}
+        for w in ("z0", "z1")
+    ]
+
+
 def test_depth_and_up_to_difunctional_are_exclusive(run, tmp_path):
     c = write(tmp_path, "c.json", {
         "functor": "kripke", "states": ["x", "y"],

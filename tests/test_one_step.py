@@ -42,9 +42,9 @@ from coalsim.liftings import (
     prob_grid,
     satisfies,
 )
-from coalsim.values import base, measure
+from coalsim.values import base, kripke_value, measure
 
-from conftest import dist_model
+from conftest import dist_model, kripke_model
 from oracle_helpers import (
     distinguishing_pair_reference,
     lambda_leq_reference,
@@ -99,6 +99,53 @@ def test_violations_match_reference_in_order_and_cap():
                 assert ok == (not pair_violations_reference(t, u, img, sig, 1))
                 compared += 1
     assert compared > 1000
+
+
+def test_kripke_listing_matches_the_subset_reference():
+    """Kripke failures are listed from the few sets that can fail, with no
+    gate; within the bound they are the full subset search's, in its order,
+    at every cap."""
+    rng = random.Random(137)
+    states = [f"s{i}" for i in range(9)]
+    sigs = [resolve_signature(literal, [generate_coalgebra(GeneratorConfig(seed=0, kind=KRIPKE_PQ))])
+            for literal in LITERALS[0][2]]
+    failing = 0
+    for trial in range(3000):
+        t, u = (kripke_value(rng.sample(["p", "q"], rng.randint(0, 2)),
+                             rng.sample(states, rng.randint(0, 7))) for _ in "tu")
+        img = {z: frozenset(rng.sample(states, rng.choice((0, 1, 1, 2, 3)))) for z in states}
+        sig = sigs[trial % len(sigs)]
+        for cap in (1, 3, 100):
+            listed = lifting_violations(t, u, img, sig, cap)
+            assert listed == pair_violations_reference(t, u, img, sig, cap), (t, u, img, sig)
+        failing += bool(listed)
+    assert 1000 < failing < 2900, failing
+
+
+def _wide_pair(n, right_succ, props=()):
+    """x with n successors, none of them related, against y with the given successors."""
+    zs = [f"z{i}" for i in range(n)]
+    c = kripke_model({"x": zs, **{z: [] for z in zs}}, atoms=["p"], props={"x": list(props)})
+    d = kripke_model({"y": right_succ, **{w: [] for w in right_succ}}, atoms=["p"])
+    return c, d, relation(c.carrier, d.carrier, [("x", "y")])
+
+
+def test_kripke_listing_passes_the_exhaustive_bound():
+    """A failing pair whose state has 17 or 20 successors is listed, not refused."""
+    c, d, s = _wide_pair(17, [], props=["p"])
+    report = is_simulation(s, c, d, auto_signature(c, d))
+    assert not report.holds and len(report.violations) == 100
+    witnesses = [frozenset(v.witness) for v in report.violations[:4]]
+    assert witnesses == [{"z0"}, {"z1"}, {"z0", "z1"}, {"z10"}]  # counter order over state_key order
+    assert {v.modality.token() for v in report.violations} == {"<>"}
+    atoms_only = is_simulation(s, c, d, resolve_signature("kripke:box,atoms", [c, d]))
+    assert [(v.modality.token(), v.witness) for v in atoms_only.violations] == [("p", ())]
+    c, d, s = _wide_pair(20, ["w"])
+    report = is_bisimulation(s, c, d, auto_signature(c, d))
+    assert [v.modality.token() for v in report.violations[:2]] == ["[]", "<>"]
+    assert frozenset(report.violations[0].witness) == c.transition["x"].succ
+    # Forward: [] at succ x, then the first 99 of the 2^20 - 1 sets failing <>; backward: [] and <> at {w}.
+    assert len(report.violations) == 102
 
 
 def test_order_and_distinction_match_reference():
