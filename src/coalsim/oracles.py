@@ -2,7 +2,10 @@
 
 The simulation oracle quantifies over every subset of the whole left carrier
 with no base restriction and no per-kind shortcut.  It exists solely to
-cross-check `is_simulation`; keep it dumb.  The pointwise order
+cross-check `is_simulation`; keep it dumb.  `bisimulation_chain` is the
+both-way chain on C × D, level by level with no suspect scheme and no
+partition; the signature-keyed refinement of `coalsim.behaviour` is checked
+against it.  The pointwise order
 `lambda_leq`, the separation witness `distinguishing_pair` and the
 homomorphism criterion `is_lambda_homomorphism` work on single values, not
 on relations; the suite checks the engine's relational answers against them.
@@ -10,11 +13,12 @@ on relations; the suite checks the engine's relational answers against them.
 
 from __future__ import annotations
 
+from itertools import count
 from typing import Mapping
 
 from .errors import BudgetError, KindMismatchError, ValidationError, shown
 from .liftings import LambdaSignature, exhaustive_base, lifting_check, satisfies, subsets
-from .relations import Relation
+from .relations import Relation, full_relation
 from .values import Coalgebra, FunctorValue, base, relabel, state_key
 
 ORACLE_CARRIER_CAP = 12
@@ -43,6 +47,23 @@ def brute_force_simulation_oracle(
                 if satisfies(t, m, a) and not satisfies(u, m, s.image(a)):
                     return False
     return True
+
+
+def bisimulation_chain(c: Coalgebra, d: Coalgebra, sig: LambdaSignature, n=None) -> Relation:
+    """Level n of the both-way chain from C × D, or its limit when n is None.
+
+    Every round re-checks every pair of the level in both directions, with
+    images under the level, and drops all failures at once.
+    """
+    ok, ct, dt = lifting_check(sig), c.transition, d.transition
+    rel = full_relation(c.carrier, d.carrier)
+    for _ in count() if n is None else range(n):
+        img, cimg = rel.left_images(), rel.converse().left_images()
+        kept = frozenset((x, y) for x, y in rel.pairs if ok(ct[x], dt[y], img) and ok(dt[y], ct[x], cimg))
+        if kept == rel.pairs:
+            break
+        rel = Relation(rel.left, rel.right, kept)
+    return rel
 
 
 def lambda_leq(t: FunctorValue, u: FunctorValue, sig: LambdaSignature) -> bool:

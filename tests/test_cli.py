@@ -16,6 +16,7 @@ from coalsim import (
     difunctional_closure,
     greatest_bisimulation,
     kripke_kind,
+    relation,
     resolve_signature,
     satisfies,
 )
@@ -728,6 +729,13 @@ def _legacy_relation(argv):
 
 
 def _legacy_bytes(argv):
+    if argv[0] == "check-sim":
+        c, d = load_coalgebra(argv[1]), load_coalgebra(argv[2])
+        sig = resolve_signature(argv[argv.index("--sig") + 1], [c, d]) if "--sig" in argv else auto_signature(c, d)
+        n = int(argv[argv.index("--n") + 1])
+        ok = load_relation(argv[3], c, d).pairs <= _level(c, d, sig, True, n).pairs
+        out = dump_json({"holds": ok, "depth": n}) if "--json" in argv else ("holds\n" if ok else "fails\n")
+        return (0 if ok else 1), out
     rel = _legacy_relation(argv)
     if "--json" in argv:
         out = dump_json(relation_to_dict(rel))
@@ -736,20 +744,21 @@ def _legacy_bytes(argv):
     return (0 if rel.pairs or argv[0] == "closure" else 1), out
 
 
-@pytest.mark.parametrize("kind,cfg,literal,exits", [
-    (kripke_kind(("p", "q")), {}, "kripke:diamond", {0, 1}),
-    (MULTISET_KIND, {"allow_infinite": True}, "graded:0..0", {0, 1}),
-    (DISTRIBUTION_KIND, {}, None, {0}),  # unlabelled distributions are all bisimilar
-    (NEIGHBORHOOD_KIND, {}, None, {0}),
+@pytest.mark.parametrize("kind,cfg,literal,exits,check_exits", [
+    (kripke_kind(("p", "q")), {}, "kripke:diamond", {0, 1}, {0, 1}),
+    (MULTISET_KIND, {"allow_infinite": True}, "graded:0..0", {0, 1}, {0, 1}),
+    (DISTRIBUTION_KIND, {}, None, {0}, {0}),  # unlabelled distributions are all bisimilar
+    (NEIGHBORHOOD_KIND, {}, None, {0}, {0, 1}),
 ])
 def test_relation_answers_print_from_rows_with_the_legacy_bytes(
-    run, tmp_path, kind, cfg, literal, exits
+    run, tmp_path, kind, cfg, literal, exits, check_exits
 ):
     """greatest-sim and greatest-bisim, with and without --n, behavioural and
     closure print rows; their bytes and exit codes equal those of the pair sets
     of the direct chain and the certified relation, printed in `sorted_pairs`
-    order."""
-    argvs = []
+    order.  `check-sim --bi --n` prints the verdict of containment in the
+    reference level, for a relation drawn from that level and a random one."""
+    argvs, checks = [], []
     for seed in range(8):
         rng = random.Random(seed)
         base = generate_coalgebra(GeneratorConfig(seed=seed, kind=kind, max_states=5, **cfg))
@@ -766,12 +775,21 @@ def test_relation_answers_print_from_rows_with_the_legacy_bytes(
                           for command in ("greatest-sim", "greatest-bisim")]
             argvs += [("behavioural", cp, dp, *extra), ("behavioural", dp, dp, *extra),
                       ("closure", rel, *extra)]
-    codes = set()
-    for argv in argvs:
+        for sig, depth in itertools.product(sigs, (0, 2)):
+            resolved = resolve_signature(sig[1], [c, d]) if sig else auto_signature(c, d)
+            level = _level(c, d, resolved, True, depth)
+            drawn = [p for p in level.sorted_pairs() if rng.random() < 0.5]
+            held = write(tmp_path, f"h{seed}{len(sig)}{depth}.json",
+                         relation_to_dict(relation(c.carrier, d.carrier, drawn)))
+            checks += [("check-sim", cp, dp, r, "--bi", *sig, "--n", str(depth), *extra)
+                       for r in (held, rel) for extra in ((), ("--json",))]
+    codes, check_codes = set(), set()
+    for argv in argvs + checks:
         code, out, err = run(*argv)
         assert (code, out, err) == (*_legacy_bytes(argv), ""), argv
-        codes.add(code)
+        (check_codes if argv[0] == "check-sim" else codes).add(code)
     assert codes == exits
+    assert check_codes == check_exits
 
 
 def test_quotient_route_errors_exit_two(run, tmp_path, monkeypatch):
