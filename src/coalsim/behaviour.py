@@ -3,14 +3,14 @@ and coupling-based relational witnesses.
 
 Behavioural equivalence is decided by partition refinement on the disjoint
 union of the two carriers: two states share a block at depth k+1 exactly
-when their transition values, relabeled by depth-k block ids, are equal, and
-refinement stops when no block splits.  One refinement core, `_refine`,
-finds the levels incrementally, re-keying only the predecessors of the
-states that changed block in the round before: `n_step_partition` reads
-level n from it, and `stabilized_partition` runs it until no block splits.
-Each level is a `coalsim.relations.Partition`, whose blocks are (left
-states, right states); a relation's quotient takes its blocks from
-`Relation.components`, which builds the same type.  For a separating
+when they share one at depth k and their transition values, relabeled by
+depth-k block ids, are equal.  One refinement core, `_refine`, finds the
+levels incrementally; `n_step_partition` reads level n, and
+`stabilized_partition` the stable level.  Under a signature it merges
+Λ-equivalent values instead, and its levels are the greatest depth-n
+Λ-bisimulations, which `coalsim.simulation` reads.  Each level is a
+`coalsim.relations.Partition` of (left, right) blocks, the type
+`Relation.components` builds too.  For a separating
 signature the stabilized partition's cross relation is both behavioural
 equivalence and Λ-bisimilarity, so `behavioural_equivalence` returns it
 after two cheap certificates on the components of the blocks' spanning
@@ -18,8 +18,7 @@ pairs, found once (see `certified_partition`): the pairs form a bisimulation
 up to difunctionality, and the components give an explicit quotient model
 whose projection maps commute with the transition structures.  A failed
 certificate raises `InternalCheckError`, so a wrong answer can never be
-returned quietly.  The pair-removal fixpoint `greatest_bisimulation` is not
-run here; the property suite compares it with both of these routes.
+returned quietly.
 
 Coupling search decides the span-style notion of bisimulation: a relation is
 witnessed by giving, for every related pair, a single transition value over
@@ -33,19 +32,22 @@ exact transportation feasibility.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from .errors import (
+    BudgetError,
     InfiniteWeightError,
     InternalCheckError,
     KindMismatchError,
+    NotSeparatingError,
     QuotientUndefined,
     ValidationError,
     shown,
 )
-from .liftings import LambdaSignature, ensure_separating
+from .liftings import LambdaSignature, ensure_separating, lifting_check
 from .relations import Partition, Relation
 from .simulation import bisimulation_report
 from .transport import couple
@@ -72,31 +74,53 @@ from .values import (
 
 def _same_kind(c: Coalgebra, d: Coalgebra) -> None:
     if c.kind != d.kind:
-        raise KindMismatchError(
-            f"cannot compare a {c.kind.name} model with a {d.kind.name} model"
-        )
+        raise KindMismatchError(f"cannot compare a {c.kind.name} model with a {d.kind.name} model")
 
 
-def _refine(c: Coalgebra, d: Coalgebra, rounds: int) -> tuple:
+def _refine(c: Coalgebra, d: Coalgebra, rounds: int, sig: Optional[LambdaSignature] = None) -> tuple:
     """Refine for at most `rounds` rounds; returns (partition, depth).
 
-    Level 0 is a single block, and two states share a block at level k+1
-    when their transition values agree after replacing every mentioned
-    state by its level-k block id.  `relabel` returns neighborhood values
-    in antichain form, so the relabelled values themselves are the keys.
-    The levels are found incrementally in the manner of Paige and Tarjan.
-    A state's relabelled value can change only when a state in its base
-    changed block, so each round re-keys just the predecessors of the
-    states that moved in the round before.  All members of a block that are
-    not re-keyed still carry the key the block shares, so the block splits
-    off its re-keyed states with other keys; when every member is re-keyed,
-    the largest group keeps the block.  The depth is the number of rounds
-    that split a block, and the partition is level `depth`; it is stable
-    when the depth is below `rounds`.  Blocks only ever split, so fewer
-    than |C|+|D| rounds split one.  The blocks are numbered by first member
-    at the end, left carrier before right carrier.
+    Level 0 is a single block.  Two states share a block at level k+1 when
+    they share one at level k and their values, relabelled by level-k block
+    ids, are equal (`relabel` gives neighborhoods in antichain form), or
+    with a signature Λ-equivalent: `lifting_check` holds both ways with
+    identity images on block ids, the order of `coalsim.oracles.lambda_leq`.
+    Then level k's cross relation is level k of the both-way chain on C × D,
+    by induction: let q map states to their level-k blocks and R be level k,
+    so R[A] is the right states whose block meets A.  The liftings are
+    monotone, so t_x satisfies λ at A exactly when it does at q⁻¹[q[A]],
+    which has the same image, and natural, so t_x satisfies λ at q⁻¹[B]
+    exactly when T(q)(t_x) does at B.  For the sets B of blocks with left
+    states, which hold every set T(q)(t_x) reads, R[q⁻¹[B]] = D ∩ q⁻¹[B].
+    So the forward check at (x, y) is T(q)(t_x) ≤ T(q)(t_y) in the lifting
+    order, and the backward check is its converse.  A signature that
+    separates the models' values separates relabelled ones too, as
+    relabelling realizes no new mass or weight, so its keys need no merging.
+
+    The levels are found incrementally, after Paige and Tarjan: a relabelled
+    value changes only when a state of its base changed block, so each
+    round re-keys the predecessors of the states that moved in the round
+    before.  A block groups its re-keyed members by key and, with a
+    signature, merges Λ-equivalent keys, comparing each key with one
+    representative per class, as Λ-equivalence is an equivalence.  Each
+    block stores a key that its members' keys agree with.  Members not
+    re-keyed kept theirs, and a comparison reads only the two values, so by
+    transitivity the re-keyed members that agree with it stay and the other
+    groups leave.  When every member is re-keyed, the largest group keeps
+    the block and stores its key.  The depth counts the rounds that split a
+    block, and the partition is level `depth`, stable when the depth is
+    below `rounds`; fewer than |C|+|D| rounds split one.  The blocks are
+    numbered by first member, left carrier before right carrier.
     """
     _same_kind(c, d)
+    ok = None
+    if sig is not None:
+        if sig.kind != c.kind:
+            raise KindMismatchError(f"signature kind {sig.kind.name} does not match the models")
+        ok = lifting_check(sig)  # compiled first: it validates COALSIM_MAX_BASE
+        with suppress(NotSeparatingError, BudgetError):
+            ensure_separating(sig, c, d)
+            ok = None  # Λ-equivalent keys are equal
     nodes, pred = [], []  # the disjoint union, left carrier first
     for m in (c, d):
         ids, at = {}, {}
@@ -105,7 +129,8 @@ def _refine(c: Coalgebra, d: Coalgebra, rounds: int) -> tuple:
             nodes.append((ids, s, m.transition[s]))
         pred += ([at[p] for p in ps] for ps in predecessors(m).values())
     block, key = [0] * len(nodes), [None] * len(nodes)
-    size, shared = [len(nodes)], [None]  # per block: members, and the key they all carry
+    size, shared = [len(nodes)], [None]  # per block: members, and the key they all agree with
+    one = [frozenset((0,))]  # per block id: the set of itself, its identity image
     depth, dirty = 0, range(len(nodes))
     while depth < rounds:
         rekeyed = {}
@@ -118,6 +143,12 @@ def _refine(c: Coalgebra, d: Coalgebra, rounds: int) -> tuple:
             groups = {}
             for i in states:
                 groups.setdefault(key[i], []).append(i)
+            if ok is not None:
+                classes = {} if size[b] == len(states) else {shared[b]: []}
+                for k, group in groups.items():
+                    same = (r for r in classes if ok(k, r, one) and ok(r, k, one))
+                    classes.setdefault(k if k in classes else next(same, k), []).extend(group)
+                groups = classes
             if size[b] == len(states):
                 shared[b] = max(groups, key=lambda k: len(groups[k]))
             groups.pop(shared[b], None)
@@ -125,6 +156,7 @@ def _refine(c: Coalgebra, d: Coalgebra, rounds: int) -> tuple:
                 new = len(size)
                 size.append(len(group))
                 shared.append(k)
+                one.append(frozenset((new,)))
                 size[b] -= len(group)
                 for i in group:
                     ids, s, _ = nodes[i]
@@ -141,24 +173,25 @@ def _refine(c: Coalgebra, d: Coalgebra, rounds: int) -> tuple:
     return Partition(c.carrier, d.carrier, blocks), depth
 
 
-def n_step_partition(c: Coalgebra, d: Coalgebra, n: int) -> Partition:
+def n_step_partition(c: Coalgebra, d: Coalgebra, n: int, sig: Optional[LambdaSignature] = None) -> Partition:
     """Depth-n observational partition of the disjoint union of two models.
 
     Relabeled-value equality matches equality of depth-n behaviours because
-    all four functors preserve injections.
+    all four functors preserve injections.  With a signature, the cross
+    relation is the greatest depth-n Λ-bisimulation (see `_refine`).
     """
     if n < 0:
         raise ValidationError(f"depth must be a natural number, got {n}")
-    return _refine(c, d, n)[0]
+    return _refine(c, d, n, sig)[0]
 
 
-def stabilized_partition(c: Coalgebra, d: Coalgebra) -> tuple:
+def stabilized_partition(c: Coalgebra, d: Coalgebra, sig: Optional[LambdaSignature] = None) -> tuple:
     """Refine until stable; returns (partition, depth at stabilization).
 
     Fewer than |C|+|D| rounds split a block, so that many rounds reach the
-    stable level.
+    stable level.  With a signature, the cross relation is Λ-bisimilarity.
     """
-    return _refine(c, d, len(c.carrier) + len(d.carrier))
+    return _refine(c, d, len(c.carrier) + len(d.carrier), sig)
 
 
 @dataclass(frozen=True)

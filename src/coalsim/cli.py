@@ -17,6 +17,7 @@ from contextlib import suppress
 from .behaviour import (
     certified_partition,
     n_step_partition,
+    stabilized_partition,
     t_bisim_up_to_difunctionality_check,
     t_bisimulation_check,
 )
@@ -123,15 +124,14 @@ def _cmd_greatest(args, bi: bool) -> int:
     c = load_coalgebra(args.left)
     d = load_coalgebra(args.right)
     sig = _signature(args, c, d)
-    if bi and args.n is None:
-        # For a signature that separates the models, Λ-bisimilarity is
-        # behavioural equivalence: take the certified partition, which
-        # decides separation first and raises before any other work if not.
-        # Every other answer is a level of the chain on the behavioural
-        # quotients.
+    if not bi:
+        return _emit_rows(args, c.carrier, simulation_rows(c, d, sig, args.n))
+    if args.n is None:
+        # Λ-bisimilarity under a separating signature, certified; it checks separation first.
         with suppress(NotSeparatingError):
             return _emit_rows(args, c.carrier, certified_partition(c, d, sig)[0].rows())
-    return _emit_rows(args, c.carrier, simulation_rows(c, d, sig, bi, args.n))
+    part = stabilized_partition(c, d, sig)[0] if args.n is None else n_step_partition(c, d, args.n, sig)
+    return _emit_rows(args, c.carrier, part.rows())
 
 
 def _cmd_nstep(args) -> int:

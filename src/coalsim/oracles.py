@@ -39,7 +39,7 @@ def brute_force_simulation_oracle(
         frozenset(carrier[i] for i in range(len(carrier)) if mask >> i & 1)
         for mask in range(1 << len(carrier))
     ]
-    for x, y in s.pairs:
+    for x, y in s.sorted_pairs():  # carrier order, so the early exit costs the same in every process
         t = c.transition[x]
         u = d.transition[y]
         for m in sig.modalities:

@@ -50,6 +50,7 @@ from .liftings import (
 )
 from .modelio import coalgebra_to_dict, relation_to_dict
 from .oracles import (
+    bisimulation_chain,
     brute_force_simulation_oracle,
     distinguishing_pair,
     is_lambda_homomorphism,
@@ -58,7 +59,6 @@ from .oracles import (
 from .relations import difunctional_closure, identity_relation, relation, rows_relation
 from .simulation import (
     greatest_bisimulation,
-    greatest_n_bisimulation,
     greatest_n_simulation,
     greatest_simulation,
     is_bisimulation,
@@ -225,7 +225,7 @@ def _prop_n_bisim_n_step(trial, seed):
     _, c, d = _models(seed + trial, KIND_POOL[trial % 4], max_states=5)
     sig = auto_signature(c, d)
     n = trial % 6
-    greatest = greatest_n_bisimulation(c, d, sig, n)
+    greatest = bisimulation_chain(c, d, sig, n)
     partition = n_step_partition(c, d, n).cross_relation()
     if greatest.pairs != partition.pairs:
         return _instance_doc(
@@ -239,14 +239,14 @@ def _prop_n_bisim_n_step(trial, seed):
 
 
 def _prop_soundness_completeness(trial, seed):
-    """The pair fixpoint, the certified answer and the bare partition agree."""
+    """The both-way chain's limit, the certified answer and the bare partition agree."""
     _, c, d = _models(seed + trial, KIND_POOL[trial % 4], max_states=5)
     sig = auto_signature(c, d)
     try:
         answer = behavioural_equivalence(c, d, sig)
     except InternalCheckError as exc:
         return _instance_doc(c, d, failure=str(exc))
-    fixpoint = greatest_bisimulation(c, d, sig)
+    fixpoint = bisimulation_chain(c, d, sig)
     partition = stabilized_partition(c, d)[0].cross_relation()
     if not fixpoint.pairs == answer.pairs == partition.pairs:
         return _instance_doc(
@@ -504,10 +504,11 @@ def _prop_nstep_is_n_bisim(trial, seed):
 
 def _prop_quotient_simulation(trial, seed):
     """On every kind, inflated models under their auto signature or a few
-    random modalities, which need not separate them: the quotient route in
-    one direction and in both, at depths 0-3 and at the limit, against the
-    direct chain.  Each round before the simulation chain's limit drops a
-    pair, so its level |C|·|D| is that limit."""
+    random modalities, which need not separate them: the simulation chain
+    on the behavioural quotients against the direct chain, and the
+    signature-keyed partition's cross relation against the both-way chain,
+    at depths 0-3 and at the limit.  Each round before the simulation
+    chain's limit drops a pair, so its level |C|·|D| is that limit."""
     for kind in KIND_POOL:
         rng, c, d = _models(seed + trial, kind, max_states=4, allow_infinite=True)
         c, d = inflate_coalgebra(rng, c), inflate_coalgebra(rng, c if rng.random() < 0.5 else d)
@@ -516,20 +517,18 @@ def _prop_quotient_simulation(trial, seed):
         else:
             picked = (_random_modality(rng, kind) for _ in range(rng.randint(1, 3)))
             sig = LambdaSignature(kind, tuple(dict.fromkeys(picked)))
-        direct = {
-            (False, None): greatest_n_simulation(c, d, sig, len(c.carrier) * len(d.carrier)),
-            (True, None): greatest_bisimulation(c, d, sig),
-        }
-        for n in range(4):
-            direct[False, n] = greatest_n_simulation(c, d, sig, n)
-            direct[True, n] = greatest_n_bisimulation(c, d, sig, n)
-        for (both, n), expected in direct.items():
-            quotient = rows_relation(c.carrier, d.carrier, simulation_rows(c, d, sig, both, n))
-            if quotient.pairs != expected.pairs:
-                return _instance_doc(
-                    c, d, signature=[m.token() for m in sig.modalities], both=both, depth=n,
-                    quotient=relation_to_dict(quotient), direct=relation_to_dict(expected),
-                )
+        for n in (0, 1, 2, 3, None):
+            direct = greatest_n_simulation(c, d, sig, len(c.carrier) * len(d.carrier) if n is None else n)
+            part = stabilized_partition(c, d, sig)[0] if n is None else n_step_partition(c, d, n, sig)
+            for both, expected, found in (
+                (False, direct, rows_relation(c.carrier, d.carrier, simulation_rows(c, d, sig, n))),
+                (True, bisimulation_chain(c, d, sig, n), part.cross_relation()),
+            ):
+                if found.pairs != expected.pairs:
+                    return _instance_doc(
+                        c, d, signature=[m.token() for m in sig.modalities], both=both, depth=n,
+                        quotient=relation_to_dict(found), direct=relation_to_dict(expected),
+                    )
     return None
 
 

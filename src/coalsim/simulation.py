@@ -4,35 +4,20 @@ A relation S is a simulation when every related pair (x, y) meets the
 lifting condition of `coalsim.liftings` with images under S.  Every verdict
 here is `lifting_check` at one pair at a time; a report's verdict stops at
 the first failing pair, and its failures are listed by `lifting_violations`
-only when the report's violations are read.  This module only builds
-relations, chains and reports on top of that condition.
+only when the report's violations are read.
 
-Greatest and bounded-depth answers alike are levels of one descending chain
-from the full relation (`_levels`).  Level 1 keeps the pairs whose values,
-pushed along `!` to the one-point carrier (T1), meet the condition under the
-full relation, decided once per distinct pair of pushed values
-(`_level_one`).  Each later level re-examines only the pairs whose values'
-bases lost a pair in the previous round, in the manner of Henzinger,
-Henzinger and Kopke's simulation algorithm, and drops all failures at once;
-the depth-n answers read level n and the greatest (bi)simulation is the
-first level that drops nothing.
-
-Every greatest and depth-n (bi)simulation the command line prints is
-decided on the behavioural quotients (`simulation_rows`), as Bustan and
-Grumberg do for Kripke structures: the chain runs on one-sided quotients of
-C and D by the stabilized partition of `coalsim.behaviour`, and each left
-block's answer is expanded to its states.  That is exact for every monotone
-signature, separating or not, in one direction or both and at every depth:
-the quotient maps are coalgebra morphisms, whose graphs are
-Λ-bisimulations, and depth-k Λ-(bi)simulations compose, so every level of
-the chain is a union of products of behavioural-equivalence classes.  The
-route only gains where the partition merges states; when it merges no two
-states of one side, the quotients are C and D themselves and the chain runs
-on them directly.  The library's `greatest_bisimulation`, and its depth-n
-functions, stay on the direct chain on C × D: they are the independent
-references the property suite compares the quotient route and the certified
-partition of `coalsim.behaviour` against.  Answers for the command line come
-as rows (`coalsim.relations.image_rows`), never as sorted pair sets.
+Greatest and bounded-depth simulations are levels of one descending chain
+from the full relation (`_levels`): level 1 is decided once per distinct
+pair of values pushed to the one-point carrier (`_level_one`), and each
+later level re-checks only the pairs whose bases lost a pair.  The command
+line runs the chain on the behavioural quotients (`simulation_rows`), as
+Bustan and Grumberg do for Kripke structures, and `greatest_n_simulation`
+runs it on C × D, as the reference.  Bisimulations need no chain: the
+greatest depth-n and greatest Λ-bisimulations are the cross relations of
+the partition that `coalsim.behaviour` refines under the signature.  The
+both-way chain is kept only as the reference
+`coalsim.oracles.bisimulation_chain`.  Answers for the command line come
+as rows, never as sorted pair sets.
 """
 
 from __future__ import annotations
@@ -41,6 +26,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, islice
 
+from . import behaviour  # which imports this module: read its names at call time
 from .errors import KindMismatchError, ValidationError
 from .liftings import (
     LambdaSignature,
@@ -112,13 +98,9 @@ class SimulationReport:
 
 def _check_kinds(c: Coalgebra, d: Coalgebra, sig: LambdaSignature):
     if c.kind != d.kind:
-        raise KindMismatchError(
-            f"cannot relate a {c.kind.name} model with a {d.kind.name} model"
-        )
+        raise KindMismatchError(f"cannot relate a {c.kind.name} model with a {d.kind.name} model")
     if sig.kind != c.kind:
-        raise KindMismatchError(
-            f"signature kind {sig.kind.name} does not match the models"
-        )
+        raise KindMismatchError(f"signature kind {sig.kind.name} does not match the models")
 
 
 def _check_setup(s: Relation, c: Coalgebra, d: Coalgebra, sig: LambdaSignature):
@@ -142,12 +124,12 @@ def is_simulation(
     return SimulationReport(sig, [_stream("forward", s, c, d, sig, s.left_images())])
 
 
-def bisimulation_report(s, c, d, sig, img: dict, cimg: dict) -> SimulationReport:
-    """Both directions at the pairs of s, images from img and, backward, cimg."""
+def bisimulation_report(s, c, d, sig, img: dict, converse_img: dict) -> SimulationReport:
+    """Both directions at the pairs of s, images from img and, backward, converse_img."""
     _check_setup(s, c, d, sig)
     return SimulationReport(sig, [
         _stream("forward", s, c, d, sig, img),
-        _stream("backward", s.converse(), d, c, sig, cimg),
+        _stream("backward", s.converse(), d, c, sig, converse_img),
     ])
 
 
@@ -158,7 +140,7 @@ def is_bisimulation(
     return bisimulation_report(s, c, d, sig, s.left_images(), s.converse().left_images())
 
 
-def _level_one(c: Coalgebra, d: Coalgebra, sig: LambdaSignature, both: bool) -> dict:
+def _level_one(c: Coalgebra, d: Coalgebra, sig: LambdaSignature) -> dict:
     """Level 1 of the chain as images: each left state to its right states.
 
     Level 1 keeps (x, y) when the condition holds under the full relation.
@@ -181,12 +163,7 @@ def _level_one(c: Coalgebra, d: Coalgebra, sig: LambdaSignature, both: bool) -> 
     rights = classes(d)
     img = {}
     for t, xs in classes(c).items():
-        ys = frozenset(
-            y
-            for u, group in rights.items()
-            if ok(t, u, point) and (not both or ok(u, t, point))
-            for y in group
-        )
+        ys = frozenset(y for u, group in rights.items() if ok(t, u, point) for y in group)
         img.update(dict.fromkeys(xs, ys))
     return img
 
@@ -211,42 +188,30 @@ def _suspects(lost: dict, pred_c: dict, img: dict, order_c, order_d) -> list:
     return [(x, sorted(found[x], key=order_d)) for x in sorted(found, key=order_c)]
 
 
-def _levels(c: Coalgebra, d: Coalgebra, sig: LambdaSignature, both: bool):
+def _levels(c: Coalgebra, d: Coalgebra, sig: LambdaSignature):
     """The descending chain, as images from left states, up to its limit.
 
     Level 0 is the full relation and level 1 comes from `_level_one`; level
-    k+1 keeps the pairs of level k that meet the condition with images taken
-    under level k, in one direction or, when `both`, in both.  Level k is the
-    greatest depth-k (bi)simulation.  Both directions take images under the
-    same level: the witness of a depth-(k+1) bisimulation must itself be a
-    depth-k bisimulation, and independent witness chains would accept
-    relations that do not refine the bounded-depth partition.
+    k+1, the greatest depth-(k+1) simulation, keeps the pairs of level k
+    that meet the condition with images taken under level k.
 
     The verdict at (x, y) reads only the part of the level inside
     base(t_x) × base(u_y), and the condition is monotone in the relation.
     So a pair of level k needs a new check only if a pair there was dropped
     between levels k-1 and k, in the manner of Henzinger, Henzinger and
-    Kopke's simulation algorithm; the other pairs passed the same check one
-    level earlier.  Each round finds those pairs a set at a time
-    (`_suspects`), checks just them against level k and drops its failures
-    only after the round.  The generator stops after the
-    first level whose round drops nothing: that level is the chain's limit,
-    the greatest (bi)simulation, which contains every (bi)simulation.  The
-    images are updated in place between levels, so `_level` copies the one
-    it returns.  Pairs are checked in an order fixed by the carriers, so the
-    checks run in the same order on every run.
+    Kopke's simulation algorithm.  Each round finds those pairs a set at a
+    time (`_suspects`), in an order fixed by the carriers, checks just them
+    against level k and drops its failures only after the round.  The
+    generator stops after the first level whose round drops nothing, the
+    greatest simulation.  The images are updated in place between levels,
+    so `_level` copies the one it returns.
     """
     _check_kinds(c, d, sig)
     yield dict.fromkeys(c.carrier, frozenset(d.carrier))
     ok = lifting_check(sig)
     ct, dt = c.transition, d.transition
-    first = _level_one(c, d, sig, both)
+    first = _level_one(c, d, sig)
     img = {x: set(ys) for x, ys in first.items()}
-    cimg = {y: set() for y in d.carrier}
-    if both:
-        for x, ys in img.items():
-            for y in ys:
-                cimg[y].add(x)
     pred_c, pred_d = predecessors(c), predecessors(d)
     order_c = {x: i for i, x in enumerate(c.carrier)}.__getitem__
     order_d = {y: i for i, y in enumerate(d.carrier)}.__getitem__
@@ -262,7 +227,7 @@ def _levels(c: Coalgebra, d: Coalgebra, sig: LambdaSignature, both: bool):
         dropped = {}
         for x, ys in _suspects(lost, pred_c, img, order_c, order_d):
             t = ct[x]
-            gone = [y for y in ys if not (ok(t, dt[y], img) and (not both or ok(dt[y], t, cimg)))]
+            gone = [y for y in ys if not ok(t, dt[y], img)]
             if gone:
                 dropped[x] = gone
         if not dropped:
@@ -271,9 +236,6 @@ def _levels(c: Coalgebra, d: Coalgebra, sig: LambdaSignature, both: bool):
         for x, gone in dropped.items():
             img[x].difference_update(gone)
             lost[x] = set().union(*map(pred_d.__getitem__, gone))
-            if both:
-                for y in gone:
-                    cimg[y].discard(x)
 
 
 def _check_depth(n) -> None:
@@ -281,16 +243,16 @@ def _check_depth(n) -> None:
         raise ValidationError(f"depth must be a natural number, got {n}")
 
 
-def _limit(c, d, sig, both: bool, n=None) -> dict:
+def _limit(c, d, sig, n=None) -> dict:
     """Level n of the chain, or its limit when n is None, as images."""
     _check_depth(n)
-    *_, img = islice(_levels(c, d, sig, both), None if n is None else n + 1)
+    *_, img = islice(_levels(c, d, sig), None if n is None else n + 1)
     return img
 
 
-def _level(c, d, sig, both: bool, n=None) -> Relation:
+def _level(c, d, sig, n=None) -> Relation:
     """Level n of the chain, or its limit when n is None."""
-    return rows_relation(c.carrier, d.carrier, _limit(c, d, sig, both, n))
+    return rows_relation(c.carrier, d.carrier, _limit(c, d, sig, n))
 
 
 def _quotient(m: Coalgebra, ids: dict, members: dict) -> Coalgebra:
@@ -300,11 +262,9 @@ def _quotient(m: Coalgebra, ids: dict, members: dict) -> Coalgebra:
     })
 
 
-def simulation_rows(
-    c: Coalgebra, d: Coalgebra, sig: LambdaSignature, both: bool = False, n=None
-) -> dict:
+def simulation_rows(c: Coalgebra, d: Coalgebra, sig: LambdaSignature, n=None) -> dict:
     """Level n of the chain, or its limit when n is None, as rows, decided on
-    the behavioural quotients; in both directions when `both`.
+    the behavioural quotients.
 
     Q_C has a state for each block of the stabilized partition with left
     states, Q_D one for each block with right states, and a block's value is
@@ -315,20 +275,20 @@ def simulation_rows(
     left state gets its block's row, one shared tuple per block.  When no
     block holds two states of one side, Q_C and Q_D are C and D up to
     renaming, so the chain runs on C × D and no quotient is built.  The
-    depth and the kinds are checked before the partition is refined.
+    depth and the kinds are checked before the partition is refined.  This
+    is exact for every monotone signature and depth: quotient maps are
+    morphisms, whose graphs are Λ-bisimulations, and Λ-simulations compose.
     """
-    from .behaviour import stabilized_partition  # behaviour imports this module
-
     _check_depth(n)
     _check_kinds(c, d, sig)
-    part, _ = stabilized_partition(c, d)
+    part, _ = behaviour.stabilized_partition(c, d)
     blocks = part.blocks
     lefts = {i: ls for i, (ls, _) in enumerate(blocks) if ls}
     rights = {i: rs for i, (_, rs) in enumerate(blocks) if rs}
     if len(lefts) == len(c.carrier) and len(rights) == len(d.carrier):
-        return image_rows(_limit(c, d, sig, both, n), d.carrier)  # the quotients are C and D
+        return image_rows(_limit(c, d, sig, n), d.carrier)  # the quotients are C and D
     qc, qd = _quotient(c, part.left_ids, lefts), _quotient(d, part.right_ids, rights)
-    img = _limit(qc, qd, sig, both, n)
+    img = _limit(qc, qd, sig, n)
     row = image_rows({i: [y for j in img[i] for y in blocks[j][1]] for i in qc.carrier}, d.carrier)
     return {x: row[i] for x, i in part.left_ids.items()}
 
@@ -344,8 +304,9 @@ def greatest_simulation(c: Coalgebra, d: Coalgebra, sig: LambdaSignature) -> Rel
 
 
 def greatest_bisimulation(c: Coalgebra, d: Coalgebra, sig: LambdaSignature) -> Relation:
-    """Largest relation that is a simulation in both directions."""
-    return _level(c, d, sig, both=True)
+    """Largest relation that is a simulation in both directions: fewer than
+    |C|+|D| rounds split a block, so that level is the limit."""
+    return greatest_n_bisimulation(c, d, sig, len(c.carrier) + len(d.carrier))
 
 
 def greatest_n_simulation(
@@ -356,7 +317,7 @@ def greatest_n_simulation(
     Every depth-n simulation is contained in it, so containment decides the
     depth-n property.
     """
-    return _level(c, d, sig, False, n)
+    return _level(c, d, sig, n)
 
 
 def is_n_simulation(
@@ -370,15 +331,18 @@ def is_n_simulation(
 def greatest_n_bisimulation(
     c: Coalgebra, d: Coalgebra, sig: LambdaSignature, n: int
 ) -> Relation:
-    """Largest relation witnessed by a synchronized chain of depth-k bisimulations."""
-    return _level(c, d, sig, True, n)
+    """Greatest depth-n bisimulation: the cross relation of level n of the
+    partition refined under sig, which is level n of the both-way chain."""
+    return behaviour.n_step_partition(c, d, n, sig).cross_relation()
 
 
 def is_n_bisimulation(
     s: Relation, c: Coalgebra, d: Coalgebra, sig: LambdaSignature, n: int
 ) -> bool:
+    """Depth-n bisimulation test: every pair of s shares a block of level n."""
     _check_setup(s, c, d, sig)
-    return s.pairs <= greatest_n_bisimulation(c, d, sig, n).pairs
+    part = behaviour.n_step_partition(c, d, n, sig)
+    return all(part.left_ids[x] == part.right_ids[y] for x, y in s.pairs)
 
 
 def is_bisimulation_up_to_difunctionality(

@@ -1,7 +1,15 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
+import coalsim
 from coalsim import ValidationError
 from coalsim.properties import PROPERTIES, run_property_suite, theorem_matrix
+
+SOURCE = pathlib.Path(coalsim.__file__).parent
 
 
 def test_registry_and_manifest_are_in_sync():
@@ -32,3 +40,29 @@ def test_every_asserting_property_passes_a_smoke_run():
 
 def test_search_property_is_flagged_non_asserting():
     assert not PROPERTIES["open-problem-search"].asserting
+
+
+def _oracle_satisfies_calls(hashseed: str) -> int:
+    """`satisfies` calls of the brute-force oracle over a fixed oracle-agreement batch."""
+    code = (
+        "from coalsim import oracles; from coalsim.properties import run_property_suite\n"
+        "calls = 0\n"
+        "def counted(*args):\n"
+        "    global calls\n"
+        "    calls += 1\n"
+        "    return satisfies(*args)\n"
+        "satisfies, oracles.satisfies = oracles.satisfies, counted\n"
+        "for seed in range(4):\n"
+        "    assert run_property_suite('oracle-agreement', 10, 1000 * seed).passed\n"
+        "print(calls)\n"
+    )
+    env = dict(os.environ, PYTHONHASHSEED=hashseed, PYTHONPATH=str(SOURCE.parent))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    return int(out.stdout)
+
+
+def test_oracle_cost_does_not_depend_on_the_hash_seed():
+    """The oracle walks a relation's pairs in carrier order, so its early exit
+    makes the same number of `satisfies` calls in every process."""
+    calls = {seed: _oracle_satisfies_calls(seed) for seed in ("0", "3")}
+    assert calls["0"] == calls["3"] > 0, calls

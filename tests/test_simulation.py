@@ -35,7 +35,7 @@ from coalsim.properties import PROPERTIES, run_property_suite
 from coalsim import behaviour, simulation
 from coalsim.errors import BudgetError, KindMismatchError, ValidationError
 from coalsim.liftings import LambdaSignature, at_least, more_than
-from coalsim.relations import rows_relation
+from coalsim.oracles import bisimulation_chain
 from coalsim.simulation import _level, _level_one
 from coalsim.values import DISTRIBUTION_KIND, MULTISET_KIND, NEIGHBORHOOD_KIND
 
@@ -433,9 +433,8 @@ def test_level_one_on_the_point_equals_the_reference_first_round():
             both: list(islice(levels_reference(c, d, sig, both), 2))[1]
             for both in (False, True)
         }
-        for both, rel in first.items():
-            assert _level_one(c, d, sig, both) == rel.left_images(), (c, d, sig, both)
-            shrank += len(rel) < len(c.carrier) * len(d.carrier)
+        assert _level_one(c, d, sig) == first[False].left_images(), (c, d, sig)
+        shrank += sum(len(rel) < len(c.carrier) * len(d.carrier) for rel in first.values())
         assert greatest_n_simulation(c, d, sig, 1) == first[False]
         assert greatest_n_bisimulation(c, d, sig, 1) == first[True]
     assert shrank > 100
@@ -514,6 +513,7 @@ def test_path_depth_n_chains_make_quadratically_many_pair_checks(monkeypatch):
         return check
 
     monkeypatch.setattr(simulation, "lifting_check", counted)
+    monkeypatch.setattr(behaviour, "lifting_check", counted)
     diagonal = {(f"x{i}", f"y{i}") for i in range(n)}
     assert greatest_n_simulation(c, d, sig, n // 2).pairs != diagonal
     checks = 0
@@ -554,7 +554,7 @@ def _inflated_instances():
 def test_quotient_simulation_equals_the_direct_chain():
     merged = nontrivial = infinite = 0
     for c, d, sig in _inflated_instances():
-        direct = _level(c, d, sig, False)
+        direct = _level(c, d, sig)
         assert greatest_simulation(c, d, sig) == direct, (c, d, sig)
         blocks = behaviour.stabilized_partition(c, d)[0].blocks
         merged += any(len(ls) > 1 or len(rs) > 1 for ls, rs in blocks)
@@ -571,37 +571,45 @@ def test_quotient_route_builds_quotients_only_when_the_partition_merges(monkeypa
     c = kripke_model({"x0": ["x1"], "x1": []})
     d = kripke_model({"y0": ["y1"], "y1": ["y2"], "y2": []})
     sig = auto_signature(c, d)
-    assert greatest_simulation(c, d, sig) == _level(c, d, sig, False)
+    assert greatest_simulation(c, d, sig) == _level(c, d, sig)
     assert built == []
     c = kripke_model({"x": ["a", "b"], "a": [], "b": []})
-    assert greatest_simulation(c, d, sig) == _level(c, d, sig, False)
+    assert greatest_simulation(c, d, sig) == _level(c, d, sig)
     assert built == [c, d]
 
 
 def test_quotient_route_checks_kinds_before_any_partition_work(monkeypatch):
-    def no_partition(c, d):
+    def no_partition(*args):
         raise AssertionError("partition work before the kind checks")
 
     monkeypatch.setattr(behaviour, "stabilized_partition", no_partition)
+    monkeypatch.setattr(behaviour, "_refine", no_partition)
     c = kripke_model({"x": ["x"]})
     d = multiset_model({"y": {"y": 1}})
     with pytest.raises(KindMismatchError, match="cannot relate a kripke model with a multiset"):
         greatest_simulation(c, d, auto_signature(c))
     with pytest.raises(KindMismatchError, match="signature kind multiset does not match"):
         greatest_simulation(c, c, auto_signature(d))
-    for both in (False, True):
-        with pytest.raises(ValidationError, match="depth must be a natural number, got -1"):
-            simulation.simulation_rows(c, c, auto_signature(c), both, n=-1)
+    with pytest.raises(ValidationError, match="depth must be a natural number, got -1"):
+        simulation.simulation_rows(c, c, auto_signature(c), n=-1)
+    with pytest.raises(ValidationError, match="depth must be a natural number, got -1"):
+        behaviour.n_step_partition(c, c, -1, auto_signature(c))
     monkeypatch.undo()
     with pytest.raises(KindMismatchError, match="cannot compare a kripke model with a multiset"):
         behaviour.stabilized_partition(c, d)
+    with pytest.raises(KindMismatchError, match="cannot compare a kripke model with a multiset"):
+        greatest_bisimulation(c, d, auto_signature(c))
+    with pytest.raises(KindMismatchError, match="signature kind multiset does not match"):
+        greatest_bisimulation(c, c, auto_signature(d))
 
 
 def test_hub_chain_bisimulation_on_the_quotient_makes_few_pair_checks(monkeypatch):
     """A chain x0 -> ... -> x29 with an atom on x29, and 30 hubs that see every
     chain state, on both sides.  `kripke:box,diamond` leaves the atom out, so
-    it does not separate, and the greatest bisimulation is a chain answer.  The
-    hubs are one quotient state; the direct chain made 54,758 pair checks here."""
+    it does not separate, and the greatest bisimulation comes from the
+    signature-keyed partition.  Equal keys are never compared, and each
+    distinct key is compared with one key per class of its block; the direct
+    both-way chain made 54,758 pair checks here."""
     n = 30
 
     def hub_chain(prefix):
@@ -612,7 +620,7 @@ def test_hub_chain_bisimulation_on_the_quotient_makes_few_pair_checks(monkeypatc
 
     c, d = hub_chain("x"), hub_chain("y")
     sig = resolve_signature("kripke:box,diamond", [c, d])
-    expected = _level(c, d, sig, True)
+    expected = bisimulation_chain(c, d, sig)
     checks = 0
     real = simulation.lifting_check
 
@@ -626,23 +634,26 @@ def test_hub_chain_bisimulation_on_the_quotient_makes_few_pair_checks(monkeypatc
 
         return check
 
-    monkeypatch.setattr(simulation, "lifting_check", counted)
-    rows = simulation.simulation_rows(c, d, sig, True)
-    assert rows_relation(c.carrier, d.carrier, rows) == expected
-    assert checks <= 2000, checks
+    monkeypatch.setattr(behaviour, "lifting_check", counted)
+    assert greatest_bisimulation(c, d, sig) == expected
+    assert checks <= 200, checks
 
 
 def test_quotient_bases_stay_within_the_exhaustive_bound(monkeypatch):
     """Twenty equivalent successors are one quotient state: under `graded:0..0`
     the direct chain must search the subsets of all twenty and raises
-    BudgetError at the default bound, the quotient route answers."""
+    BudgetError at the default bound, the quotient route answers.  The
+    bisimulation partition relabels by blocks, so it answers too."""
     zs = [f"z{i}" for i in range(20)]
     c = multiset_model({"x": dict.fromkeys(zs, 1), "q": {}, **{z: {"q": 1} for z in zs}})
     d = multiset_model({"y": {"w": 1, "v": 1}, "w": {"p": 1}, "v": {}, "p": {}})
     sig = resolve_signature("graded:0..0", [c, d])
     with pytest.raises(BudgetError, match="value base has 20 states"):
-        _level(c, d, sig, False)
+        _level(c, d, sig)
     answer = greatest_simulation(c, d, sig)
     assert ("x", "y") in answer.pairs
+    # y's successor v is a deadlock, which no successor of x matches.
+    expected = {(z, "w") for z in zs} | {("q", "v"), ("q", "p")}
+    assert greatest_bisimulation(c, d, sig).pairs == expected
     monkeypatch.setenv("COALSIM_MAX_BASE", "20")
-    assert answer == _level(c, d, sig, False)
+    assert answer == _level(c, d, sig)
