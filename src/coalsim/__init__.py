@@ -71,8 +71,6 @@ from .simulation import (
     SimulationReport,
     Violation,
     greatest_bisimulation,
-    greatest_n_bisimulation,
-    greatest_n_simulation,
     greatest_simulation,
     is_bisimulation,
     is_bisimulation_up_to_difunctionality,

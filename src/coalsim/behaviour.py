@@ -41,15 +41,13 @@ from .errors import (
     BudgetError,
     InfiniteWeightError,
     InternalCheckError,
-    KindMismatchError,
     NotSeparatingError,
     QuotientUndefined,
-    ValidationError,
     shown,
 )
 from .liftings import LambdaSignature, ensure_separating, lifting_check
 from .relations import Partition, Relation
-from .simulation import bisimulation_report
+from .simulation import bisimulation_report, check_kinds, check_setup
 from .transport import couple
 from .values import (
     DISTRIBUTION,
@@ -70,11 +68,6 @@ from .values import (
     state_key,
     values_equal,
 )
-
-
-def _same_kind(c: Coalgebra, d: Coalgebra) -> None:
-    if c.kind != d.kind:
-        raise KindMismatchError(f"cannot compare a {c.kind.name} model with a {d.kind.name} model")
 
 
 def _refine(c: Coalgebra, d: Coalgebra, rounds: int, sig: Optional[LambdaSignature] = None) -> tuple:
@@ -110,13 +103,11 @@ def _refine(c: Coalgebra, d: Coalgebra, rounds: int, sig: Optional[LambdaSignatu
     the block and stores its key.  The depth counts the rounds that split a
     block, and the partition is level `depth`, stable when the depth is
     below `rounds`; fewer than |C|+|D| rounds split one.  The blocks are
-    numbered by first member, left carrier before right carrier.
+    numbered by first member, left carrier before right carrier.  Its
+    callers check the depth and the kinds (`check_kinds`).
     """
-    _same_kind(c, d)
     ok = None
     if sig is not None:
-        if sig.kind != c.kind:
-            raise KindMismatchError(f"signature kind {sig.kind.name} does not match the models")
         ok = lifting_check(sig)  # compiled first: it validates COALSIM_MAX_BASE
         with suppress(NotSeparatingError, BudgetError):
             ensure_separating(sig, c, d)
@@ -180,8 +171,7 @@ def n_step_partition(c: Coalgebra, d: Coalgebra, n: int, sig: Optional[LambdaSig
     all four functors preserve injections.  With a signature, the cross
     relation is the greatest depth-n Λ-bisimulation (see `_refine`).
     """
-    if n < 0:
-        raise ValidationError(f"depth must be a natural number, got {n}")
+    check_kinds(c, d, sig, n)
     return _refine(c, d, n, sig)[0]
 
 
@@ -191,6 +181,7 @@ def stabilized_partition(c: Coalgebra, d: Coalgebra, sig: Optional[LambdaSignatu
     Fewer than |C|+|D| rounds split a block, so that many rounds reach the
     stable level.  With a signature, the cross relation is Λ-bisimilarity.
     """
+    check_kinds(c, d, sig)
     return _refine(c, d, len(c.carrier) + len(d.carrier), sig)
 
 
@@ -230,9 +221,10 @@ def quotient_witness(s: Relation, c: Coalgebra, d: Coalgebra) -> QuotientWitness
     with the disagreeing pair of values otherwise, which certifies the
     relation does not witness behavioural equivalence.
     """
-    _same_kind(c, d)
     # Blocks in the models' carrier order, whatever order s lists its carriers in.
-    return _quotient_witness(Relation(c.carrier, d.carrier, s.pairs).components(), c, d)
+    rel = Relation(c.carrier, d.carrier, s.pairs)
+    check_setup(rel, c, d)
+    return _quotient_witness(rel.components(), c, d)
 
 
 def _quotient_witness(part: Partition, c: Coalgebra, d: Coalgebra) -> QuotientWitness:
@@ -269,9 +261,10 @@ def certified_partition(
         succeeds.  They are R's: the two-sided blocks, and singletons.
 
     Returns (Partition, QuotientWitness); the command line prints R from the
-    partition's rows.  A signature that does not separate the models raises
-    NotSeparatingError before any other work.
+    partition's rows.  After the kind checks, a signature that does not
+    separate the models raises NotSeparatingError before any other work.
     """
+    check_kinds(c, d, sig)
     ensure_separating(sig, c, d)
     part, _ = stabilized_partition(c, d)
     spanning = Relation(c.carrier, d.carrier, frozenset(part.spanning_pairs()))
@@ -322,7 +315,7 @@ def verify_coupling(coupling: Coupling, s: Relation, c: Coalgebra, d: Coalgebra,
     cell used is checked once; weighted values by exact sums (`_sums_match`),
     the others by relabelling along both projections.
     """
-    _same_kind(c, d)
+    check_kinds(c, d)
     img = s.left_images() if img is None else img
     values = coupling.values
     if len(values) != len(s.pairs) or {p for p, _ in values} != s.pairs:
@@ -401,7 +394,6 @@ def _coupling_check(s: Relation, img: dict, cimg, c, d) -> Optional[Coupling]:
     Neighborhood candidates read `cimg`, the converse images, and build
     each state's cells once.
     """
-    _same_kind(c, d)
     kind = c.kind.name
     weighted = kind in (MULTISET, DISTRIBUTION)
     rows = cols = None
@@ -445,6 +437,7 @@ def t_bisimulation_check(
     every minimal set of the right value lies within ran S with its
     S-preimage in the left value.  Only neighborhoods read converse images.
     """
+    check_setup(s, c, d)
     cimg = s.converse().left_images() if c.kind.name == NEIGHBORHOOD else None
     return _coupling_check(s, s.left_images(), cimg, c, d)
 
@@ -453,4 +446,5 @@ def t_bisim_up_to_difunctionality_check(
     s: Relation, c: Coalgebra, d: Coalgebra
 ) -> Optional[Coupling]:
     """Coupling search over the difunctional closure, whose images are the blocks of `components()`."""
+    check_setup(s, c, d)
     return _coupling_check(s, *s.components().images(), c, d)

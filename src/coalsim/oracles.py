@@ -2,10 +2,11 @@
 
 The simulation oracle quantifies over every subset of the whole left carrier
 with no base restriction and no per-kind shortcut.  It exists solely to
-cross-check `is_simulation`; keep it dumb.  `bisimulation_chain` is the
-both-way chain on C × D, level by level with no suspect scheme and no
-partition; the signature-keyed refinement of `coalsim.behaviour` is checked
-against it.  The pointwise order
+cross-check `is_simulation`; keep it dumb.  `simulation_chain` is the
+descending chain on C × D, one-way or both-way, level by level with no
+suspect scheme, no quotient and no partition; the quotient route of
+`coalsim.simulation` and the signature-keyed refinement of
+`coalsim.behaviour` are checked against it.  The pointwise order
 `lambda_leq`, the separation witness `distinguishing_pair` and the
 homomorphism criterion `is_lambda_homomorphism` work on single values, not
 on relations; the suite checks the engine's relational answers against them.
@@ -49,17 +50,22 @@ def brute_force_simulation_oracle(
     return True
 
 
-def bisimulation_chain(c: Coalgebra, d: Coalgebra, sig: LambdaSignature, n=None) -> Relation:
-    """Level n of the both-way chain from C × D, or its limit when n is None.
+def simulation_chain(
+    c: Coalgebra, d: Coalgebra, sig: LambdaSignature, n=None, both: bool = False
+) -> Relation:
+    """Level n of the chain from C × D, or its limit when n is None; the
+    both-way chain when `both`.
 
-    Every round re-checks every pair of the level in both directions, with
-    images under the level, and drops all failures at once.
+    Every round re-checks every pair of the level, forward with images under
+    the level and, when `both`, backward with its converse images, and drops
+    all failures at once.
     """
     ok, ct, dt = lifting_check(sig), c.transition, d.transition
     rel = full_relation(c.carrier, d.carrier)
     for _ in count() if n is None else range(n):
         img, cimg = rel.left_images(), rel.converse().left_images()
-        kept = frozenset((x, y) for x, y in rel.pairs if ok(ct[x], dt[y], img) and ok(dt[y], ct[x], cimg))
+        kept = frozenset((x, y) for x, y in rel.pairs
+                         if ok(ct[x], dt[y], img) and (not both or ok(dt[y], ct[x], cimg)))
         if kept == rel.pairs:
             break
         rel = Relation(rel.left, rel.right, kept)

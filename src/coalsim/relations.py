@@ -95,16 +95,18 @@ class Relation:
     def __len__(self):
         return len(self.pairs)
 
+    def check_pairs(self) -> None:
+        """Raise ValidationError naming the pairs outside left × right."""
+        ls, rs = set(self.left), set(self.right)
+        bad = sorted((p for p in self.pairs if p[0] not in ls or p[1] not in rs), key=state_key)
+        if bad:
+            raise ValidationError(f"pairs outside the carriers: {shown(bad)}")
+
 
 def relation(left: Iterable, right: Iterable, pairs: Iterable) -> Relation:
-    left = tuple(left)
-    right = tuple(right)
-    ls, rs = set(left), set(right)
-    pairs = frozenset(tuple(p) for p in pairs)
-    bad = sorted((p for p in pairs if p[0] not in ls or p[1] not in rs), key=state_key)
-    if bad:
-        raise ValidationError(f"pairs outside the carriers: {shown(bad)}")
-    return Relation(left, right, pairs)
+    s = Relation(tuple(left), tuple(right), frozenset(tuple(p) for p in pairs))
+    s.check_pairs()
+    return s
 
 
 def full_relation(left: Iterable, right: Iterable) -> Relation:

@@ -9,15 +9,14 @@ only when the report's violations are read.
 Greatest and bounded-depth simulations are levels of one descending chain
 from the full relation (`_levels`): level 1 is decided once per distinct
 pair of values pushed to the one-point carrier (`_level_one`), and each
-later level re-checks only the pairs whose bases lost a pair.  The command
-line runs the chain on the behavioural quotients (`simulation_rows`), as
-Bustan and Grumberg do for Kripke structures, and `greatest_n_simulation`
-runs it on C × D, as the reference.  Bisimulations need no chain: the
-greatest depth-n and greatest Λ-bisimulations are the cross relations of
-the partition that `coalsim.behaviour` refines under the signature.  The
-both-way chain is kept only as the reference
-`coalsim.oracles.bisimulation_chain`.  Answers for the command line come
-as rows, never as sorted pair sets.
+later level re-checks only the pairs whose bases lost a pair.  Every such
+answer runs the chain on the behavioural quotients (`simulation_rows`), as
+Bustan and Grumberg do for Kripke structures.  Bisimulations need no
+chain: the greatest depth-n and greatest Λ-bisimulations are the cross
+relations of the partition that `coalsim.behaviour` refines under the
+signature.  The chain on C × D, one-way and both-way, is kept only as the
+reference `coalsim.oracles.simulation_chain`.  Answers for the command
+line come as rows, never as sorted pair sets.
 """
 
 from __future__ import annotations
@@ -25,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, islice
+from typing import Optional
 
 from . import behaviour  # which imports this module: read its names at call time
 from .errors import KindMismatchError, ValidationError
@@ -96,17 +96,25 @@ class SimulationReport:
         return {"holds": self.holds, "violations": [v.to_dict() for v in self.violations]}
 
 
-def _check_kinds(c: Coalgebra, d: Coalgebra, sig: LambdaSignature):
+def check_kinds(c: Coalgebra, d: Coalgebra, sig: Optional[LambdaSignature] = None, n=None) -> None:
+    """The one check of a call's inputs before any work: the depth n, when
+    given, is a natural number, and the two models and the signature, when
+    given, share one functor kind."""
+    if n is not None and n < 0:
+        raise ValidationError(f"depth must be a natural number, got {n}")
     if c.kind != d.kind:
-        raise KindMismatchError(f"cannot relate a {c.kind.name} model with a {d.kind.name} model")
-    if sig.kind != c.kind:
+        raise KindMismatchError(f"cannot compare a {c.kind.name} model with a {d.kind.name} model")
+    if sig is not None and sig.kind != c.kind:
         raise KindMismatchError(f"signature kind {sig.kind.name} does not match the models")
 
 
-def _check_setup(s: Relation, c: Coalgebra, d: Coalgebra, sig: LambdaSignature):
-    _check_kinds(c, d, sig)
+def check_setup(s: Relation, c: Coalgebra, d: Coalgebra, sig: Optional[LambdaSignature] = None) -> None:
+    """`check_kinds`, and s is a relation on the models' carriers: the same
+    carriers, in the same order, and no pair outside them."""
+    check_kinds(c, d, sig)
     if tuple(s.left) != tuple(c.carrier) or tuple(s.right) != tuple(d.carrier):
         raise ValidationError("relation carriers do not match the models")
+    s.check_pairs()
 
 
 def _stream(direction: str, s: Relation, c, d, sig, img: dict) -> tuple:
@@ -120,13 +128,13 @@ def is_simulation(
     s: Relation, c: Coalgebra, d: Coalgebra, sig: LambdaSignature
 ) -> SimulationReport:
     """Check the simulation condition at the pairs of s."""
-    _check_setup(s, c, d, sig)
+    check_setup(s, c, d, sig)
     return SimulationReport(sig, [_stream("forward", s, c, d, sig, s.left_images())])
 
 
 def bisimulation_report(s, c, d, sig, img: dict, converse_img: dict) -> SimulationReport:
-    """Both directions at the pairs of s, images from img and, backward, converse_img."""
-    _check_setup(s, c, d, sig)
+    """Both directions at the pairs of s, images from img and, backward,
+    converse_img; its callers check the setup (`check_setup`) first."""
     return SimulationReport(sig, [
         _stream("forward", s, c, d, sig, img),
         _stream("backward", s.converse(), d, c, sig, converse_img),
@@ -137,6 +145,7 @@ def is_bisimulation(
     s: Relation, c: Coalgebra, d: Coalgebra, sig: LambdaSignature
 ) -> SimulationReport:
     """Simulation condition for the relation and its converse, reports merged."""
+    check_setup(s, c, d, sig)
     return bisimulation_report(s, c, d, sig, s.left_images(), s.converse().left_images())
 
 
@@ -203,10 +212,8 @@ def _levels(c: Coalgebra, d: Coalgebra, sig: LambdaSignature):
     time (`_suspects`), in an order fixed by the carriers, checks just them
     against level k and drops its failures only after the round.  The
     generator stops after the first level whose round drops nothing, the
-    greatest simulation.  The images are updated in place between levels,
-    so `_level` copies the one it returns.
+    greatest simulation.  The images are updated in place between levels.
     """
-    _check_kinds(c, d, sig)
     yield dict.fromkeys(c.carrier, frozenset(d.carrier))
     ok = lifting_check(sig)
     ct, dt = c.transition, d.transition
@@ -238,21 +245,10 @@ def _levels(c: Coalgebra, d: Coalgebra, sig: LambdaSignature):
             lost[x] = set().union(*map(pred_d.__getitem__, gone))
 
 
-def _check_depth(n) -> None:
-    if n is not None and n < 0:
-        raise ValidationError(f"depth must be a natural number, got {n}")
-
-
 def _limit(c, d, sig, n=None) -> dict:
     """Level n of the chain, or its limit when n is None, as images."""
-    _check_depth(n)
     *_, img = islice(_levels(c, d, sig), None if n is None else n + 1)
     return img
-
-
-def _level(c, d, sig, n=None) -> Relation:
-    """Level n of the chain, or its limit when n is None."""
-    return rows_relation(c.carrier, d.carrier, _limit(c, d, sig, n))
 
 
 def _quotient(m: Coalgebra, ids: dict, members: dict) -> Coalgebra:
@@ -279,8 +275,7 @@ def simulation_rows(c: Coalgebra, d: Coalgebra, sig: LambdaSignature, n=None) ->
     is exact for every monotone signature and depth: quotient maps are
     morphisms, whose graphs are Λ-bisimulations, and Λ-simulations compose.
     """
-    _check_depth(n)
-    _check_kinds(c, d, sig)
+    check_kinds(c, d, sig, n)
     part, _ = behaviour.stabilized_partition(c, d)
     blocks = part.blocks
     lefts = {i: ls for i, (ls, _) in enumerate(blocks) if ls}
@@ -293,54 +288,40 @@ def simulation_rows(c: Coalgebra, d: Coalgebra, sig: LambdaSignature, n=None) ->
     return {x: row[i] for x, i in part.left_ids.items()}
 
 
-def greatest_simulation(c: Coalgebra, d: Coalgebra, sig: LambdaSignature) -> Relation:
-    """Largest relation whose every pair meets the simulation condition.
+def greatest_simulation(c: Coalgebra, d: Coalgebra, sig: LambdaSignature, n=None) -> Relation:
+    """Greatest depth-n simulation, or the greatest simulation when n is None:
+    the relation of `simulation_rows`.
 
-    Simulations are closed under unions, so the largest one exists; it is
-    the limit of the chain of `_levels`, here run on the behavioural
-    quotients (`simulation_rows`).
+    Simulations are closed under unions, so the largest one exists, and
+    every depth-n simulation is contained in the greatest one, so
+    containment decides the depth-n property.
     """
-    return rows_relation(c.carrier, d.carrier, simulation_rows(c, d, sig))
+    return rows_relation(c.carrier, d.carrier, simulation_rows(c, d, sig, n))
 
 
-def greatest_bisimulation(c: Coalgebra, d: Coalgebra, sig: LambdaSignature) -> Relation:
-    """Largest relation that is a simulation in both directions: fewer than
-    |C|+|D| rounds split a block, so that level is the limit."""
-    return greatest_n_bisimulation(c, d, sig, len(c.carrier) + len(d.carrier))
-
-
-def greatest_n_simulation(
-    c: Coalgebra, d: Coalgebra, sig: LambdaSignature, n: int
-) -> Relation:
-    """Greatest depth-n simulation: level n of the chain, or its limit if that comes first.
-
-    Every depth-n simulation is contained in it, so containment decides the
-    depth-n property.
-    """
-    return _level(c, d, sig, n)
+def greatest_bisimulation(c: Coalgebra, d: Coalgebra, sig: LambdaSignature, n=None) -> Relation:
+    """Greatest depth-n bisimulation, or the greatest bisimulation when n is
+    None: the cross relation of level n, or of the stable level, of the
+    partition refined under sig, which is that level of the both-way chain."""
+    if n is None:
+        return behaviour.stabilized_partition(c, d, sig)[0].cross_relation()
+    return behaviour.n_step_partition(c, d, n, sig).cross_relation()
 
 
 def is_n_simulation(
     s: Relation, c: Coalgebra, d: Coalgebra, sig: LambdaSignature, n: int
 ) -> bool:
-    """Depth-n simulation test: containment in the greatest depth-n simulation."""
-    _check_setup(s, c, d, sig)
-    return s.pairs <= greatest_n_simulation(c, d, sig, n).pairs
-
-
-def greatest_n_bisimulation(
-    c: Coalgebra, d: Coalgebra, sig: LambdaSignature, n: int
-) -> Relation:
-    """Greatest depth-n bisimulation: the cross relation of level n of the
-    partition refined under sig, which is level n of the both-way chain."""
-    return behaviour.n_step_partition(c, d, n, sig).cross_relation()
+    """Depth-n simulation test: every pair of s is in its row of the greatest depth-n simulation."""
+    check_setup(s, c, d, sig)
+    rows = simulation_rows(c, d, sig, n)
+    return all(ys.issubset(rows[x]) for x, ys in s.left_images().items())
 
 
 def is_n_bisimulation(
     s: Relation, c: Coalgebra, d: Coalgebra, sig: LambdaSignature, n: int
 ) -> bool:
     """Depth-n bisimulation test: every pair of s shares a block of level n."""
-    _check_setup(s, c, d, sig)
+    check_setup(s, c, d, sig)
     part = behaviour.n_step_partition(c, d, n, sig)
     return all(part.left_ids[x] == part.right_ids[y] for x, y in s.pairs)
 
@@ -362,4 +343,5 @@ def is_bisimulation_up_to_difunctionality(
     R[R⁻¹[R[A]]] = R[A], and so on to y: the forward condition holds at
     (x, y).  The backward condition at (y, x) runs the path from y's end.
     """
+    check_setup(s, c, d, sig)
     return bisimulation_report(s, c, d, sig, *s.components().images())

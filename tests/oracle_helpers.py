@@ -11,12 +11,10 @@ from itertools import combinations
 
 from coalsim import (
     Relation,
-    full_relation,
     is_simulation,
     relation,
     satisfies,
 )
-from coalsim.liftings import lifting_check
 
 
 def all_subsets(items):
@@ -116,27 +114,6 @@ def union_of_all_simulations(c, d, sig):
     return relation(c.carrier, d.carrier, pairs)
 
 
-def levels_reference(c, d, sig, both):
-    """The descending chain as first written, from the full relation.
-
-    Every round, level 1 included, re-examines each surviving pair with
-    images under the previous level, in one direction or, when `both`, in
-    both, and drops all failures at once.
-    """
-    ok = lifting_check(sig)
-    rel = full_relation(c.carrier, d.carrier)
-    while True:
-        yield rel
-        img = rel.left_images()
-        cimg = rel.converse().left_images()
-        rel = Relation(rel.left, rel.right, frozenset(
-            (x, y)
-            for x, y in rel.pairs
-            if ok(c.transition[x], d.transition[y], img)
-            and (not both or ok(d.transition[y], c.transition[x], cimg))
-        ))
-
-
 def refinements_reference(c, d):
     """Partitions of the disjoint union at depth 0, 1, 2, ..., level by level.
 
@@ -159,16 +136,6 @@ def refinements_reference(c, d):
                 groups.setdefault(key, ([], []))[side].append(s)
         blocks = tuple((tuple(ls), tuple(rs)) for ls, rs in groups.values())
         part = Partition(c.carrier, d.carrier, blocks)
-
-
-def greatest_fixpoint_reference(c, d, sig, both):
-    """The first level of `levels_reference` that repeats: the greatest (bi)simulation."""
-    levels = levels_reference(c, d, sig, both)
-    prev = next(levels)
-    for rel in levels:
-        if len(rel) == len(prev):
-            return rel
-        prev = rel
 
 
 def n_simulation_sets(c, d, sig, n):

@@ -12,7 +12,6 @@ from dataclasses import replace
 from coalsim import (
     auto_signature,
     evaluate,
-    greatest_n_simulation,
     greatest_simulation,
     is_bisimulation,
     is_bisimulation_up_to_difunctionality,
@@ -109,7 +108,7 @@ def test_ac4_rank_bounded_preservation():
         c = generate_coalgebra(cfg)
         d = generate_coalgebra(replace(cfg, seed=rng.getrandbits(32)))
         sig = auto_signature(c, d)
-        s = greatest_n_simulation(c, d, sig, n)
+        s = greatest_simulation(c, d, sig, n)
         if not s.pairs:
             return 0, []
         pairs = s.sorted_pairs()

@@ -9,6 +9,7 @@ from coalsim import (
     NEIGHBORHOOD_KIND,
     InfiniteWeightError,
     InternalCheckError,
+    KindMismatchError,
     NotSeparatingError,
     Partition,
     QuotientUndefined,
@@ -107,6 +108,28 @@ def test_behavioural_equivalence_requires_separating_signature():
     sig = resolve_signature("kripke:box", [c, c])
     with pytest.raises(NotSeparatingError):
         behavioural_equivalence(c, c, sig)
+
+
+@pytest.mark.parametrize("left,right,sig,message", [
+    (multiset_model({"y": {"y": 2}}), kripke_model({"x": ["x"]}), "graded:auto",
+     "cannot compare a multiset model with a kripke model"),
+    (dist_model({"u": {"u": 1}}), multiset_model({"y": {"y": 2}}), "prob:auto-grid",
+     "cannot compare a distribution model with a multiset model"),
+    (kripke_model({"x": ["x"]}), kripke_model({"x": ["x"]}), "graded:0..1",
+     "signature kind multiset does not match the models"),
+], ids=["multiset-kripke", "distribution-multiset", "signature"])
+def test_certified_answers_check_kinds_before_separation(monkeypatch, left, right, sig, message):
+    """A separation check on models of two kinds read one model's values as the
+    other's: an AttributeError, or a NotSeparatingError about a grid."""
+    sig = resolve_signature(sig, [multiset_model({"y": {"y": 2}}) if sig.startswith("graded") else left])
+
+    def no_separation(*args):
+        raise AssertionError("separation checked before the kinds")
+
+    monkeypatch.setattr(behaviour, "ensure_separating", no_separation)
+    for answer in (behavioural_equivalence, behaviour.certified_partition):
+        with pytest.raises(KindMismatchError, match=message):
+            answer(left, right, sig)
 
 
 def test_quotient_witness_identity():

@@ -35,9 +35,8 @@ from coalsim.modelio import (
     load_relation,
     relation_to_dict,
 )
-from coalsim.oracles import bisimulation_chain
+from coalsim.oracles import simulation_chain
 from coalsim.properties import PROPERTIES
-from coalsim.simulation import _level
 
 
 def write(tmp_path, name, doc):
@@ -680,7 +679,7 @@ def test_greatest_bisim_non_separating_signatures_use_the_fixpoint(
         sig = resolve_signature(literal, [c, d])
         if _separation_gap(sig, (c, d)) is None:
             continue  # graded:0..0 separates models whose weights are all 0 or 1
-        expected = "".join(f"{x} {y}\n" for x, y in bisimulation_chain(c, d, sig).sorted_pairs())
+        expected = "".join(f"{x} {y}\n" for x, y in simulation_chain(c, d, sig, both=True).sorted_pairs())
         code, out, _ = run("greatest-bisim", cp, dp, "--sig", literal)
         assert out == expected
         assert code == (0 if expected else 1)
@@ -709,7 +708,7 @@ def test_bounded_depth_commands_reject_negative_depth(run, tmp_path, loop_model,
 
 
 def _legacy_relation(argv):
-    """The relation a command printed before rows: pair sets on the direct chains."""
+    """The relation a command printed before rows: pair sets of the reference chains on C × D."""
     command, first, *rest = argv
     if command == "closure":
         return difunctional_closure(load_relation(first))
@@ -717,16 +716,14 @@ def _legacy_relation(argv):
     literal = argv[argv.index("--sig") + 1] if "--sig" in argv else None
     sig = resolve_signature(literal, [c, d]) if literal else auto_signature(c, d)
     n = int(argv[argv.index("--n") + 1]) if "--n" in argv else None
-    if command == "greatest-sim":
-        return _level(c, d, sig, n)
-    if n is not None:
-        return bisimulation_chain(c, d, sig, n)
+    if command == "greatest-sim" or n is not None:
+        return simulation_chain(c, d, sig, n, both=command == "greatest-bisim")
     try:
         return certified_partition(c, d, sig)[0].cross_relation()
     except NotSeparatingError:
         if command == "behavioural":
             raise
-        return bisimulation_chain(c, d, sig)
+        return simulation_chain(c, d, sig, both=True)
 
 
 def _legacy_bytes(argv):
@@ -734,8 +731,7 @@ def _legacy_bytes(argv):
         c, d = load_coalgebra(argv[1]), load_coalgebra(argv[2])
         sig = resolve_signature(argv[argv.index("--sig") + 1], [c, d]) if "--sig" in argv else auto_signature(c, d)
         n = int(argv[argv.index("--n") + 1])
-        level = bisimulation_chain(c, d, sig, n) if "--bi" in argv else _level(c, d, sig, n)
-        ok = load_relation(argv[3], c, d).pairs <= level.pairs
+        ok = load_relation(argv[3], c, d).pairs <= simulation_chain(c, d, sig, n, "--bi" in argv).pairs
         out = dump_json({"holds": ok, "depth": n}) if "--json" in argv else ("holds\n" if ok else "fails\n")
         return (0 if ok else 1), out
     rel = _legacy_relation(argv)
@@ -780,7 +776,7 @@ def test_relation_answers_print_from_rows_with_the_legacy_bytes(
                       ("closure", rel, *extra)]
         for bi, sig, depth in itertools.product((("--bi",), ()), sigs, (0, 2)):
             resolved = resolve_signature(sig[1], [c, d]) if sig else auto_signature(c, d)
-            level = bisimulation_chain(c, d, resolved, depth) if bi else _level(c, d, resolved, depth)
+            level = simulation_chain(c, d, resolved, depth, both=bool(bi))
             drawn = [p for p in level.sorted_pairs() if rng.random() < 0.5]
             held = write(tmp_path, f"h{seed}{len(sig)}{depth}{len(bi)}.json",
                          relation_to_dict(relation(c.carrier, d.carrier, drawn)))

@@ -1,5 +1,4 @@
 import random
-from itertools import islice
 
 import pytest
 
@@ -11,8 +10,6 @@ from coalsim import (
     evaluate,
     full_relation,
     greatest_bisimulation,
-    greatest_n_bisimulation,
-    greatest_n_simulation,
     greatest_simulation,
     identity_relation,
     is_bisimulation,
@@ -22,9 +19,13 @@ from coalsim import (
     is_simulation,
     kripke_kind,
     parse_formula,
+    quotient_witness,
     relation,
     resolve_signature,
+    t_bisim_up_to_difunctionality_check,
+    t_bisimulation_check,
 )
+from coalsim.relations import Relation
 from coalsim.generators import (
     GeneratorConfig,
     generate_coalgebra,
@@ -35,18 +36,16 @@ from coalsim.properties import PROPERTIES, run_property_suite
 from coalsim import behaviour, simulation
 from coalsim.errors import BudgetError, KindMismatchError, ValidationError
 from coalsim.liftings import LambdaSignature, at_least, more_than
-from coalsim.oracles import bisimulation_chain
-from coalsim.simulation import _level, _level_one
+from coalsim.oracles import simulation_chain
+from coalsim.simulation import _level_one
 from coalsim.values import DISTRIBUTION_KIND, MULTISET_KIND, NEIGHBORHOOD_KIND
 
 from conftest import dist_model, generic_listing_empty, kripke_model, multiset_model, nbhd_model
 from oracle_helpers import (
     all_relations,
     difunctional_closure_oracle,
-    greatest_fixpoint_reference,
     is_difunctional_oracle,
     kripke_bisimilarity_partition,
-    levels_reference,
     n_simulation_sets,
     union_of_all_simulations,
 )
@@ -275,7 +274,7 @@ def test_n_simulation_chain_shape():
     c = kripke_model({"x": ["x"]})
     d = kripke_model({"y": []})
     sig = resolve_signature("kripke:diamond", [c, d])
-    chain = [greatest_n_simulation(c, d, sig, k) for k in range(4)]
+    chain = [greatest_simulation(c, d, sig, k) for k in range(4)]
     assert len(chain) == 4
     assert chain[0].pairs == full_relation(c.carrier, d.carrier).pairs
     for earlier, later in zip(chain, chain[1:]):
@@ -286,8 +285,8 @@ def test_depth_three_distinction_on_four_chain():
     c = kripke_model({"x0": ["x1"], "x1": ["x2"], "x2": ["x3"], "x3": []})
     d = kripke_model({"y0": ["y1"], "y1": ["y2"], "y2": []})
     sig = resolve_signature("kripke:box,diamond", [c, d])
-    assert ("x0", "y0") in greatest_n_simulation(c, d, sig, 2).pairs
-    assert ("x0", "y0") not in greatest_n_simulation(c, d, sig, 3).pairs
+    assert ("x0", "y0") in greatest_simulation(c, d, sig, 2).pairs
+    assert ("x0", "y0") not in greatest_simulation(c, d, sig, 3).pairs
     # independent evidence: a rank-3 positive formula separates the states
     probe = parse_formula("<> <> <> true", sig)
     assert evaluate(probe, c, "x0") and not evaluate(probe, d, "y0")
@@ -315,7 +314,7 @@ def test_n_simulation_chain_matches_recursive_definition_on_tiny_models():
         sig = resolve_signature("kripke:box,diamond", [c, d])
         levels = n_simulation_sets(c, d, sig, 3)
         for n in range(4):
-            greatest = greatest_n_simulation(c, d, sig, n)
+            greatest = greatest_simulation(c, d, sig, n)
             for s in all_relations(c.carrier, d.carrier):
                 assert (s.pairs in levels[n]) == (s.pairs <= greatest.pairs)
 
@@ -375,7 +374,7 @@ def test_n_bisimulation_synchronized_chain_is_sound():
         g = greatest_bisimulation(c, d, sig)
         for n in range(4):
             assert is_n_bisimulation(g, c, d, sig, n)
-            assert greatest_n_bisimulation(c, d, sig, n + 1).pairs <= greatest_n_bisimulation(
+            assert greatest_bisimulation(c, d, sig, n + 1).pairs <= greatest_bisimulation(
                 c, d, sig, n
             ).pairs
 
@@ -415,12 +414,12 @@ def _fixpoint_instances():
             yield c, d, resolve_signature(literal, [c, d])
 
 
-def test_greatest_answers_equal_the_levels_reference():
+def test_greatest_answers_equal_the_reference_chain():
     """The worklist reaches the limit of the round-by-round chain from the full relation."""
     shrank = 0
     for c, d, sig in _fixpoint_instances():
         for both, greatest in ((False, greatest_simulation), (True, greatest_bisimulation)):
-            expected = greatest_fixpoint_reference(c, d, sig, both)
+            expected = simulation_chain(c, d, sig, both=both)
             assert greatest(c, d, sig) == expected, (c, d, sig, both)
             shrank += len(expected) < len(c.carrier) * len(d.carrier)
     assert shrank > 100
@@ -429,14 +428,11 @@ def test_greatest_answers_equal_the_levels_reference():
 def test_level_one_on_the_point_equals_the_reference_first_round():
     shrank = 0
     for c, d, sig in _fixpoint_instances():
-        first = {
-            both: list(islice(levels_reference(c, d, sig, both), 2))[1]
-            for both in (False, True)
-        }
+        first = {both: simulation_chain(c, d, sig, 1, both) for both in (False, True)}
         assert _level_one(c, d, sig) == first[False].left_images(), (c, d, sig)
         shrank += sum(len(rel) < len(c.carrier) * len(d.carrier) for rel in first.values())
-        assert greatest_n_simulation(c, d, sig, 1) == first[False]
-        assert greatest_n_bisimulation(c, d, sig, 1) == first[True]
+        assert greatest_simulation(c, d, sig, 1) == first[False]
+        assert greatest_bisimulation(c, d, sig, 1) == first[True]
     assert shrank > 100
 
 
@@ -473,17 +469,17 @@ def test_path_greatest_simulation_makes_quadratically_many_pair_checks(monkeypat
         assert checks <= 2 * n * n, (literal, checks)
 
 
-def test_every_chain_level_equals_the_levels_reference():
+def test_every_chain_level_equals_the_reference_chain():
     """Levels 0..4 of both depth-n answers, not only level 1 and the limit."""
     shrank = 0
     for c, d, sig in _fixpoint_instances():
         expected = {
-            both: list(islice(levels_reference(c, d, sig, both), 5)) for both in (False, True)
+            both: [simulation_chain(c, d, sig, k, both) for k in range(5)] for both in (False, True)
         }
         for k, rel in enumerate(expected[False]):
-            assert greatest_n_simulation(c, d, sig, k) == rel, (c, d, sig, k)
+            assert greatest_simulation(c, d, sig, k) == rel, (c, d, sig, k)
         for k, rel in enumerate(expected[True]):
-            assert greatest_n_bisimulation(c, d, sig, k) == rel, (c, d, sig, k)
+            assert greatest_bisimulation(c, d, sig, k) == rel, (c, d, sig, k)
         shrank += expected[False][2] != expected[False][1]
         shrank += expected[True][2] != expected[True][1]
     assert shrank > 50
@@ -515,12 +511,12 @@ def test_path_depth_n_chains_make_quadratically_many_pair_checks(monkeypatch):
     monkeypatch.setattr(simulation, "lifting_check", counted)
     monkeypatch.setattr(behaviour, "lifting_check", counted)
     diagonal = {(f"x{i}", f"y{i}") for i in range(n)}
-    assert greatest_n_simulation(c, d, sig, n // 2).pairs != diagonal
+    assert greatest_simulation(c, d, sig, n // 2).pairs != diagonal
     checks = 0
-    assert greatest_n_simulation(c, d, sig, n).pairs == diagonal
+    assert greatest_simulation(c, d, sig, n).pairs == diagonal
     assert checks <= 2 * n * n, checks
     checks = 0
-    assert greatest_n_bisimulation(c, d, sig, n).pairs == diagonal
+    assert greatest_bisimulation(c, d, sig, n).pairs == diagonal
     assert checks <= 2 * n * n, checks
 
 
@@ -554,7 +550,7 @@ def _inflated_instances():
 def test_quotient_simulation_equals_the_direct_chain():
     merged = nontrivial = infinite = 0
     for c, d, sig in _inflated_instances():
-        direct = _level(c, d, sig)
+        direct = simulation_chain(c, d, sig)
         assert greatest_simulation(c, d, sig) == direct, (c, d, sig)
         blocks = behaviour.stabilized_partition(c, d)[0].blocks
         merged += any(len(ls) > 1 or len(rs) > 1 for ls, rs in blocks)
@@ -571,11 +567,34 @@ def test_quotient_route_builds_quotients_only_when_the_partition_merges(monkeypa
     c = kripke_model({"x0": ["x1"], "x1": []})
     d = kripke_model({"y0": ["y1"], "y1": ["y2"], "y2": []})
     sig = auto_signature(c, d)
-    assert greatest_simulation(c, d, sig) == _level(c, d, sig)
+    assert greatest_simulation(c, d, sig) == simulation_chain(c, d, sig)
     assert built == []
     c = kripke_model({"x": ["a", "b"], "a": [], "b": []})
-    assert greatest_simulation(c, d, sig) == _level(c, d, sig)
+    assert greatest_simulation(c, d, sig) == simulation_chain(c, d, sig)
     assert built == [c, d]
+
+
+@pytest.mark.parametrize("check", [
+    lambda s, c, d, sig: is_simulation(s, c, d, sig),
+    lambda s, c, d, sig: is_bisimulation(s, c, d, sig),
+    lambda s, c, d, sig: is_bisimulation_up_to_difunctionality(s, c, d, sig),
+    lambda s, c, d, sig: is_n_simulation(s, c, d, sig, 1),
+    lambda s, c, d, sig: is_n_bisimulation(s, c, d, sig, 1),
+    lambda s, c, d, sig: t_bisimulation_check(s, c, d),
+    lambda s, c, d, sig: t_bisim_up_to_difunctionality_check(s, c, d),
+    lambda s, c, d, sig: quotient_witness(s, c, d),
+], ids=["is_simulation", "is_bisimulation", "is_bisimulation_up_to_difunctionality",
+        "is_n_simulation", "is_n_bisimulation", "t_bisimulation_check",
+        "t_bisim_up_to_difunctionality_check", "quotient_witness"])
+@pytest.mark.parametrize("stray", [("x", "ghost"), ("ghost", "y")], ids=["right", "left"])
+def test_relation_checks_reject_pairs_outside_the_carriers(check, stray):
+    """A hand-built relation naming a state outside its carriers raised KeyError,
+    returned False, or reported a misleading QuotientUndefined."""
+    c = kripke_model({"x": ["x"]})
+    d = kripke_model({"y": ["y"]})
+    s = Relation(c.carrier, d.carrier, frozenset({("x", "y"), stray}))
+    with pytest.raises(ValidationError, match=r"pairs outside the carriers: \[\(.*ghost"):
+        check(s, c, d, auto_signature(c, d))
 
 
 def test_quotient_route_checks_kinds_before_any_partition_work(monkeypatch):
@@ -586,7 +605,7 @@ def test_quotient_route_checks_kinds_before_any_partition_work(monkeypatch):
     monkeypatch.setattr(behaviour, "_refine", no_partition)
     c = kripke_model({"x": ["x"]})
     d = multiset_model({"y": {"y": 1}})
-    with pytest.raises(KindMismatchError, match="cannot relate a kripke model with a multiset"):
+    with pytest.raises(KindMismatchError, match="cannot compare a kripke model with a multiset"):
         greatest_simulation(c, d, auto_signature(c))
     with pytest.raises(KindMismatchError, match="signature kind multiset does not match"):
         greatest_simulation(c, c, auto_signature(d))
@@ -620,7 +639,7 @@ def test_hub_chain_bisimulation_on_the_quotient_makes_few_pair_checks(monkeypatc
 
     c, d = hub_chain("x"), hub_chain("y")
     sig = resolve_signature("kripke:box,diamond", [c, d])
-    expected = bisimulation_chain(c, d, sig)
+    expected = simulation_chain(c, d, sig, both=True)
     checks = 0
     real = simulation.lifting_check
 
@@ -649,11 +668,11 @@ def test_quotient_bases_stay_within_the_exhaustive_bound(monkeypatch):
     d = multiset_model({"y": {"w": 1, "v": 1}, "w": {"p": 1}, "v": {}, "p": {}})
     sig = resolve_signature("graded:0..0", [c, d])
     with pytest.raises(BudgetError, match="value base has 20 states"):
-        _level(c, d, sig)
+        simulation_chain(c, d, sig)
     answer = greatest_simulation(c, d, sig)
     assert ("x", "y") in answer.pairs
     # y's successor v is a deadlock, which no successor of x matches.
     expected = {(z, "w") for z in zs} | {("q", "v"), ("q", "p")}
     assert greatest_bisimulation(c, d, sig).pairs == expected
     monkeypatch.setenv("COALSIM_MAX_BASE", "20")
-    assert answer == _level(c, d, sig)
+    assert answer == simulation_chain(c, d, sig)
