@@ -110,18 +110,23 @@ def test_behavioural_equivalence_requires_separating_signature():
         behavioural_equivalence(c, c, sig)
 
 
-@pytest.mark.parametrize("left,right,sig,message", [
-    (multiset_model({"y": {"y": 2}}), kripke_model({"x": ["x"]}), "graded:auto",
-     "cannot compare a multiset model with a kripke model"),
-    (dist_model({"u": {"u": 1}}), multiset_model({"y": {"y": 2}}), "prob:auto-grid",
+_KRIPKE = kripke_model({"x": ["x"]})
+_MULTISET = multiset_model({"y": {"y": 2}})
+_DISTRIBUTION = dist_model({"u": {"u": 1}})
+
+
+@pytest.mark.parametrize("left,right,literal,sig_model,message", [
+    (_MULTISET, _KRIPKE, "graded:auto", _MULTISET, "cannot compare a multiset model with a kripke model"),
+    (_DISTRIBUTION, _MULTISET, "prob:auto-grid", _DISTRIBUTION,
      "cannot compare a distribution model with a multiset model"),
-    (kripke_model({"x": ["x"]}), kripke_model({"x": ["x"]}), "graded:0..1",
-     "signature kind multiset does not match the models"),
+    (_KRIPKE, _KRIPKE, "graded:0..1", _MULTISET, "signature kind multiset does not match the models"),
 ], ids=["multiset-kripke", "distribution-multiset", "signature"])
-def test_certified_answers_check_kinds_before_separation(monkeypatch, left, right, sig, message):
+def test_certified_answers_check_kinds_before_separation(
+    monkeypatch, left, right, literal, sig_model, message
+):
     """A separation check on models of two kinds read one model's values as the
     other's: an AttributeError, or a NotSeparatingError about a grid."""
-    sig = resolve_signature(sig, [multiset_model({"y": {"y": 2}}) if sig.startswith("graded") else left])
+    sig = resolve_signature(literal, [sig_model])
 
     def no_separation(*args):
         raise AssertionError("separation checked before the kinds")
