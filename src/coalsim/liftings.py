@@ -8,10 +8,15 @@ and `[m]` (the tested set belongs to the system) over neighborhoods.
 
 A signature is a functor kind and the finite list of modalities that
 algorithmic quantifiers iterate over, nothing more.  For graded and
-probabilistic kinds the list is a grid of thresholds; `resolve_signature`
-builds grids that cover every threshold the given models can realize.
-Whether a signature separates the values of some models is derived from its
-modalities (`ensure_separating`).
+probabilistic kinds the list is a grid of thresholds.  `resolve_signature`
+gives a `ThresholdGrid`, which lists nothing at resolution: it keeps its
+models and computes their subset sums only for a query that needs them,
+and builds its modalities only when iterated.  `graded:auto` and
+`prob:auto-grid` cover every threshold the given models can realize by
+construction, so the pair check asks them about one threshold and never
+lists them.  Whether a signature separates the values of some models is
+derived from its modalities (`ensure_separating`); a grid separates its own
+models with no check.
 
 This is the one module that knows the one-step (lifting) condition behind
 simulations and bisimulations (see `lifting_violations`).  `lifting_check`
@@ -29,6 +34,7 @@ of masses over bitmasks for weighted ones.
 from __future__ import annotations
 
 import os
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -59,8 +65,8 @@ from .values import (
 )
 
 DEFAULT_MAX_BASE = 16
-MAX_GRADED_INDEX = 100_000  # largest index of a graded grid; about 0.2 s to build
-MAX_PROB_GRID = 50_000  # most masses of a probability grid; a call at the limit takes about 1 s
+MAX_GRADED_INDEX = 100_000  # largest index of a graded grid; about 0.2 s to list
+MAX_PROB_GRID = 50_000  # most subset sums a probability grid computes for a query; about 1 s at the limit
 
 
 def _max_base() -> int:
@@ -211,14 +217,181 @@ def satisfies(t: FunctorValue, m: Modality, states) -> bool:
     raise _mismatch(t, m)
 
 
+class ThresholdGrid:
+    """A resolved grid of weighted thresholds, read-only and built only when read.
+
+    The grid of `graded:0..K` is the indices `<0>` … `<K>`, and
+    `graded:auto` takes K = `graded_bound` of its models.  The grid of
+    `prob:auto-grid` is `L(p)` for every mass p that a distribution of its
+    models realizes on some set (`_subset_sums`).  Resolution keeps only the
+    models and K.  The subset sums, on one denominator, are computed once,
+    when a query first needs them, and the `Modality` objects once, when the
+    grid is first iterated.  Iteration is ascending, and the grid
+    equals the tuple of its modalities under `==`, `len` and `in`.
+
+    A grid resolved on models (`graded:auto`, `prob:auto-grid`) holds by
+    construction every threshold those models realize.  So it separates
+    them with no check (`_separation_gap`), and a distribution of those
+    models that fails a pair at a cut A fails `L(t(A))`, which is in the
+    grid with no sum computed (`fails_cut`).  Values are matched by
+    identity, so an equal value built elsewhere is still asked exactly.
+    """
+
+    def __init__(self, op: str, models: Sequence[Coalgebra] = (), top: Optional[int] = None):
+        self.op = op  # "diamond_gt" with the largest index `top`, or "at_least" over the models
+        self.models = tuple(models)  # the models it was resolved on; they realize no threshold outside it
+        self._top = top
+        self._built = {}  # the modalities built so far, by position
+
+    @cached_property
+    def _sums(self) -> tuple:
+        """(den, points): the grid's thresholds as naturals over den, as a range or a set."""
+        if self.op == "diamond_gt":
+            return 1, range(self._top + 1)
+        return _subset_sums(self.models)
+
+    @cached_property
+    def _points(self) -> Sequence:
+        """The naturals of `_sums`, ascending."""
+        points = self._sums[1]
+        return points if isinstance(points, range) else sorted(points)
+
+    @cached_property
+    def _listed(self) -> tuple:
+        return tuple(map(self._modality, range(len(self))))
+
+    @cached_property
+    def _own_values(self) -> frozenset:
+        return frozenset(id(t) for c in self.models for t in c.transition.values())
+
+    def _modality(self, k: int) -> Modality:
+        """The modality of the grid's k-th point, built once."""
+        m = self._built.get(k)
+        if m is None:
+            point = self._points[k]
+            if self.op == "diamond_gt":
+                m = self._built[k] = diamond_gt(point)
+            else:
+                m = self._built[k] = at_least(Fraction(point, self._sums[0]))
+        return m
+
+    def _holds(self, q) -> bool:
+        """Is q an index, or a mass, of the grid?  Masses 0 and 1 always are."""
+        if self.op == "diamond_gt":
+            return q in self._sums[1]
+        q = Fraction(q)
+        if q.numerator in (0, q.denominator):
+            return True
+        den, sums = self._sums
+        return den % q.denominator == 0 and q.numerator * (den // q.denominator) in sums
+
+    def fails_cut(self, t, a, b) -> bool:
+        """Does a pair whose flow stops at a cut A, with a = t(A) > b = u(S[A]),
+        fail a threshold of the grid?  It fails `<b>` and `L(a)`: `<b>` is a
+        range test, and `L(a)` needs no sum when t is a value of the grid's
+        own models, which realize a."""
+        if self.op == "diamond_gt":
+            return b in self._sums[1]
+        return id(t) in self._own_values or self._holds(a)
+
+    def failing(self, t, table: list, den: int):
+        """(modality, mask) for each threshold that a row (mask, t(A), u(S[A]))
+        of t's mass table over den fails, ascending by threshold, then in table
+        order: the points in (u(S[A]), t(A)] of each row.  A value of another
+        kind raises as the grid's first point does.
+
+        `<k>` fails there exactly when u(S[A]) ≤ k < t(A), and `L(s/g)`, over
+        the grid's denominator g, when u(S[A])·g < s·den ≤ t(A)·g.  Each
+        row's points are one span of positions in the ascending points.  The
+        positions are walked from the first span's start, and each position
+        lists the rows whose spans hold it, kept in table order as spans
+        open and close, so the listing builds only the modalities it yields.
+        """
+        if not isinstance(t, VALUE_TYPES[_KIND_OF_OP[self.op]]):
+            raise _mismatch(t, diamond_gt(0) if self.op == "diamond_gt" else at_least(0))
+        g, points = self._sums[0], self._points
+        spans = []  # (start, stop, row): the row's points are at positions start..stop-1
+        for row, (_, ta, ub) in enumerate(table):
+            if self.op == "diamond_gt":
+                lo, hi = ub, ta - 1
+            else:
+                lo, hi = ub * g // den + 1, ta * g // den
+            start = bisect_left(points, lo)
+            stop = len(points) if hi == INF else bisect_right(points, hi)
+            if start < stop:
+                spans.append((start, stop, row))
+        if not spans:
+            return
+        spans.sort(reverse=True)  # the next span to open is last
+        active = []  # (row, stop) of the open spans, in table order
+        for k in range(spans[-1][0], max(stop for _, stop, _ in spans)):
+            while spans and spans[-1][0] == k:
+                _, stop, row = spans.pop()
+                insort(active, (row, stop))
+            active = [(row, stop) for row, stop in active if stop > k]
+            for row, _ in active:
+                yield self._modality(k), table[row][0]
+
+    def gap(self, models) -> Optional[str]:
+        """`_separation_gap` for the grid: only models it was not resolved on are checked."""
+        foreign = [c for c in models if not any(c is own for own in self.models)]
+        if not foreign:
+            return None
+        if self.op == "diamond_gt":
+            need = graded_bound(foreign)
+            if self._top < need:
+                return f"graded grid misses index {self._top + 1}; weights reach {need}"
+            return None
+        den, sums = _subset_sums(foreign)
+        missing = [q for q in (Fraction(s, den) for s in sorted(sums)) if not self._holds(q)]
+        if missing:
+            return clipped(f"probability grid misses realized masses {[as_text(q) for q in missing]}")
+        return None
+
+    def __len__(self) -> int:
+        return len(self._sums[1])
+
+    def __bool__(self) -> bool:
+        return True  # 0 is an index and a mass of every grid
+
+    def __iter__(self):
+        return iter(self._listed)
+
+    def __contains__(self, m) -> bool:
+        if not isinstance(m, Modality) or m.op != self.op:
+            return False
+        q = m.index if self.op == "diamond_gt" else m.bound
+        return self._holds(q) and m == (diamond_gt(q) if self.op == "diamond_gt" else at_least(q))
+
+    def __eq__(self, other):
+        if isinstance(other, (ThresholdGrid, tuple)):
+            return self._listed == tuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._listed)
+
+    def __repr__(self) -> str:
+        if self.op == "diamond_gt":
+            return f"ThresholdGrid(<0>..<{self._top}>)"
+        return f"ThresholdGrid(L(p) for the subset masses of {len(self.models)} models)"
+
+
 @dataclass(frozen=True)
 class LambdaSignature:
-    """Functor kind plus the finite modality list algorithms quantify over."""
+    """Functor kind plus the finite modality list algorithms quantify over:
+    a tuple, or the `ThresholdGrid` of a resolved grid literal."""
 
     kind: FunctorKind
-    modalities: tuple
+    modalities: Sequence
 
     def __post_init__(self):
+        if isinstance(self.modalities, ThresholdGrid):
+            if _KIND_OF_OP[self.modalities.op] != self.kind.name:
+                raise KindMismatchError(
+                    f"a {self.modalities.op} grid does not apply to kind {self.kind.name!r}"
+                )
+            return
         for m in self.modalities:
             if modality_kind(m) != self.kind.name:
                 raise KindMismatchError(
@@ -229,7 +402,8 @@ class LambdaSignature:
 
     @cached_property
     def _thresholds(self) -> frozenset:
-        """(operator, index or bound) of each modality, read by the weighted pair check."""
+        """(operator, index or bound) of each modality, read by the weighted pair
+        check of a tuple signature; a `ThresholdGrid` answers it by itself."""
         return frozenset((m.op, m.bound if m.index is None else m.index) for m in self.modalities)
 
 
@@ -289,9 +463,11 @@ def resolve_signature(literal: str, models: Sequence[Coalgebra]) -> LambdaSignat
 
     Supported literals: "kripke:<parts>" with parts among box, diamond,
     atoms; "graded:0..K" and "graded:auto"; "prob:auto-grid"; "nbhd:box".
-    Grid-style signatures are resolved against the models they will be used
-    on, so the grid provably covers every relevant threshold.  A graded grid
-    past index MAX_GRADED_INDEX, given or resolved, raises BudgetError.
+    Grid literals resolve to a `ThresholdGrid`, which lists nothing until
+    it is read; "graded:auto" and "prob:auto-grid" are grids of the
+    thresholds the models realize, so they cover every relevant one by
+    construction.  A graded grid past index MAX_GRADED_INDEX, given or
+    resolved, raises BudgetError.
     """
     if not models:
         raise ValidationError("signature resolution needs at least one model")
@@ -332,11 +508,11 @@ def resolve_signature(literal: str, models: Sequence[Coalgebra]) -> LambdaSignat
             raise BudgetError(
                 f"graded signature {shown(literal)} needs indices above the limit {MAX_GRADED_INDEX}"
             )
-        mods = map(diamond_gt, range(bound + 1))
+        return LambdaSignature(kind, ThresholdGrid("diamond_gt", models if spec == "auto" else (), bound))
     elif family == "prob":
         if spec != "auto-grid":
             raise ValidationError(f"malformed probabilistic signature {shown(literal)}")
-        mods = map(at_least, prob_grid(models))
+        return LambdaSignature(kind, ThresholdGrid("at_least", models))
     else:
         if spec != "box":
             raise ValidationError(f"malformed neighborhood signature {shown(literal)}")
@@ -365,8 +541,12 @@ def _separation_gap(sig: LambdaSignature, models) -> Optional[str]:
     holding every threshold the models realize: each index up to
     `graded_bound`, each subset mass of `_subset_sums`, reduced to lowest
     terms and compared with the grid's bounds as integer pairs, so no
-    sorted grid of fractions is built.
+    sorted grid of fractions is built.  A `ThresholdGrid` separates the
+    models it was resolved on by construction, and checks only the others
+    (`ThresholdGrid.gap`).
     """
+    if isinstance(sig.modalities, ThresholdGrid):
+        return sig.modalities.gap(models)
     if sig.kind.name == KRIPKE:
         if BOX not in sig.modalities and DIAMOND not in sig.modalities:
             return "kripke signature needs [] or <>"
@@ -475,8 +655,10 @@ def _weighted_misses(t, u, img, sig):
 
     Every modality is a monotone threshold on mass, so it can fail at A only
     where t(A) > u(S[A]); the table (`_deficits`) keeps those sets, and each
-    modality, in signature order, scans them.  The sets are built only for
-    the failures yielded.  Beyond COALSIM_MAX_BASE the minimum cut A* of
+    modality, in signature order, scans them.  A `ThresholdGrid` lists, in
+    the same order, only its points in (u(S[A]), t(A)] of each row
+    (`ThresholdGrid.failing`).  The sets are built only for the failures
+    yielded.  Beyond COALSIM_MAX_BASE the minimum cut A* of
     `hall_violator` stands in for the table: each modality that A* fails
     is listed with it, and BudgetError is raised only when it fails none,
     which a grid holding the models' thresholds rules out.
@@ -494,17 +676,25 @@ def _weighted_misses(t, u, img, sig):
         def members(mask):
             return frozenset(x for i, x in enumerate(items) if mask >> i & 1)
 
+    grid = sig.modalities if isinstance(sig.modalities, ThresholdGrid) else None
     listed = False
-    for m in sig.modalities:
+    for m, a in grid.failing(t, table, den) if grid else _failing(t, sig.modalities, table, den):
+        listed = True
+        yield m, members(a)
+    if beyond and table and not listed:
+        exhaustive_base(base(t), "value base")  # raises: only a search of every A could list this pair
+
+
+def _failing(t, modalities, table: list, den: int):
+    """(modality, mask) for each modality, in order, and each row of the
+    mass table over den that it fails, in table order."""
+    for m in modalities:
         strict, bound = _threshold(t, m)
         # m holds of an integer mass v exactly when v > level.
         level = floor(bound * den) if strict else ceil(bound * den) - 1
         for a, ta, ub in table:
             if ub <= level < ta:
-                listed = True
-                yield m, members(a)
-    if beyond and table and not listed:
-        exhaustive_base(base(t), "value base")  # raises: only a search of every A could list this pair
+                yield m, a
 
 
 def lifting_violations(
@@ -607,9 +797,11 @@ def lifting_check(sig: LambdaSignature):
       where t(A) > u(S[A]); with no such set every threshold holds.
       `hall_violator` decides that by one maximum flow from a greedy fill,
       and otherwise returns the minimal minimum cut's sources as A.  That
-      violator, with a = t(A) and b = u(S[A]), fails <b>, L(a) and M(b); a
-      grid resolved on the models holds one of them, and only a grid
-      holding none is searched (`_pair_ok_generic`).
+      violator, with a = t(A) and b = u(S[A]), fails <b>, L(a) and M(b).  A
+      `ThresholdGrid` is asked about them (`ThresholdGrid.fails_cut`): <b>
+      is a range test, and L(a) is in a grid resolved on t's model by
+      construction.  A tuple signature looks them up.  Only a signature
+      holding none of them is searched (`_pair_ok_generic`).
     - Neighborhoods: each minimal set's image belongs to u.
 
     A signature without modalities always holds; otherwise values not of
@@ -651,7 +843,8 @@ def lifting_check(sig: LambdaSignature):
             return all(u.contains(_image(m, img)) for m in t.minimals)
 
     else:
-        thresholds = sig._thresholds
+        grid = sig.modalities if isinstance(sig.modalities, ThresholdGrid) else None
+        thresholds = None if grid else sig._thresholds
 
         def ok(t, u, img) -> bool:
             if not (isinstance(t, kind) and isinstance(u, kind)):
@@ -661,7 +854,9 @@ def lifting_check(sig: LambdaSignature):
             if cut is None:
                 return True
             _, a, b = cut
-            if not thresholds.isdisjoint((("diamond_gt", b), ("at_least", a), ("more_than", b))):
+            if grid.fails_cut(t, a, b) if grid else not thresholds.isdisjoint(
+                (("diamond_gt", b), ("at_least", a), ("more_than", b))
+            ):
                 return False
             return _pair_ok_generic(sig, t, u, img)
 

@@ -95,12 +95,17 @@ class Relation:
     def __len__(self):
         return len(self.pairs)
 
+    @cached_property
+    def _stray_pairs(self) -> list:
+        """The pairs outside left × right, sorted; a relation never changes, so
+        they are found once, by `relation` or by the first check of a hand-built one."""
+        ls, rs = set(self.left), set(self.right)
+        return sorted((p for p in self.pairs if p[0] not in ls or p[1] not in rs), key=state_key)
+
     def check_pairs(self) -> None:
         """Raise ValidationError naming the pairs outside left × right."""
-        ls, rs = set(self.left), set(self.right)
-        bad = sorted((p for p in self.pairs if p[0] not in ls or p[1] not in rs), key=state_key)
-        if bad:
-            raise ValidationError(f"pairs outside the carriers: {shown(bad)}")
+        if self._stray_pairs:
+            raise ValidationError(f"pairs outside the carriers: {shown(self._stray_pairs)}")
 
 
 def relation(left: Iterable, right: Iterable, pairs: Iterable) -> Relation:

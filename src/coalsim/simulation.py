@@ -27,7 +27,7 @@ from itertools import chain, islice
 from typing import Optional
 
 from . import behaviour  # which imports this module: read its names at call time
-from .errors import KindMismatchError, ValidationError
+from .errors import BudgetError, KindMismatchError, ValidationError, shown
 from .liftings import (
     LambdaSignature,
     Modality,
@@ -197,7 +197,7 @@ def _suspects(lost: dict, pred_c: dict, img: dict, order_c, order_d) -> list:
     return [(x, sorted(found[x], key=order_d)) for x in sorted(found, key=order_c)]
 
 
-def _levels(c: Coalgebra, d: Coalgebra, sig: LambdaSignature):
+def _levels(c: Coalgebra, d: Coalgebra, sig: LambdaSignature, first_member=None):
     """The descending chain, as images from left states, up to its limit.
 
     Level 0 is the full relation and level 1 comes from `_level_one`; level
@@ -213,6 +213,8 @@ def _levels(c: Coalgebra, d: Coalgebra, sig: LambdaSignature):
     against level k and drops its failures only after the round.  The
     generator stops after the first level whose round drops nothing, the
     greatest simulation.  The images are updated in place between levels.
+    On behavioural quotients, `first_member` maps each left state to the
+    first member of its block, and a budget error met at a pair names it.
     """
     yield dict.fromkeys(c.carrier, frozenset(d.carrier))
     ok = lifting_check(sig)
@@ -232,11 +234,16 @@ def _levels(c: Coalgebra, d: Coalgebra, sig: LambdaSignature):
     while True:
         yield img
         dropped = {}
-        for x, ys in _suspects(lost, pred_c, img, order_c, order_d):
-            t = ct[x]
-            gone = [y for y in ys if not ok(t, dt[y], img)]
-            if gone:
-                dropped[x] = gone
+        try:
+            for x, ys in _suspects(lost, pred_c, img, order_c, order_d):
+                t = ct[x]
+                gone = [y for y in ys if not ok(t, dt[y], img)]
+                if gone:
+                    dropped[x] = gone
+        except BudgetError as exc:
+            if first_member is None:
+                raise
+            raise BudgetError(f"quotient value of the block of {shown(first_member[x])}: {exc}") from exc
         if not dropped:
             return
         lost = {}
@@ -245,9 +252,9 @@ def _levels(c: Coalgebra, d: Coalgebra, sig: LambdaSignature):
             lost[x] = set().union(*map(pred_d.__getitem__, gone))
 
 
-def _limit(c, d, sig, n=None) -> dict:
+def _limit(c, d, sig, n=None, first_member=None) -> dict:
     """Level n of the chain, or its limit when n is None, as images."""
-    *_, img = islice(_levels(c, d, sig), None if n is None else n + 1)
+    *_, img = islice(_levels(c, d, sig, first_member), None if n is None else n + 1)
     return img
 
 
@@ -270,7 +277,9 @@ def simulation_rows(c: Coalgebra, d: Coalgebra, sig: LambdaSignature, n=None) ->
     are, under the same signature.  The chain runs on Q_C × Q_D, and each
     left state gets its block's row, one shared tuple per block.  When no
     block holds two states of one side, Q_C and Q_D are C and D up to
-    renaming, so the chain runs on C × D and no quotient is built.  The
+    renaming, so the chain runs on C × D and no quotient is built.  A
+    budget error at a quotient pair names the first member of the left
+    block, whose quotient value it counted.  The
     depth and the kinds are checked before the partition is refined.  This
     is exact for every monotone signature and depth: quotient maps are
     morphisms, whose graphs are Λ-bisimulations, and Λ-simulations compose.
@@ -283,7 +292,7 @@ def simulation_rows(c: Coalgebra, d: Coalgebra, sig: LambdaSignature, n=None) ->
     if len(lefts) == len(c.carrier) and len(rights) == len(d.carrier):
         return image_rows(_limit(c, d, sig, n), d.carrier)  # the quotients are C and D
     qc, qd = _quotient(c, part.left_ids, lefts), _quotient(d, part.right_ids, rights)
-    img = _limit(qc, qd, sig, n)
+    img = _limit(qc, qd, sig, n, {i: ls[0] for i, ls in lefts.items()})
     row = image_rows({i: [y for j in img[i] for y in blocks[j][1]] for i in qc.carrier}, d.carrier)
     return {x: row[i] for x, i in part.left_ids.items()}
 

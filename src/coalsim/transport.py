@@ -106,9 +106,14 @@ def _solve(supply: Mapping, room: Mapping, reach: Mapping, plan: bool) -> tuple:
     `_augment` then runs until all ships or no path is left.  The cut is
     None when all of the supply ships, otherwise (sources, short): the
     sources the last search reached, in supply order, and the amount left
-    unshipped.  `cells` is None with a cut, otherwise it lazily yields
-    ((source, sink), amount) for the positive amounts, source by source in
-    supply order and along each source's row.
+    unshipped.  `cells` is None with a cut, otherwise it yields ((source,
+    sink), amount) for the positive amounts, source by source in supply
+    order and along each source's row.  The fill ships in that order, so
+    when it ships everything the cells are the fill's, as recorded;
+    otherwise the flow per sink that `_augment` reads is built from them,
+    and the cells are read off that flow.  A plan row shared by
+    several sources keeps its first sink with room, so no source tests
+    again the sinks its row's earlier sources filled.
     """
     rows = list(map(reach.__getitem__, supply))
     fill = not plan
@@ -123,19 +128,37 @@ def _solve(supply: Mapping, room: Mapping, reach: Mapping, plan: bool) -> tuple:
             for row in shared:
                 row.append(y)
         fill = all(len(shared) < 2 for shared in members.values())
-    left, free, into = list(supply.values()), dict(room), {y: {} for y in room}
+    left, free = list(supply.values()), dict(room)
+    shipped = []  # (source, sink, amount) as the fill ships them, in the order `cells` lists them
     if fill:
+        first = {}  # each plan row's first sink with room: its sinks fill up in row order
         for i, row in enumerate(rows):
             have = left[i]
-            for y in row:
+            k = first.get(id(row), 0) if plan else 0
+            for y in row[k:] if plan else row:
                 if not have:
                     break
-                if free[y]:
-                    push = have if have < free[y] else free[y]
-                    into[y][i] = push
-                    free[y] -= push
-                    have -= push
+                room_y = free[y]
+                if not room_y:
+                    continue
+                if have < room_y:
+                    free[y] = room_y - have
+                    shipped.append((i, y, have))
+                    have = 0
+                    break
+                free[y] = 0
+                shipped.append((i, y, room_y))
+                have -= room_y
+                k += 1
             left[i] = have
+            if plan:
+                first[id(row)] = k
+    if not any(left):
+        keys = list(supply)
+        return None, [((keys[i], y), w) for i, y, w in shipped]
+    into = {y: {} for y in room}
+    for i, y, w in shipped:
+        into[y][i] = w
     while any(left):
         reached = _augment(left, free, rows, into)
         if reached is not None:

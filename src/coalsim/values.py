@@ -182,12 +182,31 @@ def integer_weights(*values) -> tuple:
     weights as they are, INF kept.  Distribution masses are scaled to
     integers over den, the least common denominator of all the given
     values' masses.  The kind is read once, off the first value, so no
-    distribution mass is ever compared with INF.
+    distribution mass is ever compared with INF.  Each value's own row is
+    computed once and kept on the value; a row is rescaled only when its
+    denominator is not den.  Rows may be shared, so callers never change
+    them.
     """
     if not values or type(values[0]) is MultisetValue:
-        return 1, [dict(t.entries) for t in values]
-    den = lcm(*[q.denominator for t in values for _, q in t.entries])
-    return den, [{z: q.numerator * (den // q.denominator) for z, q in t.entries} for t in values]
+        return 1, [_integer_row(t)[1] for t in values]
+    own = [_integer_row(t) for t in values]
+    den = lcm(*[d for d, _ in own])
+    return den, [row if d == den else {z: w * (den // d) for z, w in row.items()} for d, row in own]
+
+
+def _integer_row(t) -> tuple:
+    """(den, row) of one weighted value: its weights as they are over 1, or its
+    masses as naturals over the least common denominator of its own masses.
+    Found once, and kept in the value's `__dict__`, outside its fields."""
+    row = t.__dict__.get("_integer_row")
+    if row is None:
+        if type(t) is MultisetValue:
+            row = 1, dict(t.entries)
+        else:
+            den = lcm(*[q.denominator for _, q in t.entries])
+            row = den, {z: q.numerator * (den // q.denominator) for z, q in t.entries}
+        t.__dict__["_integer_row"] = row
+    return row
 
 
 def _canonical(entries) -> bool:

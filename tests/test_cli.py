@@ -557,17 +557,73 @@ def test_graded_grid_past_the_index_limit_fails_at_once(run, tmp_path):
     assert err.startswith("error: ") and "limit 100000" in err and len(err) < 200
 
 
-def test_probability_grid_past_its_limit_fails_at_once(run, tmp_path):
-    states = [f"s{i}" for i in range(40)]
-    mass = {z: f"1/{2 ** (i + 1)}" for i, z in enumerate(states[:-1])}
-    mass[states[-1]] = f"1/{2 ** 39}"
-    model = write(tmp_path, "dyadic.json", {"functor": "distribution", "states": states,
-                                             "transition": {z: mass for z in states}})
+def _dyadic_file(tmp_path, k, support=None):
+    """A k-state distribution model; every state has masses 1/2, 1/4, ..., 1/2^(m-1) and
+    the rest on its first m states, m = `support` (default k)."""
+    states = [f"s{i}" for i in range(k)]
+    m = support or k
+    mass = {z: f"1/{2 ** (i + 1)}" for i, z in enumerate(states[:m - 1])}
+    mass[states[m - 1]] = f"1/{2 ** (m - 1)}"
+    return write(tmp_path, f"dyadic{k}_{m}.json", {"functor": "distribution", "states": states,
+                                                    "transition": {z: mass for z in states}})
+
+
+@pytest.mark.parametrize("support", [17, 20])
+def test_dyadic_grids_past_the_limit_decide_at_once(run, tmp_path, support):
+    """2^(support-1) + 1 masses: verdicts read none, a listing needs them and says so."""
+    model = _dyadic_file(tmp_path, 20, support)
+    everything = [f"s{i} s{j}" for i in range(20) for j in range(20)]
+    for command in ("behavioural", "greatest-bisim", "greatest-sim"):
+        start = time.perf_counter()
+        code, out, err = run(command, model, model)
+        assert time.perf_counter() - start < 1.0
+        assert (code, err, out.splitlines()) == (0, "", everything)
+    rel = write(tmp_path, "rel.json", {"pairs": [["s0", "s1"], ["s1", "s1"]]})
     start = time.perf_counter()
-    code, out, err = run("greatest-sim", model, model)
+    code, out, err = run("check-sim", model, model, rel)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == "" and "MAX_PROB_GRID = 50000" in err
+
+
+def test_probability_grid_past_its_limit_is_not_needed_for_verdicts(run, tmp_path):
+    """Its 2^39 masses are never listed: the decisions read no grid point."""
+    model = _dyadic_file(tmp_path, 40)
+    for command in ("greatest-sim", "behavioural"):
+        start = time.perf_counter()
+        code, out, err = run(command, model, model)
+        assert time.perf_counter() - start < 2.0
+        assert code == 0 and err == ""
+        assert out.splitlines() == [f"s{i} s{j}" for i in range(40) for j in range(40)]
+
+
+def test_probability_grid_listing_past_its_limit_fails_at_once(run, tmp_path):
+    """A failing pair's listing needs the grid's points, and there are too many."""
+    model = _dyadic_file(tmp_path, 40)
+    rel = write(tmp_path, "rel.json", {"pairs": [["s0", "s0"]]})
+    start = time.perf_counter()
+    code, out, err = run("check-sim", model, model, rel)
     assert time.perf_counter() - start < 2.0
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "MAX_PROB_GRID = 50000" in err and len(err) < 200
+
+
+def test_base_cap_on_the_quotient_route_names_the_users_state(run, tmp_path, monkeypatch):
+    """x's value has a base of 3 states; its quotient value, on the blocks {p, q} and {r}, has 2."""
+    model = write(tmp_path, "m.json", {"functor": "multiset", "states": ["x", "y", "p", "q", "r"],
+                                       "transition": {"x": {"p": 1, "q": 1, "r": 1}, "y": {"p": 1, "r": 1},
+                                                      "p": {}, "q": {}, "r": {"r": 1}}})
+    rel = write(tmp_path, "rel.json", {"pairs": [["x", "y"]]})
+    monkeypatch.setenv("COALSIM_MAX_BASE", "1")
+    for argv in (("greatest-sim", model, model), ("check-sim", model, model, rel, "--n", "2")):
+        code, out, err = run(*argv, "--sig", "graded:0..0")
+        assert (code, out) == (2, "")
+        assert err == ("error: quotient value of the block of 'x': value base has 2 states, "
+                       "above the exhaustive bound 1 (override with COALSIM_MAX_BASE)\n")
+    monkeypatch.setenv("COALSIM_MAX_BASE", "2")
+    code, out, _ = run("greatest-sim", model, model, "--sig", "graded:0..0")
+    assert code == 0 and out.split("\n")[:3] == ["x x", "x y", "x r"]
+    code, out, _ = run("check-sim", model, model, rel, "--n", "2", "--sig", "graded:0..0")
+    assert (code, out) == (0, "holds\n")
 
 
 def test_many_problems_make_one_short_error_line(run, tmp_path):
@@ -599,9 +655,9 @@ def test_distribution_call_decides_separation_once(run, tmp_path, monkeypatch, c
         monkeypatch.setattr(coalsim.liftings, name, counted(name))
     code, out, _ = run(command, cp, dp)
     assert code == 0 and out
-    # One sorted grid, to resolve prob:auto-grid; separation compares the
-    # integer subset sums with the grid's bounds and builds no second grid.
-    assert calls == {"prob_grid": 1, "_subset_sums": 2}
+    # prob:auto-grid resolves to a grid that lists nothing, separates its own
+    # models by construction, and is never read by a passing certificate.
+    assert calls == {"prob_grid": 0, "_subset_sums": 0}
 
 
 def test_closure_sorts_mixed_int_and_str_states(run, tmp_path):

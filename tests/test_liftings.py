@@ -10,6 +10,7 @@ from coalsim import (
     MULTISET_KIND,
     NBHD_BOX,
     LambdaSignature,
+    Modality,
     BudgetError,
     KindMismatchError,
     NotSeparatingError,
@@ -35,7 +36,7 @@ from coalsim import (
 )
 from coalsim.oracles import brute_force_simulation_oracle, distinguishing_pair, is_lambda_homomorphism, lambda_leq
 from coalsim.behaviour import certified_partition
-from coalsim.liftings import _separation_gap, graded_bound, prob_grid
+from coalsim.liftings import _separation_gap, graded_bound, lifting_check, lifting_violations, prob_grid
 from coalsim.values import INF
 
 from conftest import dist_model, generic_listing_empty, kripke_model, multiset_model, nbhd_model
@@ -361,3 +362,158 @@ def test_hand_built_grid_equal_to_the_resolved_one_needs_no_budget():
     assert sig.modalities == auto_signature(m).modalities
     ident = relation(m.carrier, m.carrier, [(z, z) for z in m.carrier])
     assert is_simulation(ident, m, m, sig).holds
+
+
+def _random_models(rng, dist, states=5, support=4, den=12):
+    """One model over s0.. with seeded weighted values; distribution masses are over den."""
+    labels = [f"s{i}" for i in range(states)]
+    transitions = {}
+    for s in labels:
+        base_ = rng.sample(labels, rng.randint(1, min(support, states)))
+        if dist:
+            cuts = sorted(rng.sample(range(1, den), len(base_) - 1))
+            parts = [b - a for a, b in zip([0, *cuts], [*cuts, den])]
+            transitions[s] = {z: Fraction(p, den) for z, p in zip(base_, parts)}
+        else:
+            transitions[s] = {z: rng.randint(1, 4) for z in base_}
+    return dist_model(transitions) if dist else multiset_model(transitions)
+
+
+def test_resolving_a_grid_builds_no_modality_and_no_sum(monkeypatch):
+    rng = random.Random(0)
+    counts = {"Modality": 0, "prob_grid": 0, "_subset_sums": 0}
+    real_post_init = coalsim.liftings.Modality.__post_init__
+
+    def counted_post_init(m):
+        counts["Modality"] += 1
+        real_post_init(m)
+
+    def counted(name):
+        real = getattr(coalsim.liftings, name)
+
+        def call(models):
+            counts[name] += 1
+            return real(models)
+
+        return call
+
+    monkeypatch.setattr(coalsim.liftings.Modality, "__post_init__", counted_post_init)
+    for name in ("prob_grid", "_subset_sums"):
+        monkeypatch.setattr(coalsim.liftings, name, counted(name))
+    for literal, dist in (("prob:auto-grid", True), ("graded:auto", False), ("graded:0..7", False)):
+        models = [_random_models(rng, dist) for _ in range(2)]
+        sig = resolve_signature(literal, models)
+        ensure_separating(sig, *models)
+        assert sig.modalities and counts == {"Modality": 0, "prob_grid": 0, "_subset_sums": 0}, literal
+        len(sig.modalities)
+        assert counts["Modality"] == 0 and counts["_subset_sums"] == int(dist)
+        list(sig.modalities)
+        assert counts["Modality"] == len(sig.modalities) > 0
+        counts.update(dict.fromkeys(counts, 0))
+
+
+def test_grid_iterates_as_the_listed_grid():
+    from oracle_helpers import prob_grid_reference
+
+    rng = random.Random(1)
+    for trial in range(20):
+        models = [_random_models(rng, True, den=rng.choice((6, 10, 12, 30))) for _ in range(2)]
+        grid = resolve_signature("prob:auto-grid", models).modalities
+        listed = tuple(map(at_least, prob_grid_reference(models)))
+        assert tuple(grid) == listed and len(grid) == len(listed)
+        assert grid == listed and listed == grid and hash(grid) == hash(listed)
+        assert list(grid) == sorted(listed, key=lambda m: m.bound) and at_least(1) in grid
+        models = [_random_models(rng, False) for _ in range(2)]
+        top = graded_bound(models)
+        for literal in ("graded:auto", f"graded:0..{top}"):
+            grid = resolve_signature(literal, models).modalities
+            assert tuple(grid) == tuple(map(diamond_gt, range(top + 1))) and len(grid) == top + 1
+            assert grid == resolve_signature("graded:auto", models).modalities
+
+
+def test_grid_membership_is_exact_for_values_outside_its_models():
+    from oracle_helpers import prob_grid_reference
+
+    rng = random.Random(2)
+    for trial in range(20):
+        own = _random_models(rng, True, den=rng.choice((6, 12)))
+        foreign = _random_models(rng, True, den=rng.choice((5, 8, 12, 30)))
+        grid = resolve_signature("prob:auto-grid", [own]).modalities
+        realized = set(prob_grid_reference([own]))
+        for q in sorted(set(prob_grid_reference([foreign])) | {Fraction(1, 7), Fraction(5, 6)}):
+            assert (at_least(q) in grid) == (q in realized)
+            assert more_than(q) not in grid and Modality("at_least", bound=q, name="x") not in grid
+        assert diamond_gt(0) not in grid and "L(1)" not in grid
+        # The pair check on foreign values asks the grid exactly, as the listed grid does.
+        listed = LambdaSignature(own.kind, tuple(grid))
+        sig = resolve_signature("prob:auto-grid", [own])
+        for x in foreign.carrier:
+            for y in foreign.carrier:
+                img = {z: frozenset(rng.sample(foreign.carrier, rng.randint(0, 2))) for z in foreign.carrier}
+                t, u = foreign.transition[x], foreign.transition[y]
+                assert lifting_check(sig)(t, u, img) == lifting_check(listed)(t, u, img)
+    grid = resolve_signature("graded:0..3", [multiset_model({"u": {"u": 9}})]).modalities
+    assert [k for k in range(6) if diamond_gt(k) in grid] == [0, 1, 2, 3]
+
+
+def test_ensure_separating_on_foreign_models_reports_the_missing_masses():
+    thirds = dist_model({"x": {"x": "1/3", "y": "2/3"}, "y": {"y": 1}})
+    quarters = dist_model({"a": {"a": "1/4", "b": "3/4"}, "b": {"b": 1}})
+    sig = resolve_signature("prob:auto-grid", [thirds])
+    assert _separation_gap(sig, [thirds]) is None
+    listed = LambdaSignature(sig.kind, tuple(sig.modalities))
+    gap = _separation_gap(sig, [thirds, quarters])
+    assert gap == _separation_gap(listed, [thirds, quarters])
+    assert gap == "probability grid misses realized masses ['1/4', '3/4']"
+    with pytest.raises(NotSeparatingError, match=r"misses realized masses \['1/4', '3/4'\]"):
+        ensure_separating(sig, quarters)
+    small = multiset_model({"u": {"u": 2}})
+    big = multiset_model({"v": {"v": 5}})
+    sig = resolve_signature("graded:auto", [small])
+    assert _separation_gap(sig, [small]) is None
+    assert _separation_gap(sig, [small, big]) == "graded grid misses index 3; weights reach 5"
+    assert _separation_gap(sig, [big]) == _separation_gap(LambdaSignature(sig.kind, tuple(sig.modalities)), [big])
+
+
+@pytest.mark.parametrize("max_base", [None, "4"])
+@pytest.mark.parametrize("dist", [False, True], ids=["multiset", "distribution"])
+def test_grid_listing_equals_the_listed_grid_on_failing_pairs(monkeypatch, max_base, dist):
+    """Seeded failing pairs with supports up to 12, within and past the exhaustive bound."""
+    if max_base:
+        monkeypatch.setenv("COALSIM_MAX_BASE", max_base)
+    rng = random.Random(3)
+    failing = 0
+    for support in range(1, 13):
+        for trial in range(3 if support <= 8 else 1):
+            c = _random_models(rng, dist, states=12, support=support, den=24)
+            d = _random_models(rng, dist, states=12, support=12, den=24)
+            sig = resolve_signature("graded:auto" if dist is False else "prob:auto-grid", [c, d])
+            listed = LambdaSignature(sig.kind, tuple(sig.modalities))
+            x = max(c.carrier, key=lambda s: len(c.transition[s].entries))
+            t = c.transition[x]
+            img = {z: frozenset(rng.sample(d.carrier, rng.randint(0, 3))) for z in c.carrier}
+            for y in d.carrier[:3]:
+                u = d.transition[y]
+                try:
+                    want = lifting_violations(t, u, img, listed, 10**6)
+                except BudgetError:
+                    with pytest.raises(BudgetError):
+                        lifting_violations(t, u, img, sig, 10**6)
+                    continue
+                assert lifting_violations(t, u, img, sig, 10**6) == want
+                assert lifting_violations(t, u, img, sig, 100) == want[:100]
+                failing += bool(want)
+    assert failing >= 20
+
+
+def test_grid_listing_rejects_values_of_another_kind_as_the_listed_grid_does():
+    m = multiset_model({"a": {"a": 2, "b": 1}, "b": {}})
+    d = dist_model({"a": {"a": "1/2", "b": "1/2"}, "b": {"b": 1}})
+    img = {"a": frozenset(), "b": frozenset()}
+    for sig, other in ((resolve_signature("prob:auto-grid", [d]), m), (resolve_signature("graded:auto", [m]), d)):
+        t, u = other.transition["a"], other.transition["b"]
+        with pytest.raises(KindMismatchError) as listed:
+            lifting_violations(t, u, img, LambdaSignature(sig.kind, tuple(sig.modalities)), 5)
+        with pytest.raises(KindMismatchError) as grid:
+            lifting_violations(t, u, img, sig, 5)
+        assert str(grid.value) == str(listed.value)

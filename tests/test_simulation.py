@@ -597,6 +597,28 @@ def test_relation_checks_reject_pairs_outside_the_carriers(check, stray):
         check(s, c, d, auto_signature(c, d))
 
 
+class _CountedState(str):
+    """A state label that counts how often it is hashed."""
+
+    hashes = 0
+
+    def __hash__(self):
+        _CountedState.hashes += 1
+        return str.__hash__(self)
+
+
+def test_a_relation_is_checked_against_its_carriers_once():
+    """`relation` checks the pairs; the command's check of the same relation does not scan them again."""
+    x, y = _CountedState("x"), _CountedState("y")
+    c, d = kripke_model({"x": ["x"]}), kripke_model({"y": ["y"]})
+    checked, hand_built = relation([x], [y], [(x, y)]), Relation((x,), (y,), frozenset({(x, y)}))
+    for s, scans in ((checked, 0), (hand_built, 4), (hand_built, 0)):
+        _CountedState.hashes = 0
+        simulation.check_setup(s, c, d)
+        assert _CountedState.hashes == scans  # a scan hashes each carrier state and each pair's two
+    assert is_simulation(checked, c, d, auto_signature(c, d)).holds
+
+
 def test_quotient_route_checks_kinds_before_any_partition_work(monkeypatch):
     def no_partition(*args):
         raise AssertionError("partition work before the kind checks")
