@@ -843,8 +843,13 @@ def lifting_check(sig: LambdaSignature):
             return all(u.contains(_image(m, img)) for m in t.minimals)
 
     else:
-        grid = sig.modalities if isinstance(sig.modalities, ThresholdGrid) else None
-        thresholds = None if grid else sig._thresholds
+        if isinstance(sig.modalities, ThresholdGrid):
+            fails_cut = sig.modalities.fails_cut
+        else:
+            thresholds = sig._thresholds
+
+            def fails_cut(t, a, b) -> bool:
+                return not thresholds.isdisjoint((("diamond_gt", b), ("at_least", a), ("more_than", b)))
 
         def ok(t, u, img) -> bool:
             if not (isinstance(t, kind) and isinstance(u, kind)):
@@ -854,9 +859,7 @@ def lifting_check(sig: LambdaSignature):
             if cut is None:
                 return True
             _, a, b = cut
-            if grid.fails_cut(t, a, b) if grid else not thresholds.isdisjoint(
-                (("diamond_gt", b), ("at_least", a), ("more_than", b))
-            ):
+            if fails_cut(t, a, b):
                 return False
             return _pair_ok_generic(sig, t, u, img)
 
