@@ -8,15 +8,16 @@ and `[m]` (the tested set belongs to the system) over neighborhoods.
 
 A signature is a functor kind and the finite list of modalities that
 algorithmic quantifiers iterate over, nothing more.  For graded and
-probabilistic kinds the list is a grid of thresholds.  `resolve_signature`
-gives a `ThresholdGrid`, which lists nothing at resolution: it keeps its
-models and computes their subset sums only for a query that needs them,
-and builds its modalities only when iterated.  `graded:auto` and
-`prob:auto-grid` cover every threshold the given models can realize by
-construction, so the pair check asks them about one threshold and never
-lists them.  Whether a signature separates the values of some models is
-derived from its modalities (`ensure_separating`); a grid separates its own
-models with no check.
+probabilistic kinds the list is a `ThresholdGrid`, ascending: the grid of a
+literal, which lists nothing at resolution (it keeps its models, computes
+their subset sums only for a query that needs them, and builds its
+modalities only when iterated), or the distinct thresholds of a hand-built
+tuple.  Every weighted question is one span of the grid's thresholds
+between two masses.  `graded:auto` and `prob:auto-grid` cover every
+threshold the given models can realize by construction, so the pair check
+asks them about one cut and never lists them.  Whether a signature
+separates the values of some models is derived from its modalities
+(`ensure_separating`); a grid separates its own models with no check.
 
 This is the one module that knows the one-step (lifting) condition behind
 simulations and bisimulations (see `lifting_violations`).  `lifting_check`
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import islice
-from math import ceil, floor, gcd
+from math import lcm
 from typing import Iterator, Optional, Sequence
 
 from .errors import BudgetError, KindMismatchError, NotSeparatingError, ValidationError, as_text, clipped, shown
@@ -218,43 +219,52 @@ def satisfies(t: FunctorValue, m: Modality, states) -> bool:
 
 
 class ThresholdGrid:
-    """A resolved grid of weighted thresholds, read-only and built only when read.
+    """A grid of weighted thresholds, read-only and built only when read.
 
-    The grid of `graded:0..K` is the indices `<0>` … `<K>`, and
-    `graded:auto` takes K = `graded_bound` of its models.  The grid of
-    `prob:auto-grid` is `L(p)` for every mass p that a distribution of its
-    models realizes on some set (`_subset_sums`).  Resolution keeps only the
-    models and K.  The subset sums, on one denominator, are computed once,
-    when a query first needs them, and the `Modality` objects once, when the
-    grid is first iterated.  Iteration is ascending, and the grid
-    equals the tuple of its modalities under `==`, `len` and `in`.
+    Every multiset and distribution signature is one.  Each threshold is a
+    natural s over the grid's denominator g, strict (`<s>`, `M(s/g)`) or not
+    (`L(s/g)`), kept as the key 2s + strict.  A mass that meets one
+    threshold meets every threshold of smaller key, so the thresholds that
+    a mass a meets and a smaller mass b does not are one span of the
+    ascending keys (`_span`).  The keys come from one of three sources:
+
+    - `graded:0..K` is the indices `<0>` … `<K>`, and `graded:auto` takes
+      K = `graded_bound` of its models;
+    - `prob:auto-grid` is `L(p)` for every mass p that a distribution of its
+      models realizes on some set (`_subset_sums`), computed once, when a
+      query first needs them;
+    - a hand-built signature gives the distinct thresholds of its tuple.
+
+    The `Modality` objects are built once, when the grid is first iterated.
+    Iteration is ascending by key, and the grid equals the tuple of its
+    modalities under `==`, `len` and `in`.
 
     A grid resolved on models (`graded:auto`, `prob:auto-grid`) holds by
     construction every threshold those models realize.  So it separates
-    them with no check (`_separation_gap`), and a distribution of those
-    models that fails a pair at a cut A fails `L(t(A))`, which is in the
-    grid with no sum computed (`fails_cut`).  Values are matched by
-    identity, so an equal value built elsewhere is still asked exactly.
+    them with no check (`gap`), and a distribution of those models that
+    fails a pair at a cut A fails `L(t(A))`, which is in the grid with no
+    sum computed (`fails_cut`).  Values are matched by identity, so an equal
+    value built elsewhere is still asked exactly.
     """
 
-    def __init__(self, op: str, models: Sequence[Coalgebra] = (), top: Optional[int] = None):
-        self.op = op  # "diamond_gt" with the largest index `top`, or "at_least" over the models
+    def __init__(self, kind: str, models: Sequence[Coalgebra] = (), top: Optional[int] = None, given=None):
+        self.kind = kind  # MULTISET or DISTRIBUTION
         self.models = tuple(models)  # the models it was resolved on; they realize no threshold outside it
-        self._top = top
+        self._top = top  # the largest index of a graded literal
+        self._given = given  # the modalities of a hand-built signature
         self._built = {}  # the modalities built so far, by position
 
     @cached_property
-    def _sums(self) -> tuple:
-        """(den, points): the grid's thresholds as naturals over den, as a range or a set."""
-        if self.op == "diamond_gt":
-            return 1, range(self._top + 1)
-        return _subset_sums(self.models)
-
-    @cached_property
-    def _points(self) -> Sequence:
-        """The naturals of `_sums`, ascending."""
-        points = self._sums[1]
-        return points if isinstance(points, range) else sorted(points)
+    def _scale(self) -> tuple:
+        """(g, keys): the grid's thresholds as keys 2s + strict over g, ascending."""
+        if self._given is not None:
+            bounds = [(Fraction(m.bound if m.index is None else m.index), m.op != "at_least") for m in self._given]
+            g = lcm(*(q.denominator for q, _ in bounds))
+            return g, sorted({2 * (q.numerator * g // q.denominator) + strict for q, strict in bounds})
+        if self._top is not None:
+            return 1, range(1, 2 * self._top + 2, 2)
+        den, sums = _subset_sums(self.models)
+        return den, sorted(2 * s for s in sums)
 
     @cached_property
     def _listed(self) -> tuple:
@@ -265,59 +275,59 @@ class ThresholdGrid:
         return frozenset(id(t) for c in self.models for t in c.transition.values())
 
     def _modality(self, k: int) -> Modality:
-        """The modality of the grid's k-th point, built once."""
+        """The modality of the grid's k-th key, built once."""
         m = self._built.get(k)
         if m is None:
-            point = self._points[k]
-            if self.op == "diamond_gt":
-                m = self._built[k] = diamond_gt(point)
+            g, keys = self._scale
+            s, strict = divmod(keys[k], 2)
+            if self.kind == MULTISET:
+                m = self._built[k] = diamond_gt(s)
             else:
-                m = self._built[k] = at_least(Fraction(point, self._sums[0]))
+                m = self._built[k] = (more_than if strict else at_least)(Fraction(s, g))
         return m
 
-    def _holds(self, q) -> bool:
-        """Is q an index, or a mass, of the grid?  Masses 0 and 1 always are."""
-        if self.op == "diamond_gt":
-            return q in self._sums[1]
-        q = Fraction(q)
-        if q.numerator in (0, q.denominator):
-            return True
-        den, sums = self._sums
-        return den % q.denominator == 0 and q.numerator * (den // q.denominator) in sums
+    def _reach(self, v, den=1):
+        """The largest key that a mass v/den meets: 2s when it is s/g, else 2s + 1
+        for the s with s/g below it and (s+1)/g above."""
+        if v == INF:
+            return INF
+        s, rest = divmod(v * self._scale[0], den)
+        return 2 * s + (rest > 0)
+
+    def _span(self, a, b, den=1) -> tuple:
+        """(start, stop): the positions of the thresholds that mass a/den meets
+        and mass b/den does not."""
+        keys = self._scale[1]
+        return bisect_right(keys, self._reach(b, den)), bisect_right(keys, self._reach(a, den))
 
     def fails_cut(self, t, a, b) -> bool:
         """Does a pair whose flow stops at a cut A, with a = t(A) > b = u(S[A]),
-        fail a threshold of the grid?  It fails `<b>` and `L(a)`: `<b>` is a
-        range test, and `L(a)` needs no sum when t is a value of the grid's
-        own models, which realize a."""
-        if self.op == "diamond_gt":
-            return b in self._sums[1]
-        return id(t) in self._own_values or self._holds(a)
+        fail a threshold of the grid?  Exactly when their `_span` is not
+        empty.  A resolved distribution grid answers with no sum computed when
+        t is a value of its own models, which realize L(a), or when a = 1."""
+        if self.kind == DISTRIBUTION and self._given is None and (a == 1 or id(t) in self._own_values):
+            return True
+        start, stop = self._span(a, b)
+        return start < stop
 
     def failing(self, t, table: list, den: int):
         """(modality, mask) for each threshold that a row (mask, t(A), u(S[A]))
         of t's mass table over den fails, ascending by threshold, then in table
-        order: the points in (u(S[A]), t(A)] of each row.  A value of another
-        kind raises as the grid's first point does.
+        order: the `_span` of (t(A), u(S[A])) of each row.  A value of another
+        kind raises as the grid's first threshold does.
 
-        `<k>` fails there exactly when u(S[A]) ≤ k < t(A), and `L(s/g)`, over
-        the grid's denominator g, when u(S[A])·g < s·den ≤ t(A)·g.  Each
-        row's points are one span of positions in the ascending points.  The
-        positions are walked from the first span's start, and each position
-        lists the rows whose spans hold it, kept in table order as spans
-        open and close, so the listing builds only the modalities it yields.
+        The positions are walked from the first span's start, and each
+        position lists the rows whose spans hold it, kept in table order as
+        spans open and close, so the listing builds only the modalities it
+        yields.
         """
-        if not isinstance(t, VALUE_TYPES[_KIND_OF_OP[self.op]]):
-            raise _mismatch(t, diamond_gt(0) if self.op == "diamond_gt" else at_least(0))
-        g, points = self._sums[0], self._points
-        spans = []  # (start, stop, row): the row's points are at positions start..stop-1
+        if not isinstance(t, VALUE_TYPES[self.kind]):
+            if self:
+                raise _mismatch(t, self._modality(0))
+            return
+        spans = []  # (start, stop, row): the row fails the thresholds at positions start..stop-1
         for row, (_, ta, ub) in enumerate(table):
-            if self.op == "diamond_gt":
-                lo, hi = ub, ta - 1
-            else:
-                lo, hi = ub * g // den + 1, ta * g // den
-            start = bisect_left(points, lo)
-            stop = len(points) if hi == INF else bisect_right(points, hi)
+            start, stop = self._span(ta, ub, den)
             if start < stop:
                 spans.append((start, stop, row))
         if not spans:
@@ -337,34 +347,40 @@ class ThresholdGrid:
         foreign = [c for c in models if not any(c is own for own in self.models)]
         if not foreign:
             return None
-        if self.op == "diamond_gt":
+        if self.kind == MULTISET:
             need = graded_bound(foreign)
-            if self._top < need:
-                return f"graded grid misses index {self._top + 1}; weights reach {need}"
+            keys = self._scale[1]
+            # Index i is in the grid while keys[i] = 2i + 1; the first i where not is the least missing.
+            least = bisect_left(range(len(keys)), True, key=lambda i: keys[i] > 2 * i + 1)
+            if least <= need:
+                return f"graded grid misses index {least}; weights reach {need}"
             return None
         den, sums = _subset_sums(foreign)
-        missing = [q for q in (Fraction(s, den) for s in sorted(sums)) if not self._holds(q)]
+        masses = (Fraction(s, den) for s in sorted(sums))
+        missing = [q for q in masses if at_least(q) not in self and more_than(q) not in self]
         if missing:
             return clipped(f"probability grid misses realized masses {[as_text(q) for q in missing]}")
         return None
 
     def __len__(self) -> int:
-        return len(self._sums[1])
+        return len(self._scale[1])
 
     def __bool__(self) -> bool:
-        return True  # 0 is an index and a mass of every grid
+        return self._given is None or bool(self._given)  # 0 is an index and a mass of every resolved grid
 
     def __iter__(self):
         return iter(self._listed)
 
     def __contains__(self, m) -> bool:
-        if not isinstance(m, Modality) or m.op != self.op:
+        if not isinstance(m, Modality) or _KIND_OF_OP[m.op] != self.kind:
             return False
-        q = m.index if self.op == "diamond_gt" else m.bound
-        return self._holds(q) and m == (diamond_gt(q) if self.op == "diamond_gt" else at_least(q))
+        g, keys = self._scale
+        s, rest = divmod(Fraction(m.bound if m.index is None else m.index) * g, 1)
+        k = bisect_left(keys, 2 * s + (m.op != "at_least"))
+        return not rest and k < len(keys) and m == self._modality(k)
 
     def __eq__(self, other):
-        if isinstance(other, (ThresholdGrid, tuple)):
+        if isinstance(other, (type(self), tuple)):
             return self._listed == tuple(other)
         return NotImplemented
 
@@ -372,25 +388,29 @@ class ThresholdGrid:
         return hash(self._listed)
 
     def __repr__(self) -> str:
-        if self.op == "diamond_gt":
+        if self._given is not None:
+            return f"ThresholdGrid({', '.join(m.token() for m in self)})"
+        if self._top is not None:
             return f"ThresholdGrid(<0>..<{self._top}>)"
         return f"ThresholdGrid(L(p) for the subset masses of {len(self.models)} models)"
 
 
+_WEIGHTED = (MULTISET, DISTRIBUTION)
+
+
 @dataclass(frozen=True)
 class LambdaSignature:
-    """Functor kind plus the finite modality list algorithms quantify over:
-    a tuple, or the `ThresholdGrid` of a resolved grid literal."""
+    """Functor kind plus the finite modality list algorithms quantify over: a
+    tuple, or for multisets and distributions a `ThresholdGrid`.  A
+    hand-built weighted tuple becomes the grid of its distinct thresholds."""
 
     kind: FunctorKind
     modalities: Sequence
 
     def __post_init__(self):
-        if isinstance(self.modalities, ThresholdGrid):
-            if _KIND_OF_OP[self.modalities.op] != self.kind.name:
-                raise KindMismatchError(
-                    f"a {self.modalities.op} grid does not apply to kind {self.kind.name!r}"
-                )
+        if not isinstance(self.modalities, tuple):  # a grid that `resolve_signature` built
+            if self.modalities.kind != self.kind.name:
+                raise KindMismatchError(f"a {self.modalities.kind} grid does not apply to kind {self.kind.name!r}")
             return
         for m in self.modalities:
             if modality_kind(m) != self.kind.name:
@@ -399,12 +419,8 @@ class LambdaSignature:
                 )
             if m.op == "atom" and m.name not in self.kind.atoms:
                 raise ValidationError(f"atom {m.name!r} is not in the vocabulary")
-
-    @cached_property
-    def _thresholds(self) -> frozenset:
-        """(operator, index or bound) of each modality, read by the weighted pair
-        check of a tuple signature; a `ThresholdGrid` answers it by itself."""
-        return frozenset((m.op, m.bound if m.index is None else m.index) for m in self.modalities)
+        if self.kind.name in _WEIGHTED:
+            object.__setattr__(self, "modalities", ThresholdGrid(self.kind.name, given=self.modalities))
 
 
 def graded_bound(models: Sequence[Coalgebra]) -> int:
@@ -508,11 +524,11 @@ def resolve_signature(literal: str, models: Sequence[Coalgebra]) -> LambdaSignat
             raise BudgetError(
                 f"graded signature {shown(literal)} needs indices above the limit {MAX_GRADED_INDEX}"
             )
-        return LambdaSignature(kind, ThresholdGrid("diamond_gt", models if spec == "auto" else (), bound))
+        return LambdaSignature(kind, ThresholdGrid(MULTISET, models if spec == "auto" else (), bound))
     elif family == "prob":
         if spec != "auto-grid":
             raise ValidationError(f"malformed probabilistic signature {shown(literal)}")
-        return LambdaSignature(kind, ThresholdGrid("at_least", models))
+        return LambdaSignature(kind, ThresholdGrid(DISTRIBUTION, models))
     else:
         if spec != "box":
             raise ValidationError(f"malformed neighborhood signature {shown(literal)}")
@@ -539,13 +555,11 @@ def _separation_gap(sig: LambdaSignature, models) -> Optional[str]:
     Kripke values are separated by [] or <> together with every atom of the
     vocabulary, neighborhood values by [m], and weighted values by a grid
     holding every threshold the models realize: each index up to
-    `graded_bound`, each subset mass of `_subset_sums`, reduced to lowest
-    terms and compared with the grid's bounds as integer pairs, so no
-    sorted grid of fractions is built.  A `ThresholdGrid` separates the
-    models it was resolved on by construction, and checks only the others
-    (`ThresholdGrid.gap`).
+    `graded_bound`, each subset mass of `_subset_sums` as the bound of an
+    `L` or `M` (`ThresholdGrid.gap`, which checks only the models the grid
+    was not resolved on).
     """
-    if isinstance(sig.modalities, ThresholdGrid):
+    if sig.kind.name in _WEIGHTED:
         return sig.modalities.gap(models)
     if sig.kind.name == KRIPKE:
         if BOX not in sig.modalities and DIAMOND not in sig.modalities:
@@ -555,19 +569,6 @@ def _separation_gap(sig: LambdaSignature, models) -> Optional[str]:
             return f"kripke signature misses atoms {shown(missing)}"
     if sig.kind.name == NEIGHBORHOOD and not sig.modalities:
         return "neighborhood signature needs [m]"
-    if sig.kind.name == MULTISET:
-        have = {m.index for m in sig.modalities}
-        need = graded_bound(models)
-        gap = min(set(range(len(have) + 1)) - have)  # least index not in the grid
-        if gap <= need:
-            return f"graded grid misses index {gap}; weights reach {need}"
-    if sig.kind.name == DISTRIBUTION:
-        den, sums = _subset_sums(models)
-        have = {(m.bound.numerator, m.bound.denominator) for m in sig.modalities}
-        missing = sorted(s for s in sums if (s // gcd(s, den), den // gcd(s, den)) not in have)
-        if missing:
-            masses = [as_text(Fraction(s, den)) for s in missing]
-            return clipped(f"probability grid misses realized masses {masses}")
     return None
 
 
@@ -595,7 +596,7 @@ def _misses(t, u, img, sig):
     subsets of Z = {x ∈ succ t : S[x] ∩ succ u = ∅}, which come in the same
     relative order by masks over Z.
     """
-    if isinstance(t, (MultisetValue, DistValue)):
+    if isinstance(t, (MultisetValue, DistValue)) and sig.kind.name in _WEIGHTED:
         yield from _weighted_misses(t, u, img, sig)
         return
     kripke = isinstance(t, KripkeValue) and isinstance(u, KripkeValue)
@@ -654,9 +655,8 @@ def _weighted_misses(t, u, img, sig):
     """`_misses` for multisets and distributions, read off one mass table.
 
     Every modality is a monotone threshold on mass, so it can fail at A only
-    where t(A) > u(S[A]); the table (`_deficits`) keeps those sets, and each
-    modality, in signature order, scans them.  A `ThresholdGrid` lists, in
-    the same order, only its points in (u(S[A]), t(A)] of each row
+    where t(A) > u(S[A]); the table (`_deficits`) keeps those sets, and the
+    signature's grid lists, ascending, the thresholds each row fails
     (`ThresholdGrid.failing`).  The sets are built only for the failures
     yielded.  Beyond COALSIM_MAX_BASE the minimum cut A* of
     `hall_violator` stands in for the table: each modality that A* fails
@@ -676,25 +676,12 @@ def _weighted_misses(t, u, img, sig):
         def members(mask):
             return frozenset(x for i, x in enumerate(items) if mask >> i & 1)
 
-    grid = sig.modalities if isinstance(sig.modalities, ThresholdGrid) else None
     listed = False
-    for m, a in grid.failing(t, table, den) if grid else _failing(t, sig.modalities, table, den):
+    for m, a in sig.modalities.failing(t, table, den):
         listed = True
         yield m, members(a)
     if beyond and table and not listed:
         exhaustive_base(base(t), "value base")  # raises: only a search of every A could list this pair
-
-
-def _failing(t, modalities, table: list, den: int):
-    """(modality, mask) for each modality, in order, and each row of the
-    mass table over den that it fails, in table order."""
-    for m in modalities:
-        strict, bound = _threshold(t, m)
-        # m holds of an integer mass v exactly when v > level.
-        level = floor(bound * den) if strict else ceil(bound * den) - 1
-        for a, ta, ub in table:
-            if ub <= level < ta:
-                yield m, a
 
 
 def lifting_violations(
@@ -797,11 +784,11 @@ def lifting_check(sig: LambdaSignature):
       where t(A) > u(S[A]); with no such set every threshold holds.
       `hall_violator` decides that by one maximum flow from a greedy fill,
       and otherwise returns the minimal minimum cut's sources as A.  That
-      violator, with a = t(A) and b = u(S[A]), fails <b>, L(a) and M(b).  A
-      `ThresholdGrid` is asked about them (`ThresholdGrid.fails_cut`): <b>
-      is a range test, and L(a) is in a grid resolved on t's model by
-      construction.  A tuple signature looks them up.  Only a signature
-      holding none of them is searched (`_pair_ok_generic`).
+      violator, with a = t(A) and b = u(S[A]), fails every threshold that
+      a meets and b does not, and the signature's grid is asked whether it
+      holds one (`ThresholdGrid.fails_cut`, two bisections, or none when
+      L(a) is in a grid resolved on t's model by construction).  Only a
+      signature holding none of them is searched (`_pair_ok_generic`).
     - Neighborhoods: each minimal set's image belongs to u.
 
     A signature without modalities always holds; otherwise values not of
@@ -843,13 +830,7 @@ def lifting_check(sig: LambdaSignature):
             return all(u.contains(_image(m, img)) for m in t.minimals)
 
     else:
-        if isinstance(sig.modalities, ThresholdGrid):
-            fails_cut = sig.modalities.fails_cut
-        else:
-            thresholds = sig._thresholds
-
-            def fails_cut(t, a, b) -> bool:
-                return not thresholds.isdisjoint((("diamond_gt", b), ("at_least", a), ("more_than", b)))
+        fails_cut = sig.modalities.fails_cut
 
         def ok(t, u, img) -> bool:
             if not (isinstance(t, kind) and isinstance(u, kind)):

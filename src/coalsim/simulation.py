@@ -253,7 +253,13 @@ def _levels(c: Coalgebra, d: Coalgebra, sig: LambdaSignature, first_member=None)
 
 
 def _limit(c, d, sig, n=None, first_member=None) -> dict:
-    """Level n of the chain, or its limit when n is None, as images."""
+    """Level n of the chain, or its limit when n is None, as images.
+
+    Each level before the limit drops at least one of the |C|·|D| pairs, so
+    level |C|·|D| is the limit, and a deeper n reads it.
+    """
+    if n is not None:
+        n = min(n, len(c.carrier) * len(d.carrier))
     *_, img = islice(_levels(c, d, sig, first_member), None if n is None else n + 1)
     return img
 
@@ -280,11 +286,14 @@ def simulation_rows(c: Coalgebra, d: Coalgebra, sig: LambdaSignature, n=None) ->
     renaming, so the chain runs on C × D and no quotient is built.  A
     budget error at a quotient pair names the first member of the left
     block, whose quotient value it counted.  The
-    depth and the kinds are checked before the partition is refined.  This
-    is exact for every monotone signature and depth: quotient maps are
-    morphisms, whose graphs are Λ-bisimulations, and Λ-simulations compose.
+    depth and the kinds are checked before the partition is refined, and
+    depth 0, the full relation, needs no partition.  This is exact for every
+    monotone signature and depth: quotient maps are morphisms, whose graphs
+    are Λ-bisimulations, and Λ-simulations compose.
     """
     check_kinds(c, d, sig, n)
+    if n == 0:
+        return dict.fromkeys(c.carrier, tuple(d.carrier))
     part, _ = behaviour.stabilized_partition(c, d)
     blocks = part.blocks
     lefts = {i: ls for i, (ls, _) in enumerate(blocks) if ls}

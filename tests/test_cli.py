@@ -763,6 +763,25 @@ def test_bounded_depth_commands_reject_negative_depth(run, tmp_path, loop_model,
     assert "error:" in err and "depth" in err
 
 
+def test_a_depth_past_every_chain_answers_as_the_limit(run, tmp_path):
+    """No chain on |C|·|D| pairs descends past level |C|·|D|, so depth 10**30
+    reads the limit: `greatest-sim --n` prints the bytes of `greatest-sim`,
+    and one-way `check-sim --n` agrees with depth |C|·|D| = 6."""
+    def kripke(name, succ):
+        return write(tmp_path, f"{name}.json", {
+            "functor": "kripke", "states": list(succ),
+            "transition": {s: {"props": [], "succ": ts} for s, ts in succ.items()},
+        })
+
+    c = kripke("c", {"x": ["a"], "a": ["b"], "b": []})
+    d = kripke("d", {"y": ["e"], "e": []})
+    rel = write(tmp_path, "rel.json", {"pairs": [["x", "y"]]})
+    huge = str(10**30)
+    assert run("greatest-sim", c, d, "--n", huge) == run("greatest-sim", c, d) == (0, "a y\nb e\n", "")
+    assert run("check-sim", c, d, rel, "--n", "1")[:2] == (0, "holds\n")
+    assert run("check-sim", c, d, rel, "--n", huge) == run("check-sim", c, d, rel, "--n", "6") == (1, "fails\n", "")
+
+
 def _legacy_relation(argv):
     """The relation a command printed before rows: pair sets of the reference chains on C × D."""
     command, first, *rest = argv

@@ -37,7 +37,7 @@ from coalsim import (
 from coalsim.oracles import brute_force_simulation_oracle, distinguishing_pair, is_lambda_homomorphism, lambda_leq
 from coalsim.behaviour import certified_partition
 from coalsim.liftings import _separation_gap, graded_bound, lifting_check, lifting_violations, prob_grid
-from coalsim.values import INF
+from coalsim.values import DISTRIBUTION_KIND, INF
 
 from conftest import dist_model, generic_listing_empty, kripke_model, multiset_model, nbhd_model
 
@@ -432,7 +432,7 @@ def test_grid_iterates_as_the_listed_grid():
 
 
 def test_grid_membership_is_exact_for_values_outside_its_models():
-    from oracle_helpers import prob_grid_reference
+    from oracle_helpers import pair_violations_reference, prob_grid_reference
 
     rng = random.Random(2)
     for trial in range(20):
@@ -444,19 +444,24 @@ def test_grid_membership_is_exact_for_values_outside_its_models():
             assert (at_least(q) in grid) == (q in realized)
             assert more_than(q) not in grid and Modality("at_least", bound=q, name="x") not in grid
         assert diamond_gt(0) not in grid and "L(1)" not in grid
-        # The pair check on foreign values asks the grid exactly, as the listed grid does.
+        # The pair check on foreign values asks the grid exactly, as the listed grid and the search do.
         listed = LambdaSignature(own.kind, tuple(grid))
         sig = resolve_signature("prob:auto-grid", [own])
+        assert tuple(listed.modalities) == tuple(map(at_least, prob_grid_reference([own])))
         for x in foreign.carrier:
             for y in foreign.carrier:
                 img = {z: frozenset(rng.sample(foreign.carrier, rng.randint(0, 2))) for z in foreign.carrier}
                 t, u = foreign.transition[x], foreign.transition[y]
-                assert lifting_check(sig)(t, u, img) == lifting_check(listed)(t, u, img)
+                ok = lifting_check(sig)(t, u, img)
+                assert ok == lifting_check(listed)(t, u, img)
+                assert ok == (not pair_violations_reference(t, u, img, listed, 1))
     grid = resolve_signature("graded:0..3", [multiset_model({"u": {"u": 9}})]).modalities
     assert [k for k in range(6) if diamond_gt(k) in grid] == [0, 1, 2, 3]
 
 
 def test_ensure_separating_on_foreign_models_reports_the_missing_masses():
+    from oracle_helpers import prob_grid_reference
+
     thirds = dist_model({"x": {"x": "1/3", "y": "2/3"}, "y": {"y": 1}})
     quarters = dist_model({"a": {"a": "1/4", "b": "3/4"}, "b": {"b": 1}})
     sig = resolve_signature("prob:auto-grid", [thirds])
@@ -465,6 +470,8 @@ def test_ensure_separating_on_foreign_models_reports_the_missing_masses():
     gap = _separation_gap(sig, [thirds, quarters])
     assert gap == _separation_gap(listed, [thirds, quarters])
     assert gap == "probability grid misses realized masses ['1/4', '3/4']"
+    missing = sorted(set(prob_grid_reference([thirds, quarters])) - set(prob_grid_reference([thirds])))
+    assert missing == [Fraction(1, 4), Fraction(3, 4)]
     with pytest.raises(NotSeparatingError, match=r"misses realized masses \['1/4', '3/4'\]"):
         ensure_separating(sig, quarters)
     small = multiset_model({"u": {"u": 2}})
@@ -472,17 +479,22 @@ def test_ensure_separating_on_foreign_models_reports_the_missing_masses():
     sig = resolve_signature("graded:auto", [small])
     assert _separation_gap(sig, [small]) is None
     assert _separation_gap(sig, [small, big]) == "graded grid misses index 3; weights reach 5"
-    assert _separation_gap(sig, [big]) == _separation_gap(LambdaSignature(sig.kind, tuple(sig.modalities)), [big])
+    gap = _separation_gap(sig, [big])
+    assert gap == _separation_gap(LambdaSignature(sig.kind, tuple(sig.modalities)), [big])
+    assert gap == "graded grid misses index 3; weights reach 5"
 
 
 @pytest.mark.parametrize("max_base", [None, "4"])
 @pytest.mark.parametrize("dist", [False, True], ids=["multiset", "distribution"])
 def test_grid_listing_equals_the_listed_grid_on_failing_pairs(monkeypatch, max_base, dist):
-    """Seeded failing pairs with supports up to 12, within and past the exhaustive bound."""
+    """Seeded failing pairs with supports up to 12, within and past the exhaustive
+    bound; up to support 8, within the bound, also against the subset search."""
+    from oracle_helpers import pair_violations_reference
+
     if max_base:
         monkeypatch.setenv("COALSIM_MAX_BASE", max_base)
     rng = random.Random(3)
-    failing = 0
+    failing = searched = 0
     for support in range(1, 13):
         for trial in range(3 if support <= 8 else 1):
             c = _random_models(rng, dist, states=12, support=support, den=24)
@@ -502,8 +514,11 @@ def test_grid_listing_equals_the_listed_grid_on_failing_pairs(monkeypatch, max_b
                     continue
                 assert lifting_violations(t, u, img, sig, 10**6) == want
                 assert lifting_violations(t, u, img, sig, 100) == want[:100]
+                if len(t.entries) <= min(8, int(max_base or 16)):
+                    assert want == pair_violations_reference(t, u, img, listed, 10**6)
+                    searched += 1
                 failing += bool(want)
-    assert failing >= 20
+    assert failing >= 20 and searched >= 20
 
 
 def test_grid_listing_rejects_values_of_another_kind_as_the_listed_grid_does():
@@ -517,3 +532,94 @@ def test_grid_listing_rejects_values_of_another_kind_as_the_listed_grid_does():
         with pytest.raises(KindMismatchError) as grid:
             lifting_violations(t, u, img, sig, 5)
         assert str(grid.value) == str(listed.value)
+        first = next(iter(sig.modalities)).token()
+        assert str(grid.value) == f"modality {first!r} is not interpretable over {type(t).__name__}"
+
+
+def _ascending(mods):
+    """The distinct modalities by threshold, `L(p)` before `M(p)`: the order a hand-built grid lists."""
+    return tuple(sorted(set(mods), key=lambda m: (m.index if m.bound is None else m.bound, m.op == "more_than")))
+
+
+def test_hand_built_weighted_listing_equals_the_reference_on_its_ascending_thresholds():
+    """Shuffled tuples with duplicates, `L` and `M` at equal bounds, and the empty tuple."""
+    from types import SimpleNamespace
+
+    from oracle_helpers import pair_violations_reference
+
+    rng = random.Random(5)
+    failing = 0
+    for trial in range(60):
+        dist = trial % 2 == 1
+        c = _random_models(rng, dist, states=6, support=5, den=12)
+        d = _random_models(rng, dist, states=6, support=6, den=12)
+        if trial % 10 == 0:
+            mods = ()
+        elif dist:
+            bounds = [Fraction(rng.randint(0, 12), 12) for _ in range(rng.randint(1, 4))]
+            mods = [at_least(q) for q in bounds] + [more_than(q) for q in bounds[: rng.randint(0, 2)]]
+        else:
+            mods = [diamond_gt(rng.randint(0, 8)) for _ in range(rng.randint(1, 4))]
+        mods = mods + mods[: rng.randint(0, 2)]
+        rng.shuffle(mods)
+        sig = LambdaSignature(c.kind, tuple(mods))
+        reference = SimpleNamespace(modalities=_ascending(mods))
+        assert tuple(sig.modalities) == reference.modalities and len(sig.modalities) == len(reference.modalities)
+        assert bool(sig.modalities) == bool(mods)
+        img = {z: frozenset(rng.sample(d.carrier, rng.randint(0, 3))) for z in c.carrier}
+        for x in c.carrier:
+            for y in d.carrier[:3]:
+                t, u = c.transition[x], d.transition[y]
+                want = pair_violations_reference(t, u, img, reference, 10**6)
+                assert lifting_violations(t, u, img, sig, 10**6) == want
+                assert lifting_check(sig)(t, u, img) == (not want)
+                failing += bool(want)
+    assert failing >= 50
+
+
+def test_hand_built_threshold_inside_the_cut_decides_with_no_search(monkeypatch):
+    """The flow's cut A = {a} has t(A) = 7 and u(S[A]) = 2; `<5>` lies strictly
+    between, so it fails there, and the pair is decided with no mass table."""
+    def no_table(*args):
+        raise AssertionError("the pair was searched")
+
+    monkeypatch.setattr(coalsim.liftings, "_deficits", no_table)
+    t, u, img = multiset_value({"a": 7}), multiset_value({"b": 2}), {"a": frozenset({"b"})}
+    assert not lifting_check(LambdaSignature(MULTISET_KIND, (diamond_gt(5),)))(t, u, img)
+    # The cut is A = {a, c} with masses 1 and 1/4; M(1/3) lies between.
+    t = dist_value({"a": Fraction(1, 2), "c": Fraction(1, 2)})
+    u = dist_value({"b": Fraction(1, 4), "e": Fraction(3, 4)})
+    img = {"a": frozenset({"b"}), "c": frozenset({"b"})}
+    assert not lifting_check(LambdaSignature(DISTRIBUTION_KIND, (more_than(Fraction(1, 3)),)))(t, u, img)
+
+
+def test_hand_built_weighted_separation_reads_the_grid():
+    """The messages of tuple signatures are kept, and an `M(q)` bound holds the mass q."""
+    halves = dist_model({"x": {"x": "1/2", "y": "1/2"}, "y": {"y": 1}})
+    for mods, gap in (
+        ((at_least(0), more_than("1/2"), at_least(1)), None),
+        ((at_least(1), at_least(0), at_least("1/2"), at_least(0)), None),
+        ((at_least(0), at_least(1)), "probability grid misses realized masses ['1/2']"),
+        ((more_than(1), more_than("1/2")), "probability grid misses realized masses ['0']"),
+        ((), "probability grid misses realized masses ['0', '1/2', '1']"),
+    ):
+        assert _separation_gap(LambdaSignature(DISTRIBUTION_KIND, mods), [halves]) == gap, mods
+    pair = multiset_model({"u": {"u": 2}})
+    for mods, gap in (
+        ((diamond_gt(2), diamond_gt(0), diamond_gt(1)), None),
+        ((diamond_gt(0), diamond_gt(2), diamond_gt(0)), "graded grid misses index 1; weights reach 2"),
+        ((diamond_gt(1), diamond_gt(2)), "graded grid misses index 0; weights reach 2"),
+        ((), "graded grid misses index 0; weights reach 2"),
+    ):
+        assert _separation_gap(LambdaSignature(MULTISET_KIND, mods), [pair]) == gap, mods
+
+
+def test_hand_built_weighted_signatures_are_equal_in_any_order():
+    for kind, first, second in (
+        (MULTISET_KIND, diamond_gt(3), diamond_gt(1)),
+        (DISTRIBUTION_KIND, more_than("1/2"), at_least("1/2")),
+    ):
+        one, other = LambdaSignature(kind, (first, second)), LambdaSignature(kind, (second, first, second))
+        assert one == other and hash(one) == hash(other)
+        assert tuple(one.modalities) == (second, first) and first in one.modalities
+        assert one != LambdaSignature(kind, (first,))

@@ -644,6 +644,35 @@ def test_quotient_route_checks_kinds_before_any_partition_work(monkeypatch):
         greatest_bisimulation(c, c, auto_signature(d))
 
 
+def test_depth_zero_is_the_full_relation_with_no_refinement(monkeypatch):
+    """Level 0 of the chain is C × D, so `simulation_rows` answers depth 0
+    after the kind checks with no partition; depth 1 still refines once."""
+    refines = 0
+    real = behaviour._refine
+
+    def counted(*args, **kwargs):
+        nonlocal refines
+        refines += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(behaviour, "_refine", counted)
+    models = (
+        (kripke_model({"x": ["a", "b"], "a": [], "b": []}), kripke_model({"y": ["c"], "c": []})),
+        (multiset_model({"x": {"a": 2}, "a": {}}), multiset_model({"y": {"y": 1}})),
+        (dist_model({"x": {"a": "1/2", "b": "1/2"}, "a": {"a": 1}, "b": {"b": 1}}), dist_model({"y": {"y": 1}})),
+        (nbhd_model({"x": [["x"]], "a": []}), nbhd_model({"y": []})),
+    )
+    for c, d in models:
+        sig = auto_signature(c, d)
+        full = full_relation(c.carrier, d.carrier)
+        assert simulation.simulation_rows(c, d, sig, 0) == dict.fromkeys(c.carrier, tuple(d.carrier))
+        assert greatest_simulation(c, d, sig, 0) == full == simulation_chain(c, d, sig, 0)
+        assert is_n_simulation(full, c, d, sig, 0)
+    assert refines == 0
+    simulation.simulation_rows(c, d, sig, 1)
+    assert refines == 1
+
+
 def test_hub_chain_bisimulation_on_the_quotient_makes_few_pair_checks(monkeypatch):
     """A chain x0 -> ... -> x29 with an atom on x29, and 30 hubs that see every
     chain state, on both sides.  `kripke:box,diamond` leaves the atom out, so
