@@ -6,11 +6,15 @@ union of the two carriers: two states share a block at depth k+1 exactly
 when they share one at depth k and their transition values, relabeled by
 depth-k block ids, are equal.  One refinement core, `_refine`, finds the
 levels incrementally; `n_step_partition` reads level n, and
-`stabilized_partition` the stable level.  Under a signature it merges
-Λ-equivalent values instead, and its levels are the greatest depth-n
-Λ-bisimulations, which `coalsim.simulation` reads.  Each level is a
-`coalsim.relations.Partition` of (left, right) blocks, the type
-`Relation.components` builds too.  For a separating
+`stabilized_partition` the stable level.  It keys Kripke, multiset and
+distribution states by their weights into the current blocks, which each
+round moves along the in-edges of the states that changed block, and
+neighborhood states by antichains of block ids, so no key relabels a
+value.  Under a signature that does not separate the models it merges
+Λ-equivalent relabelled values instead.  Under any signature its levels
+are the greatest depth-n Λ-bisimulations, which `coalsim.simulation`
+reads.  Each level is a `coalsim.relations.Partition` of (left, right)
+blocks, the type `Relation.components` builds too.  For a separating
 signature the stabilized partition's cross relation is both behavioural
 equivalence and Λ-bisimilarity, so `behavioural_equivalence` returns it
 after two cheap certificates on the components of the blocks' spanning
@@ -52,6 +56,7 @@ from .transport import couple
 from .values import (
     DISTRIBUTION,
     INF,
+    KRIPKE,
     MULTISET,
     NEIGHBORHOOD,
     Coalgebra,
@@ -63,11 +68,129 @@ from .values import (
     antichain,
     base,
     integer_weights,
-    predecessors,
     relabel,
     state_key,
     values_equal,
 )
+
+
+def _weight_rows(values: list, kind: str) -> tuple:
+    """(cap, rows): the weights of Kripke, multiset or distribution values as naturals.
+
+    Each row maps one value's base states to positive integers: 1 per
+    Kripke successor, the multiset weights, or the masses over the one
+    common denominator of all the values (`integer_weights`).  An infinite
+    multiset weight becomes `cap`, one more than any value's finite total,
+    so a sum over a set of states reaches `cap` exactly when an infinite
+    weight is in it.  A sum capped at `cap` is then what the relabelled
+    value says of that set: "some or none" for Kripke (cap 1), the weight
+    with ∞ absorbing for multisets, the mass for distributions (cap den,
+    which no mass exceeds).
+    """
+    if kind == KRIPKE:
+        return 1, [dict.fromkeys(t.succ, 1) for t in values]
+    den, rows = integer_weights(*values)
+    if kind == DISTRIBUTION:
+        return den, rows
+    cap = 1 + max(sum(w for w in row.values() if w != INF) for row in rows)
+    return cap, [{z: cap if w == INF else w for z, w in row.items()} for row in rows]
+
+
+def _weight_key(weights: dict, blocks, cap: int) -> frozenset:
+    """A state's key over some blocks: its weight into each, capped at `cap` (see
+    `_weight_rows`), block b with capped weight v as the one integer b·(cap+1) + v."""
+    get, span = weights.get, cap + 1
+    return frozenset([b * span + (w if (w := get(b, 0)) < cap else cap) for b in blocks])
+
+
+def _shift_weights(moved: list, pred: list, weights: list, cap: int) -> dict:
+    """Move the weights of the moved states' in-edges; returns each touched state's key.
+
+    `moved` lists the groups that moved in a round as (states, old block,
+    new block).  Each in-edge (p, w) of a moved state moves w from the old
+    block to the new one in p's weights, where a weight that falls to 0 is
+    dropped, and touches both blocks for p.  A touched state is keyed by
+    its weights into the blocks it touched (`_weight_key`).
+    """
+    touched = {}
+    for group, old, new in moved:
+        pair = (old, new)
+        for j in group:
+            for p, w in pred[j]:
+                wp = weights[p]
+                rest = wp[old] - w
+                if rest:
+                    wp[old] = rest
+                else:
+                    del wp[old]
+                wp[new] = wp.get(new, 0) + w
+                t = touched.get(p)
+                if t is None:
+                    touched[p] = pair  # shared until a second group touches p
+                elif t[-1] != new:
+                    if type(t) is tuple:
+                        t = touched[p] = list(t)
+                    t += pair
+    return {p: _weight_key(weights[p], blocks, cap) for p, blocks in touched.items()}
+
+
+def _antichain_key(minimals: list, block) -> frozenset:
+    """A neighborhood state's key: the antichain of its minimal sets' images under `block`."""
+    return antichain([block[j] for j in m] for m in minimals)
+
+
+def _key_rule(c: Coalgebra, d: Coalgebra, block: list, merged: bool) -> tuple:
+    """The keys of one `_refine` call on the states of C then D: (level 1, rekey).
+
+    Level 1 maps every state to its key at level 1; `rekey(moved)`, given
+    the groups that moved in a round as (states, old block, new block),
+    maps each predecessor of a moved state to its new key.  Both read the
+    current `block`.  Kripke, multiset and distribution values keep each
+    state's weights into the current blocks, which `rekey` moves edge by
+    edge (`_shift_weights`); level 1 keys a state by its capped total weight
+    and, for Kripke, its props.  Neighborhood values are keyed by antichains
+    of block-id sets (`_antichain_key`), and under a signature that does not
+    separate the models (`merged`) every value by its relabelling by block
+    ids, which `lifting_check` reads.
+    """
+    values = [m.transition[s] for m in (c, d) for s in m.carrier]
+    at = ({s: i for i, s in enumerate(c.carrier)}, {s: i for i, s in enumerate(d.carrier, len(c.carrier))})
+    side = [at[0]] * len(c.carrier) + [at[1]] * len(d.carrier)
+    pred = [[] for _ in values]  # per state: its in-edges, (predecessor, weight) for weighted keys
+    if not merged and c.kind.name != NEIGHBORHOOD:
+        cap, rows = _weight_rows(values, c.kind.name)
+        weights, first = [], {}
+        for i, row in enumerate(rows):
+            ids = side[i]
+            for z, w in row.items():
+                pred[ids[z]].append((i, w))
+            total = sum(row.values())
+            weights.append({0: total} if total else {})
+            first[i] = total if total < cap else cap
+        if c.kind.name == KRIPKE:
+            first = {i: (t.props, k) for t, (i, k) in zip(values, first.items())}
+        return first, lambda moved: _shift_weights(moved, pred, weights, cap)
+    if merged:
+        values = [relabel(t, side[i]) for i, t in enumerate(values)]
+        bases = map(base, values)
+        key = lambda i: relabel(values[i], block)
+        first = {i: key(i) for i in range(len(values))}
+    else:
+        minimals = [[[side[i][z] for z in m] for m in t.minimals] for i, t in enumerate(values)]
+        bases = ({j for m in ms for j in m} for ms in minimals)
+        key = lambda i: _antichain_key(minimals[i], block)
+        # `_antichain_key` with every state in block 0: {∅} when ∅ is minimal, else {{0}} or none.
+        every, point, none = frozenset((frozenset(),)), frozenset((frozenset((0,)),)), frozenset()
+        first = {i: every if frozenset() in t.minimals else point if t.minimals else none
+                 for i, t in enumerate(values)}
+    for i, js in enumerate(bases):
+        for j in js:
+            pred[j].append(i)
+
+    def rekey(moved):
+        return {i: key(i) for i in dict.fromkeys(p for group, _, _ in moved for j in group for p in pred[j])}
+
+    return first, rekey
 
 
 def _refine(c: Coalgebra, d: Coalgebra, rounds: int, sig: Optional[LambdaSignature] = None) -> tuple:
@@ -75,36 +198,64 @@ def _refine(c: Coalgebra, d: Coalgebra, rounds: int, sig: Optional[LambdaSignatu
 
     Level 0 is a single block.  Two states share a block at level k+1 when
     they share one at level k and their values, relabelled by level-k block
-    ids, are equal (`relabel` gives neighborhoods in antichain form), or
-    with a signature Λ-equivalent: `lifting_check` holds both ways with
-    identity images on block ids, the order of `coalsim.oracles.lambda_leq`.
-    Then level k's cross relation is level k of the both-way chain on C × D,
-    by induction: let q map states to their level-k blocks and R be level k,
-    so R[A] is the right states whose block meets A.  The liftings are
-    monotone, so t_x satisfies λ at A exactly when it does at q⁻¹[q[A]],
-    which has the same image, and natural, so t_x satisfies λ at q⁻¹[B]
-    exactly when T(q)(t_x) does at B.  For the sets B of blocks with left
-    states, which hold every set T(q)(t_x) reads, R[q⁻¹[B]] = D ∩ q⁻¹[B].
-    So the forward check at (x, y) is T(q)(t_x) ≤ T(q)(t_y) in the lifting
-    order, and the backward check is its converse.  A signature that
-    separates the models' values separates relabelled ones too, as
-    relabelling realizes no new mass or weight, so its keys need no merging.
+    ids, are equal, or with a signature Λ-equivalent: `lifting_check` holds
+    both ways with identity images on block ids, the order of
+    `coalsim.oracles.lambda_leq`.  Then level k's cross relation is level k
+    of the both-way chain on C × D, by induction: let q map states to their
+    level-k blocks and R be level k, so R[A] is the right states whose
+    block meets A.  The liftings are monotone, so t_x satisfies λ at A
+    exactly when it does at q⁻¹[q[A]], which has the same image, and
+    natural, so t_x satisfies λ at q⁻¹[B] exactly when T(q)(t_x) does at B.
+    For the sets B of blocks with left states, which hold every set
+    T(q)(t_x) reads, R[q⁻¹[B]] = D ∩ q⁻¹[B].  So the forward check at
+    (x, y) is T(q)(t_x) ≤ T(q)(t_y) in the lifting order, and the backward
+    check is its converse.  A signature that separates the models' values
+    separates relabelled ones too, as relabelling realizes no new mass or
+    weight, so under it Λ-equivalence is equality.
 
     The levels are found incrementally, after Paige and Tarjan: a relabelled
     value changes only when a state of its base changed block, so each
-    round re-keys the predecessors of the states that moved in the round
-    before.  A block groups its re-keyed members by key and, with a
-    signature, merges Λ-equivalent keys, comparing each key with one
-    representative per class, as Λ-equivalence is an equivalence.  Each
-    block stores a key that its members' keys agree with.  Members not
-    re-keyed kept theirs, and a comparison reads only the two values, so by
-    transitivity the re-keyed members that agree with it stay and the other
-    groups leave.  When every member is re-keyed, the largest group keeps
-    the block and stores its key.  The depth counts the rounds that split a
-    block, and the partition is level `depth`, stable when the depth is
-    below `rounds`; fewer than |C|+|D| rounds split one.  The blocks are
-    numbered by first member, left carrier before right carrier.  Its
-    callers check the depth and the kinds (`check_kinds`).
+    round re-keys only the touched states, the predecessors of the states
+    that moved in the round before, and a block regroups only its touched
+    members.  Level 1 keys every state by its value pushed forward to one
+    point.  `_key_rule` chooses what a key is, once per call:
+
+    - Kripke, multiset and distribution values, without a signature or
+      under one that separates the models, are keyed by weights, after
+      Valmari and Franceschinis: each state keeps its weights into the
+      current blocks (`_weight_rows`), a move from block B to a new block
+      moves each in-edge's weight out of B into it, and a touched state is
+      keyed by its capped weights into the blocks it touched (`_weight_key`).
+      That is exact among block-mates: they agreed on their capped weights
+      into the previous level's blocks, and the weight into a block that
+      no moved edge left or entered did not change.  A touched state has
+      weight in a block created in the last round, which no untouched
+      member reaches, so the touched members never keep the untouched
+      members' key: they regroup among themselves and leave.  A round
+      costs the moved states' in-edges, not their predecessors' values.
+    - Neighborhood values are not additive, since the image of a family is
+      no sum over blocks: a touched state is keyed by its whole antichain
+      of block-id sets (`_antichain_key`), which can equal its old key.
+    - A signature that does not separate the models compares whole values
+      (`lifting_check`), so its keys are values relabelled by block ids.
+      A block groups its touched members by key and merges Λ-equivalent
+      keys, comparing each key with one representative per class, as
+      Λ-equivalence is an equivalence.
+
+    Each block stores a key that its members' keys agree with.  Members
+    not re-keyed kept theirs, and a comparison reads only the two keys, so
+    by transitivity the touched members that agree with it stay and the
+    other groups leave.  When every member is touched, the largest group
+    keeps the block and stores its key.  The depth counts the rounds that
+    split a block, and the partition is level `depth`, stable when the
+    depth is below `rounds`; fewer than |C|+|D| rounds split one.  The
+    blocks are numbered by first member, left carrier before right carrier,
+    so neither block ids nor the order of hashed containers shows in them.
+    Its callers check the depth and the kinds (`check_kinds`).  The weight
+    keys never relabel a value; every `behavioural` answer, and every
+    `greatest-bisim` answer under a separating signature, is still checked
+    against the functor action itself, as `certified_partition` relabels
+    each state's value by its block and compares them (`values_equal`).
     """
     ok = None
     if sig is not None:
@@ -112,35 +263,26 @@ def _refine(c: Coalgebra, d: Coalgebra, rounds: int, sig: Optional[LambdaSignatu
         with suppress(NotSeparatingError, BudgetError):
             ensure_separating(sig, c, d)
             ok = None  # Λ-equivalent keys are equal
-    nodes, pred = [], []  # the disjoint union, left carrier first
-    for m in (c, d):
-        ids, at = {}, {}
-        for s in m.carrier:
-            ids[s], at[s] = 0, len(nodes)
-            nodes.append((ids, s, m.transition[s]))
-        pred += ([at[p] for p in ps] for ps in predecessors(m).values())
-    block, key = [0] * len(nodes), [None] * len(nodes)
-    size, shared = [len(nodes)], [None]  # per block: members, and the key they all agree with
+    states = c.carrier + d.carrier
+    block = [0] * len(states)
+    keyed, rekey = _key_rule(c, d, block, ok is not None)
+    size, shared = [len(states)], [None]  # per block: members, and the key they all agree with
     one = [frozenset((0,))]  # per block id: the set of itself, its identity image
-    depth, dirty = 0, range(len(nodes))
+    depth = 0
     while depth < rounds:
         rekeyed = {}
-        for i in dirty:
-            ids, _, t = nodes[i]
-            key[i] = relabel(t, ids)
-            rekeyed.setdefault(block[i], []).append(i)
+        for i, k in keyed.items():
+            rekeyed.setdefault(block[i], {}).setdefault(k, []).append(i)
         moved = []
-        for b, states in rekeyed.items():
-            groups = {}
-            for i in states:
-                groups.setdefault(key[i], []).append(i)
+        for b, groups in rekeyed.items():
+            every = size[b] == sum(map(len, groups.values()))
             if ok is not None:
-                classes = {} if size[b] == len(states) else {shared[b]: []}
+                classes = {} if every else {shared[b]: []}
                 for k, group in groups.items():
                     same = (r for r in classes if ok(k, r, one) and ok(r, k, one))
                     classes.setdefault(k if k in classes else next(same, k), []).extend(group)
                 groups = classes
-            if size[b] == len(states):
+            if every:
                 shared[b] = max(groups, key=lambda k: len(groups[k]))
             groups.pop(shared[b], None)
             for k, group in groups.items():
@@ -150,15 +292,14 @@ def _refine(c: Coalgebra, d: Coalgebra, rounds: int, sig: Optional[LambdaSignatu
                 one.append(frozenset((new,)))
                 size[b] -= len(group)
                 for i in group:
-                    ids, s, _ = nodes[i]
-                    block[i] = ids[s] = new
-                moved += group
+                    block[i] = new
+                moved.append((group, b, new))
         if not moved:
             break
         depth += 1
-        dirty = {p for i in moved for p in pred[i]}
+        keyed = rekey(moved)
     out = {}
-    for i, (_, s, _) in enumerate(nodes):
+    for i, s in enumerate(states):
         out.setdefault(block[i], ([], []))[i >= len(c.carrier)].append(s)
     blocks = tuple((tuple(ls), tuple(rs)) for ls, rs in out.values())
     return Partition(c.carrier, d.carrier, blocks), depth

@@ -416,16 +416,13 @@ def _prop_preorder(trial, seed):
     _, c, d = _models(seed + trial, KIND_POOL[trial % 4], max_states=4)
     sig = auto_signature(c, d)
     values = [c.transition[x] for x in c.carrier] + [d.transition[y] for y in d.carrier]
-    for t in values:
-        if not lambda_leq(t, t, sig):
-            return _instance_doc(c, d, law="reflexivity")
-    for t in values:
-        for u in values:
-            if not lambda_leq(t, u, sig):
-                continue
-            for v in values:
-                if lambda_leq(u, v, sig) and not lambda_leq(t, v, sig):
-                    return _instance_doc(c, d, law="transitivity")
+    leq = [[lambda_leq(t, u, sig) for u in values] for t in values]  # each order test once
+    if not all(row[i] for i, row in enumerate(leq)):
+        return _instance_doc(c, d, law="reflexivity")
+    for row in leq:
+        for j, below in enumerate(row):
+            if below and any(mid and not row[k] for k, mid in enumerate(leq[j])):
+                return _instance_doc(c, d, law="transitivity")
     return None
 
 

@@ -142,6 +142,8 @@ def nbhd_value(minimals: Iterable[Iterable]) -> NbhdValue:
 def antichain(sets: Iterable[Iterable]) -> frozenset:
     """Minimal elements of a family of sets; canonical form of a neighborhood value."""
     family = {frozenset(s) for s in sets}
+    if len(family) < 2:
+        return frozenset(family)
     return frozenset(s for s in family if not any(t < s for t in family))
 
 

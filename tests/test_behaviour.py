@@ -42,7 +42,8 @@ from coalsim.transport import couple
 from coalsim.modelio import dump_json
 from coalsim.relations import Relation, difunctional_closure
 from coalsim.values import (
-    INF, DistValue, MultisetValue, coalgebra, dist_value, integer_weights, kripke_value, multiset_value, relabel,
+    INF, DistValue, MultisetValue, antichain, coalgebra, dist_value, integer_weights, kripke_value, multiset_value,
+    nbhd_value, relabel,
 )
 
 from conftest import dist_model, kripke_model, multiset_model, nbhd_model
@@ -430,30 +431,128 @@ def _path_pair(n):
     return c, d
 
 
+def _count_rekeying(monkeypatch):
+    """Count what the weighted refinement's re-keying does: the in-edges of moved
+    states whose weights it moves, the states it re-keys, and the blocks their keys read."""
+    counts = {"edges": 0, "keys": 0, "entries": 0}
+    shift, weight_key = behaviour._shift_weights, behaviour._weight_key
+
+    def counted_shift(moved, pred, weights, cap):
+        counts["edges"] += sum(len(pred[j]) for group, _, _ in moved for j in group)
+        return shift(moved, pred, weights, cap)
+
+    def counted_key(weights, blocks, cap):
+        counts["keys"] += 1
+        counts["entries"] += len(blocks)
+        return weight_key(weights, blocks, cap)
+
+    monkeypatch.setattr(behaviour, "_shift_weights", counted_shift)
+    monkeypatch.setattr(behaviour, "_weight_key", counted_key)
+    monkeypatch.setattr(behaviour, "relabel", None)  # the weighted keys never relabel
+    return counts
+
+
 def test_refinement_of_a_path_rekeys_only_predecessors_of_moved_states(monkeypatch):
     """A path of n states against a copy splits a block in each of n - 1 rounds.  Re-keying
-    every state each round would take n * 2n relabels; re-keying only the
-    predecessors of the states that moved takes a few per state."""
+    every state each round would take n * 2n keys; moving the weights of the moved states'
+    in-edges and re-keying only their predecessors takes a few of each per state."""
     n = 60
     c, d = _path_pair(n)
-    calls = []
-    monkeypatch.setattr(behaviour, "relabel", lambda t, f: calls.append(t) or relabel(t, f))
+    counts = _count_rekeying(monkeypatch)
     part, depth = stabilized_partition(c, d)
     assert depth == n - 1
     assert part.blocks == tuple(((f"x{i}",), (f"y{i}",)) for i in range(n))
-    assert len(calls) <= 3 * 2 * n
+    assert counts["edges"] <= 3 * 2 * n
+    assert 2 * n + counts["keys"] <= 3 * 2 * n  # level 1 keys every state once
 
 
 def test_deep_n_step_partition_of_a_path_rekeys_only_predecessors_of_moved_states(monkeypatch):
     """Level n - 1 of the path against its copy is the stable partition, reached with
-    the same few relabels per state, not n - 1 rounds of re-keying every state."""
+    the same few edge updates and keys per state, not n - 1 rounds of re-keying every state."""
     n = 60
     c, d = _path_pair(n)
-    calls = []
-    monkeypatch.setattr(behaviour, "relabel", lambda t, f: calls.append(t) or relabel(t, f))
+    counts = _count_rekeying(monkeypatch)
     part = n_step_partition(c, d, n - 1)
     assert part.blocks == tuple(((f"x{i}",), (f"y{i}",)) for i in range(n))
-    assert len(calls) <= 3 * 2 * n
+    assert counts["edges"] <= 3 * 2 * n
+    assert 2 * n + counts["keys"] <= 3 * 2 * n
+
+
+def _hub_chain(n, prefix):
+    """A chain of n states and n hubs, each hub with every chain state as a successor."""
+    chain = [f"{prefix}c{i}" for i in range(n)]
+    succ = {s: chain[i + 1:i + 2] for i, s in enumerate(chain)}
+    succ.update({f"{prefix}h{j}": chain for j in range(n)})
+    return kripke_model(succ)
+
+
+def test_hub_chain_refinement_costs_a_constant_per_edge(monkeypatch):
+    """Each round splits one chain state off, and every hub on its side is a predecessor of it.
+    A hub's relabelled value has n successors, so relabel keys cost n per hub per round, n³ in
+    all; weight keys read only the two blocks a hub's one moved successor left and entered."""
+    n = 30
+    c, d = _hub_chain(n, "x"), _hub_chain(n, "y")
+    edges = 2 * (n * n + n - 1)
+    counts = _count_rekeying(monkeypatch)
+    part, depth = stabilized_partition(c, d)
+    assert depth == n - 1
+    hubs = (tuple(f"xh{j}" for j in range(n)), tuple(f"yh{j}" for j in range(n)))
+    assert part.blocks == tuple(((f"xc{i}",), (f"yc{i}",)) for i in range(n)) + (hubs,)
+    assert counts["edges"] <= 2 * edges
+    assert counts["entries"] <= 4 * edges < n ** 3
+    assert part == _levels_to_stability(c, d)[-1]
+
+
+def _random_weighted_value(rng, kind, states):
+    """A Kripke, multiset (∞ weights included) or distribution value (denominators 2, 3, 4 or 6)."""
+    support = rng.sample(states, rng.randint(0, 3) if kind != "distribution" else rng.randint(1, 3))
+    if kind == "kripke":
+        return kripke_value(rng.sample(("p", "q"), rng.randint(0, 1)), support)
+    if kind == "multiset":
+        return multiset_value({z: rng.choice((1, 1, 2, 3, INF)) for z in support})
+    den = rng.choice((2, 3, 4, 6))
+    cuts = sorted(rng.sample(range(1, den), min(len(support), den) - 1))
+    parts = [b - a for a, b in zip([0] + cuts, cuts + [den])]
+    return dist_value({z: Fraction(w, den) for z, w in zip(support, parts)})
+
+
+def test_weight_and_antichain_keys_group_values_as_relabelling_does():
+    """Two values get equal keys under a block map exactly when their relabelled values are
+    equal (`values_equal`): weight keys over every block for Kripke, multiset and distribution
+    values, antichains of block-id sets for neighborhood values.  A neighborhood refinement's
+    level-1 keys are the antichain keys with every state in block 0."""
+    rng = random.Random(23)
+    states = list(range(6))
+    merged = 0
+    for trial in range(300):
+        kind = ("kripke", "multiset", "distribution", "neighborhood")[trial % 4]
+        block = {z: rng.randrange(3) for z in states}
+        if kind == "neighborhood":
+            values = [nbhd_value(antichain(rng.sample(states, rng.randint(0, 2)) for _ in range(rng.randint(0, 3))))
+                      for _ in range(8)]
+            keys = [behaviour._antichain_key([list(m) for m in t.minimals], block) for t in values]
+            model = coalgebra(NEIGHBORHOOD_KIND, range(8), dict(enumerate(values)))
+            level_one, _ = behaviour._key_rule(model, model, [0] * 16, False)
+            zero = dict.fromkeys(states, 0)
+            assert list(level_one.values()) == 2 * [
+                behaviour._antichain_key([list(m) for m in t.minimals], zero) for t in values
+            ]
+        else:
+            values = [_random_weighted_value(rng, kind, states) for _ in range(8)]
+            cap, rows = behaviour._weight_rows(values, kind)
+            keys = []
+            for t, row in zip(values, rows):
+                weights = {}
+                for z, w in row.items():
+                    weights[block[z]] = weights.get(block[z], 0) + w
+                # Level 1 splits Kripke props; later keys compare block-mates, which agree on them.
+                keys.append((getattr(t, "props", None), behaviour._weight_key(weights, range(3), cap)))
+        for t, k in zip(values, keys):
+            for u, m in zip(values, keys):
+                same = values_equal(relabel(t, block), relabel(u, block))
+                assert (k == m) == same, (kind, t, u, block)
+                merged += same and not values_equal(t, u)
+    assert merged >= 100  # many pairs are equal only after relabelling
 
 
 def test_successful_up_to_couplings_are_behaviourally_sound():

@@ -66,3 +66,38 @@ def test_oracle_cost_does_not_depend_on_the_hash_seed():
     makes the same number of `satisfies` calls in every process."""
     calls = {seed: _oracle_satisfies_calls(seed) for seed in ("0", "3")}
     assert calls["0"] == calls["3"] > 0, calls
+
+
+def test_preorder_property_orders_each_pair_of_values_once(monkeypatch):
+    from coalsim import properties
+
+    calls = []
+
+    def counted(t, u, sig):
+        calls.append((t, u))
+        return lambda_leq(t, u, sig)
+
+    lambda_leq = properties.lambda_leq
+    monkeypatch.setattr(properties, "lambda_leq", counted)
+    for trial in range(12):
+        calls.clear()
+        assert properties._prop_preorder(trial, 5) is None
+        _, c, d = properties._models(5 + trial, properties.KIND_POOL[trial % 4], max_states=4)
+        assert len(calls) == (len(c.carrier) + len(d.carrier)) ** 2, trial
+
+
+def test_preorder_property_reports_the_broken_law(monkeypatch):
+    from coalsim import properties
+
+    seen = {}
+
+    def next_only(t, u, sig):
+        """Reflexive, and each value below the next one seen: not transitive on three values."""
+        i, j = (seen.setdefault(id(v), len(seen)) for v in (t, u))
+        return j - i in (0, 1)
+
+    monkeypatch.setattr(properties, "lambda_leq", next_only)
+    found = properties._prop_preorder(0, 5)
+    assert len(seen) >= 3 and found["law"] == "transitivity"
+    monkeypatch.setattr(properties, "lambda_leq", lambda t, u, sig: t is not u)
+    assert properties._prop_preorder(0, 5)["law"] == "reflexivity"
