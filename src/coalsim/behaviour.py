@@ -75,20 +75,19 @@ from .values import (
 
 
 def _weight_rows(values: list, kind: str) -> tuple:
-    """(cap, rows): the weights of Kripke, multiset or distribution values as naturals.
+    """(cap, rows): the weights of multiset or distribution values as naturals.
 
-    Each row maps one value's base states to positive integers: 1 per
-    Kripke successor, the multiset weights, or the masses over the one
-    common denominator of all the values (`integer_weights`).  An infinite
-    multiset weight becomes `cap`, one more than any value's finite total,
-    so a sum over a set of states reaches `cap` exactly when an infinite
-    weight is in it.  A sum capped at `cap` is then what the relabelled
-    value says of that set: "some or none" for Kripke (cap 1), the weight
-    with ∞ absorbing for multisets, the mass for distributions (cap den,
-    which no mass exceeds).
+    Each row maps one value's base states to positive integers: the
+    multiset weights, or the masses over the one common denominator of all
+    the values (`integer_weights`).  An infinite multiset weight becomes
+    `cap`, one more than any value's finite total, so a sum over a set of
+    states reaches `cap` exactly when an infinite weight is in it.  A sum
+    capped at `cap` is then what the relabelled value says of that set:
+    the weight with ∞ absorbing for multisets, the mass for distributions
+    (cap den, which no mass exceeds).  Kripke values weigh 1 per successor
+    with cap 1, "some or none", and `_key_rule` reads those weights
+    straight off the successor sets.
     """
-    if kind == KRIPKE:
-        return 1, [dict.fromkeys(t.succ, 1) for t in values]
     den, rows = integer_weights(*values)
     if kind == DISTRIBUTION:
         return den, rows
@@ -157,6 +156,15 @@ def _key_rule(c: Coalgebra, d: Coalgebra, block: list, merged: bool) -> tuple:
     at = ({s: i for i, s in enumerate(c.carrier)}, {s: i for i, s in enumerate(d.carrier, len(c.carrier))})
     side = [at[0]] * len(c.carrier) + [at[1]] * len(d.carrier)
     pred = [[] for _ in values]  # per state: its in-edges, (predecessor, weight) for weighted keys
+    if not merged and c.kind.name == KRIPKE:  # weight 1 per successor, read off the successor sets
+        weights, first = [], {}
+        for i, t in enumerate(values):
+            ids, edge = side[i], (i, 1)
+            for z in t.succ:
+                pred[ids[z]].append(edge)
+            weights.append({0: len(t.succ)} if t.succ else {})
+            first[i] = (t.props, 1 if t.succ else 0)
+        return first, lambda moved: _shift_weights(moved, pred, weights, 1)
     if not merged and c.kind.name != NEIGHBORHOOD:
         cap, rows = _weight_rows(values, c.kind.name)
         weights, first = [], {}
@@ -167,8 +175,6 @@ def _key_rule(c: Coalgebra, d: Coalgebra, block: list, merged: bool) -> tuple:
             total = sum(row.values())
             weights.append({0: total} if total else {})
             first[i] = total if total < cap else cap
-        if c.kind.name == KRIPKE:
-            first = {i: (t.props, k) for t, (i, k) in zip(values, first.items())}
         return first, lambda moved: _shift_weights(moved, pred, weights, cap)
     if merged:
         values = [relabel(t, side[i]) for i, t in enumerate(values)]
@@ -453,8 +459,9 @@ def verify_coupling(coupling: Coupling, s: Relation, c: Coalgebra, d: Coalgebra,
 
     A cell (x, y) is allowed when y is in `img[x]`: the images under s by
     default, of its difunctional closure for the up-to check.  Each distinct
-    cell used is checked once; weighted values by exact sums (`_sums_match`),
-    the others by relabelling along both projections.
+    cell used is checked once; weighted values by exact sums over their
+    integers (`integer_weights`, `_projects_onto`), the others by
+    relabelling along both projections.
     """
     check_kinds(c, d)
     img = s.left_images() if img is None else img
@@ -467,7 +474,9 @@ def verify_coupling(coupling: Coupling, s: Relation, c: Coalgebra, d: Coalgebra,
     if not all(type(q) is tuple and len(q) == 2 and q[1] in img.get(q[0], ()) for q in used):
         return False
     if c.kind.name in (MULTISET, DISTRIBUTION):
-        return all(_sums_match(v, c.transition[x], d.transition[y]) for (x, y), v in values)
+        return all(
+            _projects_onto(*integer_weights(v, c.transition[x], d.transition[y])[1]) for (x, y), v in values
+        )
     p1, p2 = {q: q[0] for q in used}, {q: q[1] for q in used}
     return all(
         values_equal(relabel(v, p1), c.transition[x]) and values_equal(relabel(v, p2), d.transition[y])
@@ -475,20 +484,21 @@ def verify_coupling(coupling: Coupling, s: Relation, c: Coalgebra, d: Coalgebra,
     )
 
 
-def _sums_match(v, t, u) -> bool:
-    """Do the weights of v, a value over cells, sum to t and to u along the two projections?
+def _projects_onto(cells, left_w, right_w) -> bool:
+    """Do the integer weights of cells, {(a, b): w}, sum to left_w along the first
+    projection and to right_w along the second?
 
-    All three are read as integers over one common denominator
-    (`integer_weights`); an infinite multiset weight absorbs every sum it
-    enters.
+    All three are integers over one common denominator; an infinite
+    multiset weight absorbs every sum it enters.
     """
-    _, (cells, left_w, right_w) = integer_weights(v, t, u)
+    finite = cells if INF not in cells.values() else {q: w for q, w in cells.items() if w != INF}
     left, right = {}, {}
-    for (a, b), w in cells.items():
-        prev = left.get(a, 0)
-        left[a] = INF if INF in (prev, w) else prev + w
-        prev = right.get(b, 0)
-        right[b] = INF if INF in (prev, w) else prev + w
+    for (a, b), w in finite.items():
+        left[a] = left.get(a, 0) + w
+        right[b] = right.get(b, 0) + w
+    if finite is not cells:  # no float sum meets a long integer
+        for a, b in cells.keys() - finite.keys():
+            left[a] = right[b] = INF
     return left == left_w and right == right_w
 
 
@@ -525,15 +535,19 @@ def _canonical_coupling(t, u, img, rows, cols) -> FunctorValue:
 
 
 def _coupling_check(s: Relation, img: dict, cimg, c, d) -> Optional[Coupling]:
-    """Coupling values for the pairs of s over the cells (x, y) with y in img[x], verified, or None.
+    """Coupling values for the pairs of s over the cells (x, y) with y in img[x], checked, or None.
 
-    Each pair gets one candidate value, and `verify_coupling` checks them
-    all once.  A failed check means no coupling exists for Kripke or
-    neighborhood candidates, and a bug for transportation plans, which
-    raises InternalCheckError.  Weighted pairs hand img to `couple`, and
-    one with an infinite weight raises InfiniteWeightError when reached.
-    Neighborhood candidates read `cimg`, the converse images, and build
-    each state's cells once.
+    Each pair gets one candidate value.  Kripke and neighborhood candidates
+    are checked all at once by `verify_coupling`, and a failed check means
+    no coupling exists.  Weighted pairs hand img to `couple`, and each plan
+    is checked on the integers it was solved in, before it becomes a
+    value: its denominator is that of `integer_weights(t, u)`, every cell
+    is in img, and its projections are the rows of t and u
+    (`_projects_onto`, the sums `verify_coupling` checks).  A plan failing
+    that is a bug and raises InternalCheckError; a pair with an infinite
+    weight raises InfiniteWeightError when reached.  Neighborhood
+    candidates read `cimg`, the converse images, and build each state's
+    cells once.
     """
     kind = c.kind.name
     weighted = kind in (MULTISET, DISTRIBUTION)
@@ -541,28 +555,34 @@ def _coupling_check(s: Relation, img: dict, cimg, c, d) -> Optional[Coupling]:
     if kind == NEIGHBORHOOD:
         rows = {x: [(x, y) for y in ys] for x, ys in img.items()}
         cols = {y: [(x, y) for x in xs] for y, xs in cimg.items()}
+    masses = {}  # den -> {amount: Fraction(amount, den)}, shared by the plans of one check
     out = []
     for x, y in sorted(s.pairs, key=state_key):
+        t, u = c.transition[x], d.transition[y]
         if not weighted:
-            v = _canonical_coupling(c.transition[x], d.transition[y], img, rows, cols)
+            out.append(((x, y), _canonical_coupling(t, u, img, rows, cols)))
+            continue
+        try:
+            # `couple` lists a plan's positive cells in `state_key` order, the canonical entry order.
+            found = couple(t, u, img)
+        except InfiniteWeightError as exc:
+            raise InfiniteWeightError(f"{exc}; pair ({shown(x)}, {shown(y)}) has an infinite weight") from None
+        if found is None:
+            return None
+        den, plan = found
+        own, weights = integer_weights(t, u)
+        if den != own or not all(b in img.get(a, ()) for a, b in plan) or not _projects_onto(plan, *weights):
+            raise InternalCheckError("constructed coupling fails its projection equations")
+        if kind == MULTISET:
+            v = MultisetValue(tuple(plan.items()))
         else:
-            try:
-                # `couple` lists a plan's positive cells in `state_key` order, the canonical entry order.
-                found = couple(c.transition[x], d.transition[y], img)
-            except InfiniteWeightError as exc:
-                raise InfiniteWeightError(f"{exc}; pair ({shown(x)}, {shown(y)}) has an infinite weight") from None
-            if found is None:
-                return None
-            den, plan = found
-            v = (DistValue(tuple((q, Fraction(w, den)) for q, w in plan.items())) if kind == DISTRIBUTION
-                 else MultisetValue(tuple(plan.items())))
+            mass = masses.setdefault(den, {})
+            v = DistValue(tuple(
+                (q, mass[w] if w in mass else mass.setdefault(w, Fraction(w, den))) for q, w in plan.items()
+            ))
         out.append(((x, y), v))
     coupling = Coupling(tuple(out))
-    if verify_coupling(coupling, s, c, d, img):
-        return coupling
-    if weighted:
-        raise InternalCheckError("constructed coupling fails its projection equations")
-    return None
+    return coupling if weighted or verify_coupling(coupling, s, c, d, img) else None
 
 
 def t_bisimulation_check(

@@ -21,11 +21,10 @@ from .behaviour import (
     t_bisim_up_to_difunctionality_check,
     t_bisimulation_check,
 )
-from .errors import CoalsimError, NotSeparatingError, shown
+from .errors import CoalsimError, NotSeparatingError, as_text, shown
 from .formulas import evaluate, parse_formula
 from .liftings import DEFAULT_LITERALS, resolve_signature
 from .modelio import dump_json, load_coalgebra, load_relation
-from .properties import run_property_suite
 from .simulation import (
     is_bisimulation,
     is_bisimulation_up_to_difunctionality,
@@ -34,6 +33,7 @@ from .simulation import (
     is_simulation,
     simulation_rows,
 )
+from .values import INF, KRIPKE, MULTISET, NEIGHBORHOOD, state_key
 
 
 def _signature(args, *models):
@@ -71,6 +71,55 @@ def _emit_rows(args, left, rows) -> int:
     else:
         sys.stdout.write("".join(chunks))
     return 0 if chunks else 1
+
+
+def _emit_coupling(coupling, c, d) -> None:
+    """Print `dump_json(coupling.to_dict())` in one write, without building the document.
+
+    Each state label is rendered once per call and each cell [x, y] once;
+    every value is written as `value_to_json(v, label=list)` lists it, with
+    its keys in sorted order.  Weights and masses become text by `as_text`,
+    once per value, so a number past Python's digit limit raises
+    BudgetError before any output.
+    """
+    left = {x: json.dumps(x) for x in c.carrier}
+    right = {y: json.dumps(y) for y in d.carrier}
+    rendered = {}  # cell -> its text
+
+    def cell(q):
+        text = rendered.get(q)
+        if text is None:
+            text = rendered[q] = f"[{left[q[0]]}, {right[q[1]]}]"
+        return text
+
+    def ordered(cells):  # in the `state_key` order of the cells as lists, as `value_to_json` sorts them
+        return sorted(cells, key=lambda q: state_key(list(q)))
+
+    def joined(cells):
+        return "[" + ", ".join(map(cell, cells)) + "]"
+
+    kind = c.kind.name
+    if kind == KRIPKE:
+        def value(v):
+            return f'{{"props": {json.dumps(sorted(v.props))}, "succ": {joined(ordered(v.succ))}}}'
+    elif kind == NEIGHBORHOOD:
+        def value(v):
+            ms = sorted(map(ordered, v.minimals), key=lambda m: state_key([list(q) for q in m]))
+            return '{"minimals": [' + ", ".join(map(joined, ms)) + "]}"
+    else:
+        number = ((lambda w: '"inf"' if w == INF else str(w)) if kind == MULTISET
+                  else (lambda q: f'"{str(q)}"'))  # a mass is written as a JSON string
+
+        def entries(v):
+            return '{"entries": [' + ", ".join(f"[{cell(q)}, {number(w)}]" for q, w in v.entries) + "]}"
+
+        def value(v):
+            return as_text(v, entries)
+
+    chunks = [
+        f'{{"left": {left[x]}, "right": {right[y]}, "value": {value(v)}}}' for (x, y), v in coupling.values
+    ]
+    sys.stdout.write('{"couplings": [' + ", ".join(chunks) + "]}\n")
 
 
 def _emit_report(args, report):
@@ -174,15 +223,18 @@ def _cmd_tbisim(args) -> int:
         else t_bisimulation_check
     )
     coupling = check(rel, c, d)
-    if args.json:
-        doc = coupling.to_dict() if coupling is not None else {"couplings": None}
-        sys.stdout.write(dump_json(doc))
+    if args.json and coupling is not None:
+        _emit_coupling(coupling, c, d)
+    elif args.json:
+        sys.stdout.write(dump_json({"couplings": None}))
     else:
         print("coupling found" if coupling is not None else "no coupling")
     return 0 if coupling is not None else 1
 
 
 def _cmd_randtest(args) -> int:
+    from .properties import run_property_suite  # the harness loads only for this command
+
     report = run_property_suite(args.property, args.trials, args.seed)
     if args.json:
         sys.stdout.write(dump_json(report.to_dict()))

@@ -23,7 +23,8 @@ the sources that the last search reached are the cut.
   sink set as it is.  The nodes reachable from the source in the residual
   network are the same for every maximum flow: the source side of the
   minimal minimum cut.  So its answer depends neither on the start nor on
-  the order of the rows, and the fill leaves few paths to find.
+  the order of the rows, and the fill leaves few paths to find.  It
+  lists no cells: the fill records what it ships only for `_augment`.
 - `couple` returns a plan, which must depend on the network alone.  Its
   rows list each source's sinks in room order, and the search visits
   nodes as Edmonds-Karp does: sources in supply order, sinks in room
@@ -35,9 +36,13 @@ the sources that the last search reached are the cut.
   there: components that share no node never interact, and in a complete
   component its search always augments from the first source with supply
   left to the first sink with room left.  So it starts from the fill, and
-  no augmenting path is left.  On every other network it starts from
-  zero, and `_augment` replays Edmonds-Karp's augmenting paths one by
-  one, so the plan is Edmonds-Karp's flow on the whole network.
+  no augmenting path is left.  When all sources share one sink set (C x
+  D, or a pair inside one block of a planted relation) the network is
+  one such component: its one row is the sink set in room order, read
+  off `room` without the per-sink lists that bucketing needs, and the
+  fill walks it once with one pointer.  On every other network it starts
+  from zero, and `_augment` replays Edmonds-Karp's augmenting paths one
+  by one, so the plan is Edmonds-Karp's flow on the whole network.
 """
 
 from __future__ import annotations
@@ -97,51 +102,40 @@ def _solve(supply: Mapping, room: Mapping, reach: Mapping, plan: bool) -> tuple:
     """A maximum flow of the supplies into the rooms along `reach`, as (cut, cells).
 
     `reach` maps each source to the frozenset of sinks it may ship to, all
-    keys of `room`.  With `plan` the flow must be Edmonds-Karp's: sources
-    with equal sink sets share one row of sinks in room order, built in
-    O(arcs) by bucketing the sinks, and the flow starts from the greedy fill
-    only on block-shaped networks (no sink in two distinct sink sets), from
-    zero otherwise.  Without it any maximum flow serves: each source's row
-    is its sink set as it is, and the flow always starts from the fill.
-    `_augment` then runs until all ships or no path is left.  The cut is
-    None when all of the supply ships, otherwise (sources, short): the
-    sources the last search reached, in supply order, and the amount left
-    unshipped.  `cells` is None with a cut, otherwise it yields ((source,
-    sink), amount) for the positive amounts, source by source in supply
-    order and along each source's row.  The fill ships in that order, so
-    when it ships everything the cells are the fill's, as recorded;
-    otherwise the flow per sink that `_augment` reads is built from them,
-    and the cells are read off that flow.  A plan row shared by
-    several sources keeps its first sink with room, so no source tests
-    again the sinks its row's earlier sources filled.
+    keys of `room`.  Without `plan` any maximum flow serves: the greedy
+    fill ships each source, in supply order, into the sinks of its set as
+    they come, each step as much as both have left.  With `plan` the flow
+    must be Edmonds-Karp's, and sources with equal sink sets share one row
+    of sinks in room order.  When all sources share one sink set, as on
+    C x D or inside one block, that row is read off `room` at once;
+    otherwise the rows are built in O(arcs) by bucketing the sinks.  On a
+    block-shaped network (no sink in two distinct sink sets, as with one
+    shared set) the fill is the northwest-corner rule along each row: a
+    row keeps its first sink with room, so no source tests again the sinks
+    its row's earlier sources filled.  On any other network the flow
+    starts from zero.  `_augment` then runs until all ships or no path is
+    left.  The cut is None when all of the supply ships, otherwise
+    (sources, short): the sources the last search reached, in supply
+    order, and the amount left unshipped.  `cells` is None with a cut or
+    without `plan`; otherwise it lists ((source, sink), amount) for the
+    positive amounts, source by source in supply order and along each
+    source's row.  The fill ships in that order, so when it ships
+    everything the cells are the fill's, as recorded; otherwise the flow
+    per sink that `_augment` reads is built from them, and the cells are
+    read off that flow.
     """
     rows = list(map(reach.__getitem__, supply))
-    fill = not plan
-    if plan:
-        lists = {}
-        rows = [lists.setdefault(sinks, []) for sinks in rows]
-        members = {y: [] for y in room}
-        for sinks, row in lists.items():
-            for y in sinks:
-                members[y].append(row)
-        for y, shared in members.items():
-            for row in shared:
-                row.append(y)
-        fill = all(len(shared) < 2 for shared in members.values())
     left, free = list(supply.values()), dict(room)
     shipped = []  # (source, sink, amount) as the fill ships them, in the order `cells` lists them
-    if fill:
-        first = {}  # each plan row's first sink with room: its sinks fill up in row order
-        for i, row in enumerate(rows):
-            have = left[i]
-            k = first.get(id(row), 0) if plan else 0
-            for y in row[k:] if plan else row:
-                if not have:
-                    break
+    if not plan:  # the greedy fill: each source into the sinks of its set, as they come
+        for i, have in enumerate(left):
+            if not have:
+                continue
+            for y in rows[i]:
                 room_y = free[y]
                 if not room_y:
                     continue
-                if have < room_y:
+                if have <= room_y:
                     free[y] = room_y - have
                     shipped.append((i, y, have))
                     have = 0
@@ -149,11 +143,49 @@ def _solve(supply: Mapping, room: Mapping, reach: Mapping, plan: bool) -> tuple:
                 free[y] = 0
                 shipped.append((i, y, room_y))
                 have -= room_y
-                k += 1
             left[i] = have
-            if plan:
-                first[id(row)] = k
+    else:
+        if not rows or rows.count(rows[0]) == len(rows):
+            sinks = rows[0] if rows else frozenset()
+            lists = [list(room) if len(sinks) == len(room) else [y for y in room if y in sinks]]
+            which = [0] * len(rows)  # each source's row in `lists`
+            rows = lists * len(rows)
+            corner = True
+        else:
+            index = {}
+            which = [index.setdefault(sinks, len(index)) for sinks in rows]
+            lists = [[] for _ in index]
+            members = {y: [] for y in room}
+            for sinks, r in index.items():
+                for y in sinks:
+                    members[y].append(lists[r])
+            for y, shared in members.items():
+                for row in shared:
+                    row.append(y)
+            corner = all(len(shared) < 2 for shared in members.values())
+            rows = [lists[r] for r in which]
+        if corner:  # the northwest-corner rule along each row, from its first sink with room
+            at = [0] * len(lists)
+            for i, r in enumerate(which):
+                have, row, k = left[i], lists[r], at[r]
+                while have and k < len(row):
+                    y = row[k]
+                    room_y = free[y]
+                    if have < room_y:
+                        free[y] = room_y - have
+                        shipped.append((i, y, have))
+                        have = 0
+                        break
+                    free[y] = 0
+                    k += 1
+                    if room_y:
+                        shipped.append((i, y, room_y))
+                        have -= room_y
+                at[r] = k
+                left[i] = have
     if not any(left):
+        if not plan:
+            return None, None
         keys = list(supply)
         return None, [((keys[i], y), w) for i, y, w in shipped]
     into = {y: {} for y in room}
@@ -163,6 +195,8 @@ def _solve(supply: Mapping, room: Mapping, reach: Mapping, plan: bool) -> tuple:
         reached = _augment(left, free, rows, into)
         if reached is not None:
             return ([x for x, r in zip(supply, reached) if r], sum(left)), None
+    if not plan:
+        return None, None
     return None, (((x, y), into[y][i]) for i, x in enumerate(supply) for y in rows[i] if into[y].get(i))
 
 
@@ -201,5 +235,7 @@ def couple(t, u, allowed: Mapping) -> Optional[tuple]:
     if sum(supply.values()) != sum(room.values()):
         return None
     sinks, none = frozenset(room), frozenset()
-    cut, cells = _solve(supply, room, {x: sinks & allowed.get(x, none) for x in supply}, True)
+    # A source allowed every sink keeps the one set `sinks`, so equal rows are one object.
+    reach = {x: sinks if sinks <= (a := allowed.get(x, none)) else sinks & a for x in supply}
+    cut, cells = _solve(supply, room, reach, True)
     return None if cut else (den, dict(cells))

@@ -539,7 +539,10 @@ def test_weight_and_antichain_keys_group_values_as_relabelling_does():
             ]
         else:
             values = [_random_weighted_value(rng, kind, states) for _ in range(8)]
-            cap, rows = behaviour._weight_rows(values, kind)
+            if kind == "kripke":  # 1 per successor, capped at 1, as `_key_rule` reads them
+                cap, rows = 1, [dict.fromkeys(t.succ, 1) for t in values]
+            else:
+                cap, rows = behaviour._weight_rows(values, kind)
             keys = []
             for t, row in zip(values, rows):
                 weights = {}
@@ -707,6 +710,36 @@ def test_a_plan_failing_its_projections_is_a_bug(monkeypatch):
         s = relation(c.carrier, c.carrier, [(x, y) for x in c.carrier for y in c.carrier])
         with pytest.raises(InternalCheckError, match="constructed coupling fails its projection equations"):
             t_bisimulation_check(s, c, c)
+
+
+def test_a_plan_shipping_outside_the_relation_is_a_bug(monkeypatch):
+    """Each weighted plan is checked on its integers before it becomes a
+    value: a plan whose two cells trade targets keeps both projections but
+    ships outside the identity's images, and raises InternalCheckError
+    without any call of `verify_coupling`."""
+    real = behaviour.couple
+    crossed_plans = []
+
+    def crossed(t, u, allowed):
+        den, shipped = real(t, u, allowed)
+        ((a, b), w), ((p, q), v) = shipped.items()
+        assert w == v and q not in allowed[a] and b not in allowed[p]
+        crossed_plans.append(shipped)
+        return den, {(a, q): w, (p, b): v}
+
+    def unreachable(*args):
+        raise AssertionError("weighted plans are checked without verify_coupling")
+
+    monkeypatch.setattr(behaviour, "couple", crossed)
+    monkeypatch.setattr(behaviour, "verify_coupling", unreachable)
+    for c in (
+        multiset_model({"a": {"a": 1, "b": 1}, "b": {"a": 1, "b": 1}}),
+        dist_model({"a": {"a": "1/2", "b": "1/2"}, "b": {"a": "1/2", "b": "1/2"}}),
+    ):
+        s = relation(c.carrier, c.carrier, [(x, x) for x in c.carrier])
+        with pytest.raises(InternalCheckError, match="constructed coupling fails its projection equations"):
+            t_bisimulation_check(s, c, c)
+    assert len(crossed_plans) == 2
 
 
 def _merged(part, i, j):

@@ -13,11 +13,15 @@ from coalsim import (
     NEIGHBORHOOD_KIND,
     NotSeparatingError,
     auto_signature,
+    coalgebra,
     difunctional_closure,
+    full_relation,
     kripke_kind,
     relation,
     resolve_signature,
     satisfies,
+    t_bisim_up_to_difunctionality_check,
+    t_bisimulation_check,
 )
 from coalsim.behaviour import certified_partition
 from coalsim.generators import (
@@ -37,6 +41,7 @@ from coalsim.modelio import (
 )
 from coalsim.oracles import simulation_chain
 from coalsim.properties import PROPERTIES
+from coalsim.values import integer_weights, relabel
 
 
 def write(tmp_path, name, doc):
@@ -268,6 +273,70 @@ def test_tbisim_exit_codes(run, tmp_path):
     assert code == 0
     doc = json.loads(out)
     assert doc["couplings"][0]["left"] == "a"
+
+
+def _odd_labels(c, start=0):
+    """c on labels that JSON and `repr` write differently: quotes, backslashes, non-ASCII."""
+    shapes = ("s{}", 'q"{}', "b\\{}", "\u00fc{}", "s'{}")
+    f = {s: shapes[(i + start) % len(shapes)].format(i) for i, s in enumerate(c.carrier)}
+    return coalgebra(c.kind, list(f.values()), {f[s]: relabel(t, f) for s, t in c.transition.items()})
+
+
+def test_tbisim_json_bytes_are_the_coupling_document(run, tmp_path):
+    """`tbisim --json` writes its document in one pass; its bytes are
+    `dump_json(coupling.to_dict())` of the library's check, for all four
+    kinds, on dense C x D, random and planted relations, plain and up to
+    difunctionality, and on distribution plans whose cells are not in
+    lowest terms over their denominator."""
+    rng = random.Random(223)
+    kinds = (kripke_kind(("p", "q")), MULTISET_KIND, DISTRIBUTION_KIND, NEIGHBORHOOD_KIND)
+    seen = {}
+    unreduced = 0
+    for trial in range(60):
+        kind = kinds[trial % 4]
+        base = generate_coalgebra(GeneratorConfig(seed=trial, kind=kind, max_states=4, max_denominator=6))
+        c, inflated = _odd_labels(base), inflate_coalgebra(rng, base)
+        d = _odd_labels(inflated, start=1)
+        back = dict(zip(d.carrier, (s.rsplit(".", 1)[0] for s in inflated.carrier)))
+        to_c = dict(zip(base.carrier, c.carrier))
+        relations = {
+            "dense": full_relation(c.carrier, d.carrier),
+            "random": random_relation(rng, c, d, density=0.5),
+            "planted": relation(c.carrier, d.carrier, [(to_c[back[y]], y) for y in d.carrier]),
+        }
+        left, right = write(tmp_path, "c.json", coalgebra_to_dict(c)), write(tmp_path, "d.json", coalgebra_to_dict(d))
+        for name, s in relations.items():
+            rel = write(tmp_path, "r.json", relation_to_dict(s))
+            for check, flags in ((t_bisimulation_check, ()), (t_bisim_up_to_difunctionality_check, ("--up-to-difunctional",))):
+                coupling = check(s, load_coalgebra(left), load_coalgebra(right))
+                code, out, err = run("tbisim", left, right, rel, *flags, "--json")
+                expected = dump_json(coupling.to_dict() if coupling is not None else {"couplings": None})
+                assert (code, out, err) == (0 if coupling is not None else 1, expected, ""), (kind, name, flags)
+                key = (kind.name, name, coupling is not None)
+                seen[key] = seen.get(key, 0) + 1
+                if kind == DISTRIBUTION_KIND and coupling is not None:
+                    for (x, y), v in coupling.values:
+                        den, _ = integer_weights(c.transition[x], d.transition[y])
+                        unreduced += any(q.denominator != den for _, q in v.entries)
+    assert all(seen.get((k.name, name, True), 0) >= 5 for k in kinds for name in ("dense", "planted")), seen
+    assert sum(n for (_, name, found), n in seen.items() if name == "random" and found) >= 10, seen
+    assert unreduced >= 20
+
+
+def test_tbisim_json_past_the_digit_limit_exits_two(run, tmp_path):
+    """A coupling mass whose denominator has about 6,000 digits is found, and
+    rendering it fails with the `as_text` BudgetError before any output."""
+    left = write(tmp_path, "c.json", _two_masses("x", "z", 10**3000 + 1))
+    right = write(tmp_path, "d.json", _two_masses("y", "w", 10**3000 + 3))
+    rel = write(tmp_path, "r.json", {"pairs": [["x", "y"], ["x", "w"], ["z", "y"], ["z", "w"]]})
+    code, out, _ = run("tbisim", left, right, rel)
+    assert (code, out) == (0, "coupling found\n")
+    code, out, err = run("tbisim", left, right, rel, "--json")
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if not limit:
+        pytest.skip("this Python converts integers of any length")
+    assert (code, out) == (2, "")
+    assert err == f"error: a number has more than {limit} digits, the most Python converts to text\n"
 
 
 def test_randtest_known_and_unknown_property(run):

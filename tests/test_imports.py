@@ -98,6 +98,17 @@ def test_import_coalsim_loads_no_harness():
     assert out == "[]\n[]\n"
 
 
+def test_import_coalsim_cli_loads_no_harness():
+    """The command line loads `coalsim.properties`, and with it the generators
+    and oracles, only when `randtest` runs."""
+    code = f"import sys, coalsim.cli; print([m for m in {['coalsim.' + h for h in HARNESS]!r} if m in sys.modules])"
+    env = dict(os.environ, PYTHONPATH=str(SOURCE.parent))
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    ).stdout
+    assert out == "[]\n"
+
+
 def test_theorem_matrix_exercises_resolve_to_one_function():
     defined = {}
     for info in pkgutil.iter_modules(coalsim.__path__):

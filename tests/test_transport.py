@@ -86,7 +86,8 @@ def _block_shaped(reach):
 def test_max_flow_matches_the_reference_on_ship_networks():
     """`_solve` against Edmonds-Karp on the whole network: the same cut from
     either start, and with `plan` the same flow on every arc, listed source
-    by source in supply order and each source's sinks in room order."""
+    by source in supply order and each source's sinks in room order;
+    without `plan` no cell is listed."""
     seen = {"cut": 0, "shipped": 0, "saturated": 0, "no arcs": 0, "empty": 0}
     rng = random.Random(47)
     for trial in range(2000):
@@ -103,15 +104,10 @@ def test_max_flow_matches_the_reference_on_ship_networks():
         for plan in (True, False):
             cut, cells = transport._solve(supply, room, reach, plan)
             assert cut == expected_cut
-            if cut is not None:
+            if cut is not None or not plan:
                 assert cells is None
-            elif plan:
-                assert list(cells) == expected_cells
             else:
-                cells = dict(cells)
-                assert all(w > 0 and y in reach[x] for (x, y), w in cells.items())
-                assert all(sum(w for (a, _), w in cells.items() if a == x) == v for x, v in supply.items())
-                assert all(sum(w for (_, b), w in cells.items() if b == y) <= v for y, v in room.items())
+                assert list(cells) == expected_cells
         inner = [e for e in capacity if e[0] != source and e[1] != sink]
         seen["saturated"] += any(flow[e] == capacity[e] > 0 for e in inner)
         seen["no arcs"] += not inner
