@@ -276,3 +276,43 @@ def test_models_are_read_only_and_hash_by_kind_and_carrier():
     assert c == same and hash(c) == hash(same)
     assert c != dead and hash(c) == hash(dead)
     assert len({c, same, dead}) == 2
+
+
+def test_value_functions_keep_their_errors_on_non_values_and_foreign_kinds():
+    """Errors and messages of the public value functions on a non-value, an
+    unknown kind name, a foreign kind and a relabel map with a missing key."""
+    from coalsim.liftings import atom, more_than
+    from coalsim.modelio import value_from_json, value_to_json
+
+    def error(call, *args):
+        with pytest.raises(Exception) as caught:
+            call(*args)
+        return type(caught.value), str(caught.value)
+
+    assert error(base, 42) == (KindMismatchError, "not a transition value: 42")
+    assert error(relabel, 42, {}) == (KindMismatchError, "not a transition value: 42")
+    assert error(value_to_json, 42) == (ValidationError, "not a transition value: 42")
+    assert error(value_from_json, "foo", {}) == (ValidationError, "unknown functor 'foo'")
+    assert error(value_from_json, 42, {}) == (ValidationError, "unknown functor 42")
+    assert error(value_from_json, ["kripke"], {}) == (ValidationError, "unknown functor ['kripke']")
+    values = (
+        kripke_value(["p"], [10, "a", "b"]),
+        multiset_value({10: 2, "b": INF, "a": 1}),
+        dist_value({10: Fraction(1, 2), "b": Fraction(1, 4), "a": Fraction(1, 4)}),
+        nbhd_value([[10, "a"], ["b"]]),
+    )
+    own = ((BOX, DIAMOND, atom("p")), (diamond_gt(1),), (at_least(Fraction(1, 2)), more_than(0)), (NBHD_BOX,))
+    for i, t in enumerate(values):
+        name = type(t).__name__
+        assert error(relabel, t, {"a": "c"}) == (ValidationError, "relabel map is not defined on ['b', 10]")
+        assert error(values_equal, 42, t) == (KindMismatchError, f"cannot compare int with {name}")
+        for j, u in enumerate(values):
+            if i != j:
+                assert error(values_equal, t, u) == (
+                    KindMismatchError, f"cannot compare {name} with {type(u).__name__}"
+                )
+                for m in own[j]:
+                    assert error(satisfies, t, m, {"a"}) == (
+                        KindMismatchError, f"modality {m.token()!r} is not interpretable over {name}"
+                    )
+    assert error(satisfies, 42, BOX, set()) == (KindMismatchError, "modality '[]' is not interpretable over int")
