@@ -344,15 +344,13 @@ class QuotientWitness:
         return self.partition.blocks
 
     def to_dict(self) -> dict:
-        from .modelio import value_to_json
-
         kappa_left, kappa_right = self.partition.left_ids, self.partition.right_ids
         return {
             **self.partition.to_dict(),
             "kappa_left": {str(s): f"b{kappa_left[s]}" for s in sorted(kappa_left, key=state_key)},
             "kappa_right": {str(s): f"b{kappa_right[s]}" for s in sorted(kappa_right, key=state_key)},
             "structure": {
-                f"b{i}": value_to_json(v, label=lambda b: f"b{b}")
+                f"b{i}": v.to_json(lambda b: f"b{b}")
                 for i, v in sorted(self.structure.items())
             },
         }
@@ -439,17 +437,8 @@ class Coupling:
     values: tuple  # tuple of ((x, y), FunctorValue over pair states)
 
     def to_dict(self) -> dict:
-        from .modelio import value_to_json
-
         return {
-            "couplings": [
-                {
-                    "left": p[0],
-                    "right": p[1],
-                    "value": value_to_json(v, label=list),
-                }
-                for p, v in self.values
-            ]
+            "couplings": [{"left": p[0], "right": p[1], "value": v.to_json(list)} for p, v in self.values]
         }
 
 

@@ -77,7 +77,7 @@ def _emit_coupling(coupling, c, d) -> None:
     """Print `dump_json(coupling.to_dict())` in one write, without building the document.
 
     Each state label is rendered once per call and each cell [x, y] once;
-    every value is written as `value_to_json(v, label=list)` lists it, with
+    every value is written as its `to_json(list)` lists it, with
     its keys in sorted order.  Weights and masses become text by `as_text`,
     once per value, so a number past Python's digit limit raises
     BudgetError before any output.
@@ -92,7 +92,7 @@ def _emit_coupling(coupling, c, d) -> None:
             text = rendered[q] = f"[{left[q[0]]}, {right[q[1]]}]"
         return text
 
-    def ordered(cells):  # in the `state_key` order of the cells as lists, as `value_to_json` sorts them
+    def ordered(cells):  # in the `state_key` order of the cells as lists, as `to_json` sorts them
         return sorted(cells, key=lambda q: state_key(list(q)))
 
     def joined(cells):

@@ -189,33 +189,23 @@ def _mismatch(t: FunctorValue, m: Modality) -> KindMismatchError:
     return KindMismatchError(f"modality {m.token()!r} is not interpretable over {type(t).__name__}")
 
 
-def _threshold(t: FunctorValue, m: Modality) -> tuple:
-    """(strict, bound) of a weighted modality: a value satisfies m at A when
-    its mass at A exceeds the bound or, if not `strict`, reaches it."""
-    if isinstance(t, MultisetValue) and m.op == "diamond_gt":
-        return True, m.index
-    if isinstance(t, DistValue) and m.op in ("at_least", "more_than"):
-        return m.op == "more_than", m.bound
-    raise _mismatch(t, m)
-
-
 def satisfies(t: FunctorValue, m: Modality, states) -> bool:
     """Does the value satisfy the modality applied to the given state set?"""
-    if isinstance(t, KripkeValue):
-        if m.op == "box":
-            return t.succ <= frozenset(states)
-        if m.op == "diamond":
-            return bool(t.succ & frozenset(states))
-        if m.op == "atom":
-            return m.name in t.props
-    elif isinstance(t, (MultisetValue, DistValue)):
-        strict, bound = _threshold(t, m)
-        mass = measure(t, states)
-        return mass > bound if strict else mass >= bound
-    elif isinstance(t, NbhdValue):
-        if m.op == "nbhd_box":
-            return t.contains(states)
-    raise _mismatch(t, m)
+    if not isinstance(t, VALUE_TYPES[_KIND_OF_OP[m.op]]):
+        raise _mismatch(t, m)
+    op = m.op
+    if op == "box":
+        return t.succ <= frozenset(states)
+    if op == "diamond":
+        return bool(t.succ & frozenset(states))
+    if op == "atom":
+        return m.name in t.props
+    if op == "nbhd_box":
+        return t.contains(states)
+    mass = measure(t, states)
+    if op == "diamond_gt":
+        return mass > m.index
+    return mass >= m.bound if op == "at_least" else mass > m.bound
 
 
 class ThresholdGrid:

@@ -8,6 +8,8 @@ Model files look like::
 with per-kind transition values: Kripke ``{"props": [...], "succ": [...]}``,
 multiset ``{"state": weight-or-"inf", ...}``, distribution
 ``{"state": "n/d", ...}``, neighborhood ``{"minimals": [["a"], ["b", "c"]]}``.
+Each value is read and written by its class in `coalsim.values`
+(`from_json`, `to_json`), which the model loader looks up once per model.
 Relation files are ``{"pairs": [["x", "y"], ...]}``.  Distributions whose
 masses do not sum to one are rejected, never renormalized.
 """
@@ -15,53 +17,22 @@ masses do not sum to one are rejected, never renormalized.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from typing import Callable
 
 from .errors import ValidationError, as_text, shown
 from .relations import Relation, relation
 from .values import (
-    DISTRIBUTION,
-    INF,
     KRIPKE,
-    MULTISET,
-    NEIGHBORHOOD,
     Coalgebra,
-    DistValue,
     FunctorKind,
     FunctorValue,
-    KripkeValue,
-    MultisetValue,
-    NbhdValue,
     VALUE_TYPES,
-    canonical_entries,
+    check_state,
     coalgebra,
     kripke_kind,
-    kripke_value,
-    nbhd_value,
-    state_key,
+    state_list,
+    string_list,
 )
-
-def _states(raw, where: str) -> list:
-    """A JSON list of state labels; a label is a string or a non-bool integer."""
-    if not isinstance(raw, list):
-        raise ValidationError(f"{where} must be a list of states, got {shown(raw)}")
-    for s in raw:
-        if type(s) is not str:
-            _check_state(s, where)
-    return raw
-
-
-def _check_state(s, where: str) -> None:
-    if not isinstance(s, (str, int)) or isinstance(s, bool):
-        raise ValidationError(f"{where}: state {shown(s)} is not a string or an integer")
-
-
-def _strings(raw, where: str) -> list:
-    """A JSON list of strings: the atoms of a vocabulary or a state's props."""
-    if not isinstance(raw, list) or not all(isinstance(p, str) for p in raw):
-        raise ValidationError(f"{where} must be a list of strings, got {shown(raw)}")
-    return raw
 
 
 def _carrier_key(s):
@@ -69,83 +40,22 @@ def _carrier_key(s):
     return (isinstance(s, str), s)
 
 
-def _parse_weight(raw, state):
-    if raw == "inf":
-        return INF
-    if isinstance(raw, int) and not isinstance(raw, bool) and raw >= 0:
-        return raw
-    raise ValidationError(f"weight for {shown(state)} must be a natural or \"inf\", got {shown(raw)}")
-
-
-def _parse_mass(raw, state):
-    if isinstance(raw, str):
-        try:
-            num, slash, den = raw.partition("/")
-            if slash and num.isascii() and num.isdigit() and den.isascii() and den.isdigit():
-                den = int(den)
-                if den:  # "n/d" in ASCII digits: no parse of the whole string
-                    return Fraction(int(num), den)
-            _, e, exponent = raw.lower().partition("e")
-            if e and abs(int(exponent)) > 4300:  # Python's default digit limit; 10**e is not built
-                raise ValueError("exponent too large")
-            q = Fraction(raw)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValidationError(f"mass for {shown(state)} is not a rational: {shown(raw)}") from exc
-    elif isinstance(raw, int) and not isinstance(raw, bool):
-        q = Fraction(raw)
-    else:
-        raise ValidationError(f"mass for {shown(state)} must be \"n/d\" or an integer, got {shown(raw)}")
-    if q < 0:
-        raise ValidationError(f"distribution mass for {shown(state)} is negative")
-    return q
+def _value_class(name) -> type:
+    """The value class of a functor named in a document."""
+    if not (isinstance(name, str) and name in VALUE_TYPES):
+        raise ValidationError(f"unknown functor {shown(name)}")
+    return VALUE_TYPES[name]
 
 
 def value_from_json(kind_name: str, raw) -> FunctorValue:
-    if kind_name == KRIPKE:
-        if not isinstance(raw, dict) or set(raw) - {"props", "succ"}:
-            raise ValidationError(f"kripke value needs props/succ, got {shown(raw)}")
-        props = _strings(raw.get("props", []), "props")
-        return kripke_value(props, _states(raw.get("succ", []), "succ"))
-    if kind_name == MULTISET:
-        if not isinstance(raw, dict):
-            raise ValidationError(f"multiset value must be a weight map, got {shown(raw)}")
-        return MultisetValue(canonical_entries({s: w for s, a in raw.items() if (w := _parse_weight(a, s))}))
-    if kind_name == DISTRIBUTION:
-        if not isinstance(raw, dict):
-            raise ValidationError(f"distribution value must be a mass map, got {shown(raw)}")
-        return DistValue(canonical_entries({s: q for s, a in raw.items() if (q := _parse_mass(a, s))}))
-    if kind_name == NEIGHBORHOOD:
-        if not isinstance(raw, dict) or set(raw) != {"minimals"}:
-            raise ValidationError(f"neighborhood value needs minimals, got {shown(raw)}")
-        if not isinstance(raw["minimals"], list):
-            raise ValidationError(f"minimals must be a list of state lists, got {shown(raw)}")
-        return nbhd_value(_states(m, "minimal set") for m in raw["minimals"])
-    raise ValidationError(f"unknown functor {shown(kind_name)}")
+    return _value_class(kind_name).from_json(raw)
 
 
 def value_to_json(v: FunctorValue, label: Callable = str):
     """Serialize one transition value; `label` renders state names."""
-    if isinstance(v, KripkeValue):
-        return {
-            "props": sorted(v.props),
-            "succ": sorted((label(s) for s in v.succ), key=state_key),
-        }
-    if isinstance(v, MultisetValue):
-        return {
-            "entries": [
-                [label(s), "inf" if w == INF else w] for s, w in v.entries
-            ]
-        }
-    if isinstance(v, DistValue):
-        return {"entries": [[label(s), as_text(q)] for s, q in v.entries]}
-    if isinstance(v, NbhdValue):
-        return {
-            "minimals": sorted(
-                (sorted((label(s) for s in m), key=state_key) for m in v.minimals),
-                key=state_key,
-            )
-        }
-    raise ValidationError(f"not a transition value: {v!r}")
+    if not isinstance(v, FunctorValue):
+        raise ValidationError(f"not a transition value: {v!r}")
+    return v.to_json(label)
 
 
 def coalgebra_from_dict(doc: dict) -> Coalgebra:
@@ -155,19 +65,18 @@ def coalgebra_from_dict(doc: dict) -> Coalgebra:
         if field not in doc:
             raise ValidationError(f"model document misses the {field!r} field")
     name = doc["functor"]
-    if not (isinstance(name, str) and name in VALUE_TYPES):
-        raise ValidationError(f"unknown functor {shown(name)}")
+    cls = _value_class(name)
     if name == KRIPKE:
-        kind = kripke_kind(_strings(doc.get("atoms", []), "atoms"))
+        kind = kripke_kind(string_list(doc.get("atoms", []), "atoms"))
     elif "atoms" in doc:
         raise ValidationError(f"functor {shown(name)} takes no atom vocabulary")
     else:
         kind = FunctorKind(name)
-    states = _states(doc["states"], "states")
+    states = state_list(doc["states"], "states")
     transition = doc["transition"]
     if not isinstance(transition, dict):
         raise ValidationError("transition must map states to values")
-    values = {s: value_from_json(name, raw) for s, raw in transition.items()}
+    values = {s: cls.from_json(raw) for s, raw in transition.items()}
     return coalgebra(kind, states, values)
 
 
@@ -204,8 +113,8 @@ def relation_from_dict(doc: dict, c: Coalgebra = None, d: Coalgebra = None) -> R
     for raw in doc["pairs"]:
         if not isinstance(raw, (list, tuple)) or len(raw) != 2:
             raise ValidationError(f"relation pair must be a two-element list, got {shown(raw)}")
-        _check_state(raw[0], "relation pair")
-        _check_state(raw[1], "relation pair")
+        check_state(raw[0], "relation pair")
+        check_state(raw[1], "relation pair")
         pairs.append((raw[0], raw[1]))
     if c is not None and d is not None:
         return relation(c.carrier, d.carrier, pairs)

@@ -4,20 +4,25 @@ A state of a model is mapped to one *transition value*: a Kripke pair
 (propositions, successor set), a finitely supported multiset of states with
 weights in the naturals extended by infinity, a finitely supported exact
 rational probability distribution, or a monotone neighborhood system stored
-as the antichain of its minimal sets.  All values are immutable and
-hash-canonical, except that neighborhood values keep the minimal sets they
-were built from; `values_equal` compares the denoted upward-closed families.
-Listing every value over a state set is left to `coalsim.generators`.
+as the antichain of its minimal sets.  Each kind is one subclass of
+`FunctorValue`, which owns the kind's value-level rules; the module
+functions (`base`, `relabel`, `values_equal`, `measure`, `integer_weights`,
+`validate`) call into it.  All values are immutable and hash-canonical,
+except that neighborhood values keep the minimal sets they were built from;
+`values_equal` compares the denoted upward-closed families.  Listing every
+value over a state set is left to `coalsim.generators`.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain
 from math import lcm
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .errors import KindMismatchError, ValidationError, as_text, shown
 
@@ -35,45 +40,238 @@ def state_key(x):
     return repr(x)
 
 
+def state_list(raw, where: str) -> list:
+    """A JSON list of state labels; a label is a string or a non-bool integer."""
+    if not isinstance(raw, list):
+        raise ValidationError(f"{where} must be a list of states, got {shown(raw)}")
+    for s in raw:
+        if type(s) is not str:
+            check_state(s, where)
+    return raw
+
+
+def check_state(s, where: str) -> None:
+    if not isinstance(s, (str, int)) or isinstance(s, bool):
+        raise ValidationError(f"{where}: state {shown(s)} is not a string or an integer")
+
+
+def string_list(raw, where: str) -> list:
+    """A JSON list of strings: the atoms of a vocabulary or a state's props."""
+    if not isinstance(raw, list) or not all(isinstance(p, str) for p in raw):
+        raise ValidationError(f"{where} must be a list of strings, got {shown(raw)}")
+    return raw
+
+
+class FunctorValue:
+    """A transition value; its class owns its kind's rules.  Each kind's class
+    has its `kind` name, `base()`, `relabel(f)` (KeyError on a state f does
+    not map), `equals(u)` for a value of its class, `well_formed(carrier,
+    atoms)` (does it pass every check of `validate`) with `problems(atoms)`
+    (each failed check in words), and its JSON form, `from_json(raw)` and
+    `to_json(label)`."""
+
+    kind: str
+
+    def equals(self, other) -> bool:
+        return self == other
+
+
 @dataclass(frozen=True)
-class KripkeValue:
+class KripkeValue(FunctorValue):
+    kind = KRIPKE
     props: frozenset
     succ: frozenset
 
+    def base(self) -> frozenset:
+        return self.succ
+
+    def relabel(self, f) -> KripkeValue:
+        return KripkeValue(self.props, frozenset([f[s] for s in self.succ]))
+
+    def well_formed(self, carrier, atoms) -> bool:
+        return self.succ <= carrier and self.props <= atoms
+
+    def problems(self, atoms) -> list:
+        bad = sorted(self.props - atoms)
+        return [f"unknown atoms {shown(bad)}"] if bad else []
+
+    @classmethod
+    def from_json(cls, raw) -> KripkeValue:
+        if not isinstance(raw, dict) or set(raw) - {"props", "succ"}:
+            raise ValidationError(f"kripke value needs props/succ, got {shown(raw)}")
+        props = string_list(raw.get("props", []), "props")
+        return kripke_value(props, state_list(raw.get("succ", []), "succ"))
+
+    def to_json(self, label: Callable) -> dict:
+        return {"props": sorted(self.props), "succ": sorted((label(s) for s in self.succ), key=state_key)}
+
 
 @dataclass(frozen=True)
-class MultisetValue:
+class WeightedValue(FunctorValue):
     """Finite-support weight map; entries are (state, weight), each state once
-    in `state_key` order, no zeros."""
+    in `state_key` order, no zeros.  Each kind gives `_plus`, which adds two
+    weights, `_zero`, the empty sum, `_json_weight`, one weight as JSON, and
+    `_integer_row`, (den, row): the weights as naturals over den, by state in
+    entry order, found once and kept on the value."""
 
     entries: tuple
 
+    def base(self) -> frozenset:
+        return frozenset([s for s, _ in self.entries])
+
+    def relabel(self, f) -> WeightedValue:
+        """Weights summed over fibres.  Sums of positive weights are positive,
+        so the result is built without validating it again."""
+        plus, acc = self._plus, {}
+        for s, w in self.entries:
+            k = f[s]
+            acc[k] = plus(acc[k], w) if k in acc else w
+        return type(self)(canonical_entries(acc))
+
+    def measure(self, states):
+        key, plus, total = frozenset(states), self._plus, self._zero
+        for s, w in self.entries:
+            if s in key:
+                total = plus(total, w)
+        return total
+
+    def _order_problems(self) -> list:
+        if _canonical(self.entries):
+            return []
+        states = [z for z, _ in self.entries]
+        twice = [z for z in sorted(set(states), key=state_key) if states.count(z) > 1]
+        return [f"lists {shown(twice)} more than once" if twice else "entries are not in state_key order"]
+
+    def to_json(self, label: Callable) -> dict:
+        return {"entries": [[label(s), self._json_weight(w)] for s, w in self.entries]}
+
 
 @dataclass(frozen=True)
-class DistValue:
-    """Finite-support probability mass map; entries are (state, Fraction), each
-    state once in `state_key` order, no zeros."""
+class MultisetValue(WeightedValue):
+    """Weights are positive integers or INF, which absorbs every sum it enters."""
 
-    entries: tuple
+    kind = MULTISET
+    _zero = 0
+
+    @staticmethod
+    def _plus(a, b):
+        return INF if a == INF or b == INF else a + b
+
+    @staticmethod
+    def _json_weight(w):
+        return "inf" if w == INF else w
+
+    @cached_property
+    def _integer_row(self) -> tuple:
+        return 1, dict(self.entries)
+
+    def well_formed(self, carrier, atoms) -> bool:
+        for z, w in self.entries:
+            if z not in carrier or not (type(w) is int and w > 0 or w == INF):
+                return False
+        return _canonical(self.entries)
+
+    def problems(self, atoms) -> list:
+        found = []
+        for z, w in self.entries:
+            if w == INF:
+                continue
+            if not isinstance(w, int) or isinstance(w, bool) or w < 0:
+                found.append(f"weight {shown(w)} for {shown(z)} is not a natural or infinity")
+            elif w == 0:
+                found.append(f"stores an explicit zero weight for {shown(z)}")
+        return found + self._order_problems()
+
+    @classmethod
+    def from_json(cls, raw) -> MultisetValue:
+        if not isinstance(raw, dict):
+            raise ValidationError(f"multiset value must be a weight map, got {shown(raw)}")
+        return cls(canonical_entries({s: w for s, a in raw.items() if (w := _parse_weight(a, s))}))
 
 
 @dataclass(frozen=True)
-class NbhdValue:
+class DistValue(WeightedValue):
+    """Masses are positive Fractions summing to 1."""
+
+    kind = DISTRIBUTION
+    _zero = Fraction(0)
+    _plus = staticmethod(operator.add)
+    _json_weight = staticmethod(as_text)
+
+    @cached_property
+    def _integer_row(self) -> tuple:
+        """The masses as naturals over the least common denominator of the value's own masses."""
+        den = lcm(*[q.denominator for _, q in self.entries])
+        return den, {z: q.numerator * (den // q.denominator) for z, q in self.entries}
+
+    def well_formed(self, carrier, atoms) -> bool:
+        for z, q in self.entries:
+            if z not in carrier or type(q) is not Fraction or q.numerator <= 0:
+                return False
+        den, row = self._integer_row
+        return sum(row.values()) == den and _canonical(self.entries)
+
+    def problems(self, atoms) -> list:
+        found, total = [], Fraction(0)
+        for z, q in self.entries:
+            if not isinstance(q, Fraction) or q <= 0:
+                found.append(f"mass {shown(q)} for {shown(z)} is not a positive rational")
+            else:
+                total += q
+        if total != 1:
+            found.append(f"mass sum {as_text(total)} != 1")
+        return found + self._order_problems()
+
+    @classmethod
+    def from_json(cls, raw) -> DistValue:
+        if not isinstance(raw, dict):
+            raise ValidationError(f"distribution value must be a mass map, got {shown(raw)}")
+        return cls(canonical_entries({s: q for s, a in raw.items() if (q := _parse_mass(a, s))}))
+
+
+@dataclass(frozen=True)
+class NbhdValue(FunctorValue):
     """Upward-closed family of state sets, stored by its claimed minimal sets."""
 
+    kind = NEIGHBORHOOD
     minimals: frozenset
 
     def contains(self, states) -> bool:
         a = frozenset(states)
         return any(m <= a for m in self.minimals)
 
+    def base(self) -> frozenset:
+        return frozenset().union(*self.minimals)
 
-FunctorValue = KripkeValue | MultisetValue | DistValue | NbhdValue
+    def relabel(self, f) -> NbhdValue:
+        """The family whose members are exactly the sets with preimage in the
+        original: the minimized family of images of the original minimals."""
+        return NbhdValue(antichain(frozenset([f[s] for s in m]) for m in self.minimals))
+
+    def equals(self, other) -> bool:
+        return antichain(self.minimals) == antichain(other.minimals)
+
+    def well_formed(self, carrier, atoms) -> bool:
+        return carrier.issuperset(chain.from_iterable(self.minimals)) and self.minimals == antichain(self.minimals)
+
+    def problems(self, atoms) -> list:
+        return [] if self.minimals == antichain(self.minimals) else ["minimal sets are not an antichain"]
+
+    @classmethod
+    def from_json(cls, raw) -> NbhdValue:
+        if not isinstance(raw, dict) or set(raw) != {"minimals"}:
+            raise ValidationError(f"neighborhood value needs minimals, got {shown(raw)}")
+        if not isinstance(raw["minimals"], list):
+            raise ValidationError(f"minimals must be a list of state lists, got {shown(raw)}")
+        return nbhd_value(state_list(m, "minimal set") for m in raw["minimals"])
+
+    def to_json(self, label: Callable) -> dict:
+        minimals = (sorted((label(s) for s in m), key=state_key) for m in self.minimals)
+        return {"minimals": sorted(minimals, key=state_key)}
+
 
 # The one table of which value class belongs to which kind.
-VALUE_TYPES = MappingProxyType(
-    {KRIPKE: KripkeValue, MULTISET: MultisetValue, DISTRIBUTION: DistValue, NEIGHBORHOOD: NbhdValue}
-)
+VALUE_TYPES = MappingProxyType({cls.kind: cls for cls in (KripkeValue, MultisetValue, DistValue, NbhdValue)})
 
 
 @dataclass(frozen=True)
@@ -139,6 +337,37 @@ def nbhd_value(minimals: Iterable[Iterable]) -> NbhdValue:
     return NbhdValue(frozenset(frozenset(m) for m in minimals))
 
 
+def _parse_weight(raw, state):
+    if raw == "inf":
+        return INF
+    if isinstance(raw, int) and not isinstance(raw, bool) and raw >= 0:
+        return raw
+    raise ValidationError(f"weight for {shown(state)} must be a natural or \"inf\", got {shown(raw)}")
+
+
+def _parse_mass(raw, state):
+    if isinstance(raw, str):
+        try:
+            num, slash, den = raw.partition("/")
+            if slash and num.isascii() and num.isdigit() and den.isascii() and den.isdigit():
+                den = int(den)
+                if den:  # "n/d" in ASCII digits: no parse of the whole string
+                    return Fraction(int(num), den)
+            _, e, exponent = raw.lower().partition("e")
+            if e and abs(int(exponent)) > 4300:  # Python's default digit limit; 10**e is not built
+                raise ValueError("exponent too large")
+            q = Fraction(raw)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValidationError(f"mass for {shown(state)} is not a rational: {shown(raw)}") from exc
+    elif isinstance(raw, int) and not isinstance(raw, bool):
+        q = Fraction(raw)
+    else:
+        raise ValidationError(f"mass for {shown(state)} must be \"n/d\" or an integer, got {shown(raw)}")
+    if q < 0:
+        raise ValidationError(f"distribution mass for {shown(state)} is negative")
+    return q
+
+
 def antichain(sets: Iterable[Iterable]) -> frozenset:
     """Minimal elements of a family of sets; canonical form of a neighborhood value."""
     family = {frozenset(s) for s in sets}
@@ -172,43 +401,18 @@ def coalgebra(kind: FunctorKind, carrier: Iterable, transition: Mapping) -> Coal
     return c
 
 
-def _kripke_ok(t, carrier, atoms) -> bool:
-    return type(t) is KripkeValue and t.succ <= carrier and t.props <= atoms
-
-
 def integer_weights(*values) -> tuple:
     """(den, rows): the weights of weighted values of one kind, as integers over den.
 
-    Each row maps one value's states to its weights, in entry order.
-    Multiset weights are integers already: den is 1 and a row holds the
-    weights as they are, INF kept.  Distribution masses are scaled to
-    integers over den, the least common denominator of all the given
-    values' masses.  The kind is read once, off the first value, so no
-    distribution mass is ever compared with INF.  Each value's own row is
-    computed once and kept on the value; a row is rescaled only when its
-    denominator is not den.  Rows may be shared, so callers never change
-    them.
+    Each row maps one value's states to its weights in entry order: its own
+    integer row (multiset weights over 1, INF kept; masses over their own
+    least common denominator), rescaled only when its denominator is not
+    den, the least common multiple of them all.  So no multiset weight is
+    rescaled.  Rows may be shared, so callers never change them.
     """
-    if not values or type(values[0]) is MultisetValue:
-        return 1, [_integer_row(t)[1] for t in values]
-    own = [_integer_row(t) for t in values]
+    own = [t._integer_row for t in values]
     den = lcm(*[d for d, _ in own])
     return den, [row if d == den else {z: w * (den // d) for z, w in row.items()} for d, row in own]
-
-
-def _integer_row(t) -> tuple:
-    """(den, row) of one weighted value: its weights as they are over 1, or its
-    masses as naturals over the least common denominator of its own masses.
-    Found once, and kept in the value's `__dict__`, outside its fields."""
-    row = t.__dict__.get("_integer_row")
-    if row is None:
-        if type(t) is MultisetValue:
-            row = 1, dict(t.entries)
-        else:
-            den = lcm(*[q.denominator for _, q in t.entries])
-            row = den, {z: q.numerator * (den // q.denominator) for z, q in t.entries}
-        t.__dict__["_integer_row"] = row
-    return row
 
 
 def _canonical(entries) -> bool:
@@ -222,92 +426,26 @@ def _canonical(entries) -> bool:
     return True
 
 
-def _multiset_ok(t, carrier, atoms) -> bool:
-    if type(t) is not MultisetValue:
-        return False
-    for z, w in t.entries:
-        if z not in carrier or not (type(w) is int and w > 0 or w == INF):
-            return False
-    return _canonical(t.entries)
-
-
-def _dist_ok(t, carrier, atoms) -> bool:
-    if type(t) is not DistValue:
-        return False
-    for z, q in t.entries:
-        if z not in carrier or type(q) is not Fraction or q.numerator <= 0:
-            return False
-    den, (row,) = integer_weights(t)
-    return sum(row.values()) == den and _canonical(t.entries)
-
-
-def _nbhd_ok(t, carrier, atoms) -> bool:
-    return (
-        type(t) is NbhdValue
-        and carrier.issuperset(chain.from_iterable(t.minimals))
-        and t.minimals == antichain(t.minimals)
-    )
-
-
-# One predicate per kind: does a transition value pass every check of `validate`?
-_VALUE_OK = {KRIPKE: _kripke_ok, MULTISET: _multiset_ok, DISTRIBUTION: _dist_ok, NEIGHBORHOOD: _nbhd_ok}
-
-
-def _value_problems(c: Coalgebra, s, t, carrier: frozenset) -> list:
+def _value_problems(c: Coalgebra, s, t, carrier: frozenset, atoms: frozenset) -> list:
     """Every problem of the transition value t of state s, in report order."""
-    problems = []
-    vk = next((k for k, cls in VALUE_TYPES.items() if isinstance(t, cls)), None)
-    if vk is None:
+    if not isinstance(t, FunctorValue):
         return [f"state {shown(s)}: transition value has unknown type {type(t).__name__}"]
-    if vk != c.kind.name:
-        return [f"state {shown(s)}: value kind {vk} does not match model kind {c.kind.name}"]
-    observed = base(t)
-    if not observed <= carrier:
-        stray = [z for z in sorted(observed, key=state_key) if z not in carrier]
-        problems.append(f"state {shown(s)}: mentions states outside the carrier: {shown(stray)}")
-    if isinstance(t, KripkeValue):
-        bad = sorted(t.props - set(c.kind.atoms))
-        if bad:
-            problems.append(f"state {shown(s)}: unknown atoms {shown(bad)}")
-    elif isinstance(t, MultisetValue):
-        for z, w in t.entries:
-            if w == INF:
-                continue
-            if not isinstance(w, int) or isinstance(w, bool) or w < 0:
-                problems.append(f"state {shown(s)}: weight {shown(w)} for {shown(z)} is not a natural or infinity")
-            elif w == 0:
-                problems.append(f"state {shown(s)}: stores an explicit zero weight for {shown(z)}")
-    elif isinstance(t, DistValue):
-        total = Fraction(0)
-        for z, q in t.entries:
-            if not isinstance(q, Fraction) or q <= 0:
-                problems.append(f"state {shown(s)}: mass {shown(q)} for {shown(z)} is not a positive rational")
-            else:
-                total += q
-        if total != 1:
-            problems.append(f"state {shown(s)}: mass sum {as_text(total)} != 1")
-    elif isinstance(t, NbhdValue):
-        if t.minimals != antichain(t.minimals):
-            problems.append(f"state {shown(s)}: minimal sets are not an antichain")
-    if isinstance(t, (MultisetValue, DistValue)) and not _canonical(t.entries):
-        states = [z for z, _ in t.entries]
-        twice = [z for z in sorted(set(states), key=state_key) if states.count(z) > 1]
-        if twice:
-            problems.append(f"state {shown(s)}: lists {shown(twice)} more than once")
-        else:
-            problems.append(f"state {shown(s)}: entries are not in state_key order")
-    return problems
+    if t.kind != c.kind.name:
+        return [f"state {shown(s)}: value kind {t.kind} does not match model kind {c.kind.name}"]
+    stray = [z for z in sorted(t.base(), key=state_key) if z not in carrier]
+    problems = [f"mentions states outside the carrier: {shown(stray)}"] if stray else []
+    return [f"state {shown(s)}: {p}" for p in problems + t.problems(atoms)]
 
 
 def validate(c: Coalgebra) -> None:
     """Check every structural invariant of a model; raise a full report on failure.
 
-    Each transition value passes one predicate of its kind, which checks
-    its base and atoms by subset tests, its weights by type, its masses as
-    integers over their common denominator (`integer_weights`), and that
-    weighted entries list each state once, in `state_key` order, which
-    every sum over a value relies on.  Only a value that fails it
-    is examined again, by `_value_problems`, to word its problems.
+    Each transition value must be of the model kind's class and pass its
+    `well_formed` check: base and atoms by subset tests, weights by type,
+    masses as integers over their common denominator, and weighted entries
+    that list each state once, in `state_key` order, which every sum over a
+    value relies on.  Only a value that fails it is examined again, by
+    `_value_problems`, to word its problems.
     """
     problems = []
     if not c.carrier:
@@ -325,14 +463,21 @@ def validate(c: Coalgebra) -> None:
     for s in c.transition:
         if s not in carrier:
             problems.append(f"transition defined on {shown(s)}, which is not in the carrier")
-    ok = _VALUE_OK[c.kind.name]
+    cls = VALUE_TYPES[c.kind.name]
     atoms = frozenset(c.kind.atoms)
     for s in c.carrier:
         t = c.transition.get(s)
-        if t is not None and not ok(t, carrier, atoms):
-            problems += _value_problems(c, s, t, carrier)
+        if t is not None and not (type(t) is cls and t.well_formed(carrier, atoms)):
+            problems += _value_problems(c, s, t, carrier, atoms)
     if problems:
         raise ValidationError(problems)
+
+
+def _value(t) -> FunctorValue:
+    """t itself when it is a transition value; KindMismatchError otherwise."""
+    if isinstance(t, FunctorValue):
+        return t
+    raise KindMismatchError(f"not a transition value: {t!r}")
 
 
 def base(t: FunctorValue) -> frozenset:
@@ -342,13 +487,7 @@ def base(t: FunctorValue) -> frozenset:
     tested set that meets this base, which is what makes all subset
     quantifications in this package finite.
     """
-    if isinstance(t, KripkeValue):
-        return t.succ
-    if isinstance(t, (MultisetValue, DistValue)):
-        return frozenset(s for s, _ in t.entries)
-    if isinstance(t, NbhdValue):
-        return frozenset().union(*t.minimals)
-    raise KindMismatchError(f"not a transition value: {t!r}")
+    return _value(t).base()
 
 
 def predecessors(m: Coalgebra) -> dict:
@@ -363,55 +502,24 @@ def predecessors(m: Coalgebra) -> dict:
 def relabel(t: FunctorValue, f: Mapping) -> FunctorValue:
     """Push a value forward along a total state map (the functorial action).
 
-    Kripke successors take the image, weights and masses are summed over
-    fibers (infinity absorbs), and a neighborhood family maps to the family
-    whose members are exactly the sets with preimage in the original; its
-    antichain is the minimized family of images of the original minimals.
-    Sums of a value's positive weights or masses are positive, so the
-    weighted results are built without validating them again.
+    A state f does not map raises ValidationError naming every such state.
     """
     try:
-        if isinstance(t, KripkeValue):
-            return KripkeValue(t.props, frozenset([f[s] for s in t.succ]))
-        if isinstance(t, MultisetValue):
-            acc = {}
-            for s, w in t.entries:
-                k = f[s]
-                prev = acc.get(k, 0)
-                acc[k] = INF if (prev == INF or w == INF) else prev + w
-            return MultisetValue(canonical_entries(acc))
-        if isinstance(t, DistValue):
-            acc = {}
-            for s, q in t.entries:
-                k = f[s]
-                acc[k] = acc[k] + q if k in acc else q
-            return DistValue(canonical_entries(acc))
-        if isinstance(t, NbhdValue):
-            return NbhdValue(antichain(frozenset([f[s] for s in m]) for m in t.minimals))
+        return _value(t).relabel(f)
     except KeyError:
-        missing = [s for s in base(t) if s not in f]
-        raise ValidationError(
-            f"relabel map is not defined on {shown(sorted(missing, key=state_key))}"
-        ) from None
-    raise KindMismatchError(f"not a transition value: {t!r}")
+        missing = sorted((s for s in t.base() if s not in f), key=state_key)
+        raise ValidationError(f"relabel map is not defined on {shown(missing)}") from None
 
 
 def values_equal(t: FunctorValue, u: FunctorValue) -> bool:
     """Equality of denoted behaviours; normalizes neighborhood representations."""
     if type(t) is not type(u):
         raise KindMismatchError(f"cannot compare {type(t).__name__} with {type(u).__name__}")
-    if isinstance(t, NbhdValue):
-        return antichain(t.minimals) == antichain(u.minimals)
-    return t == u
+    return _value(t).equals(u)
 
 
-def measure(t: MultisetValue | DistValue, states) -> "int | float | Fraction":
-    """Total weight or mass a value assigns to a set of states."""
-    key = frozenset(states)
-    if isinstance(t, DistValue):
-        return sum((q for s, q in t.entries if s in key), Fraction(0))
-    total = 0
-    for s, w in t.entries:
-        if s in key:
-            total = INF if (w == INF or total == INF) else total + w
-    return total
+def measure(t: WeightedValue, states) -> "int | float | Fraction":
+    """Total weight or mass a multiset or distribution assigns to a set of states."""
+    if not isinstance(t, WeightedValue):
+        raise KindMismatchError(f"measure is not defined on {type(t).__name__}")
+    return t.measure(states)

@@ -492,22 +492,23 @@ def _parse_mass_reference(raw, state):
 
 def _value_from_json_reference(kind_name, raw):
     from coalsim.errors import ValidationError, shown
-    from coalsim.modelio import _parse_weight, _strings
     from coalsim.values import (
         DISTRIBUTION,
         KRIPKE,
         MULTISET,
         NEIGHBORHOOD,
+        _parse_weight,
         dist_value,
         kripke_value,
         multiset_value,
         nbhd_value,
+        string_list,
     )
 
     if kind_name == KRIPKE:
         if not isinstance(raw, dict) or set(raw) - {"props", "succ"}:
             raise ValidationError(f"kripke value needs props/succ, got {shown(raw)}")
-        props = _strings(raw.get("props", []), "props")
+        props = string_list(raw.get("props", []), "props")
         return kripke_value(props, _states_reference(raw.get("succ", []), "succ"))
     if kind_name == MULTISET:
         if not isinstance(raw, dict):
@@ -528,8 +529,7 @@ def _value_from_json_reference(kind_name, raw):
 
 def coalgebra_from_dict_reference(doc):
     from coalsim.errors import ValidationError, shown
-    from coalsim.modelio import _strings
-    from coalsim.values import DISTRIBUTION, KRIPKE, MULTISET, NEIGHBORHOOD, Coalgebra, FunctorKind, kripke_kind
+    from coalsim.values import DISTRIBUTION, KRIPKE, MULTISET, NEIGHBORHOOD, Coalgebra, FunctorKind, kripke_kind, string_list
 
     if not isinstance(doc, dict):
         raise ValidationError("model document must be a JSON object")
@@ -538,7 +538,7 @@ def coalgebra_from_dict_reference(doc):
             raise ValidationError(f"model document misses the {field!r} field")
     name = doc["functor"]
     if name == KRIPKE:
-        kind = kripke_kind(_strings(doc.get("atoms", []), "atoms"))
+        kind = kripke_kind(string_list(doc.get("atoms", []), "atoms"))
     elif name in (MULTISET, DISTRIBUTION, NEIGHBORHOOD):
         if "atoms" in doc:
             raise ValidationError(f"functor {shown(name)} takes no atom vocabulary")

@@ -121,3 +121,40 @@ def test_theorem_matrix_exercises_resolve_to_one_function():
     assert names
     unresolved = {n: defined.get(n, []) for n in sorted(names) if len(defined.get(n, [])) != 1}
     assert not unresolved, unresolved
+
+
+VALUE_CLASSES = {"KripkeValue", "MultisetValue", "DistValue", "NbhdValue"}
+# Sites that compile a per-kind choice once per call, not once per value.
+KIND_TEST_ALLOWED = {"liftings._misses", "liftings.lifting_check", "behaviour._canonical_coupling"}
+
+
+def _names_a_value_class(node) -> bool:
+    return any(isinstance(n, ast.Name) and n.id in VALUE_CLASSES for n in ast.walk(node))
+
+
+def _kind_tests(tree):
+    """(function, line) of each `isinstance`, `type(x) is` or `is` test naming a value class,
+    by the top-level function or class around it."""
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "isinstance":
+                hit = len(node.args) == 2 and _names_a_value_class(node.args[1])
+            elif isinstance(node, ast.Compare):
+                hit = any(isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops) and _names_a_value_class(node)
+            else:
+                continue
+            if hit:
+                yield getattr(top, "name", "<module>"), node.lineno
+
+
+def test_only_values_tests_a_value_class():
+    """Each kind's value rules live on its class in `values`; other engine
+    modules do not branch on the four value classes."""
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        if path.stem in HARNESS + ("values",):
+            continue
+        for function, line in _kind_tests(ast.parse(path.read_text(encoding="utf-8"))):
+            if f"{path.stem}.{function}" not in KIND_TEST_ALLOWED:
+                found.append(f"{path.name}:{line} in {function} tests a value class")
+    assert not found, found

@@ -26,7 +26,7 @@ from coalsim import (
 from coalsim.behaviour import Coupling
 from coalsim.liftings import hall_violator, prob_grid
 from coalsim.transport import couple
-from coalsim.values import _dist_ok, integer_weights
+from coalsim.values import integer_weights
 
 from oracle_helpers import hall_violator_reference
 
@@ -95,7 +95,7 @@ def test_the_mass_sum_check_is_the_fraction_sum():
     verdicts = set()
     for trial in range(600):
         t = _value(rng, True, normalized=trial % 2 == 0)
-        ok = _dist_ok(t, frozenset(LABELS), frozenset())
+        ok = t.well_formed(frozenset(LABELS), frozenset())
         assert ok == (sum((q for _, q in t.entries), Fraction(0)) == 1)
         verdicts.add(ok)
     assert verdicts == {True, False}

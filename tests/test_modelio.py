@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-import coalsim.modelio as modelio
+import coalsim.values as values
 from coalsim import ValidationError, validate
 from coalsim.modelio import (
     coalgebra_from_dict,
@@ -99,19 +99,19 @@ def test_unknown_functor_and_missing_fields():
 
 def test_mass_exponents_are_bounded_before_any_fraction_is_built(monkeypatch):
     built = []
-    real = modelio.Fraction
+    real = values.Fraction
 
     def spy(*args):
         built.append(args)
         return real(*args)
 
-    monkeypatch.setattr(modelio, "Fraction", spy)
+    monkeypatch.setattr(values, "Fraction", spy)
     for raw in ("1e10000000", "1e100000", "1E-4301", "5e+99999999999999999999", "0e4301"):
         with pytest.raises(ValidationError, match=re.escape(f"mass for 'a' is not a rational: {raw!r}")):
-            modelio._parse_mass(raw, "a")
+            values._parse_mass(raw, "a")
     assert built == []
-    assert modelio._parse_mass("25e-2", "a") == Fraction(1, 4)
-    assert modelio._parse_mass("1E4300", "a") == 10**4300
+    assert values._parse_mass("25e-2", "a") == Fraction(1, 4)
+    assert values._parse_mass("1E4300", "a") == 10**4300
 
 
 def test_relation_documents():

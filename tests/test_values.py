@@ -316,3 +316,13 @@ def test_value_functions_keep_their_errors_on_non_values_and_foreign_kinds():
                         KindMismatchError, f"modality {m.token()!r} is not interpretable over {name}"
                     )
     assert error(satisfies, 42, BOX, set()) == (KindMismatchError, "modality '[]' is not interpretable over int")
+
+
+def test_measure_of_a_value_without_weights_is_a_kind_mismatch():
+    from coalsim.values import measure
+
+    assert measure(multiset_value({"a": 2, "b": INF}), {"a"}) == 2
+    assert measure(dist_value({"a": Fraction(1, 3), "b": Fraction(2, 3)}), {"b"}) == Fraction(2, 3)
+    for t in (kripke_value(["p"], ["a"]), nbhd_value([["a"]]), 42):
+        with pytest.raises(KindMismatchError, match=f"measure is not defined on {type(t).__name__}"):
+            measure(t, {"a"})
